@@ -5,6 +5,8 @@
 // same rows/series the paper reports (plus our measured values).
 #pragma once
 
+#include <sys/resource.h>
+
 #include <cstdio>
 #include <exception>
 #include <fstream>
@@ -82,6 +84,9 @@ inline BenchArgs parse_bench_args(int argc, char** argv) {
 /// The optional per-phase split (ClusterConfig::measure_phases): negative
 /// values mean "not measured" and the keys are omitted from the record, so
 /// pre-existing perf histories and non-cluster benches are unaffected.
+/// Every record also carries `peak_rss_mb`, the process's peak resident set
+/// so far (getrusage; Linux reports ru_maxrss in KiB), omitted when the
+/// call fails.
 inline void write_perf_record(const std::string& path, const std::string& bench,
                               std::size_t threads, double wall_s,
                               double advance_s = -1.0, double dispatch_s = -1.0,
@@ -100,6 +105,10 @@ inline void write_perf_record(const std::string& path, const std::string& bench,
   phase("advance_s", advance_s);
   phase("dispatch_s", dispatch_s);
   phase("commit_s", commit_s);
+  rusage usage{};
+  if (getrusage(RUSAGE_SELF, &usage) == 0) {
+    phase("peak_rss_mb", static_cast<double>(usage.ru_maxrss) / 1024.0);
+  }
   out << "}\n";
   MONDE_REQUIRE(out.good(), "failed writing --perf output to '" << path << "'");
   std::printf("wrote perf record to %s\n", path.c_str());

@@ -5,15 +5,16 @@ The budget gate (check_bench_budget.py) pins SIMULATED metrics, which are
 deterministic and machine-independent. Wall-clock is neither, so it gets a
 different treatment: every nightly serve-scale-full run appends its measured
 runtime (a `--perf` record: {"bench", "threads", "wall_s"} plus optional
-per-phase keys "advance_s"/"dispatch_s"/"commit_s") to a retained history
-file, and this script gates the newest sample against the trailing median of
-its own (bench, threads) group. The phase split shows where the wall-clock
-went (parallel advancement vs sequential dispatch and commit); by default it
-is display-only, but --max-phase-share turns it into a gate: a sequential
-phase swelling past its share cap fails the run even when total wall_s still
-squeaks under the regression band. A slow sample on an unlucky runner widens
-the band once; a real slowdown shifts every subsequent sample and trips the
-gate.
+per-phase keys "advance_s"/"dispatch_s"/"commit_s" and an optional
+"peak_rss_mb") to a retained history file, and this script gates the newest
+sample against the trailing median of its own (bench, threads) group. The
+phase split shows where the wall-clock went (parallel advancement vs
+sequential dispatch and commit) and peak RSS how much memory the run held.
+Peak RSS is display-only. The phase split is display-only by default, but
+--max-phase-share turns it into a gate: a sequential phase swelling past its
+share cap fails the run even when total wall_s still squeaks under the
+regression band. A slow sample on an unlucky runner widens the band once; a
+real slowdown shifts every subsequent sample and trips the gate.
 
 Usage:
     check_perf_trend.py --history perf_history.jsonl --add run1.perf.json...
@@ -48,6 +49,7 @@ import sys
 
 TRAILING_WINDOW = 10  # samples per (bench, threads) group the median sees
 PHASE_KEYS = ("advance_s", "dispatch_s", "commit_s")  # optional, display-only
+RSS_KEY = "peak_rss_mb"  # optional, display-only
 
 
 def load_history(path):
@@ -84,7 +86,7 @@ def append_records(history_path, record_paths, date):
             "threads": int(record["threads"]),
             "wall_s": float(record["wall_s"]),
         }
-        for key in PHASE_KEYS:  # optional phase split, retained for the table
+        for key in PHASE_KEYS + (RSS_KEY,):  # optional, retained for the table
             if key in record:
                 entry[key] = float(record[key])
         added.append(entry)
@@ -106,8 +108,8 @@ def render_table(entries):
         groups.setdefault(group_key(entry), []).append(entry)
     lines = [
         "| bench | threads | trailing wall_s (oldest..newest) | median | latest |"
-        " adv/disp/commit |",
-        "|---|---|---|---|---|---|",
+        " adv/disp/commit | peak RSS MiB |",
+        "|---|---|---|---|---|---|---|",
     ]
     for (bench, threads), samples in sorted(groups.items()):
         tail = samples[-TRAILING_WINDOW:]
@@ -117,10 +119,11 @@ def render_table(entries):
             phases = "/".join(f"{newest[key]:.1f}" for key in PHASE_KEYS)
         else:
             phases = "-"
+        rss = f"{newest[RSS_KEY]:.1f}" if RSS_KEY in newest else "-"
         lines.append(
             f"| {bench} | {threads} | "
             f"{' '.join(f'{w:.1f}' for w in walls)} | "
-            f"{statistics.median(walls):.1f} | {walls[-1]:.1f} | {phases} |"
+            f"{statistics.median(walls):.1f} | {walls[-1]:.1f} | {phases} | {rss} |"
         )
     return "\n".join(lines)
 

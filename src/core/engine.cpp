@@ -46,8 +46,9 @@ StrategyContext InferenceEngine::make_context() {
   return ctx;
 }
 
-EngineState InferenceEngine::make_state() const {
+EngineState InferenceEngine::make_state(sim::Recording recording) const {
   EngineState st;
+  st.sched = sim::StreamSchedule{recording};
   st.hw = HwStreams::create(st.sched, sys_);
   return st;
 }
@@ -68,8 +69,9 @@ StepResult InferenceEngine::prefill(EngineState& st, std::int64_t batch,
     const auto cost =
         xformer_.encoder_block(batch, seq_len, model_.dmodel, model_.dff, !is_moe);
     const Duration block_time = cost.total() + sys_.framework_block_overhead;
-    const auto iv = st.sched.place(st.hw.gpu, t, block_time,
-                                   "enc block " + std::to_string(block), "block");
+    const auto iv = st.sched.place(
+        st.hw.gpu, t, block_time, [block] { return "enc block " + std::to_string(block); },
+        "block");
     st.non_moe += block_time;
     t = iv.end;
     if (is_moe) {
@@ -77,7 +79,7 @@ StepResult InferenceEngine::prefill(EngineState& st, std::int64_t batch,
       const MoeLayerResult lr =
           strategy_->run_layer(pass.moe_layers[moe_idx], st.sched, st.hw, t);
       st.moe += lr.latency();
-      st.layers.push_back(lr);
+      if (st.sched.recording()) st.layers.push_back(lr);
       t = lr.end;
       ++moe_idx;
     }
@@ -109,7 +111,9 @@ StepResult InferenceEngine::decode_step(EngineState& st, const std::vector<Decod
   StepResult res;
   res.start = st.now;
   res.tokens = static_cast<std::uint64_t>(batch);
-  const std::string step_tag = "dec s" + std::to_string(st.decode_steps);
+  // Shared by this step's labels; only a recording schedule formats them.
+  const std::string step_tag =
+      st.sched.recording() ? "dec s" + std::to_string(st.decode_steps) : std::string{};
 
   Duration t = st.now;
   std::size_t moe_idx = 0;
@@ -122,14 +126,15 @@ StepResult InferenceEngine::decode_step(EngineState& st, const std::vector<Decod
                                        model_.dff, !is_moe)
                         .total();
     }
-    const auto iv = st.sched.place(st.hw.gpu, t, block_time,
-                                   step_tag + " block " + std::to_string(block), "block");
+    const auto iv = st.sched.place(
+        st.hw.gpu, t, block_time,
+        [&] { return step_tag + " block " + std::to_string(block); }, "block");
     st.non_moe += block_time;
     t = iv.end;
     if (is_moe) {
       const MoeLayerResult lr = strategy_->run_layer(works[moe_idx], st.sched, st.hw, t);
       st.moe += lr.latency();
-      st.layers.push_back(lr);
+      if (st.sched.recording()) st.layers.push_back(lr);
       t = lr.end;
       ++moe_idx;
     }
@@ -138,7 +143,7 @@ StepResult InferenceEngine::decode_step(EngineState& st, const std::vector<Decod
   // (sampling, KV-cache bookkeeping).
   const Duration lm = gpu_.gemm_time({batch, model_.vocab_size, model_.dmodel}, model_.dtype);
   const auto head = st.sched.place(st.hw.gpu, t, lm + sys_.framework_step_overhead,
-                                   "lm head " + step_tag, "block");
+                                   [&] { return "lm head " + step_tag; }, "block");
   st.non_moe += lm + sys_.framework_step_overhead;
   st.now = head.end;
   st.tokens += res.tokens;

@@ -46,6 +46,12 @@ struct RunReport {
 /// call appends to it and advances the `now` cursor. A state outlives many
 /// steps, which is what lets requests at different decode depths share a
 /// schedule (continuous batching).
+///
+/// The schedule's recording switch covers the whole state: a recording state
+/// (make_state()'s default) keeps the labelled interval trace and every
+/// MoeLayerResult in `layers`; a non-recording one (the serving layer's
+/// long-lived replicas) keeps neither, so its memory stays bounded however
+/// many steps it runs. Times and accumulators are identical either way.
 struct EngineState {
   sim::StreamSchedule sched;
   HwStreams hw;
@@ -55,6 +61,7 @@ struct EngineState {
   std::uint64_t tokens = 0;             ///< tokens processed/produced so far
   std::int64_t decode_steps = 0;        ///< decode_step() calls so far (labels)
   std::vector<MoeLayerResult> layers;   ///< every scheduled MoE layer, in order
+                                        ///< (only while sched.recording())
 };
 
 /// One request's view of a decode step: its identity, decode depth, and the
@@ -84,8 +91,11 @@ class InferenceEngine {
 
   // --- Step primitives -----------------------------------------------------
 
-  /// A fresh state with this platform's hardware streams registered.
-  [[nodiscard]] EngineState make_state() const;
+  /// A fresh, recording state with this platform's hardware streams
+  /// registered.
+  [[nodiscard]] EngineState make_state() const { return make_state(sim::Recording::kOn); }
+  /// A fresh state whose schedule records (or not) per `recording`.
+  [[nodiscard]] EngineState make_state(sim::Recording recording) const;
 
   /// One encoder pass (prefill) over `batch` sequences of `seq_len` tokens,
   /// starting no earlier than `st.now`. Routing is drawn from the workload

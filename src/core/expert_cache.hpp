@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <list>
 #include <unordered_map>
+#include <vector>
 
 #include "core/monde_device.hpp"
 #include "moe/expert_profile.hpp"
@@ -50,6 +51,8 @@ class ExpertCache {
   void insert(ExpertId id);
 
   [[nodiscard]] bool contains(ExpertId id) const { return index_.count(id) > 0; }
+  /// Resident experts, most recently used first (the eviction order reversed).
+  [[nodiscard]] std::vector<ExpertId> recency_order() const { return {lru_.begin(), lru_.end()}; }
   [[nodiscard]] std::size_t size() const { return index_.size(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] std::uint64_t hits() const { return hits_; }

@@ -37,7 +37,8 @@ class MondeLoadBalanced final : public Strategy {
   /// Unrounded Equation-6 value at alpha = 1 (used to invert H -> alpha).
   [[nodiscard]] double h_raw_equation6(const moe::MoeLayerWork& work) const;
 
-  /// Dry-run: latency of the layer under a fixed H on fresh streams.
+  /// Dry-run: latency of the layer under a fixed H on fresh, non-recording
+  /// streams. Side-effect free: the GPU expert cache is only peeked at.
   [[nodiscard]] Duration evaluate_layer_with_h(const moe::MoeLayerWork& work, int h);
 
   /// Pin H (disables Equation 6 and tuning); pass -1 to restore auto mode.
@@ -60,9 +61,10 @@ class MondeLoadBalanced final : public Strategy {
   std::size_t tune_window = 4;
 
  private:
+  /// `what_if` leaves the expert cache untouched (see place_pmove_pipeline).
   MoeLayerResult schedule_layer(const moe::MoeLayerWork& work, int h,
                                 sim::StreamSchedule& sched, const HwStreams& hw,
-                                Duration ready);
+                                Duration ready, bool what_if);
   void maybe_retune();
 
   double alpha_ = 1.0;

@@ -21,9 +21,17 @@ ExpertList activated_by_load(const moe::MoeLayerWork& work) {
   return out;
 }
 
-std::string expert_label(const char* what, std::size_t e, std::uint64_t tok) {
-  return std::string{what} + " E" + std::to_string(e) + " (" + std::to_string(tok) + " tok)";
-}
+/// Lazy per-expert label "<what> E<e> (<tok> tok)": formatted only when
+/// the schedule records (sim::StreamSchedule::place's lazy overload).
+struct ExpertLabel {
+  const char* what;
+  std::size_t e;
+  std::uint64_t tok;
+
+  std::string operator()() const {
+    return std::string{what} + " E" + std::to_string(e) + " (" + std::to_string(tok) + " tok)";
+  }
+};
 
 }  // namespace
 
@@ -92,7 +100,7 @@ Duration Strategy::place_combine(const moe::MoeLayerWork& work, sim::StreamSched
 Duration Strategy::place_pmove_pipeline(const ExpertList& experts, int layer_id,
                                         sim::StreamSchedule& sched, const HwStreams& hw,
                                         Duration ready, sim::StreamId gpu_stream,
-                                        MoeLayerResult& result) {
+                                        MoeLayerResult& result, bool what_if) {
   Duration last_end = ready;
   const Bytes weights = ctx_.model->expert_bytes();
   for (const auto& [e, tok] : experts) {
@@ -100,26 +108,28 @@ Duration Strategy::place_pmove_pipeline(const ExpertList& experts, int layer_id,
     // expert GEMM launches as soon as its parameters land and the host has
     // dispatched the kernel. Transfers of later experts overlap earlier
     // experts' compute (Figure 5, GPU+PM row). Cache-resident experts skip
-    // the transfer entirely.
+    // the transfer entirely. A what-if only peeks, so it leaves the cache's
+    // recency order and hit/miss counters as it found them.
     const ExpertId eid{layer_id, static_cast<int>(e)};
-    const bool cached = expert_cache_ && expert_cache_->access(eid);
+    const bool cached =
+        expert_cache_ && (what_if ? expert_cache_->contains(eid) : expert_cache_->access(eid));
     Duration weights_ready = ready;
     if (!cached) {
       const auto tr = sched.place(hw.pcie_m2g, ready, ctx_.sys->pcie.transfer_time(weights),
-                                  expert_label("PMove", e, tok), "pmove");
+                                  ExpertLabel{"PMove", e, tok}, "pmove");
       weights_ready = tr.end;
       result.pmove_bytes += weights;
-      if (expert_cache_) expert_cache_->insert(eid);
+      if (expert_cache_ && !what_if) expert_cache_->insert(eid);
     } else {
       ++result.cache_hits;
     }
     const auto disp = sched.place(hw.host, ready, ctx_.sys->gpu_expert_dispatch,
-                                  expert_label("dispatch", e, tok), "driver");
+                                  ExpertLabel{"dispatch", e, tok}, "driver");
     const auto cp =
         sched.place(gpu_stream, max(weights_ready, disp.end),
                     ctx_.gpu->expert_time(ctx_.expert_shape(static_cast<std::int64_t>(tok)),
                                           ctx_.dtype()),
-                    expert_label("expert", e, tok), "gemm");
+                    ExpertLabel{"expert", e, tok}, "gemm");
     last_end = max(last_end, cp.end);
     ++result.experts_gpu;
   }
@@ -153,7 +163,7 @@ Duration Strategy::place_ndp_batch(const std::vector<ExpertList>& per_device,
     const Bytes in_bytes = ctx_.activation_bytes(routed);
     const auto am =
         sched.place(hw.pcie_g2m, ready, ctx_.sys->pcie.transfer_time(in_bytes),
-                    "AMove-in dev" + std::to_string(d), "amove");
+                    [d] { return "AMove-in dev" + std::to_string(d); }, "amove");
     result.amove_bytes += in_bytes;
 
     // The host driver prepares each expert offload (input slicing, two 64-B
@@ -167,21 +177,21 @@ Duration Strategy::place_ndp_batch(const std::vector<ExpertList>& per_device,
     Duration kernel_ready = am.end;
     for (const auto& [e, tok] : experts) {
       const auto disp = sched.place(hw.host, ready, per_dispatch,
-                                    expert_label("offload", e, tok), "driver");
+                                    ExpertLabel{"offload", e, tok}, "driver");
       const auto kr = ctx_.devices[d]->expert_latency(
           ctx_.expert_shape(static_cast<std::int64_t>(tok)), ctx_.dtype());
       // Kernel occupancy = simulated GEMM time + per-expert device overhead
       // (staging, decode, skew fill/drain, done handshake).
       const auto kv = sched.place(hw.ndp[d], max(kernel_ready, disp.end),
                                   kr.latency + ctx_.sys->ndp_expert_overhead,
-                                  expert_label("NDP expert", e, tok), "ndp");
+                                  ExpertLabel{"NDP expert", e, tok}, "ndp");
       kernel_ready = kv.end;
       // Host observes the done register, then retrieves this expert's
       // output (M->G direction, shared with PMove traffic).
       const Bytes out_bytes = ctx_.activation_bytes(tok);
       const auto out = sched.place(hw.pcie_m2g, kv.end + ctx_.sys->done_poll,
                                    ctx_.sys->pcie.transfer_time(out_bytes),
-                                   expert_label("AMove-out", e, tok), "amove");
+                                   ExpertLabel{"AMove-out", e, tok}, "amove");
       result.amove_bytes += out_bytes;
       all_end = max(all_end, out.end);
       ++result.experts_ndp;
@@ -207,12 +217,12 @@ class IdealGpu final : public Strategy {
     Duration t = gate_end;
     for (const auto& [e, tok] : activated_by_load(work)) {
       const auto disp = sched.place(hw.host, gate_end, ctx_.sys->gpu_expert_dispatch,
-                                    expert_label("dispatch", e, tok), "driver");
+                                    ExpertLabel{"dispatch", e, tok}, "driver");
       const auto iv =
           sched.place(hw.gpu, max(t, disp.end),
                       ctx_.gpu->expert_time(ctx_.expert_shape(static_cast<std::int64_t>(tok)),
                                             ctx_.dtype()),
-                      expert_label("expert", e, tok), "gemm");
+                      ExpertLabel{"expert", e, tok}, "gemm");
       t = iv.end;
       ++r.experts_gpu;
     }
@@ -286,17 +296,17 @@ class CpuAmove final : public Strategy {
     Duration last_out = am.end;
     for (const auto& [e, tok] : experts) {
       const auto disp = sched.place(hw.host, gate_end, ctx_.sys->offload_dispatch_overhead,
-                                    expert_label("offload", e, tok), "driver");
+                                    ExpertLabel{"offload", e, tok}, "driver");
       const auto cp =
           sched.place(hw.cpu, max(t, disp.end),
                       ctx_.cpu->expert_time(ctx_.expert_shape(static_cast<std::int64_t>(tok)),
                                             ctx_.dtype()),
-                      expert_label("CPU expert", e, tok), "cpu");
+                      ExpertLabel{"CPU expert", e, tok}, "cpu");
       t = cp.end;
       const Bytes out_bytes = ctx_.activation_bytes(tok);
       const auto out = sched.place(hw.pcie_m2g, cp.end,
                                    ctx_.sys->pcie.transfer_time(out_bytes),
-                                   expert_label("AMove-out", e, tok), "amove");
+                                   ExpertLabel{"AMove-out", e, tok}, "amove");
       r.amove_bytes += out_bytes;
       last_out = max(last_out, out.end);
       ++r.experts_cpu;
@@ -348,24 +358,24 @@ class MultiGpu final : public Strategy {
     Duration local_end = gate_end;
     for (const auto& [e, tok] : local) {
       const auto disp = sched.place(hw.host, gate_end, ctx_.sys->gpu_expert_dispatch,
-                                    expert_label("dispatch", e, tok), "driver");
+                                    ExpertLabel{"dispatch", e, tok}, "driver");
       const auto cp =
           sched.place(hw.gpu, max(local_end, disp.end),
                       ctx_.gpu->expert_time(ctx_.expert_shape(static_cast<std::int64_t>(tok)),
                                             ctx_.dtype()),
-                      expert_label("expert", e, tok), "gemm");
+                      ExpertLabel{"expert", e, tok}, "gemm");
       local_end = cp.end;
       ++r.experts_gpu;
     }
     Duration remote_end = remote_ready;
     for (const auto& [e, tok] : remote) {
       const auto disp = sched.place(hw.host, gate_end, ctx_.sys->gpu_expert_dispatch,
-                                    expert_label("dispatch", e, tok), "driver");
+                                    ExpertLabel{"dispatch", e, tok}, "driver");
       const auto cp =
           sched.place(hw.gpu2, max(remote_end, disp.end),
                       ctx_.gpu->expert_time(ctx_.expert_shape(static_cast<std::int64_t>(tok)),
                                             ctx_.dtype()),
-                      expert_label("expert", e, tok), "gemm");
+                      ExpertLabel{"expert", e, tok}, "gemm");
       remote_end = cp.end;
       ++r.experts_gpu;
     }
@@ -415,7 +425,8 @@ void MondeLoadBalanced::set_profiled_bandwidths(Bandwidth pcie, Bandwidth monde)
 
 MoeLayerResult MondeLoadBalanced::schedule_layer(const moe::MoeLayerWork& work, int h,
                                                  sim::StreamSchedule& sched,
-                                                 const HwStreams& hw, Duration ready) {
+                                                 const HwStreams& hw, Duration ready,
+                                                 bool what_if) {
   MoeLayerResult r;
   r.start = ready;
   r.h_value = h;
@@ -430,7 +441,7 @@ MoeLayerResult MondeLoadBalanced::schedule_layer(const moe::MoeLayerWork& work, 
   // The GPU workflow (PMove + GPU GEMMs) and the MoNDE workflow (AMove +
   // NDP) run concurrently (Equation 3); both begin once gating resolves.
   const Duration gpu_end =
-      place_pmove_pipeline(hot, work.layer_id, sched, hw, gate_end, hw.gpu, r);
+      place_pmove_pipeline(hot, work.layer_id, sched, hw, gate_end, hw.gpu, r, what_if);
   Duration ndp_end = gate_end;
   if (!cold.empty()) {
     ndp_end = place_ndp_batch(round_robin_devices(cold), sched, hw, gate_end, r);
@@ -440,9 +451,11 @@ MoeLayerResult MondeLoadBalanced::schedule_layer(const moe::MoeLayerWork& work, 
 }
 
 Duration MondeLoadBalanced::evaluate_layer_with_h(const moe::MoeLayerWork& work, int h) {
-  sim::StreamSchedule scratch;
+  // Nobody reads a what-if's intervals, so its scratch schedule records none.
+  sim::StreamSchedule scratch{sim::Recording::kOff};
   const HwStreams hw = HwStreams::create(scratch, *ctx_.sys);
-  const MoeLayerResult r = schedule_layer(work, h, scratch, hw, Duration::zero());
+  const MoeLayerResult r =
+      schedule_layer(work, h, scratch, hw, Duration::zero(), /*what_if=*/true);
   return r.latency();
 }
 
@@ -500,7 +513,7 @@ MoeLayerResult MondeLoadBalanced::run_layer(const moe::MoeLayerWork& work,
 
   const int h = fixed_h_ >= 0 ? fixed_h_ : h_from_equation6(work, alpha_);
   last_h_ = h;
-  return schedule_layer(work, h, sched, hw, ready);
+  return schedule_layer(work, h, sched, hw, ready, /*what_if=*/false);
 }
 
 std::unique_ptr<Strategy> make_strategy(StrategyKind kind, StrategyContext ctx) {

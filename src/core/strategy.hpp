@@ -122,11 +122,12 @@ class Strategy {
   /// PMove pipeline: fetch each expert over PCIe (M->G) and run it on the
   /// GPU as soon as its weights land; returns the last compute end time.
   /// `layer_id` keys the optional GPU expert cache (transfers are skipped
-  /// for cache-resident experts).
+  /// for cache-resident experts). A `what_if` placement only peeks at the
+  /// cache (contains()): no recency refresh, no insert, no hit/miss count.
   Duration place_pmove_pipeline(const std::vector<std::pair<std::size_t, std::uint64_t>>& experts,
                                 int layer_id, sim::StreamSchedule& sched, const HwStreams& hw,
                                 Duration ready, sim::StreamId gpu_stream,
-                                MoeLayerResult& result);
+                                MoeLayerResult& result, bool what_if = false);
 
   /// AMove + NDP batch: ship activations to each device, run its experts
   /// sequentially on the NDP, and retrieve outputs as kernels complete.

@@ -10,7 +10,7 @@ ServerSim::ServerSim(core::InferenceEngine& engine, SchedulerConfig cfg, Duratio
     : engine_{engine},
       cfg_{cfg},
       sched_{cfg},
-      st_{engine.make_state()},
+      st_{engine.make_state(sim::Recording::kOff)},  // nobody reads a replica's trace
       start_at_{start_at},
       fault_{fault},
       cache_{cache},

@@ -131,15 +131,21 @@ Duration StreamSchedule::free_at(StreamId stream) const {
   return free_[stream.index];
 }
 
-Interval StreamSchedule::place(StreamId stream, Duration earliest, Duration length,
-                               std::string label, std::string category) {
+Placement StreamSchedule::advance(StreamId stream, Duration earliest, Duration length) {
   MONDE_REQUIRE(stream.index < free_.size(), "unknown stream");
   MONDE_REQUIRE(length >= Duration::zero(), "task length must be non-negative");
   const Duration start = max(earliest, free_[stream.index]);
   const Duration end = start + length;
   free_[stream.index] = end;
-  Interval iv{stream, start, end, std::move(label), std::move(category)};
-  timeline_.record(iv);
+  makespan_ = max(makespan_, end);
+  return {stream, start, end};
+}
+
+Interval StreamSchedule::place(StreamId stream, Duration earliest, Duration length,
+                               std::string label, std::string category) {
+  const Placement p = advance(stream, earliest, length);
+  Interval iv{stream, p.start, p.end, std::move(label), std::move(category)};
+  if (recording()) timeline_.record(iv);
   return iv;
 }
 
@@ -147,7 +153,5 @@ void StreamSchedule::block_until(StreamId stream, Duration when) {
   MONDE_REQUIRE(stream.index < free_.size(), "unknown stream");
   free_[stream.index] = max(free_[stream.index], when);
 }
-
-Duration StreamSchedule::makespan() const { return timeline_.end_time(); }
 
 }  // namespace monde::sim

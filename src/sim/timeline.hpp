@@ -6,10 +6,20 @@
 // list scheduling -- a task starts at max(stream free time, dependency ready
 // times) -- and `Timeline` records the placed intervals for validation,
 // queries, and Chrome-trace export.
+//
+// Recording is a per-schedule switch. A recording schedule (the default)
+// keeps every placed interval with its label; that is the Figure 5 trace
+// the encoder/decoder runs, fig5 and the energy model read. A
+// non-recording schedule only advances stream free times and the makespan:
+// the serving layer's long-lived replicas and the MD+LB tuner's what-if
+// schedules use it, since nobody reads their intervals. Labels may be
+// passed lazily (any callable returning std::string), so a non-recording
+// schedule never formats them.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/units.hpp"
@@ -63,9 +73,24 @@ class Timeline {
   std::vector<Interval> intervals_;
 };
 
+/// Where a task landed on its stream (an Interval without its strings).
+struct Placement {
+  StreamId stream;
+  Duration start;
+  Duration end;
+};
+
+/// Whether a StreamSchedule keeps its placed intervals.
+enum class Recording : bool { kOff, kOn };
+
 /// A collection of named streams with deterministic earliest-fit placement.
 class StreamSchedule {
  public:
+  explicit StreamSchedule(Recording recording = Recording::kOn) : recording_{recording} {}
+
+  /// True when placed intervals are kept in timeline().
+  [[nodiscard]] bool recording() const { return recording_ == Recording::kOn; }
+
   /// Register a stream; returns its id. Names are for traces only.
   StreamId add_stream(std::string name);
 
@@ -76,10 +101,22 @@ class StreamSchedule {
   [[nodiscard]] Duration free_at(StreamId stream) const;
 
   /// Place a task: start = max(earliest, stream free), end = start+length.
-  /// Records the interval in the timeline and returns it. Zero-length tasks
-  /// advance nothing but are still recorded (useful for markers).
+  /// Records the interval in the timeline (when recording) and returns it.
+  /// Zero-length tasks advance nothing but are still recorded (useful for
+  /// markers).
   Interval place(StreamId stream, Duration earliest, Duration length, std::string label,
                  std::string category);
+
+  /// Same placement with a lazy label: `label()` is called, and the
+  /// interval recorded, only when this schedule records.
+  template <typename LabelFn>
+    requires std::is_invocable_r_v<std::string, const LabelFn&>
+  Placement place(StreamId stream, Duration earliest, Duration length, const LabelFn& label,
+                  const char* category) {
+    const Placement p = advance(stream, earliest, length);
+    if (recording()) timeline_.record({p.stream, p.start, p.end, label(), category});
+    return p;
+  }
 
   /// Advance a stream's free time without recording (e.g. blocking waits).
   void block_until(StreamId stream, Duration when);
@@ -87,12 +124,18 @@ class StreamSchedule {
   [[nodiscard]] const Timeline& timeline() const { return timeline_; }
   [[nodiscard]] Timeline& timeline() { return timeline_; }
 
-  /// Completion time of the whole schedule so far.
-  [[nodiscard]] Duration makespan() const;
+  /// Completion time of the whole schedule so far: the latest end over
+  /// every placed task, recorded or not (O(1), kept by place()).
+  [[nodiscard]] Duration makespan() const { return makespan_; }
 
  private:
+  /// Occupy `stream` for `length` from max(earliest, free time).
+  Placement advance(StreamId stream, Duration earliest, Duration length);
+
+  Recording recording_;
   std::vector<std::string> names_;
   std::vector<Duration> free_;
+  Duration makespan_ = Duration::zero();
   Timeline timeline_;
 };
 

@@ -354,6 +354,63 @@ TEST_F(StrategyTest, ZeroColdExpertsStillValid) {
   EXPECT_EQ(r.experts_gpu, work.activated_experts());
 }
 
+// --- Recording switch --------------------------------------------------------------
+
+void expect_same_result(const MoeLayerResult& a, const MoeLayerResult& b) {
+  EXPECT_EQ(a.start.ns(), b.start.ns());
+  EXPECT_EQ(a.end.ns(), b.end.ns());
+  EXPECT_EQ(a.gating.ns(), b.gating.ns());
+  EXPECT_EQ(a.combine.ns(), b.combine.ns());
+  EXPECT_EQ(a.experts_gpu, b.experts_gpu);
+  EXPECT_EQ(a.experts_ndp, b.experts_ndp);
+  EXPECT_EQ(a.experts_cpu, b.experts_cpu);
+  EXPECT_EQ(a.pmove_bytes.count(), b.pmove_bytes.count());
+  EXPECT_EQ(a.amove_bytes.count(), b.amove_bytes.count());
+  EXPECT_EQ(a.h_value, b.h_value);
+  EXPECT_EQ(a.cache_hits, b.cache_hits);
+}
+
+TEST_F(StrategyTest, RecordingOffIsAnswerNeutral) {
+  // The same layer sequence on a recording and a non-recording schedule:
+  // identical accounting, stream free times and makespan; only the trace
+  // differs.
+  sys_.num_gpus = 2;  // lets kMultiGpu run; the other strategies never use GPU-1
+  sys_.gpu_expert_cache_bytes = model_.expert_bytes() * 4;  // PMove cache path too
+  moe::WorkloadGenerator gen{model_, moe::SkewProfile::switch_like(), 42};
+  std::vector<moe::MoeLayerWork> works = gen.encoder_pass(2, 64).moe_layers;
+  for (const moe::DecoderStep& step : gen.decoder_steps(4, 6)) {
+    works.insert(works.end(), step.moe_layers.begin(), step.moe_layers.end());
+  }
+  for (const StrategyKind kind :
+       {StrategyKind::kIdealGpu, StrategyKind::kGpuPmove, StrategyKind::kMondeAmove,
+        StrategyKind::kMondeLoadBalanced, StrategyKind::kCpuAmove, StrategyKind::kMultiGpu}) {
+    SCOPED_TRACE(to_string(kind));
+    sim::StreamSchedule on{sim::Recording::kOn};
+    sim::StreamSchedule off{sim::Recording::kOff};
+    const HwStreams hw_on = HwStreams::create(on, sys_);
+    const HwStreams hw_off = HwStreams::create(off, sys_);
+    const auto strat_on = make_strategy(kind, ctx());
+    const auto strat_off = make_strategy(kind, ctx());
+    Duration t_on = Duration::zero();
+    Duration t_off = Duration::zero();
+    for (const moe::MoeLayerWork& w : works) {
+      const MoeLayerResult a = strat_on->run_layer(w, on, hw_on, t_on);
+      const MoeLayerResult b = strat_off->run_layer(w, off, hw_off, t_off);
+      expect_same_result(a, b);
+      t_on = a.end;
+      t_off = b.end;
+    }
+    ASSERT_EQ(on.stream_count(), off.stream_count());
+    for (std::size_t i = 0; i < on.stream_count(); ++i) {
+      EXPECT_EQ(on.free_at(sim::StreamId{i}).ns(), off.free_at(sim::StreamId{i}).ns());
+    }
+    EXPECT_EQ(on.makespan().ns(), off.makespan().ns());
+    EXPECT_EQ(on.makespan().ns(), on.timeline().end_time().ns());
+    EXPECT_FALSE(on.timeline().intervals().empty());
+    EXPECT_TRUE(off.timeline().intervals().empty());
+  }
+}
+
 // --- Engine -----------------------------------------------------------------------
 
 TEST(Engine, EncoderReportConsistency) {
@@ -509,6 +566,112 @@ TEST(Engine, DecodeStepHandlesMixedDepths) {
   const std::vector<DecodeSlot> deep = {{10, 100, 64}, {11, 105, 128}, {12, 111, 96}};
   const StepResult r2 = eng.decode_step(st2, deep);
   EXPECT_GE(r2.latency().ns(), r.latency().ns() * 0.5);
+}
+
+TEST(Engine, NonRecordingStateMatchesRecordingState) {
+  // A non-recording state (the serving layer's) keeps the same times and
+  // accumulators but neither the trace nor the per-layer results.
+  for (const StrategyKind kind : {StrategyKind::kMondeLoadBalanced, StrategyKind::kGpuPmove}) {
+    SCOPED_TRACE(to_string(kind));
+    InferenceEngine a{SystemConfig::dac24(), tiny_model(), moe::SkewProfile::switch_like(),
+                      kind, 42};
+    InferenceEngine b{SystemConfig::dac24(), tiny_model(), moe::SkewProfile::switch_like(),
+                      kind, 42};
+    EngineState on = a.make_state();
+    EngineState off = b.make_state(sim::Recording::kOff);
+    const std::vector<DecodeSlot> slots = {{0, 0, 64}, {1, 3, 96}};
+    for (int step = 0; step < 3; ++step) {
+      a.prefill(on, 1, 64);
+      b.prefill(off, 1, 64);
+      a.decode_step(on, slots);
+      b.decode_step(off, slots);
+    }
+    EXPECT_EQ(on.now.ns(), off.now.ns());
+    EXPECT_EQ(on.non_moe.ns(), off.non_moe.ns());
+    EXPECT_EQ(on.moe.ns(), off.moe.ns());
+    EXPECT_EQ(on.tokens, off.tokens);
+    EXPECT_EQ(on.decode_steps, off.decode_steps);
+    EXPECT_EQ(on.sched.makespan().ns(), off.sched.makespan().ns());
+    EXPECT_EQ(on.layers.size(), 12u);  // 3 x (2 encoder + 2 decoder MoE layers)
+    EXPECT_TRUE(off.layers.empty());
+    EXPECT_TRUE(off.sched.timeline().intervals().empty());
+  }
+}
+
+/// "<what> E<e> (<tok> tok)" for the expert of `rank` in `w`'s load order.
+std::string expert_label(const char* what, const moe::MoeLayerWork& w, std::size_t rank) {
+  const std::size_t e = w.experts_by_load().at(rank);
+  return std::string{what} + " E" + std::to_string(e) + " (" +
+         std::to_string(w.tokens_per_expert[e]) + " tok)";
+}
+
+std::vector<std::string> labels_of(const sim::Timeline& tl) {
+  std::vector<std::string> out;
+  for (const sim::Interval& iv : tl.intervals()) out.push_back(iv.label);
+  return out;
+}
+
+TEST(Engine, TraceLabelsPinnedMdLbDecode) {
+  // One MD+LB decode step with H = 1: the hottest expert over PMove, the
+  // rest near-data on the single MoNDE device. Every label, in placement
+  // order.
+  const moe::MoeModelConfig model = tiny_model();
+  InferenceEngine eng{SystemConfig::dac24(), model, moe::SkewProfile::switch_like(),
+                      StrategyKind::kMondeLoadBalanced, 42};
+  dynamic_cast<MondeLoadBalanced&>(eng.strategy()).set_fixed_h(1);
+  EngineState st = eng.make_state();
+  const std::vector<moe::MoeLayerWork> works = eng.workload().decoder_steps(2, 1).at(0).moe_layers;
+  eng.decode_step(st, {{0, 0, 64}, {1, 0, 64}}, works);
+
+  std::vector<std::string> want;
+  std::size_t moe_idx = 0;
+  for (int block = 0; block < model.decoder_blocks; ++block) {
+    want.push_back("dec s0 block " + std::to_string(block));
+    if (!model.is_moe_block(block)) continue;
+    const moe::MoeLayerWork& w = works.at(moe_idx++);
+    const auto activated = static_cast<std::size_t>(w.activated_experts());
+    ASSERT_GE(activated, 2u);
+    want.push_back("gating");
+    want.push_back(expert_label("PMove", w, 0));
+    want.push_back(expert_label("dispatch", w, 0));
+    want.push_back(expert_label("expert", w, 0));
+    want.push_back("AMove-in dev0");
+    for (std::size_t r = 1; r < activated; ++r) {
+      want.push_back(expert_label("offload", w, r));
+      want.push_back(expert_label("NDP expert", w, r));
+      want.push_back(expert_label("AMove-out", w, r));
+    }
+    want.push_back("combine");
+  }
+  want.push_back("lm head dec s0");
+  EXPECT_EQ(labels_of(st.sched.timeline()), want);
+}
+
+TEST(Engine, TraceLabelsPinnedCpuAmEncoder) {
+  const moe::MoeModelConfig model = tiny_model();
+  InferenceEngine eng{SystemConfig::dac24(), model, moe::SkewProfile::switch_like(),
+                      StrategyKind::kCpuAmove, 42};
+  // The engine's first encoder draw, reproduced on a twin generator.
+  moe::WorkloadGenerator twin{model, moe::SkewProfile::switch_like(), 42};
+  const moe::EncoderPass pass = twin.encoder_pass(1, 32);
+  const RunReport r = eng.run_encoder(1, 32);
+
+  std::vector<std::string> want;
+  std::size_t moe_idx = 0;
+  for (int block = 0; block < model.encoder_blocks; ++block) {
+    want.push_back("enc block " + std::to_string(block));
+    if (!model.is_moe_block(block)) continue;
+    const moe::MoeLayerWork& w = pass.moe_layers.at(moe_idx++);
+    want.push_back("gating");
+    want.push_back("AMove-in CPU");
+    for (std::size_t rank = 0; rank < static_cast<std::size_t>(w.activated_experts()); ++rank) {
+      want.push_back(expert_label("offload", w, rank));
+      want.push_back(expert_label("CPU expert", w, rank));
+      want.push_back(expert_label("AMove-out", w, rank));
+    }
+    want.push_back("combine");
+  }
+  EXPECT_EQ(labels_of(r.timeline), want);
 }
 
 TEST(Engine, DecodeStepPerRequestRoutingIndependentOfBatchOrder) {

@@ -135,6 +135,63 @@ TEST(CachedPmove, EvictionUnderTinyCache) {
   EXPECT_LE(cache->size(), 1u);
 }
 
+TEST(CachedPmove, WhatIfEvaluationLeavesCacheUntouched) {
+  // MD+LB's alpha tuner prices candidate H values on scratch schedules. Those
+  // what-ifs must neither refresh recency, insert, nor count hits/misses on
+  // the live GPU expert cache.
+  SystemConfig sys = SystemConfig::dac24();
+  sys.gpu_expert_cache_bytes = cache_model().expert_bytes() * 6;  // 6 of 16 experts
+  InferenceEngine eng{sys, cache_model(), moe::SkewProfile::switch_like(),
+                      StrategyKind::kMondeLoadBalanced, 42};
+  auto& lb = dynamic_cast<MondeLoadBalanced&>(eng.strategy());
+  lb.set_alpha(4.0);  // pinned: run_layer itself then runs no what-ifs
+  (void)eng.run_decoder(4, 2);
+  const ExpertCache* cache = lb.expert_cache();
+  ASSERT_NE(cache, nullptr);
+  ASSERT_GT(cache->size(), 1u);
+  const std::size_t size = cache->size();
+  const std::uint64_t hits = cache->hits();
+  const std::uint64_t misses = cache->misses();
+  const std::vector<ExpertId> order = cache->recency_order();
+
+  for (const moe::DecoderStep& step : eng.workload().decoder_steps(4, 2)) {
+    for (const moe::MoeLayerWork& w : step.moe_layers) {
+      for (const int h : {1, 4, 16}) (void)lb.evaluate_layer_with_h(w, h);
+    }
+  }
+  EXPECT_EQ(cache->size(), size);
+  EXPECT_EQ(cache->hits(), hits);
+  EXPECT_EQ(cache->misses(), misses);
+  EXPECT_EQ(cache->recency_order(), order);
+}
+
+TEST(CachedPmove, WhatIfSeesResidentExperts) {
+  // A what-if still prices cache-resident experts as hits: with every
+  // expert resident, H = all puts the whole layer on the GPU with no PMove,
+  // which cannot be slower than the cold-cache what-if.
+  SystemConfig sys = SystemConfig::dac24();
+  sys.gpu_expert_cache_bytes = Bytes::gib(8.0);
+  const moe::MoeModelConfig model = cache_model();
+  InferenceEngine warm{sys, model, moe::SkewProfile::switch_like(),
+                       StrategyKind::kMondeLoadBalanced, 42};
+  InferenceEngine cold{sys, model, moe::SkewProfile::switch_like(),
+                       StrategyKind::kMondeLoadBalanced, 42};
+  auto& lb_warm = dynamic_cast<MondeLoadBalanced&>(warm.strategy());
+  auto& lb_cold = dynamic_cast<MondeLoadBalanced&>(cold.strategy());
+  lb_warm.set_fixed_h(1000);  // every activated expert goes through PMove once
+  (void)warm.run_decoder(4, 2);
+  const moe::MoeLayerWork work = cold.workload().decoder_steps(4, 1).at(0).moe_layers.at(0);
+  const int all = static_cast<int>(work.activated_experts());
+  bool all_resident = true;
+  for (std::size_t e = 0; e < work.tokens_per_expert.size(); ++e) {
+    if (work.tokens_per_expert[e] == 0) continue;
+    all_resident = all_resident &&
+                   lb_warm.expert_cache()->contains({work.layer_id, static_cast<int>(e)});
+  }
+  ASSERT_TRUE(all_resident);
+  EXPECT_LT(lb_warm.evaluate_layer_with_h(work, all), lb_cold.evaluate_layer_with_h(work, all));
+}
+
 // --- Energy model -----------------------------------------------------------------
 
 TEST(Energy, DramEnergyComponents) {

@@ -253,5 +253,28 @@ TEST(StreamSchedule, ZeroLengthTaskRecordsMarker) {
   EXPECT_EQ(sched.timeline().intervals().size(), 1u);
 }
 
+TEST(StreamSchedule, NonRecordingFormatsNoLabelsAndKeepsTimes) {
+  StreamSchedule rec;
+  StreamSchedule off{Recording::kOff};
+  int formatted = 0;
+  const auto label = [&formatted] {
+    ++formatted;
+    return std::string{"lazy"};
+  };
+  for (StreamSchedule* sched : {&rec, &off}) {
+    const StreamId s = sched->add_stream("S");
+    const Placement p = sched->place(s, Duration::nanos(10), Duration::nanos(5), label, "x");
+    EXPECT_DOUBLE_EQ(p.end.ns(), 15.0);
+    sched->place(s, Duration::zero(), Duration::nanos(5), "eager", "x");
+  }
+  EXPECT_EQ(formatted, 1);  // only the recording schedule called the label
+  ASSERT_EQ(rec.timeline().intervals().size(), 2u);
+  EXPECT_EQ(rec.timeline().intervals()[0].label, "lazy");
+  EXPECT_TRUE(off.timeline().intervals().empty());
+  EXPECT_DOUBLE_EQ(off.free_at(StreamId{0}).ns(), rec.free_at(StreamId{0}).ns());
+  EXPECT_DOUBLE_EQ(rec.makespan().ns(), 20.0);
+  EXPECT_DOUBLE_EQ(off.makespan().ns(), 20.0);
+}
+
 }  // namespace
 }  // namespace monde::sim
