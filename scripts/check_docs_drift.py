@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Fail when the documentation drifts from the source tree.
 
-Three checks over README.md and docs/*.md:
+Four checks over README.md and docs/*.md:
 
 1. every CLI flag token (``--smoke``, ``--json``, ...) quoted in the docs
    must appear somewhere in the source tree (src/, bench/, tests/,
@@ -14,7 +14,12 @@ Three checks over README.md and docs/*.md:
    every ``DispatchPolicy`` enumerator declared in
    src/serve/dispatch.hpp *and* every canonical policy name returned by
    ``to_string`` in src/serve/dispatch.cpp -- adding a policy without
-   documenting it fails CI.
+   documenting it fails CI;
+4. every backticked qualified member (``ClusterConfig::reference_loop``,
+   ``ServerSim::version()``, ...) must name a member that still exists
+   under src/: either ``Type::member`` appears verbatim (an out-of-line
+   definition) or ``member`` appears in the body of ``struct``/``class
+   Type`` -- deleting a field or method cannot leave docs pointing at it.
 
 Exits non-zero listing every violation. Run from anywhere inside the
 repository:
@@ -30,6 +35,11 @@ from pathlib import Path
 
 FLAG_RE = re.compile(r"--[a-zA-Z][a-zA-Z0-9_-]*")
 ENUM_RE = re.compile(r"`(k[A-Z][A-Za-z0-9]*)`")
+# `Type::member...` inside backticks; lowercase namespace qualifiers
+# (serve::, std::, ...) may precede the type and are ignored.
+MEMBER_RE = re.compile(
+    r"`(?:[a-z_][a-z0-9_]*::)*([A-Z][A-Za-z0-9_]*)::(~?[A-Za-z_][A-Za-z0-9_]*)[^`]*`")
+COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
 SOURCE_DIRS = ("src", "bench", "tests", "scripts", "examples", ".github")
 SOURCE_SUFFIXES = {".hpp", ".cpp", ".h", ".cc", ".py", ".yml", ".yaml", ".cmake", ".txt"}
 
@@ -65,6 +75,31 @@ def check_doc_tokens(md: Path, known_flags: set[str], src_text: str) -> list[str
         for enum in ENUM_RE.findall(line):
             if enum not in src_text:
                 errors.append(f"{md}:{lineno}: enumerator {enum} not found under src/")
+    return errors
+
+
+def type_bodies(src_code: str) -> dict[str, list[str]]:
+    """Brace-matched bodies of every struct/class definition, by type name."""
+    bodies: dict[str, list[str]] = {}
+    for m in re.finditer(r"\b(?:struct|class)\s+([A-Za-z_][A-Za-z0-9_]*)[^;{()]*\{", src_code):
+        depth, end = 1, m.end()
+        while depth and end < len(src_code):
+            depth += {"{": 1, "}": -1}.get(src_code[end], 0)
+            end += 1
+        bodies.setdefault(m.group(1), []).append(src_code[m.end():end])
+    return bodies
+
+
+def check_doc_members(md: Path, src_code: str, bodies: dict[str, list[str]]) -> list[str]:
+    errors = []
+    for lineno, line in enumerate(md.read_text(encoding="utf-8").splitlines(), 1):
+        for owner, member in MEMBER_RE.findall(line):
+            if re.search(rf"\b{owner}::{re.escape(member)}\b", src_code):
+                continue
+            word = re.compile(rf"(?<![A-Za-z0-9_]){re.escape(member)}\b")
+            if any(word.search(body) for body in bodies.get(owner, [])):
+                continue
+            errors.append(f"{md}:{lineno}: member {owner}::{member} not found under src/")
     return errors
 
 
@@ -113,6 +148,9 @@ def main() -> int:
     )
     errors = [e for md in docs for e in check_doc_tokens(md, known_flags, src_text)]
     errors += check_dispatch_reference(repo_root)
+    src_code = COMMENT_RE.sub("", src_text)
+    bodies = type_bodies(src_code)
+    errors += [e for md in docs for e in check_doc_members(md, src_code, bodies)]
     for e in errors:
         print(e)
     checked = ", ".join(str(f.relative_to(repo_root)) for f in docs)

@@ -7,7 +7,6 @@
 #include <map>
 #include <optional>
 #include <queue>
-#include <set>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -119,30 +118,32 @@ void ClusterSim::update_ewma(Replica& r) {
   }
 }
 
+ReplicaSnapshot ClusterSim::snapshot(std::size_t i, Duration now) const {
+  const Replica& r = replicas_[i];
+  return ReplicaSnapshot{i,
+                         r.server->in_flight(),
+                         r.server->outstanding_tokens(),
+                         /*accepting=*/!r.detected && !r.retired,
+                         /*warming=*/r.server->start_at() > now,
+                         (now - last_ok_heartbeat(now, r.server->fault().fail_at, cfg_.health))
+                             .ms(),
+                         r.ewma_ms,
+                         r.server->expert_signature(),
+                         r.server->prefix_signature(),
+                         r.prefill};
+}
+
 std::vector<ReplicaSnapshot> ClusterSim::snapshots(Duration now) const {
-  std::vector<ReplicaSnapshot> snaps(replicas_.size());
-  for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    const Replica& r = replicas_[i];
-    snaps[i] = ReplicaSnapshot{i,
-                               r.server->in_flight(),
-                               r.server->outstanding_tokens(),
-                               /*accepting=*/!r.detected && !r.retired,
-                               /*warming=*/r.server->start_at() > now,
-                               (now - last_ok_heartbeat(now, r.server->fault().fail_at,
-                                                        cfg_.health))
-                                   .ms(),
-                               r.ewma_ms,
-                               r.server->expert_signature(),
-                               r.server->prefix_signature(),
-                               r.prefill};
-  }
+  std::vector<ReplicaSnapshot> snaps;
+  snaps.reserve(replicas_.size());
+  for (std::size_t i = 0; i < replicas_.size(); ++i) snaps.push_back(snapshot(i, now));
   return snaps;
 }
 
-std::size_t ClusterSim::accepting_count() const {
-  std::size_t n = 0;
+ClusterSim::AcceptingCounts ClusterSim::accepting_counts() const {
+  AcceptingCounts n;
   for (const Replica& r : replicas_) {
-    if (!r.detected && !r.retired) ++n;
+    if (!r.detected && !r.retired) ++(r.prefill ? n.prefill : n.decode);
   }
   return n;
 }
@@ -170,10 +171,6 @@ ClusterReport ClusterSim::run(ArrivalStream& arrivals, Dispatcher& dispatcher,
   MONDE_REQUIRE(!used_, "ClusterSim::run() may be called only once");
   used_ = true;
   const bool fast = !cfg_.reference_loop;
-  // With a finite slow_ewma_factor the median cutoff is maintained
-  // incrementally too (running median + write-through fast set, below), so
-  // the eligible index serves every fast-mode config.
-  const bool ewma_filter = fast && std::isfinite(cfg_.health.slow_ewma_factor);
   // Worker pool for the parallel advancement phase. threads == 1 builds no
   // pool at all: the loop below is then the plain sequential path.
   std::unique_ptr<common::TaskPool> pool;
@@ -320,164 +317,25 @@ ClusterReport ClusterSim::run(ArrivalStream& arrivals, Dispatcher& dispatcher,
   // from the `time_sensitive` worklist. Eligibility itself cannot silently
   // change between mutations: detections are processed before any dispatch
   // at or past them, and a healthy replica's heartbeat age never exceeds
-  // one interval (<= timeout).
+  // one interval (<= timeout). The dispatch step reads this index by
+  // reference; filters narrower than it (slow-EWMA, role) copy per dispatch.
   constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
   std::vector<ReplicaSnapshot> eligible;
   std::vector<std::size_t> epos;            // replica index -> slot in `eligible`
   std::vector<std::size_t> time_sensitive;  // replicas with time-varying fields
-  const auto make_snapshot = [&](std::size_t i, Duration now) {
-    const Replica& r = replicas_[i];
-    return ReplicaSnapshot{i,
-                           r.server->in_flight(),
-                           r.server->outstanding_tokens(),
-                           /*accepting=*/!r.detected && !r.retired,
-                           /*warming=*/r.server->start_at() > now,
-                           (now - last_ok_heartbeat(now, r.server->fault().fail_at,
-                                                    cfg_.health))
-                               .ms(),
-                           r.ewma_ms,
-                           r.server->expert_signature(),
-                           r.server->prefix_signature(),
-                           r.prefill};
-  };
-
-  // --- Incremental slow-EWMA filter (finite factor only) ------------------
-  // eligible_snapshots()'s soft filter, maintained instead of rebuilt: a
-  // two-multiset running median over the positive step EWMAs of eligible
-  // replicas reproduces percentile(ewmas, 50) bit-for-bit (the R-7
-  // interpolation weight at q=50 is exactly 0.0 for odd counts and 0.5 for
-  // even ones), `by_ewma` orders those replicas by EWMA so a cutoff move
-  // flips exactly the replicas in the crossed interval, and `fast_eligible`
-  // mirrors the EWMA <= cutoff subsequence of `eligible` (same ascending
-  // replica order; zero-EWMA replicas always qualify since the cutoff is
-  // positive -- factor > 1 -- or infinite when no positive EWMA exists).
-  std::multiset<double> med_lo;  // lower half; its max is the lower median
-  std::multiset<double> med_hi;  // upper half; its min is the upper median
-  std::multiset<std::pair<double, std::size_t>> by_ewma;  // positive (ewma, replica)
-  std::vector<ReplicaSnapshot> fast_eligible;  // the EWMA <= cutoff subsequence
-  std::vector<std::size_t> fpos;  // replica index -> slot in `fast_eligible`
-  double cutoff = std::numeric_limits<double>::infinity();
-  const auto med_rebalance = [&] {
-    if (med_lo.size() > med_hi.size() + 1) {
-      const auto it = std::prev(med_lo.end());
-      med_hi.insert(*it);
-      med_lo.erase(it);
-    } else if (med_hi.size() > med_lo.size()) {
-      const auto it = med_hi.begin();
-      med_lo.insert(*it);
-      med_hi.erase(it);
-    }
-  };
-  const auto med_insert = [&](double x) {
-    if (med_lo.empty() || x <= *std::prev(med_lo.end())) {
-      med_lo.insert(x);
-    } else {
-      med_hi.insert(x);
-    }
-    med_rebalance();
-  };
-  const auto med_erase = [&](double x) {
-    if (const auto it = med_lo.find(x); it != med_lo.end()) {
-      med_lo.erase(it);
-    } else {
-      med_hi.erase(med_hi.find(x));
-    }
-    med_rebalance();
-  };
-  const auto current_cutoff = [&]() -> double {
-    const std::size_t k = med_lo.size() + med_hi.size();
-    if (k == 0) return std::numeric_limits<double>::infinity();
-    double median;
-    if (k % 2 == 1) {
-      median = *std::prev(med_lo.end());
-    } else {
-      const double a = *std::prev(med_lo.end());
-      const double b = *med_hi.begin();
-      median = a + (b - a) * 0.5;  // sorted_percentile's exact arithmetic
-    }
-    return median * cfg_.health.slow_ewma_factor;
-  };
-  const auto set_fast_member = [&](std::size_t i, bool member) {
-    fpos.resize(replicas_.size(), kNoSlot);
-    if (member == (fpos[i] != kNoSlot)) return;  // idempotent
-    if (member) {
-      const auto at = std::lower_bound(
-          fast_eligible.begin(), fast_eligible.end(), i,
-          [](const ReplicaSnapshot& s, std::size_t idx) { return s.replica < idx; });
-      const auto slot = static_cast<std::size_t>(at - fast_eligible.begin());
-      fast_eligible.insert(at, eligible[epos[i]]);
-      for (std::size_t p = slot; p < fast_eligible.size(); ++p) {
-        fpos[fast_eligible[p].replica] = p;
-      }
-    } else {
-      const std::size_t slot = fpos[i];
-      fast_eligible.erase(fast_eligible.begin() + static_cast<std::ptrdiff_t>(slot));
-      fpos[i] = kNoSlot;
-      for (std::size_t p = slot; p < fast_eligible.size(); ++p) {
-        fpos[fast_eligible[p].replica] = p;
-      }
-    }
-  };
-  // Move the cutoff: only replicas whose EWMA lies in the crossed interval
-  // (lo, hi] can change sides, and by_ewma hands us exactly those.
-  const auto apply_cutoff = [&](double next) {
-    if (next == cutoff) return;
-    const double lo = std::min(cutoff, next);
-    const double hi = std::max(cutoff, next);
-    cutoff = next;
-    constexpr std::size_t kMaxIdx = std::numeric_limits<std::size_t>::max();
-    const auto last = by_ewma.upper_bound({hi, kMaxIdx});
-    for (auto it = by_ewma.upper_bound({lo, kMaxIdx}); it != last; ++it) {
-      set_fast_member(it->second, it->first <= cutoff);
-    }
-  };
-  const auto filter_add = [&](std::size_t i, double ewma) {
-    if (!ewma_filter) return;
-    if (ewma > 0.0) {
-      med_insert(ewma);
-      by_ewma.insert({ewma, i});
-    }
-    apply_cutoff(current_cutoff());
-    set_fast_member(i, ewma <= cutoff);
-  };
-  const auto filter_remove = [&](std::size_t i, double ewma) {
-    if (!ewma_filter) return;
-    set_fast_member(i, false);
-    if (ewma > 0.0) {
-      med_erase(ewma);
-      by_ewma.erase(by_ewma.find({ewma, i}));
-    }
-    apply_cutoff(current_cutoff());
-  };
-  const auto filter_update = [&](std::size_t i, double old_ewma, double new_ewma) {
-    if (!ewma_filter || old_ewma == new_ewma) return;
-    if (old_ewma > 0.0) {
-      med_erase(old_ewma);
-      by_ewma.erase(by_ewma.find({old_ewma, i}));
-    }
-    if (new_ewma > 0.0) {
-      med_insert(new_ewma);
-      by_ewma.insert({new_ewma, i});
-    }
-    apply_cutoff(current_cutoff());
-    set_fast_member(i, new_ewma <= cutoff);
-  };
-
   const auto eligible_add = [&](std::size_t i, Duration now) {
     if (!fast) return;
     epos.resize(replicas_.size(), kNoSlot);
     epos[i] = eligible.size();
-    eligible.push_back(make_snapshot(i, now));
+    eligible.push_back(snapshot(i, now));
     if (replicas_[i].server->start_at() > now || replicas_[i].server->fault().fail_stop()) {
       time_sensitive.push_back(i);
     }
-    filter_add(i, replicas_[i].ewma_ms);
   };
   const auto eligible_remove = [&](std::size_t i) {
     if (!fast) return;
     const std::size_t at = epos[i];
     if (at == kNoSlot) return;
-    filter_remove(i, eligible[at].step_ewma_ms);
     eligible.erase(eligible.begin() + static_cast<std::ptrdiff_t>(at));
     epos[i] = kNoSlot;
     for (std::size_t p = at; p < eligible.size(); ++p) epos[eligible[p].replica] = p;
@@ -487,16 +345,11 @@ ClusterReport ClusterSim::run(ArrivalStream& arrivals, Dispatcher& dispatcher,
     const std::size_t at = epos[i];
     if (at == kNoSlot) return;
     ReplicaSnapshot& s = eligible[at];
-    const double old_ewma = s.step_ewma_ms;
     s.in_flight = replicas_[i].server->in_flight();
     s.outstanding_tokens = replicas_[i].server->outstanding_tokens();
     s.step_ewma_ms = replicas_[i].ewma_ms;
     s.expert_sig = replicas_[i].server->expert_signature();
     s.prefix_sig = replicas_[i].server->prefix_signature();
-    if (ewma_filter) {
-      if (fpos[i] != kNoSlot) fast_eligible[fpos[i]] = s;  // mirror load fields
-      filter_update(i, old_ewma, s.step_ewma_ms);
-    }
   };
   const auto refresh_time_sensitive = [&](Duration now) {
     std::size_t keep = 0;
@@ -509,11 +362,6 @@ ClusterReport ClusterSim::run(ArrivalStream& arrivals, Dispatcher& dispatcher,
         s.warming = warming;
         s.heartbeat_age_ms =
             (now - last_ok_heartbeat(now, r.server->fault().fail_at, cfg_.health)).ms();
-        if (ewma_filter && fpos[i] != kNoSlot) {
-          ReplicaSnapshot& f = fast_eligible[fpos[i]];
-          f.warming = s.warming;
-          f.heartbeat_age_ms = s.heartbeat_age_ms;
-        }
       }
       // Done once the cold start is over and no fail-stop can age the
       // heartbeat further (a detected replica left `eligible` for good).
@@ -568,7 +416,7 @@ ClusterReport ClusterSim::run(ArrivalStream& arrivals, Dispatcher& dispatcher,
   // canonical values), with the per-replica write-backs (EWMA fold,
   // snapshot write-through, calendar re-push) committed sequentially in
   // ascending replica order afterwards. The write-backs commute -- each
-  // touches its own replica's state, and the index/filter updates are pure
+  // touches its own replica's state, and the index updates are pure
   // functions of the final fleet state -- so the fixed commit order keeps
   // parallel runs bit-identical to the sequential interleaving.
   std::vector<std::size_t> batch;  // reused across events
@@ -590,7 +438,7 @@ ClusterReport ClusterSim::run(ArrivalStream& arrivals, Dispatcher& dispatcher,
     std::sort(batch.begin(), batch.end());
     batch.erase(std::unique(batch.begin(), batch.end()), batch.end());
     // Advance, then commit: the write-backs commute with advancement (each
-    // touches only its own replica's state, the index/filter updates are
+    // touches only its own replica's state, the index updates are
     // pure functions of the final fleet state), so the sequential path uses
     // the same advance-all-then-commit-all split the pool path does -- one
     // code shape, and the phase timers bucket both paths identically.
@@ -654,7 +502,7 @@ ClusterReport ClusterSim::run(ArrivalStream& arrivals, Dispatcher& dispatcher,
   std::size_t retries = 0;
   std::size_t migrations = 0;
   std::size_t handoffs = 0;
-  std::size_t peak = accepting_count();
+  std::size_t peak = accepting_counts().total();
   Duration next_tick = cfg_.autoscale_period;
   // Boot-time pool shares (disaggregated autoscaling grows the pool furthest
   // below its share). run() is called once, so replicas_ is the boot fleet.
@@ -665,13 +513,13 @@ ClusterReport ClusterSim::run(ArrivalStream& arrivals, Dispatcher& dispatcher,
   // health/EWMA filter. If the soft EWMA filter left the needed pool empty,
   // fall back to the full accepting set before declaring the pool gone.
   const auto disagg_view = [&](const std::vector<ReplicaSnapshot>& filtered,
-                               const auto& accepting_fn, const Request& rq) {
+                               const std::vector<ReplicaSnapshot>& accepting,
+                               const Request& rq) {
     const bool want_prefill = !rq.decode_phase();
     std::vector<ReplicaSnapshot> pool =
         pool_snapshots(filtered, want_prefill, cfg_.disagg.decode_admit_tokens);
     if (pool.empty()) {
-      pool = pool_snapshots(accepting_fn(), want_prefill,
-                            cfg_.disagg.decode_admit_tokens);
+      pool = pool_snapshots(accepting, want_prefill, cfg_.disagg.decode_admit_tokens);
     }
     MONDE_REQUIRE(!pool.empty(), "no " << (want_prefill ? "prefill" : "decode")
                                        << " replica is accepting requests");
@@ -857,7 +705,7 @@ ClusterReport ClusterSim::run(ArrivalStream& arrivals, Dispatcher& dispatcher,
         sig.p95_queue_delay_ms = percentile(std::move(waits_ms), 95.0);
       }
       std::size_t target = std::max<std::size_t>(autoscaler->target_size(sig), 1);
-      std::size_t capacity = accepting_count();
+      std::size_t capacity = accepting_counts().total();
       // Drain phase (no arrivals or retries left): scaling up is pure waste
       // -- no dispatch will ever reach the new replica -- so only honor the
       // downward direction of the policy's answer.
@@ -870,12 +718,8 @@ ClusterReport ClusterSim::run(ArrivalStream& arrivals, Dispatcher& dispatcher,
         if (disagg_on) {
           // Grow the pool furthest below its boot share (accepting members
           // vs. boot prefill:decode ratio); ties grow the decode pool.
-          std::size_t p = 0, d = 0;
-          for (const Replica& r : replicas_) {
-            if (r.detected || r.retired) continue;
-            (r.prefill ? p : d) += 1;
-          }
-          spawn_prefill = p * boot_decode < d * boot_prefill;
+          const AcceptingCounts n = accepting_counts();
+          spawn_prefill = n.prefill * boot_decode < n.decode * boot_prefill;
         }
         add_replica(spec, tick_t, tick_t + cfg_.warmup, spawn_prefill);
         eligible_add(idx, tick_t);
@@ -891,18 +735,12 @@ ClusterReport ClusterSim::run(ArrivalStream& arrivals, Dispatcher& dispatcher,
         // ties: it drains its queue, then idles, never dispatched to again.
         // Disaggregated fleets never retire a pool's last accepting member
         // (requests of its phase would have nowhere to go).
-        std::size_t pool_count[2] = {0, 0};  // [decode, prefill]
-        if (disagg_on) {
-          for (const Replica& r : replicas_) {
-            if (r.detected || r.retired) continue;
-            ++pool_count[r.prefill ? 1 : 0];
-          }
-        }
+        const AcceptingCounts n = accepting_counts();
         std::size_t victim = replicas_.size();
         for (std::size_t i = 0; i < replicas_.size(); ++i) {
           const Replica& r = replicas_[i];
           if (r.detected || r.retired) continue;
-          if (disagg_on && pool_count[r.prefill ? 1 : 0] <= 1) continue;
+          if (disagg_on && (r.prefill ? n.prefill : n.decode) <= 1) continue;
           if (victim == replicas_.size() ||
               r.server->outstanding_tokens() <=
                   replicas_[victim].server->outstanding_tokens()) {
@@ -951,7 +789,7 @@ ClusterReport ClusterSim::run(ArrivalStream& arrivals, Dispatcher& dispatcher,
         }
         --capacity;
       }
-      peak = std::max(peak, accepting_count());
+      peak = std::max(peak, accepting_counts().total());
       next_tick += cfg_.autoscale_period;
       continue;
     }
@@ -1024,60 +862,40 @@ ClusterReport ClusterSim::run(ArrivalStream& arrivals, Dispatcher& dispatcher,
         ++fleet_expert_load[core::ExpertId{e.layer, e.expert}];
       }
     }
-    std::size_t idx;  // the chosen replica
+    // The view pipeline, shared by both loops: the accepting set, then the
+    // soft slow-EWMA filter (finite factor only), then the disaggregated
+    // role filter. In fast mode the accepting set is the maintained index
+    // itself: detections at or before `it.time` were processed first, and a
+    // healthy heartbeat age never exceeds one interval, so the reference's
+    // stale-heartbeat cut provably keeps exactly `eligible`. The reference
+    // loop rebuilds it from fresh snapshots, which makes the heartbeat age
+    // authoritative for custom policies too.
+    std::vector<ReplicaSnapshot> rebuilt;  // the reference loop's accepting set
     if (fast) {
-      // Fast path: the maintained index IS the eligible list. Detections at
-      // or before `it.time` were processed first, and a healthy heartbeat
-      // age never exceeds one interval, so the stale cut the reference
-      // filter applies provably keeps exactly the accepting set. With the
-      // EWMA filter on, `fast_eligible` is the maintained <= cutoff subset,
-      // with the reference's no-starvation guard (empty -> everyone stays).
       refresh_time_sensitive(it.time);
-      MONDE_REQUIRE(!eligible.empty(),
-                    "no replica is accepting requests (every replica failed or retired)");
-      const std::vector<ReplicaSnapshot>& view =
-          ewma_filter && !fast_eligible.empty() ? fast_eligible : eligible;
-      if (disagg_on) {
-        const std::vector<ReplicaSnapshot> pool = disagg_view(
-            view, [&]() -> const std::vector<ReplicaSnapshot>& { return eligible; }, rq);
-        const std::size_t pick = dispatcher.pick(pool, rq);
-        MONDE_REQUIRE(pick < pool.size(),
-                      "dispatcher picked entry " << pick << " of " << pool.size());
-        idx = pool[pick].replica;
-      } else {
-        const std::size_t pick = dispatcher.pick(view, rq);
-        MONDE_REQUIRE(pick < view.size(),
-                      "dispatcher picked entry " << pick << " of " << view.size());
-        idx = view[pick].replica;
-      }
     } else {
-      // The stale-heartbeat cut is belt-and-braces here: detection events at
-      // or before `it.time` were processed first, so a replica whose age
-      // crossed the timeout is already non-accepting -- but the filter makes
-      // the snapshot's heartbeat age authoritative for custom policies too.
-      const std::vector<ReplicaSnapshot> elig =
-          eligible_snapshots(snapshots(it.time), cfg_.health.slow_ewma_factor,
-                             cfg_.health.heartbeat_timeout.ms());
-      if (disagg_on) {
-        // The fallback view drops only the soft EWMA filter, mirroring the
-        // fast path's maintained `eligible` index.
-        const auto accepting = [&] {
-          return eligible_snapshots(snapshots(it.time),
-                                    std::numeric_limits<double>::infinity(),
-                                    cfg_.health.heartbeat_timeout.ms());
-        };
-        const std::vector<ReplicaSnapshot> pool = disagg_view(elig, accepting, rq);
-        const std::size_t pick = dispatcher.pick(pool, rq);
-        MONDE_REQUIRE(pick < pool.size(),
-                      "dispatcher picked entry " << pick << " of " << pool.size());
-        idx = pool[pick].replica;
-      } else {
-        const std::size_t pick = dispatcher.pick(elig, rq);
-        MONDE_REQUIRE(pick < elig.size(),
-                      "dispatcher picked entry " << pick << " of " << elig.size());
-        idx = elig[pick].replica;
-      }
+      rebuilt = eligible_snapshots(snapshots(it.time), std::numeric_limits<double>::infinity(),
+                                   cfg_.health.heartbeat_timeout.ms());
     }
+    const std::vector<ReplicaSnapshot>& accepting = fast ? eligible : rebuilt;
+    MONDE_REQUIRE(!accepting.empty(),
+                  "no replica is accepting requests (every replica failed or retired)");
+    const std::vector<ReplicaSnapshot>* view = &accepting;
+    std::vector<ReplicaSnapshot> healthy;
+    if (std::isfinite(cfg_.health.slow_ewma_factor)) {
+      healthy = eligible_snapshots(accepting, cfg_.health.slow_ewma_factor,
+                                   cfg_.health.heartbeat_timeout.ms());
+      view = &healthy;
+    }
+    std::vector<ReplicaSnapshot> role_pool;
+    if (disagg_on) {
+      role_pool = disagg_view(*view, accepting, rq);
+      view = &role_pool;
+    }
+    const std::size_t pick = dispatcher.pick(*view, rq);
+    MONDE_REQUIRE(pick < view->size(),
+                  "dispatcher picked entry " << pick << " of " << view->size());
+    const std::size_t idx = (*view)[pick].replica;
     // Pruned-expert degraded mode: a request landing on an overloaded
     // replica is served with a truncated profile -- fewer experts to keep
     // hot, fewer fetches to price -- instead of queueing at full fidelity.

@@ -54,10 +54,9 @@
 // before it, instead of scanning the whole fleet. Dispatch likewise reads an
 // incrementally maintained index of accepting-replica snapshots (updated
 // only when a replica's server mutates) rather than rebuilding every
-// snapshot per request; the slow-EWMA health filter, when enabled, is part
-// of the same index (a running median over the eligible EWMAs and a
-// write-through maintained fast set), so a finite slow_ewma_factor no
-// longer forces per-dispatch rebuilds. Arrivals may be consumed lazily from
+// snapshot per request. The slow-EWMA soft filter runs per dispatch on that
+// index: free with the default infinite slow_ewma_factor, O(eligible * log
+// eligible) with a finite one. Arrivals may be consumed lazily from
 // an ArrivalStream (arrivals.hpp), so a million-request trace is never
 // materialized. The calendar loop is proven bit-identical to the classic
 // scan-everything loop (ClusterConfig::reference_loop, kept for diff
@@ -343,11 +342,20 @@ class ClusterSim {
     double ewma_ms = 0.0;        ///< step-duration EWMA (health signal)
   };
 
+  /// Accepting (undetected, unretired) replicas per disaggregated role;
+  /// unified fleets count every replica as decode.
+  struct AcceptingCounts {
+    std::size_t prefill = 0;
+    std::size_t decode = 0;
+    [[nodiscard]] std::size_t total() const { return prefill + decode; }
+  };
+
   void add_replica(const ReplicaSpec& spec, Duration spawned_at, Duration start_at,
                    bool prefill = false);
   void update_ewma(Replica& r);
+  [[nodiscard]] ReplicaSnapshot snapshot(std::size_t i, Duration now) const;
   [[nodiscard]] std::vector<ReplicaSnapshot> snapshots(Duration now) const;
-  [[nodiscard]] std::size_t accepting_count() const;
+  [[nodiscard]] AcceptingCounts accepting_counts() const;
 
   core::SystemConfig sys_;
   moe::MoeModelConfig model_;

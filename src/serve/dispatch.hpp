@@ -39,13 +39,12 @@
 // incrementally -- one snapshot per accepting replica, load fields written
 // through when that replica's server mutates, membership adjusted on spawn/
 // detection/retirement -- so a dispatch costs O(changed replicas), not
-// O(fleet). The slow-EWMA filter is maintained the same way (a running
-// median over the eligible EWMAs and a write-through fast set), so enabling
-// it does not reintroduce per-dispatch rebuilds; eligible_snapshots() below
-// remains the reference implementation both paths are pinned against. The load fields (in_flight, outstanding_tokens) and membership
-// are exact; the purely time-varying fields (heartbeat_age_ms, warming) are
-// refreshed per dispatch only for replicas where they can still move
-// (cold-starting or undetected-fail-stop ones). A custom policy that reads
+// O(fleet). With a finite slow_ewma_factor both loops apply
+// eligible_snapshots() below to their accepting set per dispatch. The load
+// fields (in_flight, outstanding_tokens) and membership are exact; the
+// purely time-varying fields (heartbeat_age_ms, warming) are refreshed per
+// dispatch only for replicas where they can still move (cold-starting or
+// undetected-fail-stop ones). A custom policy that reads
 // exact heartbeat ages of healthy replicas should run the cluster with
 // ClusterConfig::reference_loop (see cluster.hpp).
 //

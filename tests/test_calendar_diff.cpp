@@ -7,8 +7,8 @@
 // (the Parallel* tests diff 1/2/4/8 worker threads against the sequential
 // reference; the commit-order rule in serve/cluster.cpp is what makes that
 // hold). Also covers the event-log gating satellite (metrics identical with
-// the log off), the incremental slow-EWMA filter, and the ServerSim version
-// counter the calendar's lazy deletion trusts.
+// the log off), the slow-EWMA filter applied on the maintained index, and the
+// ServerSim version counter the calendar's lazy deletion trusts.
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
@@ -103,11 +103,10 @@ TEST(CalendarDiff, PrefixCacheSurvivalAndMigration) {
   expect_loops_agree(sc);
 }
 
-TEST(CalendarDiff, SlowEwmaFilterStaysIncremental) {
-  // A finite slow_ewma_factor keeps the eligible index incremental: the
-  // fleet-median cutoff is a running median and the fast set is maintained
-  // by write-through -- bit-identical to the reference filter's per-dispatch
-  // rebuild (the running median reproduces percentile(ewmas, 50) exactly).
+TEST(CalendarDiff, SlowEwmaFilterAgreesWithReference) {
+  // A finite slow_ewma_factor filters the maintained eligible index per
+  // dispatch with eligible_snapshots() -- bit-identical to the reference
+  // loop, which applies the same filter to snapshots rebuilt from scratch.
   Scenario sc;
   sc.trace = poisson_trace(20, 80.0, small_shape(), 33);
   sc.specs = uniform_fleet(3, core::StrategyKind::kMondeLoadBalanced, SchedulerConfig{});
@@ -119,9 +118,9 @@ TEST(CalendarDiff, SlowEwmaFilterStaysIncremental) {
 }
 
 TEST(CalendarDiff, SlowEwmaFilterWithFailuresAndAutoscale) {
-  // The incremental median/fast-set must also survive membership churn:
-  // replicas leaving on detection and retirement, joining on spawn, and a
-  // degraded peer whose EWMA keeps crossing the moving cutoff.
+  // The filtered view must also track membership churn: replicas leaving on
+  // detection and retirement, joining on spawn, and a degraded peer whose
+  // EWMA keeps crossing the moving fleet-median cutoff.
   Scenario sc;
   sc.trace = bursty_trace(28, 7, Duration::millis(25), small_shape(), 19);
   sc.specs = uniform_fleet(4, core::StrategyKind::kMondeLoadBalanced, SchedulerConfig{});
@@ -139,6 +138,37 @@ TEST(CalendarDiff, SlowEwmaFilterWithFailuresAndAutoscale) {
   sc.autoscale.high_tokens_per_replica = 96;
   sc.autoscale.low_tokens_per_replica = 8;
   expect_loops_agree(sc);
+}
+
+TEST(CalendarDiff, SlowEwmaFilterEmptiesPrefillPoolFallsBackToAccepting) {
+  // Disaggregated pools under the soft filter: the only prefill replica is
+  // slowed 8x, so once two decode replicas have step EWMAs (the arrivals
+  // outlast the first handoffs; round-robin spreads them) its EWMA sits far
+  // above twice the fleet median and the filter drops the whole prefill
+  // pool. The role filter must then fall back to the accepting set instead
+  // of declaring the pool gone, in both loops and at 1 and 4 threads.
+  Scenario sc;
+  sc.trace = poisson_trace(40, 60.0, small_shape(), 41);
+  sc.specs = uniform_fleet(4, core::StrategyKind::kMondeLoadBalanced, SchedulerConfig{});
+  sc.specs[0].fault.slow_from = Duration::zero();
+  sc.specs[0].fault.slow_until = Duration::seconds(1);
+  sc.specs[0].fault.slow_factor = 8.0;
+  sc.cfg.disagg.enabled = true;
+  sc.cfg.disagg.prefill_replicas = 1;
+  sc.cfg.health.slow_ewma_factor = 2.0;
+  sc.policy = DispatchPolicy::kRoundRobin;
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    sc.threads = threads;
+    expect_loops_agree(sc);
+  }
+  const ClusterReport ref = run_scenario(sc, /*reference_loop=*/true);
+  // Precondition: the slowed prefill steps dwarf the decode steps.
+  EXPECT_GT(ref.prefill_pool.mean_step_ms, 2.0 * ref.decode_pool.mean_step_ms);
+  // Every arrival is a prefill dispatch, and all of them land on replica 0.
+  EXPECT_EQ(ref.replicas[0].dispatched, sc.trace.size());
+  EXPECT_EQ(ref.prefill_pool.dispatched, sc.trace.size());
+  EXPECT_EQ(ref.requests.size(), sc.trace.size());
 }
 
 // --- Expert-aware serving (profiles, residency, rebalance, pruning) ---------
