@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <queue>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -118,26 +121,16 @@ void ClusterSim::update_ewma(Replica& r) {
   }
 }
 
-ReplicaSnapshot ClusterSim::snapshot(std::size_t i, Duration now) const {
+ReplicaSnapshot ClusterSim::snapshot(std::size_t i) const {
   const Replica& r = replicas_[i];
   return ReplicaSnapshot{i,
                          r.server->in_flight(),
                          r.server->outstanding_tokens(),
                          /*accepting=*/!r.detected && !r.retired,
-                         /*warming=*/r.server->start_at() > now,
-                         (now - last_ok_heartbeat(now, r.server->fault().fail_at, cfg_.health))
-                             .ms(),
                          r.ewma_ms,
                          r.server->expert_signature(),
                          r.server->prefix_signature(),
                          r.prefill};
-}
-
-std::vector<ReplicaSnapshot> ClusterSim::snapshots(Duration now) const {
-  std::vector<ReplicaSnapshot> snaps;
-  snaps.reserve(replicas_.size());
-  for (std::size_t i = 0; i < replicas_.size(); ++i) snaps.push_back(snapshot(i, now));
-  return snaps;
 }
 
 ClusterSim::AcceptingCounts ClusterSim::accepting_counts() const {
@@ -148,426 +141,95 @@ ClusterSim::AcceptingCounts ClusterSim::accepting_counts() const {
   return n;
 }
 
-ClusterReport ClusterSim::run(std::vector<Request> trace, Dispatcher& dispatcher,
-                              Autoscaler* autoscaler) {
-  MONDE_REQUIRE(!used_, "ClusterSim::run() may be called only once");
-  MONDE_REQUIRE(!trace.empty(), "cannot serve an empty trace");
-  std::stable_sort(trace.begin(), trace.end(), arrival_order<Request>);
-  // Preserve the classic error timing: duplicate ids are rejected before any
-  // simulation runs (the streaming path can only catch them on arrival).
-  {
-    std::unordered_set<std::uint64_t> seen;
-    seen.reserve(trace.size());
-    for (const Request& rq : trace) {
-      MONDE_REQUIRE(seen.insert(rq.id).second, "duplicate request id " << rq.id << " in trace");
+// --- FleetView: how the run loop finds work and who is accepting ------------
+// The one decision the reference loop and the calendar loop make
+// differently. ScanView is the oracle: it advances every replica, min-scans
+// for the next detection, scans for live work, and rebuilds the accepting
+// snapshots per dispatch. CalendarView answers the same questions from
+// indexes. Every snapshot field is a function of server state that is
+// written through at each mutation, so both views hand the dispatcher the
+// same vectors (pinned by tests/test_calendar_diff.cpp).
+class ClusterSim::FleetView {
+ public:
+  FleetView(ClusterSim& sim, std::size_t threads) : replicas_{sim.replicas_}, sim_{sim} {
+    // threads == 1 builds no pool at all: advancement stays sequential.
+    if (threads > 1) pool_ = std::make_unique<common::TaskPool>(threads);
+  }
+  virtual ~FleetView() = default;
+  FleetView(const FleetView&) = delete;
+  FleetView& operator=(const FleetView&) = delete;
+
+  /// Advances every replica that has work before `t` to `t` and returns
+  /// them in ascending order; the caller commits each one afterwards.
+  virtual const std::vector<std::size_t>& advance_to(Duration t) = 0;
+  /// Earliest undetected fail-stop detection as (instant, replica); the
+  /// instant is infinite when none is left.
+  virtual std::pair<Duration, std::size_t> next_detection() = 0;
+  /// Some undetected replica holds work it can progress without drain().
+  virtual bool has_live_work() = 0;
+  /// Snapshots of the accepting replicas, in ascending replica order.
+  virtual const std::vector<ReplicaSnapshot>& accepting() = 0;
+  /// Replica i's server or step EWMA changed.
+  virtual void touched(std::size_t /*i*/) {}
+  /// Replica i started accepting (a spawn).
+  virtual void joined(std::size_t /*i*/) {}
+  /// Replica i stopped accepting (detection or retirement).
+  virtual void left(std::size_t /*i*/) {}
+
+  /// Runs every replica to completion. The drains are mutually
+  /// independent, so they fan out to the pool when there is one.
+  void drain_all() {
+    if (pool_ != nullptr && replicas_.size() > 1) {
+      pool_->run(replicas_.size(), [&](std::size_t i) { replicas_[i].server->drain(); });
+    } else {
+      for (Replica& r : replicas_) r.server->drain();
     }
   }
-  TraceArrivalStream stream{std::move(trace)};
-  return run(stream, dispatcher, autoscaler);
-}
 
-ClusterReport ClusterSim::run(ArrivalStream& arrivals, Dispatcher& dispatcher,
-                              Autoscaler* autoscaler) {
-  MONDE_REQUIRE(!used_, "ClusterSim::run() may be called only once");
-  used_ = true;
-  const bool fast = !cfg_.reference_loop;
-  // Worker pool for the parallel advancement phase. threads == 1 builds no
-  // pool at all: the loop below is then the plain sequential path.
-  std::unique_ptr<common::TaskPool> pool;
-  if (fast && cfg_.threads > 1) pool = std::make_unique<common::TaskPool>(cfg_.threads);
-
-  // --- Arrival intake: lazy stream head + duplicate/order policing --------
-  std::unordered_map<std::uint64_t, Duration> original_arrival;
-  original_arrival.reserve(arrivals.size_hint());
-  const auto note_original = [&](const Request& rq) {
-    MONDE_REQUIRE(original_arrival.emplace(rq.id, rq.arrival).second,
-                  "duplicate request id " << rq.id << " in trace");
-  };
-  std::optional<Request> head = arrivals.next();
-  MONDE_REQUIRE(head.has_value(), "cannot serve an empty trace");
-  note_original(*head);
-  const auto pull_head = [&] {
-    std::optional<Request> nxt = arrivals.next();
-    if (nxt.has_value()) {
-      MONDE_REQUIRE(!arrival_order(*nxt, *head),
-                    "arrival stream is out of (arrival, id) order at request " << nxt->id);
-      note_original(*nxt);
-    }
-    head = std::move(nxt);
-  };
-
-  // The re-dispatch queue: failure retries and scale-down migrations, merged
-  // with the arrival stream in (time, id) order so per-replica enqueues stay
-  // (arrival, id)-ordered. (Originals used to sit in this heap too; the
-  // merge pops the exact same sequence, with O(retries) memory instead of
-  // O(trace).)
-  struct Item {
-    Duration time;
-    Request rq;
-    bool migrated = false;  ///< re-dispatch came from a retirement, not a failure
-    bool handoff = false;   ///< prefill-complete handoff bound for the decode pool
-  };
-  const auto later = [](const Item& a, const Item& b) {
-    return a.time != b.time ? a.time > b.time : a.rq.id > b.rq.id;
-  };
-  std::priority_queue<Item, std::vector<Item>, decltype(later)> pending{later};
-  const auto has_item = [&] { return head.has_value() || !pending.empty(); };
-  const auto item_time = [&] {
-    Duration t = head.has_value() ? head->arrival : Duration::infinite();
-    if (!pending.empty()) t = monde::min(t, pending.top().time);
-    return t;
-  };
-  const auto pop_item = [&] {
-    // Lexicographic (time, id) merge; a stream request and a re-dispatch
-    // never collide exactly (ids are unique per attempt epoch).
-    const bool from_stream =
-        head.has_value() &&
-        (pending.empty() || head->arrival < pending.top().time ||
-         (head->arrival == pending.top().time && head->id < pending.top().rq.id));
-    if (from_stream) {
-      Item it{head->arrival, *head, false};
-      pull_head();
-      return it;
-    }
-    Item it = pending.top();
-    pending.pop();
-    return it;
-  };
-
-  // --- Prefill->decode handoffs (disaggregated serving) -------------------
-  // A prefill replica buffers a HandoffRecord the moment a request's
-  // admission step completes (inside advance_to, possibly on a worker
-  // thread); the cluster drains the buffer at the sequential commit that
-  // follows every advance, turning each record into a decode-pool
-  // re-dispatch item at `release + transfer`. That instant is clamped to a
-  // floor that never precedes an already-popped item (the advance target at
-  // fleet-wide commits; the last-popped time when only the prefill pool
-  // advanced), so the global (time, id) pop order -- and with it the
-  // per-replica (arrival, id) enqueue contract -- survives releases
-  // discovered mid-event. Releases almost always surface through the
-  // prefill-pool anchor below, which advances no decode replica and so can
-  // afford the loose floor; the fleet-wide commits only catch releases
-  // landing exactly on an external anchor, where the tight clamp is exact.
-  const bool disagg_on = cfg_.disagg.enabled;
-  Duration last_pop = Duration::zero();  // latest item the loop dispatched
-  const auto drain_handoffs = [&](std::size_t i, Duration apply_until, Duration floor) {
-    if (!disagg_on || !replicas_[i].prefill) return;
-    for (HandoffRecord& h : replicas_[i].server->take_handoffs(apply_until)) {
-      Request rq = std::move(h.request);
-      ++rq.attempt;
-      pending.push(Item{monde::max(h.release + h.transfer, floor), std::move(rq),
-                        /*migrated=*/false, /*handoff=*/true});
-    }
-  };
-
-  // --- Event calendar (fast mode): per-replica server events --------------
-  // Min-heap keyed (time, replica); an entry is dead the moment its
-  // replica's version moved past the tagged one (lazy deletion). Invariant:
-  // every replica whose next_event_time() is finite has exactly one live
-  // entry -- each mutation site re-pushes, and a mutation always bumps the
-  // version, killing prior entries.
-  struct CalEntry {
-    Duration time;
-    std::uint64_t version;
-    std::size_t replica;
-  };
-  const auto cal_after = [](const CalEntry& a, const CalEntry& b) {
-    return a.time != b.time ? a.time > b.time : a.replica > b.replica;
-  };
-  std::priority_queue<CalEntry, std::vector<CalEntry>, decltype(cal_after)> calendar{
-      cal_after};
-  const auto push_calendar = [&](std::size_t i) {
-    if (!fast) return;
-    const ServerSim& s = *replicas_[i].server;
-    const Duration t = s.next_event_time();
-    if (t == Duration::infinite()) return;  // idle: woken by a future enqueue
-    calendar.push(CalEntry{t, s.version(), i});
-  };
-  const auto settle_calendar = [&] {
-    while (!calendar.empty() && calendar.top().version !=
-                                    replicas_[calendar.top().replica].server->version()) {
-      calendar.pop();
-    }
-  };
-
-  // Sorted fail-stop and detection cursors (fast mode): faults are fixed at
-  // construction (autoscaled replicas spawn fault-free), so the reference
-  // loop's per-event min-scans collapse to two precomputed orders.
-  std::vector<std::pair<Duration, std::size_t>> fail_order;    // (fail_at, replica)
-  std::vector<std::pair<Duration, std::size_t>> detect_order;  // (detect_at, replica)
-  if (fast) {
-    for (std::size_t i = 0; i < replicas_.size(); ++i) {
-      if (replicas_[i].server->fault().fail_stop()) {
-        fail_order.emplace_back(replicas_[i].server->fault().fail_at, i);
-        detect_order.emplace_back(replicas_[i].detect_at, i);
-      }
-    }
-    std::sort(fail_order.begin(), fail_order.end());
-    std::sort(detect_order.begin(), detect_order.end());
-  }
-  std::size_t fail_cursor = 0;
-  std::size_t detect_cursor = 0;
-
-  // --- Incremental eligible-snapshot index (fast mode) --------------------
-  // `eligible` holds exactly the accepting replicas in ascending index order
-  // (the order eligible_snapshots() yields); load fields are written through
-  // whenever a replica's server mutates, and the few time-varying fields
-  // that can still change without a mutation (warming during cold start,
-  // heartbeat age of an undetected fail-stop) are refreshed per dispatch
-  // from the `time_sensitive` worklist. Eligibility itself cannot silently
-  // change between mutations: detections are processed before any dispatch
-  // at or past them, and a healthy replica's heartbeat age never exceeds
-  // one interval (<= timeout). The dispatch step reads this index by
-  // reference; filters narrower than it (slow-EWMA, role) copy per dispatch.
-  constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
-  std::vector<ReplicaSnapshot> eligible;
-  std::vector<std::size_t> epos;            // replica index -> slot in `eligible`
-  std::vector<std::size_t> time_sensitive;  // replicas with time-varying fields
-  const auto eligible_add = [&](std::size_t i, Duration now) {
-    if (!fast) return;
-    epos.resize(replicas_.size(), kNoSlot);
-    epos[i] = eligible.size();
-    eligible.push_back(snapshot(i, now));
-    if (replicas_[i].server->start_at() > now || replicas_[i].server->fault().fail_stop()) {
-      time_sensitive.push_back(i);
-    }
-  };
-  const auto eligible_remove = [&](std::size_t i) {
-    if (!fast) return;
-    const std::size_t at = epos[i];
-    if (at == kNoSlot) return;
-    eligible.erase(eligible.begin() + static_cast<std::ptrdiff_t>(at));
-    epos[i] = kNoSlot;
-    for (std::size_t p = at; p < eligible.size(); ++p) epos[eligible[p].replica] = p;
-  };
-  const auto write_through = [&](std::size_t i) {
-    if (!fast) return;
-    const std::size_t at = epos[i];
-    if (at == kNoSlot) return;
-    ReplicaSnapshot& s = eligible[at];
-    s.in_flight = replicas_[i].server->in_flight();
-    s.outstanding_tokens = replicas_[i].server->outstanding_tokens();
-    s.step_ewma_ms = replicas_[i].ewma_ms;
-    s.expert_sig = replicas_[i].server->expert_signature();
-    s.prefix_sig = replicas_[i].server->prefix_signature();
-  };
-  const auto refresh_time_sensitive = [&](Duration now) {
-    std::size_t keep = 0;
-    for (std::size_t k = 0; k < time_sensitive.size(); ++k) {
-      const std::size_t i = time_sensitive[k];
-      const Replica& r = replicas_[i];
-      const bool warming = r.server->start_at() > now;
-      if (epos[i] != kNoSlot) {
-        ReplicaSnapshot& s = eligible[epos[i]];
-        s.warming = warming;
-        s.heartbeat_age_ms =
-            (now - last_ok_heartbeat(now, r.server->fault().fail_at, cfg_.health)).ms();
-      }
-      // Done once the cold start is over and no fail-stop can age the
-      // heartbeat further (a detected replica left `eligible` for good).
-      if (warming || (r.server->fault().fail_stop() && !r.detected)) {
-        time_sensitive[keep++] = i;
-      }
-    }
-    time_sensitive.resize(keep);
-  };
-  if (fast) {
-    for (std::size_t i = 0; i < replicas_.size(); ++i) eligible_add(i, Duration::zero());
-  }
-
-  // --- Per-phase wall-clock (ClusterConfig::measure_phases) ----------------
-  // Three buckets for the perf-trend dashboard: advancement (fans out to the
-  // pool), the sequential commit write-backs, and the sequential dispatch
-  // decisions. Zero-cost when off; simulated results never depend on them.
-  using WallClock = std::chrono::steady_clock;
-  const bool measure = cfg_.measure_phases;
-  double phase_advance_s = 0.0;
-  double phase_dispatch_s = 0.0;
-  double phase_commit_s = 0.0;
-  WallClock::time_point phase_t0{};
-  const auto phase_begin = [&] {
-    if (measure) phase_t0 = WallClock::now();
-  };
-  const auto phase_end = [&](double& bucket) {
-    if (measure) {
-      bucket += std::chrono::duration<double>(WallClock::now() - phase_t0).count();
-    }
-  };
-
-  // --- Fleet advancement ---------------------------------------------------
-  // The handoff drain sits between the EWMA fold and the index/calendar
-  // write-backs: taking the buffer may mutate the server (version bump), so
-  // the calendar entry must be pushed after.
-  const auto commit_one = [&](std::size_t i, Duration t) {
-    update_ewma(replicas_[i]);
-    drain_handoffs(i, t, t);
-    write_through(i);
-    push_calendar(i);
-  };
-  // Fast-mode equivalent of advance_all(t): collect the replicas whose
-  // fail-stop lies at or before t (advance_to mutates them even when they
-  // look event-less) plus every calendar entry strictly before t into one
-  // batch -- a replica with no entry before t provably has nothing to do
-  // there (advance_to(t) with next_event_time() >= t is a no-op for a live
-  // server), and an advanced replica's next event lands at or after t, so
-  // one batch is exhaustive. The batch then advances each replica all the
-  // way to t: in parallel on the pool when one exists (servers are mutually
-  // independent; the shared NdpCoreSim memo is concurrency-safe with
-  // canonical values), with the per-replica write-backs (EWMA fold,
-  // snapshot write-through, calendar re-push) committed sequentially in
-  // ascending replica order afterwards. The write-backs commute -- each
-  // touches its own replica's state, and the index updates are pure
-  // functions of the final fleet state -- so the fixed commit order keeps
-  // parallel runs bit-identical to the sequential interleaving.
-  std::vector<std::size_t> batch;  // reused across events
-  const auto advance_fleet_to = [&](Duration t) {
-    batch.clear();
-    while (fail_cursor < fail_order.size() && fail_order[fail_cursor].first <= t) {
-      batch.push_back(fail_order[fail_cursor].second);
-      ++fail_cursor;
-    }
-    for (;;) {
-      settle_calendar();
-      if (calendar.empty() || calendar.top().time >= t) break;
-      batch.push_back(calendar.top().replica);
-      calendar.pop();
-    }
-    if (batch.empty()) return;
-    // A failing replica may also hold a live calendar entry before t; never
-    // hand the same replica to two workers.
-    std::sort(batch.begin(), batch.end());
-    batch.erase(std::unique(batch.begin(), batch.end()), batch.end());
-    // Advance, then commit: the write-backs commute with advancement (each
-    // touches only its own replica's state, the index updates are
-    // pure functions of the final fleet state), so the sequential path uses
-    // the same advance-all-then-commit-all split the pool path does -- one
-    // code shape, and the phase timers bucket both paths identically.
-    phase_begin();
-    if (pool != nullptr && batch.size() > 1) {
-      pool->run(batch.size(),
-                [&](std::size_t k) { replicas_[batch[k]].server->advance_to(t); });
+ protected:
+  /// Advances each replica of `batch` to `t`: in parallel on the pool when
+  /// one exists (servers are mutually independent; the shared NdpCoreSim
+  /// memo is concurrency-safe with canonical values), else in order.
+  void advance_batch(const std::vector<std::size_t>& batch, Duration t) {
+    if (pool_ != nullptr && batch.size() > 1) {
+      pool_->run(batch.size(), [&](std::size_t k) { replicas_[batch[k]].server->advance_to(t); });
     } else {
       for (const std::size_t i : batch) replicas_[i].server->advance_to(t);
     }
-    phase_end(phase_advance_s);
-    phase_begin();
-    for (const std::size_t i : batch) commit_one(i, t);
-    phase_end(phase_commit_s);
-  };
-  const auto advance = [&](Duration t) {
-    if (fast) {
-      advance_fleet_to(t);
-      return;
-    }
-    phase_begin();
+  }
+
+  std::vector<Replica>& replicas_;
+  const ClusterSim& sim_;
+
+ private:
+  std::unique_ptr<common::TaskPool> pool_;
+};
+
+/// The reference loop's view: O(replicas) per question, no index to trust,
+/// nothing to keep up to date.
+class ClusterSim::ScanView final : public FleetView {
+ public:
+  explicit ScanView(ClusterSim& sim) : FleetView{sim, 1} {}
+
+  const std::vector<std::size_t>& advance_to(Duration t) override {
+    all_.resize(replicas_.size());
+    std::iota(all_.begin(), all_.end(), std::size_t{0});
+    advance_batch(all_, t);
+    return all_;
+  }
+
+  std::pair<Duration, std::size_t> next_detection() override {
+    std::pair<Duration, std::size_t> next{Duration::infinite(), 0};
     for (std::size_t i = 0; i < replicas_.size(); ++i) {
-      replicas_[i].server->advance_to(t);
-      update_ewma(replicas_[i]);
-      // Same ascending-index drain order as the fast loop's commit phase;
-      // the heap re-sorts the pushed items, so interleaving is immaterial.
-      drain_handoffs(i, t, t);
+      const Replica& r = replicas_[i];
+      if (!r.detected && r.detect_at < next.first) next = {r.detect_at, i};
     }
-    phase_end(phase_advance_s);
-  };
+    return next;
+  }
 
-  // With disaggregation, prefill completions are cluster events in their own
-  // right: each release spawns a decode-pool re-dispatch, and waiting for the
-  // next arrival/detection/tick to surface it would delay the handoff by the
-  // whole inter-anchor gap. When the earliest event among live prefill
-  // replicas precedes every external anchor, run ONLY the prefill pool
-  // forward to that anchor and convert its releases at their true release
-  // times. Decode replicas stay put, so a surfaced item earlier than the
-  // external anchor is dispatched into a decode replica whose clock has not
-  // yet passed it -- causality holds. Progress is guaranteed: afterwards
-  // every live prefill replica's next event is at or beyond the horizon, so
-  // the branch cannot re-fire until new prefill work (an item) is dispatched.
-  const auto advance_prefill_to = [&](Duration horizon) {
-    for (std::size_t i = 0; i < replicas_.size(); ++i) {
-      Replica& r = replicas_[i];
-      if (!r.prefill || r.detected) continue;
-      phase_begin();
-      r.server->advance_to(horizon);
-      phase_end(phase_advance_s);
-      phase_begin();
-      update_ewma(r);
-      drain_handoffs(i, horizon, last_pop);
-      write_through(i);
-      push_calendar(i);
-      phase_end(phase_commit_s);
-    }
-  };
-
-  const bool log = cfg_.event_log_enabled;
-  std::vector<ClusterEvent> events;
-  std::size_t retries = 0;
-  std::size_t migrations = 0;
-  std::size_t handoffs = 0;
-  std::size_t peak = accepting_counts().total();
-  Duration next_tick = cfg_.autoscale_period;
-  // Boot-time pool shares (disaggregated autoscaling grows the pool furthest
-  // below its share). run() is called once, so replicas_ is the boot fleet.
-  const std::size_t boot_prefill = disagg_on ? cfg_.disagg.prefill_replicas : 0;
-  const std::size_t boot_decode = disagg_on ? replicas_.size() - boot_prefill : 0;
-
-  // Role routing (disaggregated serving): the pool filter applies after the
-  // health/EWMA filter. If the soft EWMA filter left the needed pool empty,
-  // fall back to the full accepting set before declaring the pool gone.
-  const auto disagg_view = [&](const std::vector<ReplicaSnapshot>& filtered,
-                               const std::vector<ReplicaSnapshot>& accepting,
-                               const Request& rq) {
-    const bool want_prefill = !rq.decode_phase();
-    std::vector<ReplicaSnapshot> pool =
-        pool_snapshots(filtered, want_prefill, cfg_.disagg.decode_admit_tokens);
-    if (pool.empty()) {
-      pool = pool_snapshots(accepting, want_prefill, cfg_.disagg.decode_admit_tokens);
-    }
-    MONDE_REQUIRE(!pool.empty(), "no " << (want_prefill ? "prefill" : "decode")
-                                       << " replica is accepting requests");
-    return pool;
-  };
-
-  // --- Expert-aware serving state (inert when disabled) --------------------
-  const bool expert_on = cfg_.expert.enabled;
-  const bool rebalance_on = expert_on && cfg_.expert.rebalance_period > Duration::zero();
-  Duration next_rebalance = cfg_.expert.rebalance_period;
-  std::size_t expert_migrations = 0;
-  std::size_t pruned_requests = 0;
-  // Fleet-wide demand per expert, accumulated from dispatched profiles; the
-  // ordered map gives rebalance ticks a deterministic hottest-first walk.
-  std::map<core::ExpertId, std::uint64_t> fleet_expert_load;
-  // Truncate a profile to the `width` heaviest experts per layer (entries
-  // are layer-major, descending activation). Returns true if it shrank.
-  const auto prune_profile = [](moe::ExpertProfile& p, int width) {
-    std::vector<moe::ExpertProfile::Entry> kept;
-    kept.reserve(p.experts.size());
-    int run = 0;
-    int cur_layer = std::numeric_limits<int>::min();
-    for (const auto& e : p.experts) {
-      if (e.layer != cur_layer) {
-        cur_layer = e.layer;
-        run = 0;
-      }
-      if (run++ < width) kept.push_back(e);
-    }
-    if (kept.size() == p.experts.size()) return false;
-    p.experts = std::move(kept);
-    p.rebuild_signature();
-    return true;
-  };
-
-  // Work that keeps drain-phase autoscale ticks alive: any replica (even a
-  // retiring one, whose drain extends the makespan survivors are billed to)
-  // still owing requests AND able to serve them without drain() -- a
-  // fixed-mode replica holding an under-full batch waits for a seal that
-  // only drain() provides (next_event_time() is infinite), and ticking on
-  // it forever would hang the loop. In fast mode the settled calendar IS
-  // this predicate: a live entry exists iff some replica's next event is
-  // finite, which implies undetected work in flight.
-  const auto fleet_has_live_work = [&] {
-    if (fast) {
-      settle_calendar();
-      return !calendar.empty();
-    }
+  // A fixed-mode replica holding an under-full batch waits for a seal only
+  // drain() provides (its next_event_time() is infinite): no live work.
+  bool has_live_work() override {
     for (const Replica& r : replicas_) {
       if (!r.detected && r.server->in_flight() > 0 &&
           r.server->next_event_time() < Duration::infinite()) {
@@ -575,399 +237,717 @@ ClusterReport ClusterSim::run(ArrivalStream& arrivals, Dispatcher& dispatcher,
       }
     }
     return false;
-  };
+  }
 
-  for (;;) {
-    const Duration item_t = item_time();
-    // Earliest undetected fail-stop: its detection is a cluster event even
-    // when it lies beyond the last arrival (stranded work must recover).
-    Duration det_t = Duration::infinite();
-    std::size_t det_i = 0;
-    if (fast) {
-      if (detect_cursor < detect_order.size()) {
-        det_t = detect_order[detect_cursor].first;
-        det_i = detect_order[detect_cursor].second;
-      }
-    } else {
-      for (std::size_t i = 0; i < replicas_.size(); ++i) {
-        const Replica& r = replicas_[i];
-        if (!r.detected && r.detect_at < det_t) {
-          det_t = r.detect_at;
-          det_i = i;
-        }
+  const std::vector<ReplicaSnapshot>& accepting() override {
+    snaps_.clear();
+    for (std::size_t i = 0; i < replicas_.size(); ++i) {
+      if (!replicas_[i].detected && !replicas_[i].retired) snaps_.push_back(sim_.snapshot(i));
+    }
+    return snaps_;
+  }
+
+ private:
+  std::vector<std::size_t> all_;
+  std::vector<ReplicaSnapshot> snaps_;
+};
+
+/// The indexed view: a lazy-deletion calendar of per-replica server events,
+/// sorted fail-stop and detection cursors, and the accepting-snapshot index.
+class ClusterSim::CalendarView final : public FleetView {
+ public:
+  CalendarView(ClusterSim& sim, std::size_t threads) : FleetView{sim, threads} {
+    // Faults are fixed at construction (autoscaled replicas spawn
+    // fault-free), so the reference's per-event min-scans collapse to two
+    // precomputed orders.
+    for (std::size_t i = 0; i < replicas_.size(); ++i) {
+      if (replicas_[i].server->fault().fail_stop()) {
+        fail_order_.emplace_back(replicas_[i].server->fault().fail_at, i);
+        detect_order_.emplace_back(replicas_[i].detect_at, i);
       }
     }
+    std::sort(fail_order_.begin(), fail_order_.end());
+    std::sort(detect_order_.begin(), detect_order_.end());
+    for (std::size_t i = 0; i < replicas_.size(); ++i) joined(i);
+  }
+
+  // One batch: the replicas whose fail-stop lies at or before t (advance_to
+  // mutates them even when they look event-less) plus every calendar entry
+  // strictly before t. A replica with no entry before t provably has nothing
+  // to do there (advance_to(t) with next_event_time() >= t is a no-op for a
+  // live server), and an advanced replica's next event lands at or after t,
+  // so one batch is exhaustive.
+  const std::vector<std::size_t>& advance_to(Duration t) override {
+    batch_.clear();
+    for (; fail_cursor_ < fail_order_.size() && fail_order_[fail_cursor_].first <= t;
+         ++fail_cursor_) {
+      batch_.push_back(fail_order_[fail_cursor_].second);
+    }
+    for (;;) {
+      settle();
+      if (calendar_.empty() || calendar_.top().time >= t) break;
+      batch_.push_back(calendar_.top().replica);
+      calendar_.pop();
+    }
+    // A failing replica may also hold a live calendar entry before t; never
+    // hand the same replica to two workers.
+    std::sort(batch_.begin(), batch_.end());
+    batch_.erase(std::unique(batch_.begin(), batch_.end()), batch_.end());
+    advance_batch(batch_, t);
+    return batch_;
+  }
+
+  // Detections happen in cursor order, so skipping detected entries is exact.
+  std::pair<Duration, std::size_t> next_detection() override {
+    while (detect_cursor_ < detect_order_.size() &&
+           replicas_[detect_order_[detect_cursor_].second].detected) {
+      ++detect_cursor_;
+    }
+    return detect_cursor_ < detect_order_.size()
+               ? detect_order_[detect_cursor_]
+               : std::pair<Duration, std::size_t>{Duration::infinite(), 0};
+  }
+
+  // The settled calendar IS the predicate: a live entry exists iff some
+  // replica's next event is finite, which implies undetected work in flight.
+  bool has_live_work() override {
+    settle();
+    return !calendar_.empty();
+  }
+
+  const std::vector<ReplicaSnapshot>& accepting() override { return eligible_; }
+
+  // Every mutation bumps the server's version, killing its prior entries,
+  // so each touch re-pushes: a replica with a finite next event keeps a
+  // live entry.
+  void touched(std::size_t i) override {
+    if (epos_[i] != kNoSlot) eligible_[epos_[i]] = sim_.snapshot(i);
+    const ServerSim& s = *replicas_[i].server;
+    const Duration t = s.next_event_time();
+    if (t == Duration::infinite()) return;  // idle: woken by a future enqueue
+    calendar_.push(CalEntry{t, i, s.version()});
+  }
+
+  void joined(std::size_t i) override {
+    epos_.resize(replicas_.size(), kNoSlot);
+    epos_[i] = eligible_.size();
+    eligible_.push_back(sim_.snapshot(i));
+  }
+
+  void left(std::size_t i) override {
+    const std::size_t at = epos_[i];
+    if (at == kNoSlot) return;
+    eligible_.erase(eligible_.begin() + static_cast<std::ptrdiff_t>(at));
+    epos_[i] = kNoSlot;
+    for (std::size_t p = at; p < eligible_.size(); ++p) epos_[eligible_[p].replica] = p;
+  }
+
+ private:
+  // Min-heap order is (time, replica); entries of one replica at one time
+  // differ only in version, a tiebreak that never changes a batch.
+  struct CalEntry {
+    Duration time;
+    std::size_t replica;
+    std::uint64_t version;
+    auto operator<=>(const CalEntry&) const = default;
+  };
+  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+
+  /// Drops dead (version-superseded) entries off the calendar's top.
+  void settle() {
+    while (!calendar_.empty() &&
+           calendar_.top().version != replicas_[calendar_.top().replica].server->version()) {
+      calendar_.pop();
+    }
+  }
+
+  std::priority_queue<CalEntry, std::vector<CalEntry>, std::greater<>> calendar_;
+  std::vector<std::pair<Duration, std::size_t>> fail_order_;    // (fail_at, replica)
+  std::vector<std::pair<Duration, std::size_t>> detect_order_;  // (detect_at, replica)
+  std::size_t fail_cursor_ = 0;
+  std::size_t detect_cursor_ = 0;
+  std::vector<std::size_t> batch_;  // reused across events
+  // The accepting replicas in ascending index order; epos_ maps a replica
+  // index to its slot in eligible_.
+  std::vector<ReplicaSnapshot> eligible_;
+  std::vector<std::size_t> epos_;
+};
+
+namespace {
+
+/// Truncates a profile to the `width` heaviest experts per layer (entries
+/// are layer-major, descending activation). Returns true if it shrank.
+bool prune_profile(moe::ExpertProfile& p, int width) {
+  std::vector<moe::ExpertProfile::Entry> kept;
+  kept.reserve(p.experts.size());
+  int run = 0;
+  int cur_layer = std::numeric_limits<int>::min();
+  for (const auto& e : p.experts) {
+    if (e.layer != cur_layer) {
+      cur_layer = e.layer;
+      run = 0;
+    }
+    if (run++ < width) kept.push_back(e);
+  }
+  if (kept.size() == p.experts.size()) return false;
+  p.experts = std::move(kept);
+  p.rebuild_signature();
+  return true;
+}
+
+}  // namespace
+
+// --- ClusterRun: one run() call's state and its per-event handlers -----------
+class ClusterSim::ClusterRun {
+ public:
+  ClusterRun(ClusterSim& sim, ArrivalStream& arrivals, Dispatcher& dispatcher,
+             Autoscaler* autoscaler)
+      : sim_{sim},
+        replicas_{sim.replicas_},
+        cfg_{sim.cfg_},
+        arrivals_{arrivals},
+        dispatcher_{dispatcher},
+        autoscaler_{autoscaler},
+        view_{cfg_.reference_loop ? std::unique_ptr<FleetView>{std::make_unique<ScanView>(sim)}
+                                  : std::make_unique<CalendarView>(sim, cfg_.threads)},
+        next_tick_{cfg_.autoscale_period},
+        next_rebalance_{cfg_.expert.rebalance_period},
+        // run() is called once, so replicas_ is the boot fleet here.
+        boot_prefill_{cfg_.disagg.enabled ? cfg_.disagg.prefill_replicas : 0},
+        boot_decode_{cfg_.disagg.enabled ? replicas_.size() - boot_prefill_ : 0} {
+    original_arrival_.reserve(arrivals_.size_hint());
+    head_ = arrivals_.next();
+    MONDE_REQUIRE(head_.has_value(), "cannot serve an empty trace");
+    note_original(*head_);
+    rep_.policy = dispatcher_.name();
+    rep_.autoscaler = autoscaler_ != nullptr ? autoscaler_->name() : "";
+    rep_.peak_replicas = sim_.accepting_counts().total();
+  }
+
+  /// The next instant each kind of cluster event is due (infinite: none).
+  struct Anchors {
+    Duration item;                   ///< next arrival or re-dispatch
+    Duration detect;                 ///< next fail-stop detection...
+    std::size_t detect_replica = 0;  ///< ...and the replica it concerns
+    Duration tick;                   ///< next autoscale evaluation
+    Duration rebalance;              ///< next expert rebalance
+    Duration prefill;                ///< earliest prefill-pool event (disaggregation)
+    [[nodiscard]] Duration external() const {
+      return monde::min(monde::min(detect, item), monde::min(tick, rebalance));
+    }
+  };
+
+  Anchors anchors() {
+    Anchors a;
+    a.item = item_time();
+    // A detection is a cluster event even beyond the last arrival: stranded
+    // work must recover.
+    std::tie(a.detect, a.detect_replica) = view_->next_detection();
     // The autoscaler ticks while arrivals/retries remain AND through the
     // drain phase while any replica still holds work, so late scale-downs
     // release idle capacity (drain-phase ticks may only scale down).
-    const Duration tick_t =
-        (autoscaler != nullptr && (has_item() || fleet_has_live_work()))
-            ? next_tick
-            : Duration::infinite();
-    // Rebalance ticks only matter while requests remain to route: once the
-    // stream and retry queue are empty, residency can no longer help anyone.
-    const Duration reb_t = (rebalance_on && has_item()) ? next_rebalance
-                                                        : Duration::infinite();
+    a.tick = (autoscaler_ != nullptr && (has_item() || view_->has_live_work()))
+                 ? next_tick_
+                 : Duration::infinite();
+    // Rebalance ticks only matter while requests remain to route.
+    a.rebalance = (cfg_.expert.enabled && cfg_.expert.rebalance_period > Duration::zero() &&
+                   has_item())
+                      ? next_rebalance_
+                      : Duration::infinite();
     // Earliest prefill-internal event (admission start, step boundary, or an
-    // already-buffered release awaiting drain). Finite only with
-    // disaggregation on; infinite anchors never win a strict comparison.
-    Duration ho_t = Duration::infinite();
-    if (disagg_on) {
+    // already-buffered release awaiting drain); infinite without
+    // disaggregation, and an infinite anchor never wins a strict comparison.
+    a.prefill = Duration::infinite();
+    if (cfg_.disagg.enabled) {
       for (const Replica& r : replicas_) {
         if (!r.prefill || r.detected) continue;
-        ho_t = monde::min(ho_t, r.server->next_event_time());
-        if (r.server->has_handoffs()) ho_t = monde::min(ho_t, last_pop);
+        a.prefill = monde::min(a.prefill, r.server->next_event_time());
+        if (r.server->has_handoffs()) a.prefill = monde::min(a.prefill, last_pop_);
       }
     }
+    return a;
+  }
 
-    if (disagg_on && ho_t < det_t && ho_t < item_t && ho_t < tick_t &&
-        ho_t < reb_t) {
-      // The prefill pool owns every fleet event until the next external
-      // anchor: run it to that horizon and surface its releases. With no
-      // external anchor left (all infinite) this drains the prefill tail
-      // outright; new handoff items re-arm the item branch.
-      advance_prefill_to(
-          monde::min(monde::min(det_t, item_t), monde::min(tick_t, reb_t)));
-      continue;
+  // With disaggregation, prefill completions are cluster events in their own
+  // right: each release spawns a decode-pool re-dispatch, and waiting for the
+  // next external anchor to surface it would delay the handoff by the whole
+  // inter-anchor gap. So when the prefill pool's earliest event precedes
+  // every external anchor, run ONLY the prefill pool forward to `horizon`
+  // (that anchor) and convert its releases at their true release times.
+  // Decode replicas stay put, so a surfaced item earlier than the horizon is
+  // dispatched into a decode replica whose clock has not yet passed it --
+  // causality holds. Progress is guaranteed: afterwards every live prefill
+  // replica's next event is at or beyond the horizon, so this cannot re-fire
+  // until new prefill work (an item) is dispatched.
+  void on_prefill_anchor(Duration horizon) {
+    for (std::size_t i = 0; i < replicas_.size(); ++i) {
+      Replica& r = replicas_[i];
+      if (!r.prefill || r.detected) continue;
+      phase_begin();
+      r.server->advance_to(horizon);
+      phase_end(rep_.phase_advance_s);
+      phase_begin();
+      commit(i, horizon, last_pop_);
+      phase_end(rep_.phase_commit_s);
     }
+  }
 
-    if (det_t <= item_t && det_t <= tick_t && det_t <= reb_t) {
-      if (det_t == Duration::infinite()) {
-        // ho_t is infinite too (it lost the strict comparison above), so the
-        // prefill pool holds no future work: the fleet is truly idle.
-        break;
-      }
-      Replica& r = replicas_[det_i];
-      advance(det_t);  // the dying replica freezes at its fail-stop instant
-      r.detected = true;
-      if (fast) ++detect_cursor;
-      eligible_remove(det_i);
-      const Duration died_at = r.server->fault().fail_at;
-      if (log) {
-        events.push_back({ClusterEvent::Kind::kFailStop, died_at, det_i,
-                          "replica" + std::to_string(det_i) + " died"});
-      }
-      // A replica evacuated by a scale-down migration died empty: its work
-      // already moved on, so there is nothing (and no way) to harvest.
-      std::vector<Request> stranded;
-      if (!r.evacuated) stranded = r.server->harvest_stranded();
-      if (log) {
-        events.push_back({ClusterEvent::Kind::kFailureDetected, det_t, det_i,
-                          "heartbeat stale; " + std::to_string(stranded.size()) +
-                              " stranded request(s) queued for retry"});
-      }
-      const bool resume = cfg_.cache.enabled && cfg_.cache.survive_failstop;
-      for (Request rq : stranded) {
-        ++rq.attempt;
-        Duration at = det_t + cfg_.retry_timeout;
-        if (resume) {
-          // Surviving-cache mode: the checkpointed prefix is restored onto
-          // the retry replica at the modelled transfer cost. With a
-          // checkpoint cadence, decode progress rounds down to the last
-          // interval boundary -- work past it was never checkpointed and is
-          // repeated on the retry replica (a decode-pool victim's requests
-          // keep their full prompt, so they re-home within the decode pool).
-          if (cfg_.cache.checkpoint_interval_tokens > 0) {
-            rq.resume.decoded -=
-                rq.resume.decoded % cfg_.cache.checkpoint_interval_tokens;
-            if (rq.resume.decoded == 0) rq.resume.first_token = Duration::zero();
-          }
-          at += cfg_.cache.transfer_time_for(rq.resume.resident_tokens());
-        } else {
-          // Lost-cache mode: the KV state died with the node.
-          rq.resume = ResumeState{};
-        }
-        pending.push(Item{at, rq, false});
-      }
-      continue;
+  void on_detection(Duration t, std::size_t i) {
+    Replica& r = replicas_[i];
+    advance(t);  // the dying replica freezes at its fail-stop instant
+    r.detected = true;
+    view_->left(i);
+    if (log_) {
+      rep_.events.push_back({ClusterEvent::Kind::kFailStop, r.server->fault().fail_at, i,
+                             "replica" + std::to_string(i) + " died"});
     }
-
-    if (tick_t <= item_t && tick_t <= reb_t) {
-      advance(tick_t);
-      AutoscaleSignals sig;
-      sig.now = tick_t;
-      std::vector<double> waits_ms;
-      for (const Replica& r : replicas_) {
-        if (r.detected || r.retired) continue;
-        if (r.server->start_at() > tick_t) {
-          ++sig.warming_replicas;
-        } else {
-          ++sig.ready_replicas;
-        }
-        sig.in_flight += r.server->in_flight();
-        sig.outstanding_tokens += r.server->outstanding_tokens();
-        for (const Duration arrival : r.server->waiting_arrivals()) {
-          waits_ms.push_back((tick_t - arrival).ms());
-        }
-      }
-      sig.waiting_requests = waits_ms.size();
-      if (!waits_ms.empty()) {
-        sig.p95_queue_delay_ms = percentile(std::move(waits_ms), 95.0);
-      }
-      std::size_t target = std::max<std::size_t>(autoscaler->target_size(sig), 1);
-      std::size_t capacity = accepting_counts().total();
-      // Drain phase (no arrivals or retries left): scaling up is pure waste
-      // -- no dispatch will ever reach the new replica -- so only honor the
-      // downward direction of the policy's answer.
-      if (!has_item()) target = std::min(target, capacity);
-      while (capacity < target) {
-        ReplicaSpec spec = growth_;
-        spec.seed = next_seed_++;
-        const std::size_t idx = replicas_.size();
-        bool spawn_prefill = false;
-        if (disagg_on) {
-          // Grow the pool furthest below its boot share (accepting members
-          // vs. boot prefill:decode ratio); ties grow the decode pool.
-          const AcceptingCounts n = accepting_counts();
-          spawn_prefill = n.prefill * boot_decode < n.decode * boot_prefill;
-        }
-        add_replica(spec, tick_t, tick_t + cfg_.warmup, spawn_prefill);
-        eligible_add(idx, tick_t);
-        if (log) {
-          events.push_back({ClusterEvent::Kind::kScaleUp, tick_t, idx,
-                            "spawned " + replicas_.back().name + ", ready at " +
-                                (tick_t + cfg_.warmup).str()});
-        }
-        ++capacity;
-      }
-      while (capacity > target && capacity > 1) {
-        // Retire the accepting replica owing the fewest tokens, newest on
-        // ties: it drains its queue, then idles, never dispatched to again.
-        // Disaggregated fleets never retire a pool's last accepting member
-        // (requests of its phase would have nowhere to go).
-        const AcceptingCounts n = accepting_counts();
-        std::size_t victim = replicas_.size();
-        for (std::size_t i = 0; i < replicas_.size(); ++i) {
-          const Replica& r = replicas_[i];
-          if (r.detected || r.retired) continue;
-          if (disagg_on && (r.prefill ? n.prefill : n.decode) <= 1) continue;
-          if (victim == replicas_.size() ||
-              r.server->outstanding_tokens() <=
-                  replicas_[victim].server->outstanding_tokens()) {
-            victim = i;
-          }
-        }
-        if (victim == replicas_.size()) break;  // every candidate is its pool's last
-        replicas_[victim].retired = true;
-        replicas_[victim].retired_at = tick_t;
-        eligible_remove(victim);
-        // A victim that silently fail-stopped inside the detection lag
-        // cannot be evacuated -- its state died with it. Retire it plainly;
-        // the heartbeat monitor will harvest its stranded work.
-        if (cfg_.cache.enabled && cfg_.cache.migrate_on_retire &&
-            !replicas_[victim].server->failed()) {
-          // Live migration: the retiree stops at its step boundary and its
-          // unfinished requests move (with their resident KV state, at the
-          // modelled transfer cost) to the surviving fleet. Requests with
-          // no resident state re-dispatch at the tick itself.
-          std::vector<Request> moved = replicas_[victim].server->evacuate();
-          replicas_[victim].evacuated = true;
-          // A prefill victim's forced step-boundary completion may have
-          // released prefill-complete requests: convert them now (their
-          // release lies at or after this tick), or they die with the buffer.
-          drain_handoffs(victim, tick_t, tick_t);
-          push_calendar(victim);  // evacuation mutated the server (to no events)
-          const Duration boundary = monde::max(tick_t, replicas_[victim].server->now());
-          for (Request rq : moved) {
-            ++rq.attempt;
-            const std::int64_t resident = rq.resume.resident_tokens();
-            const Duration at =
-                resident > 0 ? boundary + cfg_.cache.transfer_time_for(resident) : tick_t;
-            pending.push(Item{at, rq, true});
-          }
-          if (log) {
-            std::string detail = "retired " + replicas_[victim].name + " (migrated ";
-            detail += std::to_string(moved.size());
-            detail += " request(s))";
-            events.push_back({ClusterEvent::Kind::kScaleDown, tick_t, victim, detail});
-          }
-        } else if (log) {
-          events.push_back({ClusterEvent::Kind::kScaleDown, tick_t, victim,
-                            "retired " + replicas_[victim].name + " (" +
-                                std::to_string(replicas_[victim].server->in_flight()) +
-                                " request(s) left to drain)"});
-        }
-        --capacity;
-      }
-      peak = std::max(peak, accepting_counts().total());
-      next_tick += cfg_.autoscale_period;
-      continue;
+    // A replica evacuated by a scale-down migration died empty: its work
+    // already moved on, so there is nothing (and no way) to harvest.
+    std::vector<Request> stranded;
+    if (!r.evacuated) stranded = r.server->harvest_stranded();
+    if (log_) {
+      rep_.events.push_back({ClusterEvent::Kind::kFailureDetected, t, i,
+                             "heartbeat stale; " + std::to_string(stranded.size()) +
+                                 " stranded request(s) queued for retry"});
     }
-
-    if (reb_t <= item_t) {
-      // Cross-replica expert rebalancing: push the fleet's currently hottest
-      // experts (by dispatched-profile demand) into every accepting
-      // replica's residency. Each preload is priced as a fetch over the
-      // configured link, charged to the receiving replica's next step --
-      // migrating hot experts toward the shards that will serve them
-      // instead of letting each replica fault them in one miss at a time.
-      advance(reb_t);
-      std::vector<std::pair<std::uint64_t, core::ExpertId>> by_demand;
-      by_demand.reserve(fleet_expert_load.size());
-      for (const auto& [id, count] : fleet_expert_load) by_demand.push_back({count, id});
-      // Hottest first; the map walk above yields ascending ExpertId, and the
-      // stable sort keeps that order within a demand tie -- deterministic.
-      std::stable_sort(by_demand.begin(), by_demand.end(),
-                       [](const auto& a, const auto& b) { return a.first > b.first; });
-      if (by_demand.size() > cfg_.expert.rebalance_hot_experts) {
-        by_demand.resize(cfg_.expert.rebalance_hot_experts);
-      }
-      std::vector<core::ExpertId> hot;
-      hot.reserve(by_demand.size());
-      for (const auto& [count, id] : by_demand) hot.push_back(id);
-      if (!hot.empty()) {
-        for (std::size_t i = 0; i < replicas_.size(); ++i) {
-          Replica& r = replicas_[i];
-          if (r.detected || r.retired) continue;
-          // preload_experts() no-ops on a silently fail-stopped server.
-          const std::size_t fetched = r.server->preload_experts(hot);
-          if (fetched == 0) continue;
-          expert_migrations += fetched;
-          write_through(i);
-          push_calendar(i);
-          if (log) {
-            events.push_back({ClusterEvent::Kind::kExpertRebalance, reb_t, i,
-                              "preloaded " + std::to_string(fetched) +
-                                  " hot expert(s) onto replica" + std::to_string(i)});
-          }
+    const bool resume = cfg_.cache.enabled && cfg_.cache.survive_failstop;
+    for (Request rq : stranded) {
+      ++rq.attempt;
+      Duration at = t + cfg_.retry_timeout;
+      if (resume) {
+        // Surviving-cache mode: the checkpointed prefix is restored onto
+        // the retry replica at the modelled transfer cost. With a
+        // checkpoint cadence, decode progress rounds down to the last
+        // interval boundary -- work past it was never checkpointed and is
+        // repeated on the retry replica (a decode-pool victim's requests
+        // keep their full prompt, so they re-home within the decode pool).
+        if (cfg_.cache.checkpoint_interval_tokens > 0) {
+          rq.resume.decoded -= rq.resume.decoded % cfg_.cache.checkpoint_interval_tokens;
+          if (rq.resume.decoded == 0) rq.resume.first_token = Duration::zero();
         }
+        at += cfg_.cache.transfer_time_for(rq.resume.resident_tokens());
+      } else {
+        // Lost-cache mode: the KV state died with the node.
+        rq.resume = ResumeState{};
       }
-      next_rebalance += cfg_.expert.rebalance_period;
-      continue;
+      pending_.push(Item{at, rq, false});
     }
+  }
 
-    // The detection branch wins every all-infinite tie, so an item is
-    // guaranteed here: item_t < det_t/tick_t/reb_t implies has_item().
+  void on_autoscale_tick(Duration t) {
+    advance(t);
+    std::size_t target = std::max<std::size_t>(autoscaler_->target_size(signals(t)), 1);
+    std::size_t capacity = sim_.accepting_counts().total();
+    // Drain phase (no arrivals or retries left): scaling up is pure waste
+    // -- no dispatch will ever reach the new replica -- so only honor the
+    // downward direction of the policy's answer.
+    if (!has_item()) target = std::min(target, capacity);
+    for (; capacity < target; ++capacity) spawn(t);
+    for (; capacity > target && capacity > 1; --capacity) {
+      const std::size_t victim = retiree();
+      if (victim == replicas_.size()) break;  // every candidate is its pool's last
+      retire(victim, t);
+    }
+    rep_.peak_replicas = std::max(rep_.peak_replicas, sim_.accepting_counts().total());
+    next_tick_ += cfg_.autoscale_period;
+  }
+
+  // Cross-replica expert rebalancing: push the fleet's currently hottest
+  // experts (by dispatched-profile demand) into every accepting replica's
+  // residency. Each preload is priced as a fetch over the configured link,
+  // charged to the receiving replica's next step -- migrating hot experts
+  // toward the shards that will serve them instead of letting each replica
+  // fault them in one miss at a time.
+  void on_rebalance(Duration t) {
+    advance(t);
+    std::vector<std::pair<std::uint64_t, core::ExpertId>> by_demand;
+    by_demand.reserve(fleet_expert_load_.size());
+    for (const auto& [id, count] : fleet_expert_load_) by_demand.push_back({count, id});
+    // Hottest first; the map walk above yields ascending ExpertId, and the
+    // stable sort keeps that order within a demand tie -- deterministic.
+    std::stable_sort(by_demand.begin(), by_demand.end(),
+                     [](const auto& a, const auto& b) { return a.first > b.first; });
+    if (by_demand.size() > cfg_.expert.rebalance_hot_experts) {
+      by_demand.resize(cfg_.expert.rebalance_hot_experts);
+    }
+    std::vector<core::ExpertId> hot;
+    hot.reserve(by_demand.size());
+    for (const auto& [count, id] : by_demand) hot.push_back(id);
+    for (std::size_t i = 0; i < replicas_.size() && !hot.empty(); ++i) {
+      Replica& r = replicas_[i];
+      if (r.detected || r.retired) continue;
+      // preload_experts() no-ops on a silently fail-stopped server.
+      const std::size_t fetched = r.server->preload_experts(hot);
+      if (fetched == 0) continue;
+      rep_.expert_migrations += fetched;
+      view_->touched(i);
+      if (log_) {
+        rep_.events.push_back({ClusterEvent::Kind::kExpertRebalance, t, i,
+                               "preloaded " + std::to_string(fetched) +
+                                   " hot expert(s) onto replica" + std::to_string(i)});
+      }
+    }
+    next_rebalance_ += cfg_.expert.rebalance_period;
+  }
+
+  void on_dispatch(Duration t) {
+    // The detection anchor wins every all-infinite tie, so an item is
+    // guaranteed here: item < detect/tick/rebalance implies has_item().
     MONDE_ASSERT(has_item(), "item branch reached with no item");
     // Advance before popping: the advance may surface prefill-complete
     // handoffs clamped to this very instant, and such an item (possibly
     // carrying a smaller id than the current head) must be eligible for
     // this pop to keep the global (time, id) dispatch order.
-    advance(item_t);
+    advance(t);
     const Item it = pop_item();
-    last_pop = it.time;
+    last_pop_ = it.time;
     phase_begin();
     Request rq = it.rq;
     rq.arrival = it.time;  // = the original arrival except for re-dispatches
-    if (expert_on) {
+    if (cfg_.expert.enabled) {
       // First dispatch derives the profile; a retry/migration keeps the one
       // it already carries (possibly pruned by an earlier overload).
       if (rq.expert_profile.empty()) {
-        rq.expert_profile = profiler_->expert_profile_for(
+        rq.expert_profile = sim_.profiler_->expert_profile_for(
             rq.id, cfg_.expert.profile_width, cfg_.expert.profile_tokens);
       }
       // Fleet demand feeds the rebalance ticks; count the full profile (the
       // demand exists whether or not pruning later drops part of it).
       for (const auto& e : rq.expert_profile.experts) {
-        ++fleet_expert_load[core::ExpertId{e.layer, e.expert}];
+        ++fleet_expert_load_[core::ExpertId{e.layer, e.expert}];
       }
     }
-    // The view pipeline, shared by both loops: the accepting set, then the
-    // soft slow-EWMA filter (finite factor only), then the disaggregated
-    // role filter. In fast mode the accepting set is the maintained index
-    // itself: detections at or before `it.time` were processed first, and a
-    // healthy heartbeat age never exceeds one interval, so the reference's
-    // stale-heartbeat cut provably keeps exactly `eligible`. The reference
-    // loop rebuilds it from fresh snapshots, which makes the heartbeat age
-    // authoritative for custom policies too.
-    std::vector<ReplicaSnapshot> rebuilt;  // the reference loop's accepting set
-    if (fast) {
-      refresh_time_sensitive(it.time);
-    } else {
-      rebuilt = eligible_snapshots(snapshots(it.time), std::numeric_limits<double>::infinity(),
-                                   cfg_.health.heartbeat_timeout.ms());
+    const std::size_t idx = pick_replica(rq);
+    // Pruned-expert degraded mode: a request landing on an overloaded
+    // replica is served with a truncated profile -- fewer experts to keep
+    // hot, fewer fetches to price -- instead of queueing at full fidelity.
+    if (cfg_.expert.enabled && cfg_.expert.prune_outstanding_tokens > 0 &&
+        replicas_[idx].server->outstanding_tokens() > cfg_.expert.prune_outstanding_tokens &&
+        prune_profile(rq.expert_profile, cfg_.expert.prune_width)) {
+      ++rep_.pruned_requests;
     }
-    const std::vector<ReplicaSnapshot>& accepting = fast ? eligible : rebuilt;
+    replicas_[idx].server->enqueue(rq);
+    ++replicas_[idx].dispatched;
+    view_->touched(idx);
+    note_redispatch(it, rq, idx);
+    phase_end(rep_.phase_dispatch_s);
+  }
+
+  /// Drains the fleet and assembles the report.
+  ClusterReport report();
+
+ private:
+  /// A request due for dispatch: an arrival, a failure retry, a scale-down
+  /// migration, or a prefill->decode handoff.
+  struct Item {
+    Duration time;
+    Request rq;
+    bool migrated = false;  ///< re-dispatch came from a retirement, not a failure
+    bool handoff = false;   ///< prefill-complete handoff bound for the decode pool
+  };
+  struct Later {
+    bool operator()(const Item& a, const Item& b) const {
+      return a.time != b.time ? a.time > b.time : a.rq.id > b.rq.id;
+    }
+  };
+  using WallClock = std::chrono::steady_clock;
+
+  // --- Arrival intake: lazy stream head + duplicate/order policing ---------
+  void note_original(const Request& rq) {
+    MONDE_REQUIRE(original_arrival_.emplace(rq.id, rq.arrival).second,
+                  "duplicate request id " << rq.id << " in trace");
+  }
+  void pull_head() {
+    std::optional<Request> nxt = arrivals_.next();
+    if (nxt.has_value()) {
+      MONDE_REQUIRE(!arrival_order(*nxt, *head_),
+                    "arrival stream is out of (arrival, id) order at request " << nxt->id);
+      note_original(*nxt);
+    }
+    head_ = std::move(nxt);
+  }
+  [[nodiscard]] bool has_item() const { return head_.has_value() || !pending_.empty(); }
+  [[nodiscard]] Duration item_time() const {
+    Duration t = head_.has_value() ? head_->arrival : Duration::infinite();
+    if (!pending_.empty()) t = monde::min(t, pending_.top().time);
+    return t;
+  }
+  Item pop_item() {
+    // Lexicographic (time, id) merge; a stream request and a re-dispatch
+    // never collide exactly (ids are unique per attempt epoch).
+    const bool from_stream =
+        head_.has_value() &&
+        (pending_.empty() || head_->arrival < pending_.top().time ||
+         (head_->arrival == pending_.top().time && head_->id < pending_.top().rq.id));
+    if (from_stream) {
+      Item it{head_->arrival, *head_, false};
+      pull_head();
+      return it;
+    }
+    Item it = pending_.top();
+    pending_.pop();
+    return it;
+  }
+
+  // --- Per-phase wall-clock (ClusterConfig::measure_phases) ----------------
+  // Three buckets for the perf-trend dashboard: advancement (fans out to the
+  // pool), the sequential commit write-backs, and the sequential dispatch
+  // decisions. Zero-cost when off; simulated results never depend on them.
+  void phase_begin() {
+    if (cfg_.measure_phases) phase_t0_ = WallClock::now();
+  }
+  void phase_end(double& bucket) const {
+    if (cfg_.measure_phases) {
+      bucket += std::chrono::duration<double>(WallClock::now() - phase_t0_).count();
+    }
+  }
+
+  // --- Advancement and the per-replica commit -------------------------------
+  // Advance, then commit: the write-backs touch only their own replica's
+  // state, so committing the batch sequentially in ascending replica order
+  // after a (possibly parallel) advance keeps every counter, percentile and
+  // RNG draw independent of thread scheduling.
+  void advance(Duration t) {
+    phase_begin();
+    const std::vector<std::size_t>& batch = view_->advance_to(t);
+    phase_end(rep_.phase_advance_s);
+    phase_begin();
+    for (const std::size_t i : batch) commit(i, t, t);
+    phase_end(rep_.phase_commit_s);
+  }
+  /// Write-backs after replica i advanced to `t`: fold its new steps into
+  /// the EWMA, turn its buffered prefill releases into items, then let the
+  /// view re-index it -- the drain may bump the server's version, so the
+  /// view's calendar re-push must come last.
+  void commit(std::size_t i, Duration t, Duration floor) {
+    sim_.update_ewma(replicas_[i]);
+    drain_handoffs(i, t, floor);
+    view_->touched(i);
+  }
+  // A prefill replica buffers a HandoffRecord the moment a request's
+  // admission step completes (inside advance_to, possibly on a worker
+  // thread); each commit turns the records into decode-pool items at
+  // `release + transfer`, clamped to a floor that never precedes an
+  // already-popped item (the advance target at fleet-wide commits; the
+  // last-popped time when only the prefill pool advanced), so the global
+  // (time, id) pop order -- and with it the per-replica (arrival, id)
+  // enqueue contract -- survives releases discovered mid-event.
+  void drain_handoffs(std::size_t i, Duration apply_until, Duration floor) {
+    if (!cfg_.disagg.enabled || !replicas_[i].prefill) return;
+    for (HandoffRecord& h : replicas_[i].server->take_handoffs(apply_until)) {
+      Request rq = std::move(h.request);
+      ++rq.attempt;
+      pending_.push(Item{monde::max(h.release + h.transfer, floor), std::move(rq),
+                         /*migrated=*/false, /*handoff=*/true});
+    }
+  }
+
+  // --- Autoscaling ------------------------------------------------------------
+  AutoscaleSignals signals(Duration t) const {
+    AutoscaleSignals sig;
+    sig.now = t;
+    std::vector<double> waits_ms;
+    for (const Replica& r : replicas_) {
+      if (r.detected || r.retired) continue;
+      if (r.server->start_at() > t) {
+        ++sig.warming_replicas;
+      } else {
+        ++sig.ready_replicas;
+      }
+      sig.in_flight += r.server->in_flight();
+      sig.outstanding_tokens += r.server->outstanding_tokens();
+      for (const Duration arrival : r.server->waiting_arrivals()) {
+        waits_ms.push_back((t - arrival).ms());
+      }
+    }
+    sig.waiting_requests = waits_ms.size();
+    if (!waits_ms.empty()) sig.p95_queue_delay_ms = percentile(std::move(waits_ms), 95.0);
+    return sig;
+  }
+  void spawn(Duration t) {
+    ReplicaSpec spec = sim_.growth_;
+    spec.seed = sim_.next_seed_++;
+    const std::size_t idx = replicas_.size();
+    bool spawn_prefill = false;
+    if (cfg_.disagg.enabled) {
+      // Grow the pool furthest below its boot share (accepting members
+      // vs. boot prefill:decode ratio); ties grow the decode pool.
+      const AcceptingCounts n = sim_.accepting_counts();
+      spawn_prefill = n.prefill * boot_decode_ < n.decode * boot_prefill_;
+    }
+    sim_.add_replica(spec, t, t + cfg_.warmup, spawn_prefill);
+    view_->joined(idx);
+    if (log_) {
+      rep_.events.push_back({ClusterEvent::Kind::kScaleUp, t, idx,
+                             "spawned " + replicas_.back().name + ", ready at " +
+                                 (t + cfg_.warmup).str()});
+    }
+  }
+  /// The accepting replica owing the fewest tokens, newest on ties;
+  /// disaggregated fleets never retire a pool's last accepting member
+  /// (requests of its phase would have nowhere to go). replicas_.size()
+  /// when there is no candidate.
+  std::size_t retiree() const {
+    const AcceptingCounts n = sim_.accepting_counts();
+    std::size_t victim = replicas_.size();
+    for (std::size_t i = 0; i < replicas_.size(); ++i) {
+      const Replica& r = replicas_[i];
+      if (r.detected || r.retired) continue;
+      if (cfg_.disagg.enabled && (r.prefill ? n.prefill : n.decode) <= 1) continue;
+      if (victim == replicas_.size() ||
+          r.server->outstanding_tokens() <= replicas_[victim].server->outstanding_tokens()) {
+        victim = i;
+      }
+    }
+    return victim;
+  }
+  /// Retires `victim`: it drains its queue, then idles, never dispatched to
+  /// again -- or, with migrate_on_retire, hands its work to the fleet.
+  void retire(std::size_t victim, Duration t) {
+    Replica& r = replicas_[victim];
+    r.retired = true;
+    r.retired_at = t;
+    view_->left(victim);
+    // A victim that silently fail-stopped inside the detection lag cannot
+    // be evacuated -- its state died with it. Retire it plainly; the
+    // heartbeat monitor will harvest its stranded work.
+    if (!cfg_.cache.enabled || !cfg_.cache.migrate_on_retire || r.server->failed()) {
+      if (log_) {
+        rep_.events.push_back({ClusterEvent::Kind::kScaleDown, t, victim,
+                               "retired " + r.name + " (" +
+                                   std::to_string(r.server->in_flight()) +
+                                   " request(s) left to drain)"});
+      }
+      return;
+    }
+    // Live migration: the retiree stops at its step boundary and its
+    // unfinished requests move (with their resident KV state, at the
+    // modelled transfer cost) to the surviving fleet. Requests with no
+    // resident state re-dispatch at the tick itself.
+    std::vector<Request> moved = r.server->evacuate();
+    r.evacuated = true;
+    // A prefill victim's forced step-boundary completion may have released
+    // prefill-complete requests: convert them now (their release lies at
+    // or after this tick), or they die with the buffer.
+    commit(victim, t, t);
+    const Duration boundary = monde::max(t, r.server->now());
+    for (Request rq : moved) {
+      ++rq.attempt;
+      const std::int64_t resident = rq.resume.resident_tokens();
+      const Duration at =
+          resident > 0 ? boundary + cfg_.cache.transfer_time_for(resident) : t;
+      pending_.push(Item{at, rq, true});
+    }
+    if (log_) {
+      std::string detail = "retired " + r.name + " (migrated ";
+      detail += std::to_string(moved.size());
+      detail += " request(s))";
+      rep_.events.push_back({ClusterEvent::Kind::kScaleDown, t, victim, detail});
+    }
+  }
+
+  // --- Dispatch -----------------------------------------------------------------
+  /// The view pipeline: the accepting set, then the soft slow-EWMA filter
+  /// (finite factor only), then the disaggregated role filter -- whose
+  /// pool, if the soft filter emptied it, falls back to the accepting set
+  /// before the pool is declared gone. Returns the picked replica's index.
+  std::size_t pick_replica(const Request& rq) {
+    const std::vector<ReplicaSnapshot>& accepting = view_->accepting();
     MONDE_REQUIRE(!accepting.empty(),
                   "no replica is accepting requests (every replica failed or retired)");
     const std::vector<ReplicaSnapshot>* view = &accepting;
     std::vector<ReplicaSnapshot> healthy;
     if (std::isfinite(cfg_.health.slow_ewma_factor)) {
-      healthy = eligible_snapshots(accepting, cfg_.health.slow_ewma_factor,
-                                   cfg_.health.heartbeat_timeout.ms());
+      healthy = eligible_snapshots(accepting, cfg_.health.slow_ewma_factor);
       view = &healthy;
     }
     std::vector<ReplicaSnapshot> role_pool;
-    if (disagg_on) {
-      role_pool = disagg_view(*view, accepting, rq);
+    if (cfg_.disagg.enabled) {
+      const bool want_prefill = !rq.decode_phase();
+      role_pool = pool_snapshots(*view, want_prefill, cfg_.disagg.decode_admit_tokens);
+      if (role_pool.empty()) {
+        role_pool = pool_snapshots(accepting, want_prefill, cfg_.disagg.decode_admit_tokens);
+      }
+      MONDE_REQUIRE(!role_pool.empty(), "no " << (want_prefill ? "prefill" : "decode")
+                                              << " replica is accepting requests");
       view = &role_pool;
     }
-    const std::size_t pick = dispatcher.pick(*view, rq);
+    const std::size_t pick = dispatcher_.pick(*view, rq);
     MONDE_REQUIRE(pick < view->size(),
                   "dispatcher picked entry " << pick << " of " << view->size());
-    const std::size_t idx = (*view)[pick].replica;
-    // Pruned-expert degraded mode: a request landing on an overloaded
-    // replica is served with a truncated profile -- fewer experts to keep
-    // hot, fewer fetches to price -- instead of queueing at full fidelity.
-    if (expert_on && cfg_.expert.prune_outstanding_tokens > 0 &&
-        replicas_[idx].server->outstanding_tokens() >
-            cfg_.expert.prune_outstanding_tokens &&
-        prune_profile(rq.expert_profile, cfg_.expert.prune_width)) {
-      ++pruned_requests;
-    }
-    replicas_[idx].server->enqueue(rq);
-    ++replicas_[idx].dispatched;
-    write_through(idx);
-    push_calendar(idx);
+    return (*view)[pick].replica;
+  }
+  /// Counters and event log for a dispatched re-dispatch (no-op for a first
+  /// dispatch).
+  void note_redispatch(const Item& it, const Request& rq, std::size_t idx) {
     if (it.handoff) {
       // Handoffs are their own lifecycle event, not failure retries --
       // attempt was bumped (it IS a re-dispatch) but the retry/migration
       // counters stay clean.
-      ++handoffs;
-      if (log) {
-        events.push_back({ClusterEvent::Kind::kHandoff, it.time, idx,
-                          "request " + std::to_string(rq.id) +
-                              " prefill complete -> replica" + std::to_string(idx) + " (" +
-                              std::to_string(rq.resume.resident_tokens()) + " KV tokens)"});
+      ++rep_.handoffs;
+      if (log_) {
+        rep_.events.push_back({ClusterEvent::Kind::kHandoff, it.time, idx,
+                               "request " + std::to_string(rq.id) +
+                                   " prefill complete -> replica" + std::to_string(idx) +
+                                   " (" + std::to_string(rq.resume.resident_tokens()) +
+                                   " KV tokens)"});
       }
-    } else if (rq.attempt > 0) {
-      if (log) {
-        std::string detail = "request " + std::to_string(rq.id) + " attempt " +
-                             std::to_string(rq.attempt) + " -> replica" + std::to_string(idx);
-        if (rq.resume.any()) {
-          detail += " (resumed ";
-          detail += std::to_string(rq.resume.resident_tokens());
-          detail += " tokens)";
-        }
-        events.push_back({it.migrated ? ClusterEvent::Kind::kMigrate
-                                      : ClusterEvent::Kind::kRetry,
-                          it.time, idx, detail});
-      }
-      if (it.migrated) {
-        ++migrations;
-      } else {
-        ++retries;
-      }
+      return;
     }
-    phase_end(phase_dispatch_s);
+    if (rq.attempt == 0) return;
+    ++(it.migrated ? rep_.migrations : rep_.retries);
+    if (!log_) return;
+    std::string detail = "request " + std::to_string(rq.id) + " attempt " +
+                         std::to_string(rq.attempt) + " -> replica" + std::to_string(idx);
+    if (rq.resume.any()) {
+      detail += " (resumed ";
+      detail += std::to_string(rq.resume.resident_tokens());
+      detail += " tokens)";
+    }
+    rep_.events.push_back(
+        {it.migrated ? ClusterEvent::Kind::kMigrate : ClusterEvent::Kind::kRetry, it.time,
+         idx, detail});
   }
+
+  ClusterSim& sim_;
+  std::vector<Replica>& replicas_;
+  const ClusterConfig& cfg_;
+  ArrivalStream& arrivals_;
+  Dispatcher& dispatcher_;
+  Autoscaler* autoscaler_;
+  std::unique_ptr<FleetView> view_;
+  const bool log_ = cfg_.event_log_enabled;
+
+  std::unordered_map<std::uint64_t, Duration> original_arrival_;
+  std::optional<Request> head_;  ///< next request of the arrival stream
+  // The re-dispatch queue: failure retries, scale-down migrations and
+  // handoffs, merged with the arrival stream in (time, id) order so
+  // per-replica enqueues stay (arrival, id)-ordered.
+  std::priority_queue<Item, std::vector<Item>, Later> pending_;
+  Duration last_pop_ = Duration::zero();  ///< latest item the loop dispatched
+
+  Duration next_tick_;
+  Duration next_rebalance_;
+  const std::size_t boot_prefill_;  ///< boot pool shares (disaggregated autoscaling)
+  const std::size_t boot_decode_;
+  // Fleet-wide demand per expert, accumulated from dispatched profiles; the
+  // ordered map gives rebalance ticks a deterministic hottest-first walk.
+  std::map<core::ExpertId, std::uint64_t> fleet_expert_load_;
+  WallClock::time_point phase_t0_{};
+  ClusterReport rep_;  ///< counters, events and phase times accumulate here
+};
+
+ClusterReport ClusterSim::ClusterRun::report() {
   // No further arrivals: replicas finish independently, so each can drain
   // to completion on its own (failed replicas were harvested above). The
-  // drains are mutually independent, so they fan out to the pool too; the
   // report below reads the servers only after every drain returned.
   phase_begin();
-  if (pool != nullptr && replicas_.size() > 1) {
-    pool->run(replicas_.size(), [&](std::size_t i) { replicas_[i].server->drain(); });
-  } else {
-    for (Replica& r : replicas_) r.server->drain();
-  }
-  phase_end(phase_advance_s);
+  view_->drain_all();
+  phase_end(rep_.phase_advance_s);
 
-  ClusterReport rep;
-  rep.policy = dispatcher.name();
-  rep.autoscaler = autoscaler != nullptr ? autoscaler->name() : "";
-  rep.retries = retries;
-  rep.migrations = migrations;
-  rep.handoffs = handoffs;
-  rep.peak_replicas = peak;
-  rep.expert_migrations = expert_migrations;
-  rep.pruned_requests = pruned_requests;
-  rep.phase_advance_s = phase_advance_s;
-  rep.phase_dispatch_s = phase_dispatch_s;
-  rep.phase_commit_s = phase_commit_s;
-  std::stable_sort(events.begin(), events.end(),
+  ClusterReport rep = std::move(rep_);
+  std::stable_sort(rep.events.begin(), rep.events.end(),
                    [](const ClusterEvent& a, const ClusterEvent& b) { return a.time < b.time; });
-  rep.events = std::move(events);
 
   std::vector<ServeReport> serves;
   serves.reserve(replicas_.size());
@@ -975,9 +955,8 @@ ClusterReport ClusterSim::run(ArrivalStream& arrivals, Dispatcher& dispatcher,
   // Fleet makespan: a spawned replica that never ran a step contributes its
   // spawn instant, not its (possibly later) warm-up boundary.
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    rep.makespan = monde::max(rep.makespan, serves[i].steps.empty()
-                                                ? replicas_[i].spawned_at
-                                                : serves[i].makespan);
+    rep.makespan = monde::max(rep.makespan, serves[i].steps.empty() ? replicas_[i].spawned_at
+                                                                     : serves[i].makespan);
   }
 
   std::vector<double> busy_ms;
@@ -1017,7 +996,7 @@ ClusterReport ClusterSim::run(ArrivalStream& arrivals, Dispatcher& dispatcher,
     rep.expert_misses += rr.serve.expert_misses;
     rep.handoff_tokens += rr.serve.handoff_tokens;
     rep.handoff_transfer_s += rr.serve.handoff_transfer.sec();
-    if (disagg_on) {
+    if (cfg_.disagg.enabled) {
       ClusterReport::PoolReport& pr = r.prefill ? rep.prefill_pool : rep.decode_pool;
       ++pr.replicas;
       pr.dispatched += rr.dispatched;
@@ -1030,7 +1009,7 @@ ClusterReport ClusterSim::run(ArrivalStream& arrivals, Dispatcher& dispatcher,
     busy_ms.push_back(rr.serve.busy.ms());
     for (const RequestMetrics& m : rr.serve.requests) {
       RequestMetrics fm = m;
-      fm.arrival = original_arrival.at(fm.id);  // re-dispatches span their failures
+      fm.arrival = original_arrival_.at(fm.id);  // re-dispatches span their failures
       // Tokens delivered, fleet-wide: each request's full generation counts
       // once, on the replica that finished it (resumed tokens included --
       // they reached the user, and the replica that computed them aborted
@@ -1043,9 +1022,9 @@ ClusterReport ClusterSim::run(ArrivalStream& arrivals, Dispatcher& dispatcher,
     }
     rep.replicas.push_back(std::move(rr));
   }
-  MONDE_ASSERT(rep.requests.size() == original_arrival.size(),
+  MONDE_ASSERT(rep.requests.size() == original_arrival_.size(),
                "cluster lost requests: served " << rep.requests.size() << " of "
-                                                << original_arrival.size());
+                                                << original_arrival_.size());
   std::stable_sort(rep.requests.begin(), rep.requests.end(), arrival_order<RequestMetrics>);
   rep.imbalance = imbalance_factor(busy_ms);
   rep.fleet_utilization = total_alive > Duration::zero() ? total_busy / total_alive : 0.0;
@@ -1060,14 +1039,58 @@ ClusterReport ClusterSim::run(ArrivalStream& arrivals, Dispatcher& dispatcher,
   rep.expert_hit_rate = expert_total == 0 ? 0.0
                                           : static_cast<double>(rep.expert_hits) /
                                                 static_cast<double>(expert_total);
-  const auto finish_pool = [](ClusterReport::PoolReport& pr) {
-    pr.utilization = pr.replica_seconds > 0.0 ? pr.busy_s / pr.replica_seconds : 0.0;
-    pr.mean_step_ms =
-        pr.steps > 0 ? pr.busy_s * 1000.0 / static_cast<double>(pr.steps) : 0.0;
-  };
-  finish_pool(rep.prefill_pool);
-  finish_pool(rep.decode_pool);
+  for (ClusterReport::PoolReport* pr : {&rep.prefill_pool, &rep.decode_pool}) {
+    pr->utilization = pr->replica_seconds > 0.0 ? pr->busy_s / pr->replica_seconds : 0.0;
+    pr->mean_step_ms =
+        pr->steps > 0 ? pr->busy_s * 1000.0 / static_cast<double>(pr->steps) : 0.0;
+  }
   return rep;
+}
+
+ClusterReport ClusterSim::run(std::vector<Request> trace, Dispatcher& dispatcher,
+                              Autoscaler* autoscaler) {
+  MONDE_REQUIRE(!used_, "ClusterSim::run() may be called only once");
+  MONDE_REQUIRE(!trace.empty(), "cannot serve an empty trace");
+  std::stable_sort(trace.begin(), trace.end(), arrival_order<Request>);
+  // Preserve the classic error timing: duplicate ids are rejected before any
+  // simulation runs (the streaming path can only catch them on arrival).
+  {
+    std::unordered_set<std::uint64_t> seen;
+    seen.reserve(trace.size());
+    for (const Request& rq : trace) {
+      MONDE_REQUIRE(seen.insert(rq.id).second, "duplicate request id " << rq.id << " in trace");
+    }
+  }
+  TraceArrivalStream stream{std::move(trace)};
+  return run(stream, dispatcher, autoscaler);
+}
+
+ClusterReport ClusterSim::run(ArrivalStream& arrivals, Dispatcher& dispatcher,
+                              Autoscaler* autoscaler) {
+  MONDE_REQUIRE(!used_, "ClusterSim::run() may be called only once");
+  used_ = true;
+  ClusterRun run{*this, arrivals, dispatcher, autoscaler};
+  for (;;) {
+    const ClusterRun::Anchors a = run.anchors();
+    if (a.prefill < a.external()) {
+      // The prefill pool owns every fleet event until the next external
+      // anchor. With no external anchor left (all infinite) this drains the
+      // prefill tail outright; new handoff items re-arm the item anchor.
+      run.on_prefill_anchor(a.external());
+    } else if (a.detect <= a.item && a.detect <= a.tick && a.detect <= a.rebalance) {
+      // Ties go to detection, then the autoscale tick, then the rebalance
+      // tick, then the item.
+      if (a.detect == Duration::infinite()) break;  // every anchor infinite: idle
+      run.on_detection(a.detect, a.detect_replica);
+    } else if (a.tick <= a.item && a.tick <= a.rebalance) {
+      run.on_autoscale_tick(a.tick);
+    } else if (a.rebalance <= a.item) {
+      run.on_rebalance(a.rebalance);
+    } else {
+      run.on_dispatch(a.item);
+    }
+  }
+  return run.report();
 }
 
 }  // namespace monde::serve

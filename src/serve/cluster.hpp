@@ -52,20 +52,18 @@
 // queue, sorted fail-stop/detection cursors, and the autoscale tick -- so
 // each cluster event advances only the replicas that actually have work
 // before it, instead of scanning the whole fleet. Dispatch likewise reads an
-// incrementally maintained index of accepting-replica snapshots (updated
-// only when a replica's server mutates) rather than rebuilding every
-// snapshot per request. The slow-EWMA soft filter runs per dispatch on that
-// index: free with the default infinite slow_ewma_factor, O(eligible * log
-// eligible) with a finite one. Arrivals may be consumed lazily from
-// an ArrivalStream (arrivals.hpp), so a million-request trace is never
-// materialized. The calendar loop is proven bit-identical to the classic
-// scan-everything loop (ClusterConfig::reference_loop, kept for diff
-// tests); one caveat: in the fast path the time-varying snapshot fields
-// (heartbeat_age_ms, and warming once a replica is warm) are refreshed only
-// for replicas where they can change eligibility or behavior -- the stock
-// policies never read them, and eligibility is provably unaffected, but a
-// custom Dispatcher needing exact per-dispatch heartbeat ages for healthy
-// replicas should set reference_loop.
+// index of accepting-replica snapshots written through whenever a replica's
+// server mutates, rather than rebuilding every snapshot per request; every
+// snapshot field is a function of server state, so the index is exact. The
+// slow-EWMA soft filter runs per dispatch on that index: free with the
+// default infinite slow_ewma_factor, O(eligible * log eligible) with a
+// finite one. Arrivals may be consumed lazily from an ArrivalStream
+// (arrivals.hpp), so a million-request trace is never materialized. The
+// calendar loop is proven bit-identical -- reports and every snapshot
+// vector a dispatcher sees -- to the classic scan-everything loop
+// (ClusterConfig::reference_loop, the diff tests' oracle). Both loops are
+// one run object with a handler per event kind over a FleetView seam; see
+// ARCHITECTURE.md's "Run structure".
 //
 // Parallelism (PR 7): with ClusterConfig::threads > 1 the calendar loop
 // fans each event's advancement batch (the replicas with server events
@@ -188,9 +186,8 @@ struct ClusterConfig {
   bool event_log_enabled = true;
   /// Run the classic O(replicas)-per-event loop instead of the indexed
   /// event calendar. The two are bit-identical (pinned by
-  /// tests/test_calendar_diff.cpp); the reference loop exists for those diff
-  /// tests and for custom dispatchers that want exact time-varying snapshot
-  /// fields (see the file comment).
+  /// tests/test_calendar_diff.cpp); the reference loop is the oracle those
+  /// diff tests check the calendar against.
   bool reference_loop = false;
   /// Worker threads for the parallel advancement phase (the calling thread
   /// counts, so 1 = fully sequential, no pool, no behavior risk). Results
@@ -350,11 +347,18 @@ class ClusterSim {
     [[nodiscard]] std::size_t total() const { return prefill + decode; }
   };
 
+  // The run loop (cluster.cpp): one ClusterRun per run() call, with a
+  // handler per event kind, over a FleetView -- ScanView (the reference
+  // loop's scan-everything oracle) or CalendarView (the indexed calendar).
+  class FleetView;
+  class ScanView;
+  class CalendarView;
+  class ClusterRun;
+
   void add_replica(const ReplicaSpec& spec, Duration spawned_at, Duration start_at,
                    bool prefill = false);
   void update_ewma(Replica& r);
-  [[nodiscard]] ReplicaSnapshot snapshot(std::size_t i, Duration now) const;
-  [[nodiscard]] std::vector<ReplicaSnapshot> snapshots(Duration now) const;
+  [[nodiscard]] ReplicaSnapshot snapshot(std::size_t i) const;
   [[nodiscard]] AcceptingCounts accepting_counts() const;
 
   core::SystemConfig sys_;

@@ -360,28 +360,11 @@ std::vector<DispatchPolicy> all_dispatch_policies() {
 }
 
 std::vector<ReplicaSnapshot> eligible_snapshots(const std::vector<ReplicaSnapshot>& all,
-                                                double slow_ewma_factor,
-                                                double stale_age_ms) {
-  // No-filter fast path: with every replica accepting and fresh (the common
-  // all-healthy case) the element-wise loop below just rebuilds the input
-  // one push_back at a time; take a single bulk copy instead (snapshots are
-  // trivially copyable, so this is one memcpy-sized assignment). Same
-  // result by construction -- pinned by a regression test.
-  bool all_pass = true;
-  for (const ReplicaSnapshot& s : all) {
-    if (!s.accepting || s.heartbeat_age_ms > stale_age_ms) {
-      all_pass = false;
-      break;
-    }
-  }
+                                                double slow_ewma_factor) {
   std::vector<ReplicaSnapshot> eligible;
-  if (all_pass) {
-    eligible = all;
-  } else {
-    eligible.reserve(all.size());
-    for (const ReplicaSnapshot& s : all) {
-      if (s.accepting && s.heartbeat_age_ms <= stale_age_ms) eligible.push_back(s);
-    }
+  eligible.reserve(all.size());
+  for (const ReplicaSnapshot& s : all) {
+    if (s.accepting) eligible.push_back(s);
   }
   MONDE_REQUIRE(!eligible.empty(),
                 "no replica is accepting requests (every replica failed or retired)");

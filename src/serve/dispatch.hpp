@@ -27,34 +27,29 @@
 // replica index.
 //
 // Health-checked dispatch: the cluster never hands a policy the raw fleet.
-// It filters snapshots through eligible_snapshots() first -- detected-dead
-// and retired replicas are excluded outright, and replicas whose step-
-// duration EWMA marks them as pathologically slow are skipped while a
-// faster peer exists. A policy's pick() therefore indexes into the filtered
-// vector; the caller maps back through ReplicaSnapshot::replica. With every
-// replica healthy the filter is the identity, so fault-free dispatch is
-// bit-identical to the pre-health behavior.
+// Detected-dead and retired replicas are excluded outright, and (through
+// eligible_snapshots()) replicas whose step-duration EWMA marks them as
+// pathologically slow are skipped while a faster peer exists. A policy's
+// pick() therefore indexes into the filtered vector; the caller maps back
+// through ReplicaSnapshot::replica. With every replica healthy the filter is
+// the identity, so fault-free dispatch is bit-identical to the pre-health
+// behavior.
 //
-// Snapshot maintenance: by default the cluster maintains the eligible list
-// incrementally -- one snapshot per accepting replica, load fields written
-// through when that replica's server mutates, membership adjusted on spawn/
-// detection/retirement -- so a dispatch costs O(changed replicas), not
-// O(fleet). With a finite slow_ewma_factor both loops apply
-// eligible_snapshots() below to their accepting set per dispatch. The load
-// fields (in_flight, outstanding_tokens) and membership are exact; the
-// purely time-varying fields (heartbeat_age_ms, warming) are refreshed per
-// dispatch only for replicas where they can still move (cold-starting or
-// undetected-fail-stop ones). A custom policy that reads
-// exact heartbeat ages of healthy replicas should run the cluster with
-// ClusterConfig::reference_loop (see cluster.hpp).
+// Snapshot maintenance: by default the cluster maintains the accepting list
+// incrementally -- one snapshot per accepting replica, rebuilt when that
+// replica's server mutates, membership adjusted on spawn/detection/
+// retirement -- so a dispatch costs O(changed replicas), not O(fleet). With
+// a finite slow_ewma_factor the cluster applies eligible_snapshots() below
+// to that list per dispatch. Every snapshot field is a function of server
+// state, so the maintained list equals one rebuilt from scratch at the
+// dispatch instant -- which is what the reference loop does.
 //
-// Units: `outstanding_tokens` counts tokens, `heartbeat_age_ms` and
-// `step_ewma_ms` are simulated milliseconds. Snapshots are plain values --
-// policies never touch a server and are unit-testable without an engine.
+// Units: `outstanding_tokens` counts tokens, `step_ewma_ms` is simulated
+// milliseconds. Snapshots are plain values -- policies never touch a server
+// and are unit-testable without an engine.
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -101,12 +96,10 @@ struct ReplicaSnapshot {
   std::size_t replica = 0;             ///< index into the cluster's replica list
   std::size_t in_flight = 0;           ///< accepted, not yet finished requests
   std::int64_t outstanding_tokens = 0; ///< un-prefilled prompt + remaining decode tokens
-  // Health and lifecycle (filled by the cluster; defaults describe a
-  // healthy, long-booted replica so hand-built snapshots keep working):
-  bool accepting = true;        ///< false: detected dead or retired -- never dispatch
-  bool warming = false;         ///< cold-starting: accepts, but steps only after warm-up
-  double heartbeat_age_ms = 0;  ///< time since the last successful heartbeat poll
-  double step_ewma_ms = 0;      ///< EWMA of recent step durations (0 = no steps yet)
+  // Health (filled by the cluster; defaults describe a healthy replica so
+  // hand-built snapshots keep working):
+  bool accepting = true;    ///< false: detected dead or retired -- never dispatch
+  double step_ewma_ms = 0;  ///< EWMA of recent step durations (0 = no steps yet)
   /// Compact residency summary: the replica's ExpertCache signature
   /// (core/expert_cache.hpp), 0 when expert-aware serving is disabled.
   /// Gating-aware policies AND it with the request's profile signature to
@@ -155,23 +148,21 @@ class Dispatcher {
 [[nodiscard]] std::unique_ptr<Dispatcher> make_dispatcher(DispatchPolicy policy,
                                                           std::uint64_t seed = 42);
 
-/// The health filter applied before every pick():
+/// The health filter (the cluster runs it per dispatch with a finite
+/// `slow_ewma_factor`; its own accepting list already does step 1):
 ///
-///   1. keeps accepting replicas only, and among those drops any whose
-///      `heartbeat_age_ms` exceeds `stale_age_ms` (a stale heartbeat is how
-///      the dispatcher "sees" an undetected death) -- throws when nothing
-///      is left: the whole fleet failed or retired;
+///   1. keeps accepting replicas only -- throws when nothing is left: the
+///      whole fleet failed or retired;
 ///   2. when `slow_ewma_factor` is finite, drops replicas whose step EWMA
 ///      exceeds factor x the median EWMA of the remaining set -- unless
 ///      that would empty it (a soft deprioritization).
 ///
-/// Warming replicas stay eligible (a cold-starting replica accepts and
+/// Cold-starting replicas stay eligible (a warming replica accepts and
 /// queues; that *is* the modelled warm-up cost). Order and `replica`
 /// indices are preserved, so with an all-healthy fleet the result equals
 /// the input.
 [[nodiscard]] std::vector<ReplicaSnapshot> eligible_snapshots(
-    const std::vector<ReplicaSnapshot>& all, double slow_ewma_factor,
-    double stale_age_ms = std::numeric_limits<double>::infinity());
+    const std::vector<ReplicaSnapshot>& all, double slow_ewma_factor);
 
 /// Disaggregated-serving pool filter, applied after eligible_snapshots():
 /// keeps the replicas of the requested role (`prefill` true = prefill pool,

@@ -11,6 +11,10 @@
 // ServerSim version counter the calendar's lazy deletion trusts.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
 #include "serve/arrivals.hpp"
 #include "serve/cluster.hpp"
@@ -403,6 +407,110 @@ TEST(ParallelDiff, SlowEwmaFilterAcrossThreads) {
   sc.specs[2].fault.slow_factor = 8.0;
   sc.cfg.health.slow_ewma_factor = 2.0;
   expect_threads_agree(sc);
+}
+
+// --- What a custom dispatcher sees -----------------------------------------
+
+/// Least-outstanding-tokens that records every snapshot vector pick() gets.
+class RecordingDispatcher final : public Dispatcher {
+ public:
+  [[nodiscard]] std::string name() const override { return "recording"; }
+  std::size_t pick(const std::vector<ReplicaSnapshot>& snapshots) override {
+    seen.push_back(snapshots);
+    return inner_->pick(snapshots);
+  }
+  std::size_t pick(const std::vector<ReplicaSnapshot>& snapshots, const Request& rq) override {
+    at.push_back(rq.arrival);
+    return pick(snapshots);
+  }
+  std::vector<std::vector<ReplicaSnapshot>> seen;
+  std::vector<Duration> at;  ///< dispatch instant of each recorded view
+
+ private:
+  std::unique_ptr<Dispatcher> inner_ = make_dispatcher(DispatchPolicy::kLeastOutstandingTokens);
+};
+
+struct RecordedRun {
+  ClusterReport report;
+  std::vector<std::vector<ReplicaSnapshot>> views;
+  std::vector<Duration> at;
+};
+
+RecordedRun record_views(const Scenario& sc, bool reference_loop, std::size_t threads) {
+  ClusterConfig cfg = sc.cfg;
+  cfg.reference_loop = reference_loop;
+  cfg.threads = threads;
+  ClusterSim cluster{core::SystemConfig::dac24(), sc.model, moe::SkewProfile::switch_like(),
+                     sc.specs, cfg};
+  RecordingDispatcher dispatcher;
+  const auto autoscaler = make_queue_pressure_autoscaler(sc.autoscale);
+  RecordedRun out;
+  out.report = cluster.run(sc.trace, dispatcher, autoscaler.get());
+  out.views = std::move(dispatcher.seen);
+  out.at = std::move(dispatcher.at);
+  return out;
+}
+
+TEST(CalendarDiff, CustomDispatcherSeesIdenticalSnapshots) {
+  // Not just the same outcome: a custom policy must be handed the very same
+  // snapshot vectors by both loops, field by field, at every thread count --
+  // through cold starts, two fail-stops (one inside the other's detection
+  // lag) and a finite slow-EWMA filter.
+  Scenario sc;
+  sc.trace = poisson_trace(40, 150.0, small_shape(), 23);
+  sc.specs = uniform_fleet(4, core::StrategyKind::kMondeLoadBalanced, SchedulerConfig{});
+  sc.specs[1].fault.fail_at = Duration::millis(30);
+  sc.specs[2].fault.fail_at = Duration::millis(34);
+  sc.specs[3].fault.slow_from = Duration::millis(5);
+  sc.specs[3].fault.slow_until = Duration::millis(60);
+  sc.specs[3].fault.slow_factor = 6.0;
+  sc.cfg.health.slow_ewma_factor = 2.0;
+  sc.cfg.retry_timeout = Duration::millis(2);
+  sc.cfg.warmup = Duration::millis(4);
+  sc.cfg.autoscale_period = Duration::millis(3);
+  sc.autoscale.min_replicas = 4;  // the deaths are replaced by cold starts
+  sc.autoscale.max_replicas = 6;
+  sc.autoscale.high_tokens_per_replica = 64;
+  sc.autoscale.low_tokens_per_replica = 1;
+
+  const RecordedRun ref = record_views(sc, /*reference_loop=*/true, 1);
+  // Preconditions: both replicas died and were retried, and replicas
+  // spawned mid-run took dispatches while still warming up.
+  EXPECT_TRUE(ref.report.replicas[1].failed);
+  EXPECT_TRUE(ref.report.replicas[2].failed);
+  EXPECT_GT(ref.report.retries, 0u);
+  bool saw_warming = false;
+  for (std::size_t d = 0; d < ref.views.size(); ++d) {
+    for (const ReplicaSnapshot& s : ref.views[d]) {
+      const Duration spawned = ref.report.replicas[s.replica].spawned_at;
+      saw_warming |= spawned > Duration::zero() && ref.at[d] < spawned + sc.cfg.warmup;
+    }
+  }
+  EXPECT_TRUE(saw_warming);
+  ASSERT_EQ(ref.views.size(), sc.trace.size() + ref.report.retries + ref.report.migrations);
+
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const RecordedRun cal = record_views(sc, /*reference_loop=*/false, threads);
+    expect_reports_identical(cal.report, ref.report);
+    ASSERT_EQ(cal.views.size(), ref.views.size());
+    for (std::size_t d = 0; d < ref.views.size(); ++d) {
+      ASSERT_EQ(cal.views[d].size(), ref.views[d].size()) << "dispatch " << d;
+      for (std::size_t k = 0; k < ref.views[d].size(); ++k) {
+        const ReplicaSnapshot& x = cal.views[d][k];
+        const ReplicaSnapshot& y = ref.views[d][k];
+        SCOPED_TRACE("dispatch " + std::to_string(d) + " entry " + std::to_string(k));
+        EXPECT_EQ(x.replica, y.replica);
+        EXPECT_EQ(x.in_flight, y.in_flight);
+        EXPECT_EQ(x.outstanding_tokens, y.outstanding_tokens);
+        EXPECT_EQ(x.accepting, y.accepting);
+        EXPECT_EQ(x.step_ewma_ms, y.step_ewma_ms);
+        EXPECT_EQ(x.expert_sig, y.expert_sig);
+        EXPECT_EQ(x.prefix_sig, y.prefix_sig);
+        EXPECT_EQ(x.prefill_pool, y.prefill_pool);
+      }
+    }
+  }
 }
 
 // --- Event-log gating (the perf-bugfix satellite) ---------------------------

@@ -76,21 +76,11 @@ TEST(Dispatch, EligibleSnapshotsFilterHealth) {
   // All healthy: the filter is the identity (the fault-free fast path).
   EXPECT_EQ(eligible_snapshots(all, inf).size(), 4u);
 
-  // Non-accepting replicas are excluded outright...
+  // Non-accepting replicas are excluded outright.
   all[1].accepting = false;
   auto out = eligible_snapshots(all, inf);
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[1].replica, 2u);  // order and indices preserved
-  // ...and a stale heartbeat is an exclusion too (an undetected death).
-  all[2].heartbeat_age_ms = 9.0;
-  out = eligible_snapshots(all, inf, /*stale_age_ms=*/6.0);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].replica, 0u);
-  EXPECT_EQ(out[1].replica, 3u);
-
-  // Warming replicas stay eligible: they accept and queue.
-  all[3].warming = true;
-  EXPECT_EQ(eligible_snapshots(all, inf, 6.0).size(), 2u);
 
   // The slow-EWMA cut drops outliers but never empties the set.
   std::vector<ReplicaSnapshot> fleet = snapshots({0, 0, 0}, {0, 0, 0});

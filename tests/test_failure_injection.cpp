@@ -2,12 +2,16 @@
 // exhaustion, misconfiguration, and corrupted wire data.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <string>
 
 #include "common/error.hpp"
 #include "core/engine.hpp"
 #include "core/load_balancer.hpp"
 #include "interconnect/instruction.hpp"
+#include "serve/fault.hpp"
 
 namespace monde::core {
 namespace {
@@ -185,6 +189,44 @@ TEST(FailureInjection, TuningWindowBoundedUnderManyLayers) {
   }
   EXPECT_TRUE(sched.timeline().validate().empty());
   EXPECT_GT(lb.alpha(), 0.0);
+}
+
+TEST(FailureInjection, HeartbeatAgeWithinTimeoutBeforeDetection) {
+  // The cluster drops a stale-heartbeat cut at dispatch because it can never
+  // fire: detections at or before a dispatch instant are processed first,
+  // and before its detection instant a replica's heartbeat age never exceeds
+  // the timeout -- for every valid health config, not just the default.
+  // Integer-nanosecond grids keep the double arithmetic exact.
+  for (const std::int64_t interval : {2, 8, 1'000, 2'000'000}) {
+    for (const std::int64_t timeout : {interval, interval * 3 / 2, interval * 3}) {
+      serve::HealthConfig cfg;
+      cfg.heartbeat_interval = Duration::nanos(static_cast<double>(interval));
+      cfg.heartbeat_timeout = Duration::nanos(static_cast<double>(timeout));
+      cfg.validate();
+      const std::int64_t step = std::max<std::int64_t>(1, interval / 8);
+      const auto age_at = [&](std::int64_t now, Duration fail_at) {
+        const Duration t = Duration::nanos(static_cast<double>(now));
+        return t - serve::last_ok_heartbeat(t, fail_at, cfg);
+      };
+      // Fail on a poll, between polls, and before the first poll.
+      for (const std::int64_t fail : {interval * 3, interval * 3 + interval / 2, interval / 2}) {
+        SCOPED_TRACE("interval=" + std::to_string(interval) + " timeout=" +
+                     std::to_string(timeout) + " fail_at=" + std::to_string(fail));
+        const Duration fail_at = Duration::nanos(static_cast<double>(fail));
+        const Duration detect = serve::failure_detection_time(fail_at, cfg);
+        const auto detect_ns = static_cast<std::int64_t>(detect.ns());
+        ASSERT_EQ(Duration::nanos(static_cast<double>(detect_ns)), detect);
+        for (std::int64_t now = 0; now < detect_ns; now += step) {
+          EXPECT_LE(age_at(now, fail_at), cfg.heartbeat_timeout) << "now=" << now;
+        }
+        EXPECT_LE(age_at(detect_ns - 1, fail_at), cfg.heartbeat_timeout);
+      }
+      // A replica that never fails is never older than one interval.
+      for (std::int64_t now = 0; now < interval * 6; now += step) {
+        EXPECT_LT(age_at(now, Duration::infinite()), cfg.heartbeat_interval) << "now=" << now;
+      }
+    }
+  }
 }
 
 }  // namespace

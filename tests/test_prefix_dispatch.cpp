@@ -1,7 +1,7 @@
 // Unit tests for the prefix-locality dispatch policies (serve/dispatch.hpp):
 // consistent-hash-ring determinism and bounded key movement for kPrefixHash,
 // holder-restricted power-of-two choices for kPrefixAffinity, the shared
-// load spill-over, and the eligible_snapshots() no-filter fast path.
+// load spill-over, and eligible_snapshots() on an all-healthy fleet.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -181,15 +181,13 @@ TEST(PrefixPolicies, NamesAndEmptySnapshotRejection) {
 bool same_snapshot(const ReplicaSnapshot& a, const ReplicaSnapshot& b) {
   return a.replica == b.replica && a.in_flight == b.in_flight &&
          a.outstanding_tokens == b.outstanding_tokens && a.accepting == b.accepting &&
-         a.warming == b.warming && a.heartbeat_age_ms == b.heartbeat_age_ms &&
          a.step_ewma_ms == b.step_ewma_ms && a.expert_sig == b.expert_sig &&
          a.prefix_sig == b.prefix_sig && a.prefill_pool == b.prefill_pool;
 }
 
 TEST(EligibleSnapshots, NoFilterFastPathMatchesElementWiseScan) {
-  // Regression pin for the bulk-copy fast path: an all-healthy fleet must
-  // come back exactly as it went in -- every field, every order -- with or
-  // without the slow-EWMA stage, exactly as the element-wise scan produced.
+  // An all-healthy fleet must come back exactly as it went in -- every
+  // field, every order -- with or without the slow-EWMA stage.
   const double inf = std::numeric_limits<double>::infinity();
   std::vector<ReplicaSnapshot> all;
   for (std::size_t i = 0; i < 5; ++i) {
@@ -204,15 +202,14 @@ TEST(EligibleSnapshots, NoFilterFastPathMatchesElementWiseScan) {
   for (std::size_t i = 0; i < all.size(); ++i) {
     EXPECT_TRUE(same_snapshot(out[i], all[i])) << "snapshot " << i;
   }
-  // With a finite factor the fast path feeds the same slow-EWMA stage: the
-  // outlier is still cut.
+  // With a finite factor the slow-EWMA stage still cuts the outlier.
   all[4].step_ewma_ms = 50.0;
   const auto cut = eligible_snapshots(all, 2.0);
   ASSERT_EQ(cut.size(), 4u);
   for (std::size_t i = 0; i < cut.size(); ++i) {
     EXPECT_TRUE(same_snapshot(cut[i], all[i])) << "snapshot " << i;
   }
-  // And a fleet that DOES need filtering still takes the element-wise path.
+  // And a non-accepting replica is dropped.
   all[0].accepting = false;
   const auto filtered = eligible_snapshots(all, inf);
   ASSERT_EQ(filtered.size(), 4u);
