@@ -5,12 +5,19 @@
 // The paper states H "sensitively affects performance" (Section 3.3); this
 // bench quantifies it: a full H sweep on one NLLB encoder layer, marking
 // the Equation-6 baseline (alpha = 1) and the tuner's pick.
+//
+//   ablation_h_sweep [--json <path>]
+//
+// --json writes the latency at H = 0, at Equation 6's H and at H = E_activ,
+// the sweep's best H, and the tuner's converged alpha and H: the budget
+// gate's pin on the tuner's answers for the paper's 128-expert NLLB layer.
 #include "bench_util.hpp"
 #include "common/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace monde;
   using core::StrategyKind;
+  const bench::BenchArgs args = bench::parse_bench_args(argc, argv);
   bench::banner("Ablation: H sweep", "MD+LB layer latency vs hot-expert count H");
 
   const auto sys = core::SystemConfig::dac24();
@@ -51,5 +58,15 @@ int main() {
   }
   std::printf("\nbest H in sweep: %d (%.2f ms); auto-tuner converged to alpha=%.2f -> H=%d\n",
               best_h, best, lb.alpha(), lb.last_h());
+
+  bench::BenchMetrics metrics{"ablation_h_sweep"};
+  metrics.add("latency_ms.h0", lb.evaluate_layer_with_h(work, 0).ms());
+  metrics.add("latency_ms.h_eq6", lb.evaluate_layer_with_h(work, h_eq6).ms());
+  metrics.add("latency_ms.h_all", lb.evaluate_layer_with_h(work, activated).ms());
+  metrics.add("h_eq6", h_eq6);
+  metrics.add("best_h", best_h);
+  metrics.add("tuned_alpha", lb.alpha());
+  metrics.add("tuned_last_h", lb.last_h());
+  metrics.write(args.json_path);
   return 0;
 }

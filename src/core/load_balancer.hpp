@@ -12,9 +12,15 @@
 // the paper breaks); it is auto-tuned by periodically re-evaluating recent
 // layers under candidate values and keeping the local optimum, mirroring
 // the paper's profiling-based tuner.
+//
+// The tuner's sweep is one pass per window layer: the layer's experts are
+// sorted by load once, when it enters the window; each distinct clamped H
+// is priced once; every what-if replays on one reused, non-recording
+// scratch schedule rewound to time zero.
 #pragma once
 
 #include <deque>
+#include <vector>
 
 #include "core/strategy.hpp"
 
@@ -37,11 +43,14 @@ class MondeLoadBalanced final : public Strategy {
   /// Unrounded Equation-6 value at alpha = 1 (used to invert H -> alpha).
   [[nodiscard]] double h_raw_equation6(const moe::MoeLayerWork& work) const;
 
-  /// Dry-run: latency of the layer under a fixed H on fresh, non-recording
-  /// streams. Side-effect free: the GPU expert cache is only peeked at.
+  /// Dry-run: latency of the layer under a fixed H >= 0 on streams that
+  /// start free at zero and record nothing. Side-effect free: the GPU
+  /// expert cache is only peeked at, and the scratch schedule it replays on
+  /// is rewound before every use. H above E_activ prices as H = E_activ.
   [[nodiscard]] Duration evaluate_layer_with_h(const moe::MoeLayerWork& work, int h);
 
-  /// Pin H (disables Equation 6 and tuning); pass -1 to restore auto mode.
+  /// Pin H (disables Equation 6 and tuning; the window keeps filling);
+  /// pass -1 to restore auto mode.
   void set_fixed_h(int h) { fixed_h_ = h; }
   /// Pin alpha and disable the auto-tuner.
   void set_alpha(double alpha, bool keep_tuning = false);
@@ -61,10 +70,25 @@ class MondeLoadBalanced final : public Strategy {
   std::size_t tune_window = 4;
 
  private:
-  /// `what_if` leaves the expert cache untouched (see place_pmove_pipeline).
-  MoeLayerResult schedule_layer(const moe::MoeLayerWork& work, int h,
+  /// A routed layer prepared once for scheduling and tuning.
+  struct PreparedLayer {
+    moe::MoeLayerWork work;
+    std::vector<ExpertLoad> by_load;  ///< activated_by_load(work)
+    double h_raw = 0.0;               ///< h_raw_equation6(work)
+
+    /// h_from_equation6(work, alpha) without re-counting the experts.
+    [[nodiscard]] int h_at(double alpha) const;
+  };
+
+  /// Hot prefix `by_load[0, h)` on the GPU, the rest on MoNDE. `what_if`
+  /// leaves the expert cache untouched (see place_pmove_pipeline).
+  MoeLayerResult schedule_layer(const moe::MoeLayerWork& work,
+                                std::span<const ExpertLoad> by_load, int h,
                                 sim::StreamSchedule& sched, const HwStreams& hw,
                                 Duration ready, bool what_if);
+  /// Latency under H on the rewound scratch schedule.
+  Duration what_if_latency(const moe::MoeLayerWork& work, std::span<const ExpertLoad> by_load,
+                           int h);
   void maybe_retune();
 
   double alpha_ = 1.0;
@@ -72,9 +96,11 @@ class MondeLoadBalanced final : public Strategy {
   int fixed_h_ = -1;
   int last_h_ = -1;
   int layers_seen_ = 0;
-  std::deque<moe::MoeLayerWork> window_;
+  std::deque<PreparedLayer> window_;
   Bandwidth profiled_pcie_;   ///< zero = use specification
   Bandwidth profiled_monde_;  ///< zero = use specification
+  sim::StreamSchedule scratch_{sim::Recording::kOff};  ///< every what-if's streams
+  HwStreams scratch_hw_;
 };
 
 }  // namespace monde::core

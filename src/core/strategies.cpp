@@ -1,4 +1,6 @@
 #include <algorithm>
+#include <array>
+#include <iterator>
 
 #include "common/error.hpp"
 #include "core/load_balancer.hpp"
@@ -6,20 +8,21 @@
 
 namespace monde::core {
 
-namespace {
+using ExpertList = std::vector<ExpertLoad>;
 
-using ExpertList = std::vector<std::pair<std::size_t, std::uint64_t>>;
-
-/// Activated experts of a layer in descending-load order.
 ExpertList activated_by_load(const moe::MoeLayerWork& work) {
+  // Collect in index order, then stable-sort: ties keep ascending index,
+  // exactly as experts_by_load() orders them, without sorting the zeros.
   ExpertList out;
-  for (std::size_t e : work.experts_by_load()) {
-    const std::uint64_t tok = work.tokens_per_expert[e];
-    if (tok == 0) break;  // sorted descending; the rest are zero
-    out.emplace_back(e, tok);
+  for (std::size_t e = 0; e < work.tokens_per_expert.size(); ++e) {
+    if (const std::uint64_t tok = work.tokens_per_expert[e]; tok > 0) out.emplace_back(e, tok);
   }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const ExpertLoad& a, const ExpertLoad& b) { return a.second > b.second; });
   return out;
 }
+
+namespace {
 
 /// Lazy per-expert label "<what> E<e> (<tok> tok)": formatted only when
 /// the schedule records (sim::StreamSchedule::place's lazy overload).
@@ -83,7 +86,7 @@ Duration Strategy::place_gating(const moe::MoeLayerWork& work, sim::StreamSchedu
                                 MoeLayerResult& result) const {
   const Duration t = ctx_.xformer->gating_time(work.total_tokens, ctx_.model->num_experts,
                                                ctx_.model->dmodel);
-  const auto iv = sched.place(hw.gpu, ready, t, "gating", "gating");
+  const auto iv = sched.place(hw.gpu, ready, t, [] { return std::string{"gating"}; }, "gating");
   result.gating += t;
   return iv.end;
 }
@@ -92,12 +95,13 @@ Duration Strategy::place_combine(const moe::MoeLayerWork& work, sim::StreamSched
                                  const HwStreams& hw, Duration ready,
                                  MoeLayerResult& result) const {
   const Duration t = ctx_.xformer->combine_time(work.total_tokens, ctx_.model->dmodel);
-  const auto iv = sched.place(hw.gpu, ready, t, "combine", "combine");
+  const auto iv =
+      sched.place(hw.gpu, ready, t, [] { return std::string{"combine"}; }, "combine");
   result.combine += t;
   return iv.end;
 }
 
-Duration Strategy::place_pmove_pipeline(const ExpertList& experts, int layer_id,
+Duration Strategy::place_pmove_pipeline(std::span<const ExpertLoad> experts, int layer_id,
                                         sim::StreamSchedule& sched, const HwStreams& hw,
                                         Duration ready, sim::StreamId gpu_stream,
                                         MoeLayerResult& result, bool what_if) {
@@ -136,30 +140,23 @@ Duration Strategy::place_pmove_pipeline(const ExpertList& experts, int layer_id,
   return last_end;
 }
 
-std::vector<ExpertList> Strategy::round_robin_devices(const ExpertList& experts) const {
-  const std::size_t n = ctx_.devices.size();
-  MONDE_REQUIRE(n > 0, "strategy needs MoNDE devices");
-  std::vector<ExpertList> per_device(n);
-  for (std::size_t i = 0; i < experts.size(); ++i) {
-    per_device[i % n].push_back(experts[i]);
-  }
-  return per_device;
-}
-
-Duration Strategy::place_ndp_batch(const std::vector<ExpertList>& per_device,
+Duration Strategy::place_ndp_batch(std::span<const ExpertLoad> experts,
                                    sim::StreamSchedule& sched, const HwStreams& hw,
                                    Duration ready, MoeLayerResult& result) const {
-  MONDE_REQUIRE(per_device.size() <= hw.ndp.size(), "more device lists than NDP streams");
+  const std::size_t n = ctx_.devices.size();
+  MONDE_REQUIRE(n > 0, "strategy needs MoNDE devices");
+  MONDE_REQUIRE(n <= hw.ndp.size(), "more MoNDE devices than NDP streams");
   Duration all_end = ready;
   const Bytes instr{64};
-  for (std::size_t d = 0; d < per_device.size(); ++d) {
-    const ExpertList& experts = per_device[d];
-    if (experts.empty()) continue;
-
+  // Device d runs experts d, d + n, d + 2n, ...: round-robin in load order.
+  const auto dealt_to = [&](std::size_t d, const auto& fn) {
+    for (std::size_t i = d; i < experts.size(); i += n) fn(experts[i].first, experts[i].second);
+  };
+  for (std::size_t d = 0; d < std::min(n, experts.size()); ++d) {
     // AMove input: all routed activations for this device's experts in one
     // DMA (G->M direction).
     std::uint64_t routed = 0;
-    for (const auto& [e, tok] : experts) routed += tok;
+    dealt_to(d, [&](std::size_t, std::uint64_t tok) { routed += tok; });
     const Bytes in_bytes = ctx_.activation_bytes(routed);
     const auto am =
         sched.place(hw.pcie_g2m, ready, ctx_.sys->pcie.transfer_time(in_bytes),
@@ -175,7 +172,7 @@ Duration Strategy::place_ndp_batch(const std::vector<ExpertList>& per_device,
         ctx_.sys->offload_dispatch_overhead + ctx_.sys->cxl.message_time(instr) * 2.0;
 
     Duration kernel_ready = am.end;
-    for (const auto& [e, tok] : experts) {
+    dealt_to(d, [&](std::size_t e, std::uint64_t tok) {
       const auto disp = sched.place(hw.host, ready, per_dispatch,
                                     ExpertLabel{"offload", e, tok}, "driver");
       const auto kr = ctx_.devices[d]->expert_latency(
@@ -195,7 +192,7 @@ Duration Strategy::place_ndp_batch(const std::vector<ExpertList>& per_device,
       result.amove_bytes += out_bytes;
       all_end = max(all_end, out.end);
       ++result.experts_ndp;
-    }
+    });
   }
   return all_end;
 }
@@ -263,8 +260,8 @@ class MondeAmove final : public Strategy {
     MoeLayerResult r;
     r.start = ready;
     const Duration gate_end = place_gating(work, sched, hw, ready, r);
-    const auto per_device = round_robin_devices(activated_by_load(work));
-    const Duration experts_end = place_ndp_batch(per_device, sched, hw, gate_end, r);
+    const Duration experts_end =
+        place_ndp_batch(activated_by_load(work), sched, hw, gate_end, r);
     r.end = place_combine(work, sched, hw, experts_end, r);
     return r;
   }
@@ -395,7 +392,8 @@ class MultiGpu final : public Strategy {
 
 // --- MD+LB ---------------------------------------------------------------------
 
-MondeLoadBalanced::MondeLoadBalanced(StrategyContext ctx) : Strategy{std::move(ctx)} {
+MondeLoadBalanced::MondeLoadBalanced(StrategyContext ctx)
+    : Strategy{std::move(ctx)}, scratch_hw_{HwStreams::create(scratch_, *ctx_.sys)} {
   MONDE_REQUIRE(!ctx_.devices.empty(), "MD+LB needs at least one MoNDE device");
 }
 
@@ -412,18 +410,33 @@ double MondeLoadBalanced::h_raw_equation6(const moe::MoeLayerWork& work) const {
   return bw_pcie / (bw_md + bw_pcie) * activ;
 }
 
+namespace {
+
+/// Equation 6 at `alpha` from its unrounded alpha = 1 value, clamped to
+/// [0, E_activ].
+int h_from_raw(double alpha, double h_raw, std::int64_t activated) {
+  const double h = alpha * h_raw;
+  return static_cast<int>(std::clamp(std::llround(h), 0LL, static_cast<long long>(activated)));
+}
+
+}  // namespace
+
 int MondeLoadBalanced::h_from_equation6(const moe::MoeLayerWork& work, double alpha) const {
-  const double activ = static_cast<double>(work.activated_experts());
-  const double h = alpha * h_raw_equation6(work);
-  return static_cast<int>(std::clamp(std::llround(h), 0LL, static_cast<long long>(activ)));
+  return h_from_raw(alpha, h_raw_equation6(work), work.activated_experts());
+}
+
+int MondeLoadBalanced::PreparedLayer::h_at(double alpha) const {
+  return h_from_raw(alpha, h_raw, static_cast<std::int64_t>(by_load.size()));
 }
 
 void MondeLoadBalanced::set_profiled_bandwidths(Bandwidth pcie, Bandwidth monde) {
   profiled_pcie_ = pcie;
   profiled_monde_ = monde;
+  for (PreparedLayer& w : window_) w.h_raw = h_raw_equation6(w.work);
 }
 
-MoeLayerResult MondeLoadBalanced::schedule_layer(const moe::MoeLayerWork& work, int h,
+MoeLayerResult MondeLoadBalanced::schedule_layer(const moe::MoeLayerWork& work,
+                                                 std::span<const ExpertLoad> by_load, int h,
                                                  sim::StreamSchedule& sched,
                                                  const HwStreams& hw, Duration ready,
                                                  bool what_if) {
@@ -432,31 +445,30 @@ MoeLayerResult MondeLoadBalanced::schedule_layer(const moe::MoeLayerWork& work, 
   r.h_value = h;
   const Duration gate_end = place_gating(work, sched, hw, ready, r);
 
-  const ExpertList all = activated_by_load(work);
-  const auto h_sz = static_cast<std::size_t>(std::min<std::int64_t>(
-      h, static_cast<std::int64_t>(all.size())));
-  const ExpertList hot{all.begin(), all.begin() + static_cast<std::ptrdiff_t>(h_sz)};
-  const ExpertList cold{all.begin() + static_cast<std::ptrdiff_t>(h_sz), all.end()};
+  const std::size_t h_sz = std::min(static_cast<std::size_t>(h), by_load.size());
 
   // The GPU workflow (PMove + GPU GEMMs) and the MoNDE workflow (AMove +
   // NDP) run concurrently (Equation 3); both begin once gating resolves.
-  const Duration gpu_end =
-      place_pmove_pipeline(hot, work.layer_id, sched, hw, gate_end, hw.gpu, r, what_if);
-  Duration ndp_end = gate_end;
-  if (!cold.empty()) {
-    ndp_end = place_ndp_batch(round_robin_devices(cold), sched, hw, gate_end, r);
-  }
+  const Duration gpu_end = place_pmove_pipeline(by_load.first(h_sz), work.layer_id, sched, hw,
+                                                gate_end, hw.gpu, r, what_if);
+  const Duration ndp_end = place_ndp_batch(by_load.subspan(h_sz), sched, hw, gate_end, r);
   r.end = place_combine(work, sched, hw, max(gpu_end, ndp_end), r);
   return r;
 }
 
+Duration MondeLoadBalanced::what_if_latency(const moe::MoeLayerWork& work,
+                                            std::span<const ExpertLoad> by_load, int h) {
+  // A what-if replays the same placements a fresh schedule would see, so
+  // rewinding the one scratch schedule gives the same latency.
+  scratch_.rewind();
+  return schedule_layer(work, by_load, h, scratch_, scratch_hw_, Duration::zero(),
+                        /*what_if=*/true)
+      .latency();
+}
+
 Duration MondeLoadBalanced::evaluate_layer_with_h(const moe::MoeLayerWork& work, int h) {
-  // Nobody reads a what-if's intervals, so its scratch schedule records none.
-  sim::StreamSchedule scratch{sim::Recording::kOff};
-  const HwStreams hw = HwStreams::create(scratch, *ctx_.sys);
-  const MoeLayerResult r =
-      schedule_layer(work, h, scratch, hw, Duration::zero(), /*what_if=*/true);
-  return r.latency();
+  MONDE_REQUIRE(h >= 0, "H must be non-negative, got " << h);
+  return what_if_latency(work, activated_by_load(work), h);
 }
 
 void MondeLoadBalanced::set_alpha(double alpha, bool keep_tuning) {
@@ -471,23 +483,35 @@ void MondeLoadBalanced::maybe_retune() {
   // alpha's choice on recent layers; adopt the alpha that realizes the best
   // average latency. Offsets map back to alpha via the mean Equation-6 H.
   static constexpr int kOffsets[] = {-4, -2, -1, 0, 1, 2, 4, 8, 16, 32};
-  double best_alpha = alpha_;
-  Duration best = Duration::infinite();
-  for (const int off : kOffsets) {
-    Duration total = Duration::zero();
-    double alpha_sum = 0.0;
-    for (const auto& w : window_) {
-      const int base = h_from_equation6(w, alpha_);
-      const int h = std::max(0, base + off);
-      total += evaluate_layer_with_h(w, h);
+  constexpr std::size_t kCandidates = std::size(kOffsets);
+  // Per-offset sums, each accumulated in window order.
+  std::array<Duration, kCandidates> total{};
+  std::array<double, kCandidates> alpha_sum{};
+  for (const PreparedLayer& w : window_) {
+    const int base = w.h_at(alpha_);
+    const int activated = static_cast<int>(w.by_load.size());
+    // Offsets ascend, so the clamped H never decreases and repeats are
+    // adjacent: price each distinct H once.
+    int priced_h = -1;
+    Duration latency = Duration::zero();
+    for (std::size_t k = 0; k < kCandidates; ++k) {
+      const int h = std::max(0, base + kOffsets[k]);
+      if (const int h_eff = std::min(h, activated); h_eff != priced_h) {
+        latency = what_if_latency(w.work, w.by_load, h_eff);
+        priced_h = h_eff;
+      }
+      total[k] += latency;
       // Invert through the *unrounded* Equation-6 value so the adopted
       // alpha reproduces exactly this H after rounding.
-      const double h0 = h_raw_equation6(w);
-      alpha_sum += h0 > 0.0 ? static_cast<double>(h) / h0 : alpha_;
+      alpha_sum[k] += w.h_raw > 0.0 ? static_cast<double>(h) / w.h_raw : alpha_;
     }
-    if (total < best) {
-      best = total;
-      best_alpha = std::max(0.05, alpha_sum / static_cast<double>(window_.size()));
+  }
+  double best_alpha = alpha_;
+  Duration best = Duration::infinite();
+  for (std::size_t k = 0; k < kCandidates; ++k) {
+    if (total[k] < best) {
+      best = total[k];
+      best_alpha = std::max(0.05, alpha_sum[k] / static_cast<double>(window_.size()));
     }
   }
   alpha_ = best_alpha;
@@ -496,24 +520,28 @@ void MondeLoadBalanced::maybe_retune() {
 MoeLayerResult MondeLoadBalanced::run_layer(const moe::MoeLayerWork& work,
                                             sim::StreamSchedule& sched, const HwStreams& hw,
                                             Duration ready) {
+  // Sort once: the tuner window and this layer's schedule share the list.
+  PreparedLayer layer{work, activated_by_load(work), h_raw_equation6(work)};
   // The paper tunes alpha by "periodically running profiled inference on a
   // small set of past input batches". Mirror that: on a cold start, profile
   // the current layer before committing (alpha = 1 can be pathologically
   // wrong when the hottest experts are strongly compute-bound -- the exact
   // case alpha exists for); retune every early layer, then back off to the
-  // periodic schedule.
-  if (autotune_) {
-    if (window_.empty()) window_.push_back(work);
+  // periodic schedule. A pinned H needs no alpha, so it skips the tuner.
+  if (autotune_ && fixed_h_ < 0) {
+    if (window_.empty()) window_.push_back(layer);
     const bool warmup = layers_seen_ < 4;
     if (warmup || layers_seen_ % tune_period == 0) maybe_retune();
   }
   ++layers_seen_;
-  window_.push_back(work);
-  while (window_.size() > tune_window) window_.pop_front();
 
-  const int h = fixed_h_ >= 0 ? fixed_h_ : h_from_equation6(work, alpha_);
+  const int h = fixed_h_ >= 0 ? fixed_h_ : layer.h_at(alpha_);
   last_h_ = h;
-  return schedule_layer(work, h, sched, hw, ready, /*what_if=*/false);
+  const MoeLayerResult r =
+      schedule_layer(work, layer.by_load, h, sched, hw, ready, /*what_if=*/false);
+  window_.push_back(std::move(layer));
+  while (window_.size() > tune_window) window_.pop_front();
+  return r;
 }
 
 std::unique_ptr<Strategy> make_strategy(StrategyKind kind, StrategyContext ctx) {

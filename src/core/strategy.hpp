@@ -17,7 +17,9 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "compute/cpu.hpp"
@@ -31,6 +33,14 @@
 #include "sim/timeline.hpp"
 
 namespace monde::core {
+
+/// (expert index, routed tokens) for one activated expert of a layer.
+using ExpertLoad = std::pair<std::size_t, std::uint64_t>;
+
+/// The experts of `work` with at least one routed token, in descending-load
+/// order (ties keep ascending expert index): experts_by_load() without its
+/// zero-token tail.
+[[nodiscard]] std::vector<ExpertLoad> activated_by_load(const moe::MoeLayerWork& work);
 
 /// Stream handles shared by the engine and strategies.
 struct HwStreams {
@@ -124,23 +134,18 @@ class Strategy {
   /// `layer_id` keys the optional GPU expert cache (transfers are skipped
   /// for cache-resident experts). A `what_if` placement only peeks at the
   /// cache (contains()): no recency refresh, no insert, no hit/miss count.
-  Duration place_pmove_pipeline(const std::vector<std::pair<std::size_t, std::uint64_t>>& experts,
-                                int layer_id, sim::StreamSchedule& sched, const HwStreams& hw,
+  Duration place_pmove_pipeline(std::span<const ExpertLoad> experts, int layer_id,
+                                sim::StreamSchedule& sched, const HwStreams& hw,
                                 Duration ready, sim::StreamId gpu_stream,
                                 MoeLayerResult& result, bool what_if = false);
 
-  /// AMove + NDP batch: ship activations to each device, run its experts
+  /// AMove + NDP batch: deal `experts` (sorted by descending load)
+  /// round-robin across the configured MoNDE devices (paper Section 3.3,
+  /// multi-device), then per device ship the activations, run its experts
   /// sequentially on the NDP, and retrieve outputs as kernels complete.
-  /// `per_device[i]` lists (expert index, tokens) for device i.
-  Duration place_ndp_batch(
-      const std::vector<std::vector<std::pair<std::size_t, std::uint64_t>>>& per_device,
-      sim::StreamSchedule& sched, const HwStreams& hw, Duration ready,
-      MoeLayerResult& result) const;
-
-  /// Distribute experts (already sorted by descending load) round-robin
-  /// across the configured MoNDE devices (paper Section 3.3, multi-device).
-  [[nodiscard]] std::vector<std::vector<std::pair<std::size_t, std::uint64_t>>>
-  round_robin_devices(const std::vector<std::pair<std::size_t, std::uint64_t>>& experts) const;
+  Duration place_ndp_batch(std::span<const ExpertLoad> experts, sim::StreamSchedule& sched,
+                           const HwStreams& hw, Duration ready,
+                           MoeLayerResult& result) const;
 
  public:
   /// The GPU expert cache, when SystemConfig::gpu_expert_cache_bytes > 0

@@ -154,4 +154,10 @@ void StreamSchedule::block_until(StreamId stream, Duration when) {
   free_[stream.index] = max(free_[stream.index], when);
 }
 
+void StreamSchedule::rewind() {
+  std::fill(free_.begin(), free_.end(), Duration::zero());
+  makespan_ = Duration::zero();
+  timeline_ = Timeline{};
+}
+
 }  // namespace monde::sim

@@ -11,8 +11,8 @@
 // keeps every placed interval with its label; that is the Figure 5 trace
 // the encoder/decoder runs, fig5 and the energy model read. A
 // non-recording schedule only advances stream free times and the makespan:
-// the serving layer's long-lived replicas and the MD+LB tuner's what-if
-// schedules use it, since nobody reads their intervals. Labels may be
+// the serving layer's long-lived replicas and the MD+LB tuner's reused
+// what-if schedule use it, since nobody reads their intervals. Labels may be
 // passed lazily (any callable returning std::string), so a non-recording
 // schedule never formats them.
 #pragma once
@@ -120,6 +120,11 @@ class StreamSchedule {
 
   /// Advance a stream's free time without recording (e.g. blocking waits).
   void block_until(StreamId stream, Duration when);
+
+  /// Back to the state of a fresh schedule with the same streams: every
+  /// stream free at zero, makespan zero, no recorded intervals. Lets a
+  /// what-if reuse one schedule instead of registering its streams anew.
+  void rewind();
 
   [[nodiscard]] const Timeline& timeline() const { return timeline_; }
   [[nodiscard]] Timeline& timeline() { return timeline_; }

@@ -2,13 +2,19 @@
 // generation, execution strategies, load balancing, and the engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <memory>
+#include <tuple>
+#include <vector>
 
 #include "common/error.hpp"
 #include "core/engine.hpp"
 #include "core/load_balancer.hpp"
+#include "core/monde_device.hpp"
 #include "core/strategy.hpp"
 #include "interconnect/instruction.hpp"
+#include "moe/workload.hpp"
 
 namespace monde::core {
 namespace {
@@ -324,6 +330,97 @@ TEST_F(StrategyTest, AutotunerAdjustsAlpha) {
   EXPECT_NE(lb.alpha(), alpha0);
 }
 
+TEST_F(StrategyTest, FixedHSkipsTheTuner) {
+  // The same 12 layers that move alpha in AutotunerAdjustsAlpha leave it
+  // at 1.0 while H is pinned: a pinned H needs no alpha.
+  MondeLoadBalanced lb{ctx()};
+  lb.set_fixed_h(2);
+  sim::StreamSchedule sched;
+  const HwStreams hw = HwStreams::create(sched, sys_);
+  Duration t = Duration::zero();
+  for (int i = 0; i < 12; ++i) {
+    const auto r = lb.run_layer(routed_work(256), sched, hw, t);
+    EXPECT_EQ(r.h_value, 2);
+    EXPECT_EQ(lb.alpha(), 1.0);
+    t = r.end;
+  }
+}
+
+TEST_F(StrategyTest, EvaluateLayerWithHIsPure) {
+  // What-ifs interleaved with live layers price exactly like a fresh
+  // strategy's what-if and like a pinned-H layer on a fresh schedule; any
+  // H above E_activ prices as H = E_activ.
+  moe::WorkloadGenerator gen{model_, moe::SkewProfile::switch_like(), 7};
+  std::vector<moe::MoeLayerWork> works = gen.encoder_pass(2, 64).moe_layers;
+  for (const moe::DecoderStep& step : gen.decoder_steps(4, 4)) {
+    works.insert(works.end(), step.moe_layers.begin(), step.moe_layers.end());
+  }
+  MondeLoadBalanced lb{ctx()};
+  sim::StreamSchedule sched;
+  const HwStreams hw = HwStreams::create(sched, sys_);
+  Duration t = Duration::zero();
+  for (const moe::MoeLayerWork& w : works) {
+    const int activated = static_cast<int>(w.activated_experts());
+    for (const int h : {activated, 0, activated + 3, activated / 2, 1000, 1}) {
+      SCOPED_TRACE(h);
+      const Duration got = lb.evaluate_layer_with_h(w, h);
+      MondeLoadBalanced fresh{ctx()};
+      EXPECT_EQ(got.ns(), fresh.evaluate_layer_with_h(w, h).ns());
+      if (h > activated) {
+        EXPECT_EQ(got.ns(), lb.evaluate_layer_with_h(w, activated).ns());
+      }
+
+      MondeLoadBalanced pinned{ctx()};
+      pinned.set_fixed_h(h);
+      sim::StreamSchedule fresh_sched;
+      const HwStreams fresh_hw = HwStreams::create(fresh_sched, sys_);
+      EXPECT_EQ(got.ns(), pinned.run_layer(w, fresh_sched, fresh_hw, Duration::zero())
+                              .latency()
+                              .ns());
+    }
+    t = lb.run_layer(w, sched, hw, t).end;
+  }
+  EXPECT_THROW((void)lb.evaluate_layer_with_h(works.front(), -1), Error);
+}
+
+TEST(ActivatedByLoad, MatchesExpertsByLoadWithoutZeros) {
+  // Ties keep ascending expert index, as experts_by_load()'s stable sort
+  // orders them; zero-token experts are dropped.
+  const auto expect_matches = [](const moe::MoeLayerWork& work) {
+    std::vector<ExpertLoad> want;
+    for (const std::size_t e : work.experts_by_load()) {
+      if (work.tokens_per_expert[e] == 0) break;
+      want.emplace_back(e, work.tokens_per_expert[e]);
+    }
+    EXPECT_EQ(activated_by_load(work), want);
+    EXPECT_EQ(static_cast<std::int64_t>(want.size()), work.activated_experts());
+  };
+  moe::MoeLayerWork ties;
+  ties.tokens_per_expert = {3, 0, 5, 3, 0, 5, 1, 3};
+  expect_matches(ties);
+  EXPECT_EQ(activated_by_load(ties),
+            (std::vector<ExpertLoad>{{2, 5}, {5, 5}, {0, 3}, {3, 3}, {7, 3}, {6, 1}}));
+
+  for (const std::int64_t experts : {16, 128}) {
+    SCOPED_TRACE(experts);
+    const moe::MoeModelConfig model = moe::MoeModelConfig::switch_variant(512, experts);
+    moe::WorkloadGenerator gen{model, moe::SkewProfile::switch_like(), 42};
+    int with_ties = 0;
+    const auto check = [&](const moe::MoeLayerWork& w) {
+      expect_matches(w);
+      const std::vector<ExpertLoad> got = activated_by_load(w);
+      for (std::size_t i = 1; i < got.size(); ++i) {
+        with_ties += got[i].second == got[i - 1].second ? 1 : 0;
+      }
+    };
+    for (const moe::MoeLayerWork& w : gen.encoder_pass(2, 64).moe_layers) check(w);
+    for (const moe::DecoderStep& step : gen.decoder_steps(4, 3)) {
+      for (const moe::MoeLayerWork& w : step.moe_layers) check(w);
+    }
+    EXPECT_GT(with_ties, 0);  // the routed works exercise count ties too
+  }
+}
+
 TEST_F(StrategyTest, MultiGpuRequiresTwoGpus) {
   EXPECT_THROW(make_strategy(StrategyKind::kMultiGpu, ctx()), Error);
 }
@@ -410,6 +507,194 @@ TEST_F(StrategyTest, RecordingOffIsAnswerNeutral) {
     EXPECT_TRUE(off.timeline().intervals().empty());
   }
 }
+
+// --- Alpha tuner differential ------------------------------------------------------
+//
+// MondeLoadBalanced's one-pass sweep (sort once per layer, price each
+// distinct H once, one rewound scratch schedule) against a test-local
+// reference of the per-offset loop it replaced, which prices every
+// (offset, window layer) pair with its own evaluate_layer_with_h call and
+// recomputes Equation 6 from the work each time. Both run the same encoder
+// and decoder layers side by side; alpha, last H and every MoeLayerResult
+// field must agree bit for bit after each layer.
+
+/// The tuner as a per-offset loop. The live layer runs on a
+/// MondeLoadBalanced pinned to the H this reference picks; a pinned H runs
+/// no tuner of its own, and the pinned strategy's expert cache sees the
+/// same live layers as the tuned one's.
+class ReferenceTuner {
+ public:
+  explicit ReferenceTuner(StrategyContext ctx) : lb_{std::move(ctx)} {}
+
+  MoeLayerResult run_layer(const moe::MoeLayerWork& work, sim::StreamSchedule& sched,
+                           const HwStreams& hw, Duration ready) {
+    if (window_.empty()) window_.push_back(work);
+    const bool warmup = layers_seen_ < 4;
+    if (warmup || layers_seen_ % lb_.tune_period == 0) retune();
+    ++layers_seen_;
+    window_.push_back(work);
+    while (window_.size() > lb_.tune_window) window_.pop_front();
+    last_h_ = lb_.h_from_equation6(work, alpha_);
+    lb_.set_fixed_h(last_h_);
+    return lb_.run_layer(work, sched, hw, ready);
+  }
+
+  void set_profiled_bandwidths(Bandwidth pcie, Bandwidth monde) {
+    lb_.set_profiled_bandwidths(pcie, monde);
+  }
+  [[nodiscard]] double alpha() const { return alpha_; }
+  [[nodiscard]] int last_h() const { return last_h_; }
+
+ private:
+  void retune() {
+    static constexpr int kOffsets[] = {-4, -2, -1, 0, 1, 2, 4, 8, 16, 32};
+    double best_alpha = alpha_;
+    Duration best = Duration::infinite();
+    for (const int off : kOffsets) {
+      Duration total = Duration::zero();
+      double alpha_sum = 0.0;
+      for (const moe::MoeLayerWork& w : window_) {
+        const int h = std::max(0, lb_.h_from_equation6(w, alpha_) + off);
+        total += lb_.evaluate_layer_with_h(w, h);
+        const double h0 = lb_.h_raw_equation6(w);
+        alpha_sum += h0 > 0.0 ? static_cast<double>(h) / h0 : alpha_;
+      }
+      if (total < best) {
+        best = total;
+        best_alpha = std::max(0.05, alpha_sum / static_cast<double>(window_.size()));
+      }
+    }
+    alpha_ = best_alpha;
+  }
+
+  MondeLoadBalanced lb_;
+  std::deque<moe::MoeLayerWork> window_;
+  double alpha_ = 1.0;
+  int last_h_ = -1;
+  int layers_seen_ = 0;
+};
+
+/// One platform: `devices` MoNDE devices sharing one NDP simulator, with
+/// or without a GPU expert cache.
+struct Platform {
+  Platform(const moe::MoeModelConfig& m, int devices, bool cache,
+           const std::shared_ptr<ndp::NdpCoreSim>& sim)
+      : sys{SystemConfig::dac24()}, model{m}, gpu{sys.gpu}, cpu{sys.cpu},
+        xformer{gpu, model.dtype} {
+    sys.num_monde_devices = devices;
+    if (cache) sys.gpu_expert_cache_bytes = model.expert_bytes() * 48;
+    for (int d = 0; d < devices; ++d) {
+      device_list.push_back(std::make_unique<MondeDevice>(d, sim));
+      device_list.back()->place_model(model, devices);
+    }
+  }
+
+  StrategyContext ctx() {
+    StrategyContext c;
+    c.sys = &sys;
+    c.model = &model;
+    c.gpu = &gpu;
+    c.cpu = &cpu;
+    c.xformer = &xformer;
+    for (auto& d : device_list) c.devices.push_back(d.get());
+    return c;
+  }
+
+  SystemConfig sys;
+  moe::MoeModelConfig model;
+  compute::GpuModel gpu;
+  compute::CpuModel cpu;
+  compute::TransformerCostModel xformer;
+  std::vector<std::unique_ptr<MondeDevice>> device_list;
+};
+
+moe::MoeModelConfig tuner_model(std::int64_t experts) {
+  moe::MoeModelConfig m = moe::MoeModelConfig::switch_variant(512, experts);
+  m.encoder_blocks = 8;
+  m.decoder_blocks = 8;
+  m.moe_every = 2;  // 4 encoder + 4 decoder MoE layers
+  m.vocab_size = 8192;
+  m.top_k = 2;
+  m.name = "tuner-diff-model";
+  return m;
+}
+
+/// Encoder passes and decoder steps of several shapes, interleaved as a
+/// serving replica would see them: 88 MoE layers. The large encoder passes
+/// make the tuner put hot experts on the GPU, so the cache fills.
+std::vector<moe::MoeLayerWork> layer_stream(const moe::MoeModelConfig& model) {
+  moe::WorkloadGenerator gen{model, moe::SkewProfile::switch_like(), 42};
+  std::vector<moe::MoeLayerWork> works;
+  const auto add_encoder = [&](std::int64_t batch, std::int64_t seq) {
+    const auto layers = gen.encoder_pass(batch, seq).moe_layers;
+    works.insert(works.end(), layers.begin(), layers.end());
+  };
+  const auto add_decoder = [&](std::int64_t batch, std::int64_t steps) {
+    for (const moe::DecoderStep& step : gen.decoder_steps(batch, steps)) {
+      works.insert(works.end(), step.moe_layers.begin(), step.moe_layers.end());
+    }
+  };
+  add_encoder(2, 64);
+  add_decoder(4, 8);
+  add_encoder(8, 256);
+  add_decoder(8, 6);
+  add_encoder(32, 512);
+  add_decoder(1, 4);
+  add_encoder(32, 512);
+  return works;
+}
+
+class TunerDiff : public ::testing::TestWithParam<std::tuple<std::int64_t, int, bool>> {};
+
+TEST_P(TunerDiff, OnePassSweepMatchesPerOffsetLoop) {
+  const auto [experts, devices, cache] = GetParam();
+  const moe::MoeModelConfig model = tuner_model(experts);
+  const SystemConfig sys = SystemConfig::dac24();
+  // One simulator for every instantiation, so expert shapes memoize.
+  static const auto ndp_sim = std::make_shared<ndp::NdpCoreSim>(sys.ndp, sys.monde_mem);
+  Platform platform{model, devices, cache, ndp_sim};
+
+  MondeLoadBalanced tuned{platform.ctx()};
+  ReferenceTuner reference{platform.ctx()};
+  sim::StreamSchedule sched_tuned{sim::Recording::kOff};
+  sim::StreamSchedule sched_reference{sim::Recording::kOff};
+  const HwStreams hw_tuned = HwStreams::create(sched_tuned, platform.sys);
+  const HwStreams hw_reference = HwStreams::create(sched_reference, platform.sys);
+
+  const std::vector<moe::MoeLayerWork> works = layer_stream(model);
+  ASSERT_GE(works.size(), 64u);
+  Duration ready = Duration::zero();
+  bool alpha_moved = false;
+  for (std::size_t i = 0; i < works.size(); ++i) {
+    SCOPED_TRACE(i);
+    if (i == works.size() / 2) {
+      // Profiled bandwidths change Equation 6 for the layers already in
+      // the window too.
+      tuned.set_profiled_bandwidths(Bandwidth::gbps(20.0), Bandwidth::gbps(40.0));
+      reference.set_profiled_bandwidths(Bandwidth::gbps(20.0), Bandwidth::gbps(40.0));
+    }
+    const MoeLayerResult a = tuned.run_layer(works[i], sched_tuned, hw_tuned, ready);
+    const MoeLayerResult b =
+        reference.run_layer(works[i], sched_reference, hw_reference, ready);
+    expect_same_result(a, b);
+    ASSERT_EQ(tuned.alpha(), reference.alpha());
+    ASSERT_EQ(tuned.last_h(), reference.last_h());
+    EXPECT_EQ(sched_tuned.makespan().ns(), sched_reference.makespan().ns());
+    alpha_moved = alpha_moved || tuned.alpha() != 1.0;
+    ready = a.end;
+  }
+  EXPECT_TRUE(alpha_moved);  // the sweep's choice mattered
+  // With the cache on, later what-ifs peeked at a cache holding experts.
+  ASSERT_EQ(tuned.expert_cache() != nullptr, cache);
+  if (cache) {
+    EXPECT_GT(tuned.expert_cache()->size(), 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(DevicesAndCache, TunerDiff,
+                         ::testing::Combine(::testing::Values(std::int64_t{16},
+                                                              std::int64_t{128}),
+                                            ::testing::Values(1, 2, 4), ::testing::Bool()));
 
 // --- Engine -----------------------------------------------------------------------
 

@@ -276,5 +276,32 @@ TEST(StreamSchedule, NonRecordingFormatsNoLabelsAndKeepsTimes) {
   EXPECT_DOUBLE_EQ(off.makespan().ns(), 20.0);
 }
 
+TEST(StreamSchedule, RewindMatchesAFreshSchedule) {
+  // A rewound schedule keeps its streams and places exactly like a fresh
+  // one with the same streams.
+  StreamSchedule used;
+  StreamSchedule fresh;
+  for (StreamSchedule* sched : {&used, &fresh}) {
+    sched->add_stream("A");
+    sched->add_stream("B");
+  }
+  used.place(StreamId{0}, Duration::nanos(7), Duration::nanos(30), "a", "x");
+  used.block_until(StreamId{1}, Duration::nanos(99));
+  used.rewind();
+  EXPECT_EQ(used.stream_count(), 2u);
+  EXPECT_EQ(used.stream_names(), fresh.stream_names());
+  EXPECT_DOUBLE_EQ(used.free_at(StreamId{0}).ns(), 0.0);
+  EXPECT_DOUBLE_EQ(used.free_at(StreamId{1}).ns(), 0.0);
+  EXPECT_DOUBLE_EQ(used.makespan().ns(), 0.0);
+  EXPECT_TRUE(used.timeline().intervals().empty());
+  for (StreamSchedule* sched : {&used, &fresh}) {
+    sched->place(StreamId{1}, Duration::nanos(4), Duration::nanos(6), "b", "x");
+    sched->place(StreamId{1}, Duration::zero(), Duration::nanos(2), "c", "x");
+  }
+  EXPECT_DOUBLE_EQ(used.free_at(StreamId{1}).ns(), fresh.free_at(StreamId{1}).ns());
+  EXPECT_DOUBLE_EQ(used.makespan().ns(), fresh.makespan().ns());
+  EXPECT_EQ(used.timeline().intervals().size(), 2u);
+}
+
 }  // namespace
 }  // namespace monde::sim
