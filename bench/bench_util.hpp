@@ -7,6 +7,7 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <exception>
 #include <fstream>
@@ -14,10 +15,12 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "core/engine.hpp"
 #include "core/load_balancer.hpp"
+#include "serve/request.hpp"
 
 namespace monde::bench {
 
@@ -192,6 +195,19 @@ class EngineFactory {
 /// The skew profile the paper's workloads exhibit for each model.
 inline moe::SkewProfile profile_for(const moe::MoeModelConfig& model) {
   return model.top_k >= 2 ? moe::SkewProfile::nllb_like() : moe::SkewProfile::switch_like();
+}
+
+/// Two traces merged into one (arrival, id)-ordered trace; `a` wins arrival
+/// ties. Ids are reassigned after the merge, so the result is
+/// indistinguishable from a single mixed workload.
+inline std::vector<serve::Request> merge_traces(std::vector<serve::Request> a,
+                                                const std::vector<serve::Request>& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  std::stable_sort(a.begin(), a.end(), [](const serve::Request& x, const serve::Request& y) {
+    return x.arrival < y.arrival;
+  });
+  for (std::size_t i = 0; i < a.size(); ++i) a[i].id = i;
+  return a;
 }
 
 /// Decoder steps simulated per run: enough for steady-state averages while

@@ -7,6 +7,19 @@
 // -outstanding-tokens, power-of-two) should separate from round-robin most
 // under bursty traffic, where replicas hold uneven backlogs.
 //
+// Two must-beat sections make opt-in mechanisms pay for their code. They
+// run on the smoke model and step budget in both modes (the configuration
+// their gates were measured on), and the binary FAILS (non-zero exit) when
+// either loses:
+//   * slow replica  -- one of four replicas runs 4x slow for the whole run;
+//     the slow-replica filter (HealthConfig::slow_ewma_factor = 2) must
+//     beat filter-free dispatch on E2E p99 under both least-outstanding
+//     -tokens and power-of-two dispatch;
+//   * size-aware admission -- a bimodal trace (1/4 long, 3/4 short
+//     requests) at a rate where replica queues form; fewest-remaining
+//     -tokens admission (SchedulerConfig::size_aware_admission) must cut
+//     TTFT p50 at least 2x versus FIFO while keeping TTFT p99 within 1.5x.
+//
 //   ./bench/serve_cluster_policies                    full sweep
 //   ./bench/serve_cluster_policies --smoke            tiny CI configuration
 //   ./bench/serve_cluster_policies --smoke --json f   + deterministic metrics
@@ -20,8 +33,136 @@
 #include "serve/arrivals.hpp"
 #include "serve/cluster.hpp"
 
+namespace {
+
+using namespace monde;
+
+moe::MoeModelConfig fleet_model(bool smoke) {
+  moe::MoeModelConfig model =
+      moe::MoeModelConfig::switch_variant(smoke ? 512 : 768, smoke ? 16 : 64);
+  model.encoder_blocks = smoke ? 4 : 8;
+  model.decoder_blocks = smoke ? 4 : 8;
+  model.moe_every = 2;
+  return model;
+}
+
+serve::RequestShape request_shape(bool smoke) {
+  serve::RequestShape shape;
+  shape.prompt_min = 16;
+  shape.prompt_max = smoke ? 48 : 192;
+  shape.new_tokens_min = 2;
+  shape.new_tokens_max = smoke ? 8 : 24;
+  return shape;
+}
+
+serve::SchedulerConfig scheduler(bool smoke) {
+  serve::SchedulerConfig cfg;
+  cfg.token_budget = smoke ? 128 : 256;
+  return cfg;
+}
+
+/// Must-beat 1: the slow-replica filter. Queue-length signals cannot see
+/// that the last replica drains 4x slower, so load-only dispatch keeps
+/// feeding it whenever its queue looks short; its step EWMA gives it away.
+/// False when the filter loses on E2E p99 under either policy.
+bool slow_replica_section(const core::SystemConfig& sys, const serve::ClusterConfig& ccfg,
+                          bench::BenchMetrics& metrics) {
+  const moe::MoeModelConfig model = fleet_model(/*smoke=*/true);
+  std::vector<serve::ReplicaSpec> specs =
+      serve::uniform_fleet(4, core::StrategyKind::kMondeLoadBalanced, scheduler(/*smoke=*/true));
+  specs.back().fault.slow_until = Duration::infinite();
+  specs.back().fault.slow_factor = 4.0;
+  const auto trace = serve::poisson_trace(96, 120.0, request_shape(/*smoke=*/true), /*seed=*/7);
+  std::printf("--- slow replica: 4x MD+LB, replica 3 slowed 4x for the whole run, "
+              "96 requests at 120 req/s ---\n");
+  Table table{{"policy", "E2E p99 no filter (ms)", "E2E p99 filter (ms)", "gain"}};
+  bool ok = true;
+  for (const serve::DispatchPolicy policy : {serve::DispatchPolicy::kLeastOutstandingTokens,
+                                             serve::DispatchPolicy::kPowerOfTwoChoices}) {
+    std::string name;
+    double p99[2] = {0.0, 0.0};
+    for (const bool filter : {false, true}) {
+      serve::ClusterConfig run_cfg = ccfg;
+      if (filter) run_cfg.health.slow_ewma_factor = 2.0;
+      serve::ClusterSim cluster{sys, model, bench::profile_for(model), specs, run_cfg};
+      const auto dispatcher = serve::make_dispatcher(policy, /*seed=*/17);
+      const serve::ClusterReport rep = cluster.run(trace, *dispatcher);
+      name = rep.policy;
+      p99[filter] = rep.e2e_ms.p99;
+      metrics.add("slow_replica." + name + (filter ? ".filter" : ".no_filter") +
+                      ".e2e_p99_ms",
+                  rep.e2e_ms.p99);
+    }
+    table.add_row({name, Table::num(p99[0], 2), Table::num(p99[1], 2),
+                   Table::num(p99[0] / p99[1], 2) + "x"});
+    if (p99[1] >= p99[0]) {
+      std::printf("FAIL: %s with the slow-replica filter: E2E p99 %.2f ms did not beat "
+                  "%.2f ms without it\n",
+                  name.c_str(), p99[1], p99[0]);
+      ok = false;
+    }
+  }
+  std::printf("%s\n", table.str().c_str());
+  return ok;
+}
+
+/// Must-beat 2: size-aware admission. Long prompts at the head of a FIFO
+/// queue hold every short request behind them; fewest-remaining-tokens
+/// first lets the shorts through. The rate is high enough for queues to
+/// form -- at light load both orders admit the same requests. False when
+/// TTFT p50 is not at least 2x better or TTFT p99 exceeds 1.5x FIFO's.
+bool size_aware_section(const core::SystemConfig& sys, const serve::ClusterConfig& ccfg,
+                        bench::BenchMetrics& metrics) {
+  const moe::MoeModelConfig model = fleet_model(/*smoke=*/true);
+  serve::RequestShape long_shape;
+  long_shape.prompt_min = 128;
+  long_shape.prompt_max = 256;
+  long_shape.new_tokens_min = 16;
+  long_shape.new_tokens_max = 32;
+  serve::RequestShape short_shape;
+  short_shape.prompt_min = 8;
+  short_shape.prompt_max = 32;
+  short_shape.new_tokens_min = 2;
+  short_shape.new_tokens_max = 8;
+  const auto trace =
+      bench::merge_traces(serve::poisson_trace(24, 120.0, long_shape, /*seed=*/7),
+                          serve::poisson_trace(72, 360.0, short_shape, /*seed=*/8));
+  std::printf("--- size-aware admission: 4x MD+LB, least-outstanding-tokens, 24 long + "
+              "72 short requests at 480 req/s ---\n");
+  Table table{{"admission", "TTFT p50 (ms)", "TTFT p99 (ms)", "E2E p99 (ms)"}};
+  double p50[2] = {0.0, 0.0};
+  double p99[2] = {0.0, 0.0};
+  for (const bool size_aware : {false, true}) {
+    serve::SchedulerConfig cfg = scheduler(/*smoke=*/true);
+    cfg.size_aware_admission = size_aware;
+    serve::ClusterSim cluster{sys, model, bench::profile_for(model),
+                              serve::uniform_fleet(4, core::StrategyKind::kMondeLoadBalanced, cfg),
+                              ccfg};
+    const auto dispatcher =
+        serve::make_dispatcher(serve::DispatchPolicy::kLeastOutstandingTokens, /*seed=*/17);
+    const serve::ClusterReport rep = cluster.run(trace, *dispatcher);
+    p50[size_aware] = rep.ttft_ms.p50;
+    p99[size_aware] = rep.ttft_ms.p99;
+    table.add_row({size_aware ? "size-aware" : "FIFO", Table::num(rep.ttft_ms.p50, 2),
+                   Table::num(rep.ttft_ms.p99, 2), Table::num(rep.e2e_ms.p99, 2)});
+    const std::string key = size_aware ? "admission.size_aware." : "admission.fifo.";
+    metrics.add(key + "ttft_p50_ms", rep.ttft_ms.p50);
+    metrics.add(key + "ttft_p99_ms", rep.ttft_ms.p99);
+  }
+  std::printf("%s\n", table.str().c_str());
+  std::printf("size-aware vs FIFO: TTFT p50 %.2fx better (gate >= 2x), TTFT p99 %.2fx "
+              "FIFO's (gate <= 1.5x)\n",
+              p50[0] / p50[1], p99[1] / p99[0]);
+  if (p50[0] < 2.0 * p50[1] || p99[1] > 1.5 * p99[0]) {
+    std::printf("FAIL: size-aware admission missed its TTFT gate\n");
+    return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  using namespace monde;
   const bench::BenchArgs args = bench::parse_bench_args(argc, argv);
   const bool smoke = args.smoke;
   bench::BenchMetrics metrics{"serve_cluster_policies"};
@@ -31,25 +172,15 @@ int main(int argc, char** argv) {
                       : "dispatch policies under Poisson and bursty traffic");
 
   const core::SystemConfig sys = core::SystemConfig::dac24();
-  moe::MoeModelConfig model = moe::MoeModelConfig::switch_variant(smoke ? 512 : 768,
-                                                                  smoke ? 16 : 64);
-  model.encoder_blocks = smoke ? 4 : 8;
-  model.decoder_blocks = smoke ? 4 : 8;
-  model.moe_every = 2;
+  const moe::MoeModelConfig model = fleet_model(smoke);
   const moe::SkewProfile prof = bench::profile_for(model);
-
-  serve::RequestShape shape;
-  shape.prompt_min = 16;
-  shape.prompt_max = smoke ? 48 : 192;
-  shape.new_tokens_min = 2;
-  shape.new_tokens_max = smoke ? 8 : 24;
+  const serve::RequestShape shape = request_shape(smoke);
 
   const int requests = smoke ? 12 : 64;
   const std::vector<std::size_t> replica_counts = smoke ? std::vector<std::size_t>{2}
                                                         : std::vector<std::size_t>{2, 4, 8};
 
-  serve::SchedulerConfig cfg;
-  cfg.token_budget = smoke ? 128 : 256;
+  const serve::SchedulerConfig cfg = scheduler(smoke);
 
   serve::ClusterConfig ccfg;
   ccfg.threads = args.threads;  // bit-identical results; only wall-clock moves
@@ -131,7 +262,11 @@ int main(int argc, char** argv) {
               "pays: round-robin keeps handing the weak replica its full share and its\n"
               "queue dominates the TTFT tail, while join-shortest-queue and least-\n"
               "outstanding-tokens route around the backlog -- power-of-two-choices gets\n"
-              "most of that improvement probing only two replicas per request.\n");
+              "most of that improvement probing only two replicas per request.\n\n");
+
+  // Both must-beat sections run, so a failing run still prints every margin.
+  const bool slow_ok = slow_replica_section(sys, ccfg, metrics);
+  const bool size_ok = size_aware_section(sys, ccfg, metrics);
   metrics.write(args.json_path);
-  return 0;
+  return slow_ok && size_ok ? 0 : 1;
 }

@@ -38,9 +38,8 @@ namespace {
 using namespace monde;
 
 /// Heavy prefills (long prompts, nearly no decode) merged with deep decodes
-/// (short prompts, long generations) into one (arrival, id)-ordered trace.
-/// Ids are reassigned after the merge, so the stream is indistinguishable
-/// from a single mixed workload -- exactly what a unified fleet would see.
+/// (short prompts, long generations) into one mixed trace -- exactly what a
+/// unified fleet would see.
 std::vector<serve::Request> interference_trace(int n_prefill_heavy, int n_decode_deep,
                                                double rate_per_s, std::uint64_t seed) {
   serve::RequestShape heavy;
@@ -53,19 +52,9 @@ std::vector<serve::Request> interference_trace(int n_prefill_heavy, int n_decode
   deep.prompt_max = 32;
   deep.new_tokens_min = 64;
   deep.new_tokens_max = 128;
-  std::vector<serve::Request> trace =
-      serve::poisson_trace(n_prefill_heavy, rate_per_s / 2.0, heavy, seed);
-  const std::vector<serve::Request> decodes =
-      serve::poisson_trace(n_decode_deep, rate_per_s / 2.0, deep, seed + 1);
-  trace.insert(trace.end(), decodes.begin(), decodes.end());
-  std::stable_sort(trace.begin(), trace.end(),
-                   [](const serve::Request& a, const serve::Request& b) {
-                     return a.arrival < b.arrival;
-                   });
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    trace[i].id = static_cast<std::int64_t>(i);
-  }
-  return trace;
+  return bench::merge_traces(
+      serve::poisson_trace(n_prefill_heavy, rate_per_s / 2.0, heavy, seed),
+      serve::poisson_trace(n_decode_deep, rate_per_s / 2.0, deep, seed + 1));
 }
 
 struct RunResult {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Fail when the documentation drifts from the source tree.
 
-Four checks over README.md and docs/*.md:
+Five checks over README.md and docs/*.md:
 
 1. every CLI flag token (``--smoke``, ``--json``, ...) quoted in the docs
    must appear somewhere in the source tree (src/, bench/, tests/,
@@ -19,7 +19,11 @@ Four checks over README.md and docs/*.md:
    ``ServerSim::version()``, ...) must name a member that still exists
    under src/: either ``Type::member`` appears verbatim (an out-of-line
    definition) or ``member`` appears in the body of ``struct``/``class
-   Type`` -- deleting a field or method cannot leave docs pointing at it.
+   Type`` -- deleting a field or method cannot leave docs pointing at it;
+5. the bench catalogue docs/BENCHMARKS.md and bench/ agree: every binary
+   named in the first column of its tables has a ``bench/<name>.cpp``, and
+   every ``bench/*.cpp`` has a row -- a deleted bench cannot keep its row,
+   and a new one cannot ship undocumented.
 
 Exits non-zero listing every violation. Run from anywhere inside the
 repository:
@@ -39,6 +43,8 @@ ENUM_RE = re.compile(r"`(k[A-Z][A-Za-z0-9]*)`")
 # (serve::, std::, ...) may precede the type and are ignored.
 MEMBER_RE = re.compile(
     r"`(?:[a-z_][a-z0-9_]*::)*([A-Z][A-Za-z0-9_]*)::(~?[A-Za-z_][A-Za-z0-9_]*)[^`]*`")
+# A catalogue table row: its first cell is a backticked binary name.
+BENCH_ROW_RE = re.compile(r"\|\s*`([A-Za-z0-9_]+)`\s*\|")
 COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
 SOURCE_DIRS = ("src", "bench", "tests", "scripts", "examples", ".github")
 SOURCE_SUFFIXES = {".hpp", ".cpp", ".h", ".cc", ".py", ".yml", ".yaml", ".cmake", ".txt"}
@@ -133,6 +139,23 @@ def check_dispatch_reference(repo_root: Path) -> list[str]:
     return errors
 
 
+def check_bench_catalogue(repo_root: Path) -> list[str]:
+    page = repo_root / "docs" / "BENCHMARKS.md"
+    if not page.is_file():
+        return [f"{page}: missing -- the bench catalogue is required"]
+    rows: dict[str, int] = {}
+    for lineno, line in enumerate(page.read_text(encoding="utf-8").splitlines(), 1):
+        m = BENCH_ROW_RE.match(line)
+        if m:
+            rows.setdefault(m.group(1), lineno)
+    sources = {f.stem for f in (repo_root / "bench").glob("*.cpp")}
+    errors = [f"{page}:{lineno}: bench {name} has no bench/{name}.cpp"
+              for name, lineno in sorted(rows.items()) if name not in sources]
+    errors += [f"{page}: bench/{name}.cpp has no catalogue row"
+               for name in sorted(sources - set(rows))]
+    return errors
+
+
 def main() -> int:
     repo_root = Path(__file__).resolve().parent.parent
     docs = doc_files(repo_root)
@@ -148,6 +171,7 @@ def main() -> int:
     )
     errors = [e for md in docs for e in check_doc_tokens(md, known_flags, src_text)]
     errors += check_dispatch_reference(repo_root)
+    errors += check_bench_catalogue(repo_root)
     src_code = COMMENT_RE.sub("", src_text)
     bodies = type_bodies(src_code)
     errors += [e for md in docs for e in check_doc_members(md, src_code, bodies)]

@@ -112,12 +112,13 @@ void ClusterSim::add_replica(const ReplicaSpec& spec, Duration spawned_at,
 }
 
 void ClusterSim::update_ewma(Replica& r) {
+  constexpr double kNewestStepWeight = 0.25;
   const std::vector<StepRecord>& steps = r.server->steps();
   for (; r.steps_seen < steps.size(); ++r.steps_seen) {
     const double ms = (steps[r.steps_seen].end - steps[r.steps_seen].start).ms();
     r.ewma_ms = r.steps_seen == 0
                     ? ms
-                    : cfg_.health.ewma_alpha * ms + (1.0 - cfg_.health.ewma_alpha) * r.ewma_ms;
+                    : kNewestStepWeight * ms + (1.0 - kNewestStepWeight) * r.ewma_ms;
   }
 }
 
@@ -864,9 +865,9 @@ class ClusterSim::ClusterRun {
     std::vector<ReplicaSnapshot> role_pool;
     if (cfg_.disagg.enabled) {
       const bool want_prefill = !rq.decode_phase();
-      role_pool = pool_snapshots(*view, want_prefill, cfg_.disagg.decode_admit_tokens);
+      role_pool = pool_snapshots(*view, want_prefill);
       if (role_pool.empty()) {
-        role_pool = pool_snapshots(accepting, want_prefill, cfg_.disagg.decode_admit_tokens);
+        role_pool = pool_snapshots(accepting, want_prefill);
       }
       MONDE_REQUIRE(!role_pool.empty(), "no " << (want_prefill ? "prefill" : "decode")
                                               << " replica is accepting requests");

@@ -10,7 +10,8 @@
 // (serve/kvcache.hpp). The handoff reuses the checkpointed-resume machinery:
 // the released request carries a ResumeState with `prefilled == prompt_len`,
 // so the decode replica admits it as a resumed request and never re-runs the
-// prompt.
+// prompt. The fleet's own dispatch policy picks that decode replica from the
+// whole decode pool.
 //
 // Everything is off by default: with `enabled == false` the cluster is
 // bit-identical to the unified fleet (pinned by tests/test_calendar_diff.cpp
@@ -18,7 +19,7 @@
 // ExpertServingConfig pattern.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 
 #include "common/error.hpp"
 #include "interconnect/link.hpp"
@@ -40,17 +41,10 @@ struct DisaggConfig {
   /// resident frontier -- so slow links visibly delay the first decode step.
   interconnect::LinkSpec handoff_link = interconnect::LinkSpec::pcie_gen4_x16();
 
-  /// Decode-pool admission by outstanding-token load: a handed-off request
-  /// only considers decode replicas whose outstanding tokens are at or below
-  /// this cap, falling back to the whole pool when every replica is above
-  /// it. 0 = uncapped.
-  std::int64_t decode_admit_tokens = 0;
-
   void validate() const {
     if (!enabled) return;
     MONDE_REQUIRE(prefill_replicas > 0,
                   "disaggregated serving needs prefill_replicas > 0");
-    MONDE_REQUIRE(decode_admit_tokens >= 0, "decode_admit_tokens must be >= 0");
   }
 };
 

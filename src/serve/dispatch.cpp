@@ -385,21 +385,10 @@ std::vector<ReplicaSnapshot> eligible_snapshots(const std::vector<ReplicaSnapsho
 }
 
 std::vector<ReplicaSnapshot> pool_snapshots(const std::vector<ReplicaSnapshot>& all,
-                                            bool prefill,
-                                            std::int64_t decode_admit_tokens) {
+                                            bool prefill) {
   std::vector<ReplicaSnapshot> pool;
   for (const ReplicaSnapshot& s : all) {
     if (s.prefill_pool == prefill) pool.push_back(s);
-  }
-  if (!prefill && decode_admit_tokens > 0) {
-    // Decode-pool admission control: prefer replicas whose outstanding-token
-    // load is within the cap, but never strand a request -- an all-over-cap
-    // pool stays dispatchable in full.
-    std::vector<ReplicaSnapshot> within;
-    for (const ReplicaSnapshot& s : pool) {
-      if (s.outstanding_tokens <= decode_admit_tokens) within.push_back(s);
-    }
-    if (!within.empty()) return within;
   }
   return pool;
 }

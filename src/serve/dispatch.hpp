@@ -33,7 +33,9 @@
 // pick() therefore indexes into the filtered vector; the caller maps back
 // through ReplicaSnapshot::replica. With every replica healthy the filter is
 // the identity, so fault-free dispatch is bit-identical to the pre-health
-// behavior.
+// behavior. The slow filter is off by default (infinite slow_ewma_factor);
+// bench/serve_cluster_policies fails unless it beats filter-free dispatch
+// on E2E p99 with one replica slowed 4x.
 //
 // Snapshot maintenance: by default the cluster maintains the accepting list
 // incrementally -- one snapshot per accepting replica, rebuilt when that
@@ -99,7 +101,7 @@ struct ReplicaSnapshot {
   // Health (filled by the cluster; defaults describe a healthy replica so
   // hand-built snapshots keep working):
   bool accepting = true;    ///< false: detected dead or retired -- never dispatch
-  double step_ewma_ms = 0;  ///< EWMA of recent step durations (0 = no steps yet)
+  double step_ewma_ms = 0;  ///< step-duration EWMA, newest weight 0.25 (0 = no steps)
   /// Compact residency summary: the replica's ExpertCache signature
   /// (core/expert_cache.hpp), 0 when expert-aware serving is disabled.
   /// Gating-aware policies AND it with the request's profile signature to
@@ -166,14 +168,10 @@ class Dispatcher {
 
 /// Disaggregated-serving pool filter, applied after eligible_snapshots():
 /// keeps the replicas of the requested role (`prefill` true = prefill pool,
-/// false = decode pool). For the decode pool a positive `decode_admit_tokens`
-/// prefers replicas within the outstanding-token cap and falls back to the
-/// whole pool when every member is over it (admission control must not
-/// strand a handoff). May return empty -- the caller decides whether to fall
-/// back to a less-filtered view before declaring the pool gone. Order and
-/// `replica` indices are preserved.
+/// false = decode pool). May return empty -- the caller decides whether to
+/// fall back to a less-filtered view before declaring the pool gone. Order
+/// and `replica` indices are preserved.
 [[nodiscard]] std::vector<ReplicaSnapshot> pool_snapshots(
-    const std::vector<ReplicaSnapshot>& all, bool prefill,
-    std::int64_t decode_admit_tokens = 0);
+    const std::vector<ReplicaSnapshot>& all, bool prefill);
 
 }  // namespace monde::serve

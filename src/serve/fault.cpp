@@ -20,8 +20,6 @@ void HealthConfig::validate() const {
                 "heartbeat_timeout (" << heartbeat_timeout.str()
                                       << ") must be >= heartbeat_interval ("
                                       << heartbeat_interval.str() << ")");
-  MONDE_REQUIRE(ewma_alpha > 0.0 && ewma_alpha <= 1.0,
-                "ewma_alpha must lie in (0, 1], got " << ewma_alpha);
   MONDE_REQUIRE(slow_ewma_factor > 1.0,
                 "slow_ewma_factor must exceed 1 (or be infinite to disable)");
 }

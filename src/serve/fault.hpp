@@ -70,10 +70,6 @@ struct HealthConfig {
   /// replica's heartbeat age never exceeds one interval).
   Duration heartbeat_timeout = Duration::millis(6);
 
-  /// Smoothing for the per-replica step-duration EWMA surfaced in
-  /// ReplicaSnapshot::step_ewma_ms (weight of the newest step).
-  double ewma_alpha = 0.25;
-
   /// Soft slow-replica filter: deprioritize (skip while a faster peer
   /// exists) any replica whose step-duration EWMA exceeds this multiple of
   /// the fleet median. Infinity (the default) disables the filter, which

@@ -14,8 +14,6 @@ void SchedulerConfig::validate() const {
   MONDE_REQUIRE(fixed_batch <= token_budget,
                 "fixed_batch (" << fixed_batch << ") must not exceed token_budget ("
                                 << token_budget << ")");
-  MONDE_REQUIRE(admission_bypass_limit > 0,
-                "admission_bypass_limit must be positive, got " << admission_bypass_limit);
 }
 
 ContinuousBatchScheduler::ContinuousBatchScheduler(SchedulerConfig cfg) : cfg_{cfg} {
@@ -168,7 +166,7 @@ std::vector<RequestState*> ContinuousBatchScheduler::admit_size_aware() {
     order.push_back({pos, saved,
                      (rs.request.prompt_len - saved) +
                          (rs.request.max_new_tokens - rs.generated),
-                     rs.bypassed >= cfg_.admission_bypass_limit});
+                     rs.bypassed >= kAdmissionBypassLimit});
   }
   std::stable_sort(order.begin(), order.end(), [](const Candidate& a, const Candidate& b) {
     if (a.forced != b.forced) return a.forced;  // guarded requests first...

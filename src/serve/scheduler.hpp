@@ -10,7 +10,9 @@
 //     is vLLM/Orca-style continuous batching. Admission order is FIFO by
 //     default; `size_aware_admission` switches to fewest-remaining-tokens
 //     first (the cluster's least-outstanding-tokens signal applied inside
-//     the replica), with a bypass cap as a starvation guard.
+//     the replica), with a bypass cap as a starvation guard. On a bimodal
+//     long/short mix it cuts median TTFT several-fold at a bounded p99
+//     cost; bench/serve_cluster_policies fails if it stops doing so.
 //   * kFixed -- the classic baseline: requests are grouped into fixed-size
 //     batches; a batch is admitted only when the previous one fully drains,
 //     and finished requests keep occupying padded slots until the whole
@@ -62,6 +64,11 @@ enum class BatchingMode {
 
 [[nodiscard]] std::string to_string(BatchingMode mode);
 
+/// Starvation guard for size-aware admission: a queued request that has
+/// seen junior (later-arrived) peers admitted past it this many times is
+/// admitted before any of them (its next fitting step takes it first).
+inline constexpr std::int64_t kAdmissionBypassLimit = 8;
+
 struct SchedulerConfig {
   BatchingMode mode = BatchingMode::kContinuous;
   /// Per-step token cap for continuous batching: prompt tokens prefilled in
@@ -75,12 +82,8 @@ struct SchedulerConfig {
   /// Continuous-mode admission order: false = FIFO (the classic behavior),
   /// true = fewest-remaining-tokens first, so short requests slip past a
   /// head-of-line giant instead of queueing behind it (shortest-job-first
-  /// under the step budget).
+  /// under the step budget, guarded by kAdmissionBypassLimit).
   bool size_aware_admission = false;
-  /// Starvation guard for size-aware admission: a queued request that has
-  /// seen junior (later-arrived) peers admitted past it this many times is
-  /// admitted before any of them (its next fitting step takes it first).
-  std::int64_t admission_bypass_limit = 8;
 
   void validate() const;
 };

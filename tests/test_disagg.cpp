@@ -44,10 +44,6 @@ TEST(Disagg, ValidationCatchesBadConfigs) {
   bad.enabled = true;
   bad.prefill_replicas = 0;
   EXPECT_THROW(bad.validate(), Error);
-  bad = {};
-  bad.enabled = true;
-  bad.decode_admit_tokens = -1;
-  EXPECT_THROW(bad.validate(), Error);
   // Disabled configs are never validated-failed, however malformed.
   bad.enabled = false;
   EXPECT_NO_THROW(bad.validate());
@@ -97,7 +93,8 @@ TEST(Disagg, DisabledConfigIsBitIdenticalToDefault) {
   Scenario tuned = plain;
   tuned.cfg.disagg = disagg_config(2).disagg;
   tuned.cfg.disagg.enabled = false;
-  tuned.cfg.disagg.decode_admit_tokens = 1;  // junk knobs must never be read
+  // Junk knobs must never be read.
+  tuned.cfg.disagg.handoff_link = interconnect::LinkSpec::pcie_gen3_x16();
   for (const bool reference_loop : {false, true}) {
     SCOPED_TRACE(reference_loop ? "reference" : "calendar");
     expect_reports_identical(run_scenario(plain, reference_loop),
@@ -358,12 +355,11 @@ TEST(DisaggDiff, PlainDisaggFleetAgreesAcrossLoopsAndThreads) {
   expect_threads_agree(sc);
 }
 
-TEST(DisaggDiff, TwoPrefillReplicasAndAdmissionCapAgree) {
+TEST(DisaggDiff, TwoPrefillReplicasAgree) {
   Scenario sc;
   sc.trace = poisson_trace(28, 120.0, small_shape(), 17);
   sc.specs = uniform_fleet(4, core::StrategyKind::kMondeLoadBalanced, SchedulerConfig{});
   sc.cfg = disagg_config(2);
-  sc.cfg.disagg.decode_admit_tokens = 48;  // exercises the capped admission path
   sc.policy = DispatchPolicy::kLeastOutstandingTokens;
   expect_threads_agree(sc);
 }

@@ -84,9 +84,6 @@ Scenario random_scenario(std::uint64_t seed) {
   if (sc.cfg.disagg.enabled) {
     sc.cfg.disagg.prefill_replicas = (n_replicas >= 3 && chance(30)) ? 2 : 1;
     if (chance(30)) {
-      sc.cfg.disagg.decode_admit_tokens = static_cast<std::int64_t>(draw(32, 96));
-    }
-    if (chance(30)) {
       sc.cfg.disagg.handoff_link = interconnect::LinkSpec::pcie_gen3_x16();
     }
   }
@@ -200,8 +197,7 @@ Scenario random_scenario(std::uint64_t seed) {
 TEST(RandomDiff, LatticeCoverageSpansEveryDimension) {
   int disagg = 0, cache = 0, survive = 0, cadence = 0, expert = 0, rebalance = 0,
       autoscaled = 0, failstop = 0, slowdown = 0, fixed = 0, size_aware = 0,
-      admit_cap = 0, two_prefill = 0, prefix_trace = 0, zipf_trace = 0,
-      prefix_policy = 0;
+      two_prefill = 0, prefix_trace = 0, zipf_trace = 0, prefix_policy = 0;
   for (const std::uint64_t seed : kFastSeeds) {
     const Scenario sc = random_scenario(seed);
     prefix_trace += sc.shape.prefix_groups > 0;
@@ -209,7 +205,6 @@ TEST(RandomDiff, LatticeCoverageSpansEveryDimension) {
     prefix_policy += sc.policy == DispatchPolicy::kPrefixHash ||
                      sc.policy == DispatchPolicy::kPrefixAffinity;
     disagg += sc.cfg.disagg.enabled;
-    admit_cap += sc.cfg.disagg.enabled && sc.cfg.disagg.decode_admit_tokens > 0;
     two_prefill += sc.cfg.disagg.enabled && sc.cfg.disagg.prefill_replicas == 2;
     cache += sc.cfg.cache.enabled;
     survive += sc.cfg.cache.enabled && sc.cfg.cache.survive_failstop;
@@ -226,7 +221,6 @@ TEST(RandomDiff, LatticeCoverageSpansEveryDimension) {
     }
   }
   EXPECT_GT(disagg, 0);
-  EXPECT_GT(admit_cap, 0);
   EXPECT_GT(two_prefill, 0);
   EXPECT_GT(cache, 0);
   EXPECT_GT(survive, 0);

@@ -548,38 +548,37 @@ TEST(Scheduler, SizeAwareBypassLimitGuardsStarvation) {
   SchedulerConfig cfg;
   cfg.token_budget = 32;
   cfg.size_aware_admission = true;
-  cfg.admission_bypass_limit = 2;
   ContinuousBatchScheduler sched{cfg};
-  std::vector<Request> trace;
-  trace.push_back({0, Duration::zero(), 30, 2});  // the giant
-  for (std::uint64_t i = 1; i <= 6; ++i) {
-    trace.push_back({i, Duration::zero(), 8, 2});
+  sched.push({0, Duration::zero(), 30, 2});  // the giant
+  std::uint64_t next_id = 1;
+  const auto push_shorts = [&](int n, Duration at) {
+    for (int i = 0; i < n; ++i) sched.push({next_id++, at, 8, 2});
+    sched.release_arrivals(at);
+  };
+
+  // Rounds 1..kAdmissionBypassLimit: three fresh shorts leapfrog the giant
+  // each round (8*3 prefill + up to 6 slots <= 32), beside the previous
+  // round's three, which finish at the next step. The giant never fits
+  // beside them, so each round bypasses it once.
+  for (std::int64_t round = 1; round <= kAdmissionBypassLimit; ++round) {
+    const Duration at = Duration::millis(static_cast<double>(round));
+    push_shorts(3, at);
+    const auto newly = sched.admit();
+    ASSERT_EQ(newly.size(), 3u) << "round " << round;
+    for (const RequestState* rs : newly) EXPECT_NE(rs->request.id, 0u);
+    sched.complete_step(at + Duration::micros(500.0));
   }
-  for (const Request& rq : trace) sched.push(rq);
-  sched.release_arrivals(Duration::zero());
 
-  // Round 1: three shorts fit (8*3 + 3 slots <= 32); the giant is bypassed.
-  auto newly = sched.admit();
-  ASSERT_EQ(newly.size(), 3u);
-  for (const RequestState* rs : newly) EXPECT_NE(rs->request.id, 0u);
-  sched.complete_step(Duration::millis(1));
-
-  // Round 2: the remaining shorts leapfrog again (bypass count hits 2).
-  newly = sched.admit();
-  ASSERT_EQ(newly.size(), 3u);
-  for (const RequestState* rs : newly) EXPECT_NE(rs->request.id, 0u);
-  sched.complete_step(Duration::millis(2));  // shorts 1-3 finish (2 tokens)
-
-  // Round 3: the giant is past its bypass limit. It cannot fit beside the
-  // three active shorts, and nothing may leapfrog it any more -- not even a
-  // fresh short arrival.
-  sched.push({7, Duration::millis(2), 8, 2});
-  sched.release_arrivals(Duration::millis(2));
+  // The giant is now past its bypass limit. It cannot fit beside the three
+  // active shorts, and nothing may leapfrog it any more -- not even a fresh
+  // short arrival.
+  const Duration late = Duration::millis(static_cast<double>(kAdmissionBypassLimit + 1));
+  push_shorts(1, late);
   EXPECT_TRUE(sched.admit().empty());
-  sched.complete_step(Duration::millis(3));  // shorts 4-6 finish; server empties
+  sched.complete_step(late + Duration::micros(500.0));  // last shorts finish; server empties
 
-  // Round 4: seniority wins -- the giant admits before the waiting short.
-  newly = sched.admit();
+  // Seniority wins -- the giant admits before the waiting short.
+  const auto newly = sched.admit();
   ASSERT_EQ(newly.size(), 1u);
   EXPECT_EQ(newly[0]->request.id, 0u);
 }
