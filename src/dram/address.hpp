@@ -10,6 +10,7 @@
 
 #include <cstdint>
 
+#include "common/error.hpp"
 #include "dram/spec.hpp"
 
 namespace monde::dram {
@@ -42,6 +43,12 @@ class AddressMapper {
   /// Decompose a byte address. The low log2(access_bytes) offset bits are
   /// ignored. `addr` must lie within the device capacity.
   [[nodiscard]] Address decompose(std::uint64_t addr) const;
+
+  /// Channel field alone: the cheap part of decompose() for admission checks.
+  [[nodiscard]] int channel_of(std::uint64_t addr) const {
+    MONDE_REQUIRE(addr < capacity_, "address 0x" << std::hex << addr << " beyond device capacity");
+    return static_cast<int>((addr >> offset_bits_) & ((1ULL << channel_bits_) - 1));
+  }
 
   /// Compose a byte address (offset bits zero) from a coordinate.
   [[nodiscard]] std::uint64_t compose(const Address& a) const;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/error.hpp"
-
 namespace monde::dram {
 
 Stats& Stats::operator+=(const Stats& o) {
@@ -21,9 +19,11 @@ Stats& Stats::operator+=(const Stats& o) {
   return *this;
 }
 
-ChannelController::ChannelController(const Spec& spec, const AddressMapper& mapper,
-                                     int channel_index)
-    : spec_{spec}, mapper_{mapper}, channel_{channel_index} {
+ChannelController::ChannelController(const Spec& spec, int channel_index)
+    : spec_{spec},
+      channel_{channel_index},
+      inflight_{static_cast<std::size_t>(std::max(spec.timing.nCL, spec.timing.nWL) +
+                                         spec.timing.nBL)} {
   banks_.resize(static_cast<std::size_t>(spec_.org.banks_per_channel()));
   ranks_.resize(static_cast<std::size_t>(spec_.org.ranks));
   // Stagger refresh across ranks so they do not all block simultaneously.
@@ -50,17 +50,14 @@ bool ChannelController::can_accept() const {
   return read_q_.size() < kQueueCapacity && write_q_.size() < kQueueCapacity;
 }
 
-void ChannelController::enqueue(Request req, std::uint64_t now_cycle) {
-  Address a = mapper_.decompose(req.addr);
+void ChannelController::enqueue(Request req, const Address& a, std::uint64_t now_cycle) {
   MONDE_REQUIRE(a.channel == channel_, "request routed to wrong channel");
   Entry e{std::move(req), a, now_cycle};
   ranks_[static_cast<std::size_t>(a.rank)].queued_demand++;
   if (e.req.type == Request::Type::kRead) {
-    MONDE_REQUIRE(read_q_.size() < kQueueCapacity, "read queue overflow");
     read_q_.push_back(std::move(e));
     if (read_q_.size() <= kSchedulerScanDepth) read_prep_cache_.valid = false;
   } else {
-    MONDE_REQUIRE(write_q_.size() < kQueueCapacity, "write queue overflow");
     write_q_.push_back(std::move(e));
     if (write_q_.size() <= kSchedulerScanDepth) write_prep_cache_.valid = false;
   }
@@ -71,8 +68,8 @@ std::uint64_t ChannelController::earliest_act_cycle(const Address& a) const {
   const RankState& r = ranks_[static_cast<std::size_t>(a.rank)];
   std::uint64_t c = std::max(b.next_act, r.next_act);
   // tFAW: at most kFawActivates ACTs per rank in any nFAW window.
-  if (r.act_window.size() >= kFawActivates) {
-    c = std::max(c, r.act_window.front() + static_cast<std::uint64_t>(spec_.timing.nFAW));
+  if (r.act_count == kFawActivates) {
+    c = std::max(c, r.act_window[r.act_next] + static_cast<std::uint64_t>(spec_.timing.nFAW));
   }
   return c;
 }
@@ -130,8 +127,9 @@ void ChannelController::issue_activate(const Address& a, std::uint64_t c) {
     Bank& sb = bank_at(sib);
     sb.next_act = std::max(sb.next_act, c + static_cast<std::uint64_t>(t.nRRDL));
   }
-  r.act_window.push_back(c);
-  while (r.act_window.size() > kFawActivates) r.act_window.pop_front();
+  r.act_window[r.act_next] = c;
+  r.act_next = (r.act_next + 1) % kFawActivates;
+  r.act_count = std::min(r.act_count + 1, kFawActivates);
   ++stats_.activates;
 }
 
@@ -144,7 +142,7 @@ void ChannelController::issue_precharge(const Address& a, std::uint64_t c) {
   ++stats_.precharges;
 }
 
-void ChannelController::issue_cas(Entry& e, std::uint64_t c, bool first_service) {
+void ChannelController::issue_cas(Entry& e, std::uint64_t c) {
   const Timing& t = spec_.timing;
   const bool is_read = e.req.type == Request::Type::kRead;
   Bank& b = bank_at(e.addr);
@@ -184,7 +182,7 @@ void ChannelController::issue_cas(Entry& e, std::uint64_t c, bool first_service)
     }
   }
 
-  if (first_service) ++stats_.row_hits;  // row was already open and matching
+  ++stats_.row_hits;  // row was already open and matching
 
   MONDE_ASSERT(r.queued_demand > 0, "rank demand accounting underflow");
   r.queued_demand--;
@@ -245,25 +243,14 @@ bool ChannelController::try_refresh(std::uint64_t c) {
       }
     }
     if (!any_open) {
-      // All banks closed: issue REF once the rank-level ACT timing allows.
-      bool banks_ready = true;
-      for (int fb = 0; fb < spec_.org.banks_per_rank(); ++fb) {
-        Address a;
-        a.rank = static_cast<int>(rk);
-        a.bankgroup = fb / spec_.org.banks_per_group;
-        a.bank = fb % spec_.org.banks_per_group;
-        if (c < bank_at(a).next_pre && bank_at(a).open) banks_ready = false;
-      }
-      if (banks_ready) {
-        issue_refresh(static_cast<int>(rk), c);
-        return true;
-      }
+      issue_refresh(static_cast<int>(rk), c);
+      return true;
     }
   }
   return false;
 }
 
-bool ChannelController::schedule_queue(std::deque<Entry>& q, std::uint64_t c) {
+bool ChannelController::schedule_queue(FixedRing<Entry>& q, std::uint64_t c) {
   const std::size_t scan = std::min(q.size(), kSchedulerScanDepth);
   PrepCache& cache = prep_cache_for(q);
 
@@ -351,15 +338,15 @@ bool ChannelController::schedule_queue(std::deque<Entry>& q, std::uint64_t c) {
 
   if (cas_has_slack && try_prep()) return true;
   if (hit_idx != q.size()) {
-    issue_cas(q[hit_idx], c, /*first_service=*/true);
-    q.erase(q.begin() + static_cast<std::ptrdiff_t>(hit_idx));
+    issue_cas(q[hit_idx], c);
+    q.erase(hit_idx);
     on_window_entry_removed(q, cache);
     return true;
   }
   return try_prep();
 }
 
-ChannelController::PrepCache& ChannelController::prep_cache_for(const std::deque<Entry>& q) {
+ChannelController::PrepCache& ChannelController::prep_cache_for(const FixedRing<Entry>& q) {
   return &q == &read_q_ ? read_prep_cache_ : write_prep_cache_;
 }
 
@@ -368,7 +355,7 @@ void ChannelController::invalidate_prep_caches() {
   write_prep_cache_.valid = false;
 }
 
-void ChannelController::on_window_entry_removed(const std::deque<Entry>& q, PrepCache& cache) {
+void ChannelController::on_window_entry_removed(const FixedRing<Entry>& q, PrepCache& cache) {
   if (!cache.valid) return;
   // Removing an entry may unblock a PRE whose open row only that (older)
   // entry still wanted.
@@ -430,7 +417,7 @@ bool ChannelController::idle() const {
   return read_q_.empty() && write_q_.empty() && inflight_.empty();
 }
 
-std::uint64_t ChannelController::sched_bound(const std::deque<Entry>& q, std::uint64_t c) const {
+std::uint64_t ChannelController::sched_bound(const FixedRing<Entry>& q, std::uint64_t c) const {
   const std::size_t scan = std::min(q.size(), kSchedulerScanDepth);
   std::uint64_t bound = kNeverCycle;
   for (std::size_t i = 0; i < scan; ++i) {

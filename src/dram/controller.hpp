@@ -3,27 +3,73 @@
 // refresh per rank.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
-#include <deque>
+#include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "dram/address.hpp"
 #include "dram/request.hpp"
 #include "dram/spec.hpp"
 
 namespace monde::dram {
 
+/// Fixed-capacity FIFO over a power-of-two slot array: no allocation after
+/// construction, index arithmetic is a mask. Index 0 is the oldest entry.
+/// A popped slot keeps its stale value until a later push overwrites it.
+template <typename T>
+class FixedRing {
+ public:
+  explicit FixedRing(std::size_t capacity)
+      : slots_(std::bit_ceil(capacity)), mask_{slots_.size() - 1}, capacity_{capacity} {}
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+
+  T& operator[](std::size_t i) { return slots_[(head_ + i) & mask_]; }
+  const T& operator[](std::size_t i) const { return slots_[(head_ + i) & mask_]; }
+  T& front() { return (*this)[0]; }
+  const T& front() const { return (*this)[0]; }
+  const T& back() const { return (*this)[size_ - 1]; }
+
+  void push_back(T v) {
+    MONDE_ASSERT(size_ < capacity_, "fixed ring overflow (capacity " << capacity_ << ")");
+    (*this)[size_] = std::move(v);
+    ++size_;
+  }
+  void pop_front() {
+    head_ = (head_ + 1) & mask_;
+    --size_;
+  }
+  /// Remove entry `i`, keeping FIFO order: the older entries shift up one
+  /// slot and the front pops (callers erase near the front).
+  void erase(std::size_t i) {
+    for (; i > 0; --i) (*this)[i] = std::move((*this)[i - 1]);
+    pop_front();
+  }
+
+ private:
+  std::vector<T> slots_;
+  std::size_t mask_;
+  std::size_t capacity_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+};
+
 /// One channel's controller. Owned and ticked by DramSystem.
 class ChannelController {
  public:
-  ChannelController(const Spec& spec, const AddressMapper& mapper, int channel_index);
+  ChannelController(const Spec& spec, int channel_index);
 
   /// True if the (bounded) request queue can take another entry.
   [[nodiscard]] bool can_accept() const;
 
-  /// Enqueue a request already mapped to this channel. `now_cycle` is the
-  /// current controller cycle (used for latency accounting).
-  void enqueue(Request req, std::uint64_t now_cycle);
+  /// Enqueue a request already mapped to this channel; `addr` is its
+  /// decomposed address. `now_cycle` is the current controller cycle (used
+  /// for latency accounting).
+  void enqueue(Request req, const Address& addr, std::uint64_t now_cycle);
 
   /// Advance one controller clock cycle: issue at most one command, retire
   /// completed data transfers, handle refresh.
@@ -48,6 +94,9 @@ class ChannelController {
   static constexpr std::size_t kQueueCapacity = 64;
 
  private:
+  /// JEDEC tFAW: ACTs allowed per rank within any nFAW window.
+  static constexpr std::size_t kFawActivates = 4;
+
   struct Bank {
     bool open = false;
     int open_row = -1;
@@ -62,7 +111,11 @@ class ChannelController {
     std::uint64_t next_act = 0;  ///< rank-level ACT constraint (RRD/FAW)
     std::uint64_t next_rd = 0;   ///< rank-level CAS constraints (CCD/WTR)
     std::uint64_t next_wr = 0;
-    std::deque<std::uint64_t> act_window;  ///< last ACT cycles for tFAW
+    /// Last kFawActivates ACT cycles for tFAW, a ring: once full,
+    /// `act_window[act_next]` is the oldest.
+    std::array<std::uint64_t, kFawActivates> act_window{};
+    std::size_t act_count = 0;
+    std::size_t act_next = 0;
     std::uint64_t refresh_due = 0;
     bool refresh_pending = false;  ///< quiescing: block new work on this rank
     std::size_t queued_demand = 0; ///< queued requests targeting this rank
@@ -118,12 +171,12 @@ class ChannelController {
   // Command issue (updates timing state + stats).
   void issue_activate(const Address& a, std::uint64_t c);
   void issue_precharge(const Address& a, std::uint64_t c);
-  void issue_cas(Entry& e, std::uint64_t c, bool first_service);
+  void issue_cas(Entry& e, std::uint64_t c);
   void issue_refresh(int rank, std::uint64_t c);
 
   /// Try to make progress on one queued request; returns true if a command
   /// was issued this cycle.
-  bool schedule_queue(std::deque<Entry>& q, std::uint64_t c);
+  bool schedule_queue(FixedRing<Entry>& q, std::uint64_t c);
   bool try_refresh(std::uint64_t c);
 
   void retire(std::uint64_t c, Duration tick_period);
@@ -131,24 +184,25 @@ class ChannelController {
   /// Earliest cycle any entry in `q`'s scan window could have a command
   /// issued for it (CAS, PRE, or ACT), ignoring cross-entry ordering rules
   /// (which only delay, never advance, the true issue cycle).
-  [[nodiscard]] std::uint64_t sched_bound(const std::deque<Entry>& q, std::uint64_t c) const;
+  [[nodiscard]] std::uint64_t sched_bound(const FixedRing<Entry>& q, std::uint64_t c) const;
 
-  [[nodiscard]] PrepCache& prep_cache_for(const std::deque<Entry>& q);
+  [[nodiscard]] PrepCache& prep_cache_for(const FixedRing<Entry>& q);
   void invalidate_prep_caches();
   /// Incremental prep-cache maintenance after erasing a scan-window entry.
-  void on_window_entry_removed(const std::deque<Entry>& q, PrepCache& cache);
+  void on_window_entry_removed(const FixedRing<Entry>& q, PrepCache& cache);
 
   const Spec& spec_;
-  const AddressMapper& mapper_;
   int channel_;
 
   std::vector<Bank> banks_;       // [rank][flat_bank] flattened
   std::vector<RankState> ranks_;
-  std::deque<Entry> read_q_;
-  std::deque<Entry> write_q_;
+  FixedRing<Entry> read_q_{kQueueCapacity};
+  FixedRing<Entry> write_q_{kQueueCapacity};
   /// FIFO by completion: bus_free_ is monotone, so CAS data transfers
-  /// complete in issue order and retire pops from the front.
-  std::deque<InFlight> inflight_;
+  /// complete in issue order and retire pops from the front. At most one
+  /// CAS issues per cycle and each completes within max(nCL, nWL) + nBL
+  /// cycles, so the Spec timing bounds the ring (see the constructor).
+  FixedRing<InFlight> inflight_;
   std::uint64_t bus_free_ = 0;  ///< first cycle the data bus is free
   bool draining_writes_ = false;
   PrepCache read_prep_cache_;
@@ -160,8 +214,6 @@ class ChannelController {
   static constexpr std::size_t kSchedulerScanDepth = 32;
   /// Buffered row hits at which a prep command is preferred over a CAS.
   static constexpr std::size_t kPrepSlackHits = 4;
-  /// JEDEC tFAW: ACTs allowed per rank within any nFAW window.
-  static constexpr std::size_t kFawActivates = 4;
   /// Sentinel for "no event until state changes".
   static constexpr std::uint64_t kNeverCycle = ~std::uint64_t{0};
 };

@@ -21,21 +21,21 @@ DramSystem::DramSystem(Spec spec) : spec_{std::move(spec)}, mapper_{spec_} {
   spec_.validate();
   channels_.reserve(static_cast<std::size_t>(spec_.org.channels));
   for (int c = 0; c < spec_.org.channels; ++c) {
-    channels_.push_back(std::make_unique<ChannelController>(spec_, mapper_, c));
+    channels_.push_back(std::make_unique<ChannelController>(spec_, c));
   }
 }
 
-int DramSystem::channel_of(std::uint64_t addr) const { return mapper_.decompose(addr).channel; }
+int DramSystem::channel_of(std::uint64_t addr) const { return mapper_.channel_of(addr); }
 
 bool DramSystem::can_accept(std::uint64_t addr) const {
   return channels_[static_cast<std::size_t>(channel_of(addr))]->can_accept();
 }
 
 void DramSystem::enqueue(Request req) {
-  const int ch = channel_of(req.addr);
-  MONDE_REQUIRE(channels_[static_cast<std::size_t>(ch)]->can_accept(),
-                "channel " << ch << " queue full; check can_accept() first");
-  channels_[static_cast<std::size_t>(ch)]->enqueue(std::move(req), cycle_);
+  const Address a = mapper_.decompose(req.addr);
+  ChannelController& ch = *channels_[static_cast<std::size_t>(a.channel)];
+  MONDE_REQUIRE(ch.can_accept(), "channel " << a.channel << " queue full; check can_accept() first");
+  ch.enqueue(std::move(req), a, cycle_);
 }
 
 void DramSystem::tick() {

@@ -1,12 +1,14 @@
 #include "ndp/layout.hpp"
 
+#include <bit>
+
 #include "common/error.hpp"
 
 namespace monde::ndp {
 
 PartitionLayout::PartitionLayout(const dram::Spec& spec, const dram::AddressMapper& mapper,
                                  Partition part)
-    : spec_{&spec}, mapper_{&mapper}, part_{part} {
+    : spec_{&spec}, part_{part}, offset_bits_{mapper.offset_bits()} {
   MONDE_REQUIRE(spec.org.banks_per_group % 2 == 0,
                 "bank partitioning needs an even number of banks per group");
   const auto& org = spec.org;
@@ -16,6 +18,10 @@ PartitionLayout::PartitionLayout(const dram::Spec& spec, const dram::AddressMapp
                  static_cast<std::uint64_t>(org.bankgroups) *
                  static_cast<std::uint64_t>(org.banks_per_group / 2) *
                  static_cast<std::uint64_t>(org.rows);
+  low_bits_ = std::countr_zero(static_cast<unsigned>(org.channels)) +
+              std::countr_zero(static_cast<unsigned>(org.columns)) +
+              std::countr_zero(static_cast<unsigned>(org.ranks)) +
+              std::countr_zero(static_cast<unsigned>(org.bankgroups));
 }
 
 Bytes PartitionLayout::capacity() const {
@@ -24,27 +30,15 @@ Bytes PartitionLayout::capacity() const {
 
 std::uint64_t PartitionLayout::block_address(std::uint64_t index) const {
   MONDE_REQUIRE(index < block_count_, "partition block index out of range");
-  const auto& org = spec_->org;
   // Enumerate channel fastest -> column -> rank -> bank group -> bank pair ->
   // row slowest. This mirrors the ro-ba-bg-ra-co-ch physical order with the
   // bank LSB pinned to the partition parity, so contiguous logical blocks
   // stripe across all channels and open rows stay hot for whole sweeps.
-  std::uint64_t v = index;
-  auto take = [&v](int n) {
-    const auto f = static_cast<int>(v % static_cast<std::uint64_t>(n));
-    v /= static_cast<std::uint64_t>(n);
-    return f;
-  };
-  dram::Address a;
-  a.channel = take(org.channels);
-  a.column = take(org.columns);
-  a.rank = take(org.ranks);
-  a.bankgroup = take(org.bankgroups);
-  const int bank_pair = take(org.banks_per_group / 2);
-  a.bank = bank_pair * 2 + (part_ == Partition::kActivations ? 1 : 0);
-  a.row = take(org.rows);
-  MONDE_ASSERT(v == 0, "block index decomposition overflow");
-  return mapper_->compose(a);
+  const std::uint64_t low = index & ((std::uint64_t{1} << low_bits_) - 1);
+  const std::uint64_t high = index >> low_bits_;
+  const std::uint64_t parity = part_ == Partition::kActivations ? 1 : 0;
+  const std::uint64_t block = low | (parity << low_bits_) | (high << (low_bits_ + 1));
+  return block << offset_bits_;
 }
 
 std::uint64_t PartitionLayout::blocks_for(Bytes bytes) const {

@@ -45,9 +45,14 @@ class PartitionLayout {
 
  private:
   const dram::Spec* spec_;
-  const dram::AddressMapper* mapper_;
   Partition part_;
   std::uint64_t block_count_;
+  /// Every dimension is a power of two, so a logical index is the physical
+  /// block number with the bank's parity bit removed: the index bits below
+  /// the bank field (channel, column, rank, bank group) stay in place, and
+  /// the rest (bank pair, row) move up one bit over the parity.
+  int low_bits_;
+  int offset_bits_;
 };
 
 }  // namespace monde::ndp

@@ -171,8 +171,17 @@ NdpKernelResult NdpCoreSim::run_pipeline(const std::vector<std::vector<Chunk>>& 
     // (linear2 consumes linear1's output) plus instruction decode.
     const Duration t0 = kernel_chain_end + ndp_.kernel_decode;
 
-    std::vector<Duration> load_done(total, Duration::zero());
-    std::vector<std::uint64_t> loads_remaining(total, 0);
+    // State the load-completion callback updates. The callback captures one
+    // pointer to it and finds its chunk in Request::id, so the closure fits
+    // std::function's small buffer and a load allocates nothing.
+    struct LoadState {
+      std::vector<Duration> done;
+      std::vector<std::uint64_t> remaining;
+      Duration t0;
+      bool chunk_completed = false;  ///< some chunk's last load retired
+    };
+    LoadState loads{std::vector<Duration>(total, Duration::zero()),
+                    std::vector<std::uint64_t>(total, 0), t0};
     std::vector<Duration> compute_start(total, Duration::zero());
     std::vector<Duration> compute_end(total, Duration::zero());
     Duration last_store_done = t0;
@@ -189,7 +198,7 @@ NdpKernelResult NdpCoreSim::run_pipeline(const std::vector<std::vector<Chunk>>& 
 
     auto gen_chunk_requests = [&](std::size_t idx) {
       const Chunk& ch = chunks[idx];
-      loads_remaining[idx] = ch.load_blocks + ch.load_act_blocks;
+      loads.remaining[idx] = ch.load_blocks + ch.load_act_blocks;
       for (std::uint64_t b = 0; b < ch.load_blocks; ++b) {
         inject.push_back({weights.block_address(w_cursor % weights.block_count()), false, idx});
         ++w_cursor;
@@ -215,9 +224,8 @@ NdpKernelResult NdpCoreSim::run_pipeline(const std::vector<std::vector<Chunk>>& 
     std::size_t consumed_ptr = 0;  // chunks whose compute has finished by now()
 
     Duration compute_free = t0;
-    bool chunk_completed = false;  // some chunk's last load retired
 
-    auto all_loads_done = [&](std::size_t idx) { return loads_remaining[idx] == 0; };
+    auto all_loads_done = [&](std::size_t idx) { return loads.remaining[idx] == 0; };
 
     // Inject queued loads, oldest first, until channel admission blocks.
     auto pump_loads = [&] {
@@ -226,12 +234,13 @@ NdpKernelResult NdpCoreSim::run_pipeline(const std::vector<std::vector<Chunk>>& 
         dram::Request req;
         req.addr = pr.addr;
         req.type = dram::Request::Type::kRead;
-        const std::size_t chunk_idx = pr.chunk;
-        req.on_complete = [&, chunk_idx](const dram::Request&, Duration t) {
-          MONDE_ASSERT(loads_remaining[chunk_idx] > 0, "duplicate load completion");
-          if (--loads_remaining[chunk_idx] == 0) {
-            load_done[chunk_idx] = max(t, t0);
-            chunk_completed = true;
+        req.id = pr.chunk;
+        LoadState* st = &loads;
+        req.on_complete = [st](const dram::Request& r, Duration t) {
+          MONDE_ASSERT(st->remaining[r.id] > 0, "duplicate load completion");
+          if (--st->remaining[r.id] == 0) {
+            st->done[r.id] = max(t, st->t0);
+            st->chunk_completed = true;
           }
         };
         dramsys.enqueue(std::move(req));
@@ -275,8 +284,8 @@ NdpKernelResult NdpCoreSim::run_pipeline(const std::vector<std::vector<Chunk>>& 
       // Schedule compute for ready chunks (bookkeeping only; the MAC arrays
       // are not ticked -- their timing is deterministic given start times).
       while (computed < total && computed < generated && all_loads_done(computed) &&
-             load_done[computed] <= now) {
-        const Duration start = max(compute_free, load_done[computed]);
+             loads.done[computed] <= now) {
+        const Duration start = max(compute_free, loads.done[computed]);
         const Duration len =
             ndp_.cycle_time() * static_cast<double>(chunks[computed].compute_cycles);
         compute_start[computed] = start;
@@ -317,13 +326,13 @@ NdpKernelResult NdpCoreSim::run_pipeline(const std::vector<std::vector<Chunk>>& 
       const bool stores_gated =
           deferred_stores.empty() || store_release[deferred_stores.front().chunk] > now;
       if (stores_gated && !exhaustive_tick) {
-        while (!chunk_completed && dramsys.cycle() < limit) {
+        while (!loads.chunk_completed && dramsys.cycle() < limit) {
           pump_loads();
           if (dramsys.idle() && inject.empty()) break;
           dramsys.advance_until(limit);
         }
       }
-      chunk_completed = false;
+      loads.chunk_completed = false;
     }
 
     const Duration kernel_done = max(compute_free, last_store_done);

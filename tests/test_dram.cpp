@@ -2,6 +2,7 @@
 // invariants, scheduling quality, refresh, and bandwidth scaling.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <vector>
 
@@ -260,6 +261,110 @@ TEST(DramSystem, EnqueueWithoutAdmissionCheckThrows) {
   r.addr = i * chan_stride;
   r.type = Request::Type::kRead;
   EXPECT_THROW(sys.enqueue(std::move(r)), Error);
+}
+
+// Completion cycle of a request finishing at `t`.
+std::uint64_t cycle_of(const Spec& s, Duration t) {
+  return static_cast<std::uint64_t>(std::llround(t.ns() / s.clock_period().ns()));
+}
+
+TEST(DramSystem, FourActivateWindowDelaysFifthActivate) {
+  // Five cold reads to five distinct banks of one rank. nFAW is stretched
+  // past 4 x nRRDS so the window, not ACT-to-ACT spacing, binds the fifth
+  // ACT: it must wait until the first ACT + nFAW.
+  Spec s = small_spec();
+  s.timing.nFAW = 40;
+  ASSERT_GT(s.timing.nFAW, 4 * s.timing.nRRDS);
+  DramSystem sys{s};
+  std::uint64_t done[5] = {};
+  const int bankgroups[5] = {0, 1, 2, 3, 0};
+  const int banks[5] = {0, 0, 0, 0, 1};
+  for (int i = 0; i < 5; ++i) {
+    Address a;
+    a.bankgroup = bankgroups[i];
+    a.bank = banks[i];
+    Request r;
+    r.addr = sys.mapper().compose(a);
+    r.id = static_cast<std::uint64_t>(i);
+    r.on_complete = [&](const Request& q, Duration t) { done[q.id] = cycle_of(s, t); };
+    sys.enqueue(std::move(r));
+  }
+  sys.run_until_idle();
+  // Each read completes nRCD + nCL + nBL after its ACT.
+  const auto act_to_data =
+      static_cast<std::uint64_t>(s.timing.nRCD + s.timing.nCL + s.timing.nBL);
+  const std::uint64_t first_act = done[0] - act_to_data;
+  for (int i = 1; i < 4; ++i) {
+    EXPECT_EQ(done[i] - done[i - 1], static_cast<std::uint64_t>(s.timing.nRRDS)) << "ACT " << i;
+  }
+  EXPECT_EQ(done[4] - act_to_data, first_act + static_cast<std::uint64_t>(s.timing.nFAW));
+  EXPECT_EQ(sys.stats().activates, 5u);
+}
+
+TEST(DramSystem, GoldenRandomMixedStream) {
+  // Golden pin on a seeded random read/write stream: half the requests
+  // continue sequentially, the rest jump to a random bank, one of four rows
+  // and a random column, so the stream hits rows, misses and conflicts,
+  // fills the write queue past the drain threshold, and runs through idle
+  // gaps and refreshes. Every Stats counter and an order-sensitive checksum
+  // of (id, completion cycle) pairs are pinned exactly: any change in
+  // command order or timing moves them.
+  const Spec s = small_spec();
+  DramSystem sys{s};
+  const AddressMapper& mapper = sys.mapper();
+  Rng rng{2024};
+  const auto block = static_cast<std::uint64_t>(s.org.access_bytes);
+  std::uint64_t checksum = 0;
+  std::uint64_t completions = 0;
+  std::uint64_t addr = 0;
+  for (std::uint64_t id = 0; id < 6000; ++id) {
+    if (rng.next_below(2) == 0) {
+      addr = (addr + block) % mapper.capacity();
+    } else {
+      Address a;
+      a.channel = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(s.org.channels)));
+      a.rank = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(s.org.ranks)));
+      a.bankgroup =
+          static_cast<int>(rng.next_below(static_cast<std::uint64_t>(s.org.bankgroups)));
+      a.bank =
+          static_cast<int>(rng.next_below(static_cast<std::uint64_t>(s.org.banks_per_group)));
+      a.row = static_cast<int>(rng.next_below(4));
+      a.column = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(s.org.columns)));
+      addr = mapper.compose(a);
+    }
+    Request r;
+    r.addr = addr;
+    r.id = id;
+    r.type = rng.next_below(5) < 2 ? Request::Type::kWrite : Request::Type::kRead;
+    r.on_complete = [&](const Request& q, Duration t) {
+      checksum = (checksum ^ (q.id * 0x9e3779b97f4a7c15ULL + cycle_of(s, t))) * 0x100000001b3ULL;
+      ++completions;
+    };
+    while (!sys.can_accept(addr)) sys.advance();
+    sys.enqueue(std::move(r));
+    if (id % 2000 == 1999) {
+      // Idle gap: refresh falls due with no queued demand.
+      const std::uint64_t until = sys.cycle() + 2500;
+      while (sys.cycle() < until) sys.advance_until(until);
+    }
+  }
+  sys.run_until_idle();
+
+  const Stats st = sys.stats();
+  EXPECT_EQ(completions, 6000u);
+  EXPECT_EQ(sys.cycle(), 14115u);
+  EXPECT_EQ(st.reads_completed, 3565u);
+  EXPECT_EQ(st.writes_completed, 2435u);
+  EXPECT_EQ(st.row_hits, 6000u);
+  EXPECT_EQ(st.row_misses, 4009u);
+  EXPECT_EQ(st.row_conflicts, 3803u);
+  EXPECT_EQ(st.activates, 4009u);
+  EXPECT_EQ(st.precharges, 4009u);
+  EXPECT_EQ(st.refreshes, 26u);
+  EXPECT_EQ(st.data_bus_busy_cycles, 6000u);
+  EXPECT_EQ(st.total_cycles, 28230u);
+  EXPECT_DOUBLE_EQ(st.read_latency_sum_ns, 1331815.7740536747);
+  EXPECT_EQ(checksum, 1995015452341794241u);
 }
 
 // Property sweep: achieved bandwidth scales with the data-rate knob

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "common/error.hpp"
+#include "core/system_config.hpp"
 #include "dram/dram_system.hpp"
 #include "ndp/layout.hpp"
 #include "ndp/ndp_core.hpp"
@@ -85,6 +86,104 @@ TEST(PartitionLayout, BlocksForRoundsUp) {
   EXPECT_EQ(layout.blocks_for(Bytes{128}), 1u);
   EXPECT_EQ(layout.blocks_for(Bytes{129}), 2u);
   EXPECT_THROW((void)layout.block_address(layout.block_count()), Error);
+}
+
+dram::Spec small_mem() {
+  // Non-default organization: 2 channels, 2 ranks, 512 rows.
+  dram::Spec s = dram::Spec::monde_lpddr5x_8533();
+  s.org.channels = 2;
+  s.org.ranks = 2;
+  s.org.rows = 512;
+  return s;
+}
+
+TEST(PartitionLayout, MatchesDivModEnumerationOnSmallOrg) {
+  // Reference enumeration: channel fastest, then column, rank, bank group,
+  // bank pair, row, with the bank LSB pinned to the partition parity.
+  const dram::Spec spec = small_mem();
+  const dram::AddressMapper mapper{spec};
+  const auto& org = spec.org;
+  for (const Partition part : {Partition::kWeights, Partition::kActivations}) {
+    const PartitionLayout layout{spec, mapper, part};
+    for (std::uint64_t i = 0; i < layout.block_count(); ++i) {
+      std::uint64_t v = i;
+      auto take = [&v](int n) {
+        const auto f = static_cast<int>(v % static_cast<std::uint64_t>(n));
+        v /= static_cast<std::uint64_t>(n);
+        return f;
+      };
+      dram::Address a;
+      a.channel = take(org.channels);
+      a.column = take(org.columns);
+      a.rank = take(org.ranks);
+      a.bankgroup = take(org.bankgroups);
+      a.bank = take(org.banks_per_group / 2) * 2 + (part == Partition::kActivations ? 1 : 0);
+      a.row = take(org.rows);
+      ASSERT_EQ(v, 0u);
+      ASSERT_EQ(layout.block_address(i), mapper.compose(a))
+          << "block " << i << " partition " << static_cast<int>(part);
+    }
+  }
+}
+
+void expect_result(const NdpKernelResult& r, double latency_ns, std::uint64_t compute_cycles,
+                   std::uint64_t read_blocks, std::uint64_t write_blocks, double row_hit_rate,
+                   double bytes_per_sec) {
+  EXPECT_DOUBLE_EQ(r.latency.ns(), latency_ns);
+  EXPECT_EQ(r.compute_cycles, compute_cycles);
+  EXPECT_EQ(r.read_blocks, read_blocks);
+  EXPECT_EQ(r.write_blocks, write_blocks);
+  EXPECT_DOUBLE_EQ(r.row_hit_rate, row_hit_rate);
+  EXPECT_DOUBLE_EQ(r.achieved_bandwidth.as_bytes_per_sec(), bytes_per_sec);
+  EXPECT_TRUE(r.cycle_accurate);
+}
+
+// Golden pins on the DAC'24 device: cold d512/dff2048 bf16 experts on a
+// fresh simulator. test_fastpath_diff compares two modes of one controller;
+// these pin the answers themselves, so a change to the controller or the
+// pipeline that moves any cycle fails here.
+TEST(NdpCoreSim, GoldenColdExpertsDac24) {
+  const core::SystemConfig cfg = core::SystemConfig::dac24();
+  struct Golden {
+    std::int64_t tokens;
+    double latency_ns;
+    std::uint64_t compute_cycles, read_blocks, write_blocks;
+    double row_hit_rate, bytes_per_sec;
+  };
+  const Golden goldens[] = {
+      {1, 9305.3556779561695, 8352, 32808, 40, 0.98347305389221562, 461766036243.82208},
+      {4, 9309.1058244462674, 8352, 32928, 160, 0.98335710889205896, 464948380403.45819},
+      {5, 17563.178249150358, 16704, 65736, 200, 0.98318024573541696, 486075065226.7818},
+      {13, 34620.719559357785, 33408, 131592, 520, 0.98291768347122199, 491283628479.59906},
+      {16, 34603.843900152351, 33408, 131712, 640, 0.98312336581887327, 492417534772.18225},
+  };
+  for (const Golden& g : goldens) {
+    SCOPED_TRACE(testing::Message() << "tokens=" << g.tokens);
+    NdpCoreSim sim{cfg.ndp, cfg.monde_mem};
+    expect_result(sim.simulate_expert({g.tokens, 512, 2048}, compute::DataType::kBf16),
+                  g.latency_ns, g.compute_cycles, g.read_blocks, g.write_blocks,
+                  g.row_hit_rate, g.bytes_per_sec);
+  }
+}
+
+TEST(NdpCoreSim, GoldenColdExpertWithoutBankPartitioning) {
+  const core::SystemConfig cfg = core::SystemConfig::dac24();
+  NdpCoreSim sim{cfg.ndp, cfg.monde_mem};
+  sim.bank_partitioning = false;
+  expect_result(sim.simulate_expert({4, 512, 2048}, compute::DataType::kBf16),
+                9309.1058244462674, 8352, 32928, 160, 0.98359096313912009,
+                464948380403.45819);
+}
+
+TEST(NdpCoreSim, GoldenColdExpertAtDoubleBandwidth) {
+  // 2x data rate doubles nCL and nWL in cycles, which lengthens the
+  // controller's in-flight window (sized from the Spec timing).
+  const dram::Spec mem = small_mem().with_bandwidth_scale(2.0);
+  ASSERT_GT(mem.timing.nCL, small_mem().timing.nCL);
+  NdpCoreSim sim{NdpSpec::monde_dac24().rate_matched(2.0), mem};
+  expect_result(sim.simulate_expert({2, 512, 1024}, compute::DataType::kBf16),
+                9724.4345482245408, 4192, 16432, 48, 0.97457125960969837,
+                221476665026.08524);
 }
 
 TEST(NdpCoreSim, ComputeCyclesExactFormula) {
