@@ -7,8 +7,8 @@
 // MoNDE is comparable at a fraction of the cost.
 // The closing section adds the serving-layer counterpart: a 2-replica
 // MD+LB fleet with per-replica expert residency, dispatched load-only vs
-// by gating affinity vs hash-sharded -- expert placement across devices as
-// a policy choice rather than a static partition.
+// by gating affinity -- expert placement across devices as a policy choice
+// rather than a static partition.
 #include "bench_util.hpp"
 #include "common/table.hpp"
 #include "serve/arrivals.hpp"
@@ -70,7 +70,7 @@ int main() {
     Table t{{"placement", "hit rate", "TPOT p99 (ms)", "imbalance"}};
     for (const serve::DispatchPolicy policy :
          {serve::DispatchPolicy::kLeastOutstandingTokens,
-          serve::DispatchPolicy::kExpertAffinity, serve::DispatchPolicy::kExpertSharded}) {
+          serve::DispatchPolicy::kExpertAffinity}) {
       serve::ClusterConfig ccfg;
       ccfg.expert.enabled = true;
       ccfg.expert.cache_capacity = 8;

@@ -3,13 +3,12 @@
 // Expert-aware serving (serve/expert.hpp) gives every request an
 // ExpertProfile -- its top gated experts per MoE layer -- and every replica
 // a hot/cold ExpertCache whose misses are priced as interconnect fetches.
-// This bench is the acceptance proof for the gating-aware dispatchers:
+// This bench is the acceptance proof for the gating-aware dispatcher:
 //
 //   1. dispatch policies -- the same skewed stream served by a fleet with
 //      expert residency enabled, dispatched by (a) least-outstanding-tokens
-//      (the load-only baseline), (b) expert-affinity (best residency
-//      overlap with power-of-two load spill-over), (c) expert-sharded
-//      (heavy experts hash-partitioned across the fleet). The binary FAILS
+//      (the load-only baseline) and (b) expert-affinity (best residency
+//      overlap with power-of-two load spill-over). The binary FAILS
 //      (non-zero exit) unless expert-affinity beats the baseline on BOTH
 //      the fleet expert hit-rate AND TPOT p99 -- the two halves of the
 //      claim that routing by gating cuts expert-fetch stalls without
@@ -96,8 +95,7 @@ int main(int argc, char** argv) {
     };
     for (const Policy p :
          {Policy{serve::DispatchPolicy::kLeastOutstandingTokens, "baseline."},
-          Policy{serve::DispatchPolicy::kExpertAffinity, "affinity."},
-          Policy{serve::DispatchPolicy::kExpertSharded, "sharded."}}) {
+          Policy{serve::DispatchPolicy::kExpertAffinity, "affinity."}}) {
       serve::ClusterConfig ccfg;
       ccfg.expert = expert;
       ccfg.event_log_enabled = false;

@@ -5,22 +5,22 @@
 // state is the KV prefix cache (serve/kvcache.hpp) -- a request whose
 // shared prefix is hot on replica 3 pays a full prefill if dispatch lands
 // it on replica 7. This bench is the acceptance proof for the
-// prefix-locality dispatchers (serve/dispatch.hpp):
+// prefix-locality dispatcher (serve/dispatch.hpp):
 //
 //   1. dispatch policies -- a Zipf-skewed multi-tenant trace (a few heavy
 //      tenants, a long tail; every tenant a shared-prefix group) served by
 //      a fleet whose per-replica cache holds only a handful of prefixes,
 //      dispatched by (a) least-outstanding-tokens (the load-only
-//      baseline), (b) prefix-affinity (power-of-two choices among
-//      resident prefix-holders), (c) prefix-hash (consistent-hash ring on
-//      the prefix id with bounded-load spill-over). The binary FAILS
-//      (non-zero exit) unless prefix-affinity beats the baseline on BOTH
-//      the cached-token rate AND p99 E2E -- locality must pay for itself
-//      at the tail, not just in the hit counter.
+//      baseline) and (b) prefix-affinity (power-of-two choices among
+//      resident prefix-holders, with bounded-load spill-over). The binary
+//      FAILS (non-zero exit) unless prefix-affinity beats the baseline on
+//      BOTH the cached-token rate AND p99 E2E -- locality must pay for
+//      itself at the tail, not just in the hit counter.
 //   2. fleet churn -- the same head-to-head under autoscaling: spawns and
-//      retirements reshuffle membership, and the consistent-hash ring's
-//      O(moved-keys) re-homing keeps the cached-token rate up where the
-//      load-only baseline scatters every group across the churned fleet.
+//      retirements reshuffle membership and migrate work (with its KV) off
+//      retirees. Affinity reads where each prefix is resident after every
+//      such move, so it keeps the cached-token rate up where the load-only
+//      baseline scatters every group across the churned fleet.
 //
 //   ./bench/serve_prefix_affinity                  full sweep
 //   ./bench/serve_prefix_affinity --smoke          tiny CI configuration
@@ -104,7 +104,6 @@ int main(int argc, char** argv) {
   const Policy kPolicies[] = {
       {serve::DispatchPolicy::kLeastOutstandingTokens, "baseline."},
       {serve::DispatchPolicy::kPrefixAffinity, "affinity."},
-      {serve::DispatchPolicy::kPrefixHash, "hash."},
   };
 
   // --- 1. Dispatch policies on the multi-tenant trace ----------------------
@@ -149,7 +148,7 @@ int main(int argc, char** argv) {
     std::printf("%s\n", table.str().c_str());
   }
 
-  // --- 2. Fleet churn: the ring under autoscale spawns/retirements ---------
+  // --- 2. Fleet churn: residency under autoscale spawns/retirements ---------
   {
     std::printf("--- churn: bursty load, autoscaled fleet (spawns + retirements) ---\n");
     serve::RequestShape churn_shape = shape;

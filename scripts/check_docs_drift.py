@@ -10,11 +10,13 @@ Five checks over README.md and docs/*.md:
 2. every enumerator-style token in backticks (``kPrefixAffinity``,
    ``kHandoff``, ...) must appear under src/ -- docs cannot reference
    enumerators that no longer exist;
-3. docs/DISPATCH.md (the dispatch-policy reference page) must mention
-   every ``DispatchPolicy`` enumerator declared in
-   src/serve/dispatch.hpp *and* every canonical policy name returned by
-   ``to_string`` in src/serve/dispatch.cpp -- adding a policy without
-   documenting it fails CI;
+3. docs/DISPATCH.md (the dispatch-policy reference page) and the sources
+   agree both ways: the page must mention every ``DispatchPolicy``
+   enumerator declared in src/serve/dispatch.hpp *and* every canonical
+   policy name returned by ``to_string`` in src/serve/dispatch.cpp, and
+   every backticked token in the Enumerator and Name columns of its
+   policy matrix must be one of those -- adding a policy without
+   documenting it fails CI, and so does deleting one but keeping its row;
 4. every backticked qualified member (``ClusterConfig::reference_loop``,
    ``ServerSim::version()``, ...) must name a member that still exists
    under src/: either ``Type::member`` appears verbatim (an out-of-line
@@ -43,6 +45,8 @@ ENUM_RE = re.compile(r"`(k[A-Z][A-Za-z0-9]*)`")
 # (serve::, std::, ...) may precede the type and are ignored.
 MEMBER_RE = re.compile(
     r"`(?:[a-z_][a-z0-9_]*::)*([A-Z][A-Za-z0-9_]*)::(~?[A-Za-z_][A-Za-z0-9_]*)[^`]*`")
+# The header row of DISPATCH.md's policy matrix.
+MATRIX_HEADER_RE = re.compile(r"^\|\s*Enumerator\s*\|\s*Name\s*\|")
 # A catalogue table row: its first cell is a backticked binary name.
 BENCH_ROW_RE = re.compile(r"\|\s*`([A-Za-z0-9_]+)`\s*\|")
 COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
@@ -136,6 +140,22 @@ def check_dispatch_reference(repo_root: Path) -> list[str]:
     for n in names:
         if n not in text:
             errors.append(f"{page}: policy name \"{n}\" is not documented")
+    lines = text.splitlines()
+    header = next((i for i, line in enumerate(lines) if MATRIX_HEADER_RE.match(line)), None)
+    if header is None:
+        return errors + [f"{page}: no policy matrix (a '| Enumerator | Name |' table)"]
+    # Row cells after the header and its |---| separator, up to the table's end.
+    for lineno in range(header + 3, len(lines) + 1):
+        line = lines[lineno - 1]
+        if not line.startswith("|"):
+            break
+        cells = line.split("|")
+        for column, cell, live in (("Enumerator", cells[1], enumerators),
+                                   ("Name", cells[2], names)):
+            for token in re.findall(r"`([^`]+)`", cell):
+                if token not in live:
+                    errors.append(f"{page}:{lineno}: policy matrix {column} `{token}` "
+                                  "is not a live DispatchPolicy")
     return errors
 
 

@@ -516,16 +516,10 @@ class ClusterSim::ClusterRun {
       ++rq.attempt;
       Duration at = t + cfg_.retry_timeout;
       if (resume) {
-        // Surviving-cache mode: the checkpointed prefix is restored onto
-        // the retry replica at the modelled transfer cost. With a
-        // checkpoint cadence, decode progress rounds down to the last
-        // interval boundary -- work past it was never checkpointed and is
-        // repeated on the retry replica (a decode-pool victim's requests
-        // keep their full prompt, so they re-home within the decode pool).
-        if (cfg_.cache.checkpoint_interval_tokens > 0) {
-          rq.resume.decoded -= rq.resume.decoded % cfg_.cache.checkpoint_interval_tokens;
-          if (rq.resume.decoded == 0) rq.resume.first_token = Duration::zero();
-        }
+        // Surviving-cache mode: the state checkpointed at the last step is
+        // restored onto the retry replica at the modelled transfer cost (a
+        // decode-pool victim's requests keep their full prompt, so they
+        // re-home within the decode pool).
         at += cfg_.cache.transfer_time_for(rq.resume.resident_tokens());
       } else {
         // Lost-cache mode: the KV state died with the node.

@@ -1,14 +1,12 @@
 #include "serve/dispatch.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
-#include <map>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "moe/expert_profile.hpp"
 #include "serve/kvcache.hpp"
 
 namespace monde::serve {
@@ -24,11 +22,18 @@ std::size_t argmin_load(const std::vector<ReplicaSnapshot>& snapshots, LoadFn lo
   return best;
 }
 
+/// Least-outstanding-tokens: a load-only policy in its own right, and the
+/// fallback of both residency-aware policies when the state they route on
+/// is absent.
+std::size_t least_outstanding(const std::vector<ReplicaSnapshot>& snapshots) {
+  return argmin_load(snapshots, [](const ReplicaSnapshot& s) { return s.outstanding_tokens; });
+}
+
 class RoundRobinDispatcher final : public Dispatcher {
  public:
   [[nodiscard]] std::string name() const override { return "round-robin"; }
 
-  std::size_t pick(const std::vector<ReplicaSnapshot>& snapshots) override {
+  std::size_t pick(const std::vector<ReplicaSnapshot>& snapshots, const Request&) override {
     MONDE_REQUIRE(!snapshots.empty(), "dispatcher needs at least one replica");
     return next_++ % snapshots.size();
   }
@@ -41,7 +46,7 @@ class JoinShortestQueueDispatcher final : public Dispatcher {
  public:
   [[nodiscard]] std::string name() const override { return "join-shortest-queue"; }
 
-  std::size_t pick(const std::vector<ReplicaSnapshot>& snapshots) override {
+  std::size_t pick(const std::vector<ReplicaSnapshot>& snapshots, const Request&) override {
     MONDE_REQUIRE(!snapshots.empty(), "dispatcher needs at least one replica");
     return argmin_load(snapshots, [](const ReplicaSnapshot& s) { return s.in_flight; });
   }
@@ -51,10 +56,9 @@ class LeastOutstandingTokensDispatcher final : public Dispatcher {
  public:
   [[nodiscard]] std::string name() const override { return "least-outstanding-tokens"; }
 
-  std::size_t pick(const std::vector<ReplicaSnapshot>& snapshots) override {
+  std::size_t pick(const std::vector<ReplicaSnapshot>& snapshots, const Request&) override {
     MONDE_REQUIRE(!snapshots.empty(), "dispatcher needs at least one replica");
-    return argmin_load(snapshots,
-                       [](const ReplicaSnapshot& s) { return s.outstanding_tokens; });
+    return least_outstanding(snapshots);
   }
 };
 
@@ -64,7 +68,7 @@ class PowerOfTwoChoicesDispatcher final : public Dispatcher {
 
   [[nodiscard]] std::string name() const override { return "power-of-two"; }
 
-  std::size_t pick(const std::vector<ReplicaSnapshot>& snapshots) override {
+  std::size_t pick(const std::vector<ReplicaSnapshot>& snapshots, const Request&) override {
     MONDE_REQUIRE(!snapshots.empty(), "dispatcher needs at least one replica");
     const std::size_t n = snapshots.size();
     if (n == 1) return 0;
@@ -108,16 +112,10 @@ class ExpertAffinityDispatcher final : public Dispatcher {
 
   [[nodiscard]] std::string name() const override { return "expert-affinity"; }
 
-  std::size_t pick(const std::vector<ReplicaSnapshot>& snapshots) override {
-    MONDE_REQUIRE(!snapshots.empty(), "dispatcher needs at least one replica");
-    return argmin_load(snapshots,
-                       [](const ReplicaSnapshot& s) { return s.outstanding_tokens; });
-  }
-
   std::size_t pick(const std::vector<ReplicaSnapshot>& snapshots,
                    const Request& rq) override {
     MONDE_REQUIRE(!snapshots.empty(), "dispatcher needs at least one replica");
-    if (rq.expert_profile.empty()) return pick(snapshots);
+    if (rq.expert_profile.empty()) return least_outstanding(snapshots);
     // Best hot-set overlap; ties go to the lighter replica, then the lower
     // index (so an all-cold fleet degenerates to least-outstanding-tokens).
     std::size_t best = 0;
@@ -139,156 +137,8 @@ class ExpertAffinityDispatcher final : public Dispatcher {
   Rng rng_;
 };
 
-class ExpertShardedDispatcher final : public Dispatcher {
- public:
-  explicit ExpertShardedDispatcher(std::uint64_t seed) : rng_{seed} {}
-
-  [[nodiscard]] std::string name() const override { return "expert-sharded"; }
-
-  std::size_t pick(const std::vector<ReplicaSnapshot>& snapshots) override {
-    MONDE_REQUIRE(!snapshots.empty(), "dispatcher needs at least one replica");
-    return argmin_load(snapshots,
-                       [](const ReplicaSnapshot& s) { return s.outstanding_tokens; });
-  }
-
-  std::size_t pick(const std::vector<ReplicaSnapshot>& snapshots,
-                   const Request& rq) override {
-    MONDE_REQUIRE(!snapshots.empty(), "dispatcher needs at least one replica");
-    if (rq.expert_profile.empty()) return pick(snapshots);
-    // Partition by the request's primary expert (heaviest of its first
-    // profiled layer): every request leaning on the same heavy expert lands
-    // on the same home shard, so each replica's residency converges to its
-    // partition of the heavy experts.
-    const auto& primary = rq.expert_profile.experts.front();
-    const std::size_t home = static_cast<std::size_t>(
-        moe::expert_signature_bit(primary.layer, primary.expert)) % snapshots.size();
-    return spill_over(snapshots, home, rng_);
-  }
-
- private:
-  Rng rng_;
-};
-
-/// Ring point of one virtual node: the murmur finalizer over the packed
-/// (replica, vnode) pair. Pure in its inputs, so every dispatcher instance
-/// (and both cluster loops) places the same replica at the same points.
-std::uint64_t ring_point(std::size_t replica, std::uint32_t vnode) {
-  std::uint64_t x = (static_cast<std::uint64_t>(replica) << 8) | vnode;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ULL;
-  x ^= x >> 29;
-  return x;
-}
-
-/// Consistent-hash-ring routing on the request's shared prefix id.
-///
-/// Each replica in the current view owns kVnodes pseudo-random points on a
-/// 64-bit ring; a request walks clockwise from hash(prefix_id) to the first
-/// point. Membership is diffed against the view on every routed pick, so a
-/// spawn/retire/death only moves the keys whose successor point changed --
-/// an expected `changed/fleet` share of the keyspace -- while every other
-/// prefix group keeps its home (and its resident prefix KV). A bounded-load
-/// spill-over (power-of-two probes) protects a popular group's home from
-/// melting. Requests with no shared prefix, and decode-phase requests (no
-/// prefill left to save), fall back to least-outstanding-tokens.
-class PrefixHashDispatcher final : public Dispatcher {
- public:
-  explicit PrefixHashDispatcher(std::uint64_t seed) : rng_{seed} {}
-
-  [[nodiscard]] std::string name() const override { return "prefix-hash"; }
-
-  std::size_t pick(const std::vector<ReplicaSnapshot>& snapshots) override {
-    MONDE_REQUIRE(!snapshots.empty(), "dispatcher needs at least one replica");
-    return argmin_load(snapshots,
-                       [](const ReplicaSnapshot& s) { return s.outstanding_tokens; });
-  }
-
-  std::size_t pick(const std::vector<ReplicaSnapshot>& snapshots,
-                   const Request& rq) override {
-    MONDE_REQUIRE(!snapshots.empty(), "dispatcher needs at least one replica");
-    if (rq.prefix_id == 0 || rq.decode_phase()) return pick(snapshots);
-    sync_ring(snapshots);
-    // Walk clockwise from the key to the first virtual node (wrapping).
-    std::uint64_t key = rq.prefix_id;
-    key *= 0xff51afd7ed558ccdULL;
-    key ^= key >> 33;
-    key *= 0xc4ceb9fe1a85ec53ULL;
-    key ^= key >> 29;
-    auto it = ring_.lower_bound(key);
-    if (it == ring_.end()) it = ring_.begin();
-    const std::size_t home_replica = it->second;
-    std::size_t home = 0;
-    for (std::size_t i = 0; i < snapshots.size(); ++i) {
-      if (snapshots[i].replica == home_replica) {
-        home = i;
-        break;
-      }
-    }
-    return spill_over(snapshots, home, rng_);
-  }
-
- private:
-  /// Virtual nodes per replica: enough to keep per-replica keyspace shares
-  /// near-uniform (stddev ~ 1/sqrt(kVnodes)) without bloating the ring.
-  static constexpr std::uint32_t kVnodes = 32;
-
-  /// Reconcile ring membership with the view. The common no-change case is
-  /// one O(view) sorted compare; a membership change costs O(changed x
-  /// kVnodes x log ring). Keyed on ReplicaSnapshot::replica -- the stable
-  /// identity across health/pool filtering and fleet resizes.
-  void sync_ring(const std::vector<ReplicaSnapshot>& snapshots) {
-    seen_.clear();
-    seen_.reserve(snapshots.size());
-    for (const ReplicaSnapshot& s : snapshots) seen_.push_back(s.replica);
-    std::sort(seen_.begin(), seen_.end());
-    if (seen_ == members_) return;
-    // Merge-walk the sorted member lists; only the symmetric difference
-    // touches the ring, so unchanged replicas keep their points (and the
-    // keys mapped to them).
-    std::size_t i = 0;
-    std::size_t j = 0;
-    while (i < members_.size() || j < seen_.size()) {
-      if (j == seen_.size() || (i < members_.size() && members_[i] < seen_[j])) {
-        remove_points(members_[i]);
-        ++i;
-      } else if (i == members_.size() || seen_[j] < members_[i]) {
-        add_points(seen_[j]);
-        ++j;
-      } else {
-        ++i;
-        ++j;
-      }
-    }
-    members_ = seen_;
-  }
-
-  void add_points(std::size_t replica) {
-    for (std::uint32_t v = 0; v < kVnodes; ++v) {
-      // On a (vanishingly rare) 64-bit point collision the lower replica
-      // index wins deterministically; the loser just runs one vnode short.
-      auto [it, inserted] = ring_.emplace(ring_point(replica, v), replica);
-      if (!inserted && replica < it->second) it->second = replica;
-    }
-  }
-
-  void remove_points(std::size_t replica) {
-    for (std::uint32_t v = 0; v < kVnodes; ++v) {
-      const auto it = ring_.find(ring_point(replica, v));
-      if (it != ring_.end() && it->second == replica) ring_.erase(it);
-    }
-  }
-
-  Rng rng_;
-  std::map<std::uint64_t, std::size_t> ring_;  ///< point -> replica id
-  std::vector<std::size_t> members_;           ///< sorted replica ids on the ring
-  std::vector<std::size_t> seen_;              ///< scratch for the per-pick diff
-};
-
 /// Power-of-two choices restricted to replicas whose snapshot signature
-/// says the request's shared prefix is resident *right now* -- the sharpest
-/// locality signal available (kPrefixHash routes on where the prefix
-/// *should* live; this routes on where it verifiably does). Falls back to
+/// says the request's shared prefix is resident *right now*. Falls back to
 /// least-outstanding-tokens when no holder exists (the first arrival of a
 /// group seeds a home wherever the load is lowest), for prefix-less
 /// requests, and for decode-phase work. The spill-over keeps a saturated
@@ -299,22 +149,16 @@ class PrefixAffinityDispatcher final : public Dispatcher {
 
   [[nodiscard]] std::string name() const override { return "prefix-affinity"; }
 
-  std::size_t pick(const std::vector<ReplicaSnapshot>& snapshots) override {
-    MONDE_REQUIRE(!snapshots.empty(), "dispatcher needs at least one replica");
-    return argmin_load(snapshots,
-                       [](const ReplicaSnapshot& s) { return s.outstanding_tokens; });
-  }
-
   std::size_t pick(const std::vector<ReplicaSnapshot>& snapshots,
                    const Request& rq) override {
     MONDE_REQUIRE(!snapshots.empty(), "dispatcher needs at least one replica");
-    if (rq.prefix_id == 0 || rq.decode_phase()) return pick(snapshots);
+    if (rq.prefix_id == 0 || rq.decode_phase()) return least_outstanding(snapshots);
     const std::uint64_t bit = std::uint64_t{1} << prefix_signature_bit(rq.prefix_id);
     holders_.clear();
     for (std::size_t i = 0; i < snapshots.size(); ++i) {
       if ((snapshots[i].prefix_sig & bit) != 0) holders_.push_back(i);
     }
-    if (holders_.empty()) return pick(snapshots);
+    if (holders_.empty()) return least_outstanding(snapshots);
     std::size_t choice = holders_.front();
     if (holders_.size() > 1) {
       // Two distinct uniform probes among the holders; fewer outstanding
@@ -346,8 +190,6 @@ std::string to_string(DispatchPolicy policy) {
     case DispatchPolicy::kLeastOutstandingTokens: return "least-outstanding-tokens";
     case DispatchPolicy::kPowerOfTwoChoices: return "power-of-two";
     case DispatchPolicy::kExpertAffinity: return "expert-affinity";
-    case DispatchPolicy::kExpertSharded: return "expert-sharded";
-    case DispatchPolicy::kPrefixHash: return "prefix-hash";
     case DispatchPolicy::kPrefixAffinity: return "prefix-affinity";
   }
   MONDE_ASSERT(false, "unknown dispatch policy");
@@ -404,10 +246,6 @@ std::unique_ptr<Dispatcher> make_dispatcher(DispatchPolicy policy, std::uint64_t
       return std::make_unique<PowerOfTwoChoicesDispatcher>(seed);
     case DispatchPolicy::kExpertAffinity:
       return std::make_unique<ExpertAffinityDispatcher>(seed);
-    case DispatchPolicy::kExpertSharded:
-      return std::make_unique<ExpertShardedDispatcher>(seed);
-    case DispatchPolicy::kPrefixHash:
-      return std::make_unique<PrefixHashDispatcher>(seed);
     case DispatchPolicy::kPrefixAffinity:
       return std::make_unique<PrefixAffinityDispatcher>(seed);
   }

@@ -16,12 +16,12 @@
 //     shorter queue; near-JSQ tail latency while probing O(1) replicas
 //     (Mitzenmacher's "power of two choices").
 //
-// plus four residency-aware policies that additionally read what is already
-// *resident* on each replica -- expert weights (kExpertAffinity /
-// kExpertSharded, serve/expert.hpp) or shared KV prefixes (kPrefixHash /
-// kPrefixAffinity, serve/kvcache.hpp). docs/DISPATCH.md is the reference
-// page: the full policy matrix, each policy's snapshot-field dependencies,
-// and the tie-break rules.
+// plus two residency-aware policies that additionally read what is already
+// *resident* on each replica -- expert weights (kExpertAffinity,
+// serve/expert.hpp) or shared KV prefixes (kPrefixAffinity,
+// serve/kvcache.hpp). docs/DISPATCH.md is the reference page: the full
+// policy matrix, each policy's snapshot-field dependencies, and the
+// tie-break rules.
 //
 // Policies are deterministic given their seed; ties break toward the lowest
 // replica index.
@@ -69,17 +69,16 @@ enum class DispatchPolicy {
   kJoinShortestQueue,       ///< fewest in-flight requests wins
   kLeastOutstandingTokens,  ///< fewest still-owed tokens wins
   kPowerOfTwoChoices,       ///< two random probes, lighter queue wins
-  // Gating-aware policies (expert-aware serving, serve/expert.hpp). They
-  // read the request's ExpertProfile and the replicas' expert residency
-  // signatures; with both absent they reduce to least-outstanding-tokens.
+  // Gating-aware policy (expert-aware serving, serve/expert.hpp). It reads
+  // the request's ExpertProfile and the replicas' expert residency
+  // signatures; with the profile absent it reduces to
+  // least-outstanding-tokens.
   kExpertAffinity,  ///< best hot-set overlap, power-of-two load spill-over
-  kExpertSharded,   ///< heavy experts hash-partitioned across the fleet
-  // Prefix-locality policies (KV-cache-aware serving, serve/kvcache.hpp).
-  // They route on the request's shared `prefix_id` so group members land
-  // where the group's prefix KV is (or will become) resident; requests
-  // without a shared prefix -- and decode-phase work, which has no prefill
-  // left to save -- fall back to least-outstanding-tokens.
-  kPrefixHash,      ///< consistent-hash ring on prefix_id, load spill-over
+  // Prefix-locality policy (KV-cache-aware serving, serve/kvcache.hpp). It
+  // routes on the request's shared `prefix_id` so group members land where
+  // the group's prefix KV is already resident; requests without a shared
+  // prefix -- and decode-phase work, which has no prefill left to save --
+  // fall back to least-outstanding-tokens.
   kPrefixAffinity,  ///< power-of-two choices among resident prefix-holders
 };
 
@@ -120,33 +119,26 @@ struct ReplicaSnapshot {
 };
 
 /// A dispatch policy. pick() is called once per request, in arrival order;
-/// implementations may carry state (rotation counter, RNG stream, the
-/// consistent-hash ring), so picks are deterministic in the *sequence* of
-/// (snapshots, request) pairs seen since construction.
+/// implementations may carry state (rotation counter, RNG stream), so picks
+/// are deterministic in the *sequence* of (snapshots, request) pairs seen
+/// since construction.
 class Dispatcher {
  public:
   virtual ~Dispatcher() = default;
 
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Chooses the replica for the next request. `snapshots` holds one entry
-  /// per replica, in replica order; the returned index refers into it.
-  [[nodiscard]] virtual std::size_t pick(const std::vector<ReplicaSnapshot>& snapshots) = 0;
-
-  /// Request-aware overload used by the cluster: residency-aware policies
-  /// read the request's expert profile or shared prefix id; every load-only
-  /// policy ignores the request and forwards to pick(snapshots), so stock
-  /// policies behave identically through either entry point.
+  /// Chooses the replica for `rq`. `snapshots` holds one entry per replica,
+  /// in replica order; the returned index refers into it. Load-only
+  /// policies ignore the request; residency-aware ones read its expert
+  /// profile or shared prefix id.
   [[nodiscard]] virtual std::size_t pick(const std::vector<ReplicaSnapshot>& snapshots,
-                                         const Request& rq) {
-    (void)rq;
-    return pick(snapshots);
-  }
+                                         const Request& rq) = 0;
 };
 
 /// Builds a fresh dispatcher. `seed` feeds the randomized policies
-/// (power-of-two choices and every residency-aware policy's load
-/// spill-over probes); everything is deterministic given it.
+/// (power-of-two choices and both residency-aware policies' load spill-over
+/// probes); everything is deterministic given it.
 [[nodiscard]] std::unique_ptr<Dispatcher> make_dispatcher(DispatchPolicy policy,
                                                           std::uint64_t seed = 42);
 

@@ -12,8 +12,6 @@ void PrefixCacheConfig::validate() const {
   MONDE_REQUIRE(kv_bytes_per_token.count() > 0, "prefix cache needs kv_bytes_per_token > 0");
   MONDE_REQUIRE(migration_bw.as_bytes_per_sec() > 0.0,
                 "prefix cache needs a positive migration bandwidth");
-  MONDE_REQUIRE(checkpoint_interval_tokens >= 0,
-                "checkpoint_interval_tokens must be >= 0");
 }
 
 KvCache::KvCache(PrefixCacheConfig cfg) : cfg_{cfg} { cfg_.validate(); }

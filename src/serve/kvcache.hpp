@@ -79,14 +79,6 @@ struct PrefixCacheConfig {
   /// Link rate for checkpoint restore / live migration of KV state.
   Bandwidth migration_bw = Bandwidth::gbps(16.0);
 
-  /// Checkpoint cadence for surviving-cache retry, in decoded tokens. A
-  /// stranded request resumes from the last decode position that is a
-  /// multiple of this interval -- coarser cadence means fewer checkpoint
-  /// writes but more decode work repeated after a fail-stop, and a smaller
-  /// resident frontier to move on restore. 0 = every step (the continuous
-  /// checkpointing behavior the cadence generalizes).
-  std::int64_t checkpoint_interval_tokens = 0;
-
   /// Fail-stop retry mode. `true` = surviving-cache: prefixes are
   /// continuously checkpointed off-node, so a stranded request resumes from
   /// its last completed step on the retry replica (after a transfer span).

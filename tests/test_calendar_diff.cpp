@@ -199,15 +199,6 @@ TEST(CalendarDiff, ExpertAffinityServingAgrees) {
   expect_loops_agree(sc);
 }
 
-TEST(CalendarDiff, ExpertShardedServingAgrees) {
-  Scenario sc;
-  sc.trace = poisson_trace(32, 300.0, small_shape(), 21);
-  sc.specs = uniform_fleet(3, core::StrategyKind::kMondeLoadBalanced, SchedulerConfig{});
-  sc.cfg.expert = diff_expert_config();
-  sc.policy = DispatchPolicy::kExpertSharded;
-  expect_loops_agree(sc);
-}
-
 TEST(CalendarDiff, ExpertServingWithFailuresAndAutoscale) {
   // Residency + rebalance under membership churn: a fail-stop mid-trace and
   // an autoscaler spawning/retiring around it. Rebalance preloads must skip
@@ -241,16 +232,6 @@ RequestShape prefix_shape() {
   return shape;
 }
 
-TEST(CalendarDiff, PrefixHashRoutingAgrees) {
-  Scenario sc;
-  sc.trace = poisson_trace(32, 300.0, prefix_shape(), 21);
-  sc.specs = uniform_fleet(3, core::StrategyKind::kMondeLoadBalanced, SchedulerConfig{});
-  sc.cfg.cache.enabled = true;
-  sc.cfg.cache.capacity_tokens = 4096;
-  sc.policy = DispatchPolicy::kPrefixHash;
-  expect_loops_agree(sc);
-}
-
 TEST(CalendarDiff, PrefixAffinityRoutingAgrees) {
   Scenario sc;
   sc.trace = poisson_trace(32, 300.0, prefix_shape(), 21);
@@ -262,9 +243,9 @@ TEST(CalendarDiff, PrefixAffinityRoutingAgrees) {
 }
 
 TEST(CalendarDiff, PrefixRoutingWithFaultsAndAutoscale) {
-  // Ring membership under churn: a fail-stop mid-trace plus autoscale
-  // spawns/retirements -- the consistent-hash ring (and the prefix_sig
-  // write-through on migration) must re-home identically in both loops.
+  // Prefix residency under churn: a fail-stop mid-trace plus autoscale
+  // spawns/retirements -- holder lookups (and the prefix_sig write-through
+  // on migration) must re-home identically in both loops.
   Scenario sc;
   sc.trace = bursty_trace(28, 7, Duration::millis(25), prefix_shape(), 19);
   sc.specs = uniform_fleet(3, core::StrategyKind::kMondeLoadBalanced, SchedulerConfig{});
@@ -276,7 +257,7 @@ TEST(CalendarDiff, PrefixRoutingWithFaultsAndAutoscale) {
   sc.cfg.retry_timeout = Duration::millis(2);
   sc.cfg.warmup = Duration::millis(2);
   sc.cfg.autoscale_period = Duration::millis(3);
-  sc.policy = DispatchPolicy::kPrefixHash;
+  sc.policy = DispatchPolicy::kPrefixAffinity;
   sc.autoscaled = true;
   sc.autoscale.min_replicas = 2;
   sc.autoscale.max_replicas = 5;
@@ -415,13 +396,10 @@ TEST(ParallelDiff, SlowEwmaFilterAcrossThreads) {
 class RecordingDispatcher final : public Dispatcher {
  public:
   [[nodiscard]] std::string name() const override { return "recording"; }
-  std::size_t pick(const std::vector<ReplicaSnapshot>& snapshots) override {
-    seen.push_back(snapshots);
-    return inner_->pick(snapshots);
-  }
   std::size_t pick(const std::vector<ReplicaSnapshot>& snapshots, const Request& rq) override {
+    seen.push_back(snapshots);
     at.push_back(rq.arrival);
-    return pick(snapshots);
+    return inner_->pick(snapshots, rq);
   }
   std::vector<std::vector<ReplicaSnapshot>> seen;
   std::vector<Duration> at;  ///< dispatch instant of each recorded view

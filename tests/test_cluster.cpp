@@ -37,23 +37,23 @@ std::vector<ReplicaSnapshot> snapshots(std::vector<std::size_t> in_flight,
 TEST(Dispatch, RoundRobinCycles) {
   auto d = make_dispatcher(DispatchPolicy::kRoundRobin);
   const auto snaps = snapshots({9, 0, 0}, {9, 0, 0});  // load-oblivious
-  EXPECT_EQ(d->pick(snaps), 0u);
-  EXPECT_EQ(d->pick(snaps), 1u);
-  EXPECT_EQ(d->pick(snaps), 2u);
-  EXPECT_EQ(d->pick(snaps), 0u);
+  EXPECT_EQ(d->pick(snaps, Request{}), 0u);
+  EXPECT_EQ(d->pick(snaps, Request{}), 1u);
+  EXPECT_EQ(d->pick(snaps, Request{}), 2u);
+  EXPECT_EQ(d->pick(snaps, Request{}), 0u);
 }
 
 TEST(Dispatch, JoinShortestQueuePicksMinInFlight) {
   auto d = make_dispatcher(DispatchPolicy::kJoinShortestQueue);
-  EXPECT_EQ(d->pick(snapshots({3, 1, 2}, {0, 900, 0})), 1u);  // ignores tokens
-  EXPECT_EQ(d->pick(snapshots({2, 1, 1}, {0, 0, 0})), 1u);    // tie -> lowest index
+  EXPECT_EQ(d->pick(snapshots({3, 1, 2}, {0, 900, 0}), Request{}), 1u);  // ignores tokens
+  EXPECT_EQ(d->pick(snapshots({2, 1, 1}, {0, 0, 0}), Request{}), 1u);    // tie -> lowest index
 }
 
 TEST(Dispatch, LeastOutstandingTokensWeighsRequestSize) {
   auto d = make_dispatcher(DispatchPolicy::kLeastOutstandingTokens);
   // Replica 0 has fewer requests but owes far more tokens.
-  EXPECT_EQ(d->pick(snapshots({1, 3}, {4000, 120})), 1u);
-  EXPECT_EQ(d->pick(snapshots({1, 3}, {50, 120})), 0u);
+  EXPECT_EQ(d->pick(snapshots({1, 3}, {4000, 120}), Request{}), 1u);
+  EXPECT_EQ(d->pick(snapshots({1, 3}, {50, 120}), Request{}), 0u);
 }
 
 TEST(Dispatch, PowerOfTwoIsDeterministicAndInRange) {
@@ -61,13 +61,13 @@ TEST(Dispatch, PowerOfTwoIsDeterministicAndInRange) {
   auto a = make_dispatcher(DispatchPolicy::kPowerOfTwoChoices, 5);
   auto b = make_dispatcher(DispatchPolicy::kPowerOfTwoChoices, 5);
   for (int i = 0; i < 64; ++i) {
-    const std::size_t pa = a->pick(snaps);
-    EXPECT_EQ(pa, b->pick(snaps));
+    const std::size_t pa = a->pick(snaps, Request{});
+    EXPECT_EQ(pa, b->pick(snaps, Request{}));
     EXPECT_LT(pa, snaps.size());
   }
   // Single replica: no probing needed.
   auto single = make_dispatcher(DispatchPolicy::kPowerOfTwoChoices, 5);
-  EXPECT_EQ(single->pick(snapshots({42}, {42})), 0u);
+  EXPECT_EQ(single->pick(snapshots({42}, {42}), Request{}), 0u);
 }
 
 TEST(Dispatch, EligibleSnapshotsFilterHealth) {
@@ -102,7 +102,7 @@ TEST(Dispatch, EligibleSnapshotsFilterHealth) {
 TEST(Dispatch, RejectsEmptySnapshot) {
   for (const DispatchPolicy policy : all_dispatch_policies()) {
     auto d = make_dispatcher(policy);
-    EXPECT_THROW((void)d->pick({}), Error) << to_string(policy);
+    EXPECT_THROW((void)d->pick({}, Request{}), Error) << to_string(policy);
   }
 }
 

@@ -2,9 +2,8 @@
 // assignment, the priced KV handoff from prefill to decode replicas, pool
 // routing of retries (surviving-cache retries stay in the decode pool, a
 // lost cache sends the request back to prefill), pool-aware autoscaling,
-// the checkpoint-cadence knob it subsumes, and -- the acceptance pins --
-// bit-identity of the disabled path and calendar/reference/thread agreement
-// of the enabled one.
+// and -- the acceptance pins -- bit-identity of the disabled path and
+// calendar/reference/thread agreement of the enabled one.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -306,45 +305,6 @@ TEST(Disagg, AutoscalerGrowsAndShrinksWithoutEmptyingEitherPool) {
   }
 }
 
-// --- Checkpoint cadence (the subsumed carried-over satellite) ----------------
-
-TEST(Disagg, CheckpointCadenceRoundsResumedDecodeProgress) {
-  // A surviving cache checkpoints decode progress only every N tokens:
-  // retries resume from the last boundary, so a coarse cadence preserves
-  // at most as much work as a fine one (interval 1 == continuous == the
-  // pre-knob behavior, pinned bit-identically).
-  const auto trace = bursty_trace(24, 6, Duration::millis(25), small_shape(), 13);
-  const auto run_with = [&](std::int64_t interval) {
-    Scenario sc;
-    sc.trace = trace;
-    sc.specs = uniform_fleet(3, core::StrategyKind::kMondeLoadBalanced, SchedulerConfig{});
-    sc.specs[1].fault.fail_at = Duration::millis(30);
-    sc.cfg.retry_timeout = Duration::millis(2);
-    sc.cfg.cache = enabled_cache();
-    sc.cfg.cache.survive_failstop = true;
-    sc.cfg.cache.checkpoint_interval_tokens = interval;
-    return run_scenario(sc, /*reference_loop=*/false);
-  };
-  const ClusterReport continuous = run_with(0);
-  const ClusterReport unit = run_with(1);
-  const ClusterReport coarse = run_with(1 << 20);  // boundary never reached
-  expect_reports_identical(continuous, unit);
-
-  ASSERT_EQ(coarse.requests.size(), continuous.requests.size());
-  std::int64_t fine_resumed = 0, coarse_resumed = 0;
-  for (std::size_t i = 0; i < continuous.requests.size(); ++i) {
-    fine_resumed += continuous.requests[i].resumed_tokens;
-    coarse_resumed += coarse.requests[i].resumed_tokens;
-  }
-  EXPECT_GT(continuous.retries, 0u);
-  EXPECT_EQ(coarse.retries, continuous.retries);
-  EXPECT_LT(coarse_resumed, fine_resumed);  // decoded progress was rounded away
-
-  PrefixCacheConfig bad = enabled_cache();
-  bad.checkpoint_interval_tokens = -1;
-  EXPECT_THROW(bad.validate(), Error);
-}
-
 // --- Loop/thread agreement with disagg on (acceptance pin) -------------------
 
 TEST(DisaggDiff, PlainDisaggFleetAgreesAcrossLoopsAndThreads) {
@@ -365,9 +325,9 @@ TEST(DisaggDiff, TwoPrefillReplicasAgree) {
 }
 
 TEST(DisaggDiff, FaultsCacheAndAutoscaleAgree) {
-  // The kitchen sink: a dying decode replica, surviving checkpoints with a
-  // coarse cadence, and a pool-aware autoscaler -- every disagg moving part
-  // at once, pinned across both loops and 1/2/4/8 threads.
+  // The kitchen sink: a dying decode replica, surviving checkpoints, and a
+  // pool-aware autoscaler -- every disagg moving part at once, pinned across
+  // both loops and 1/2/4/8 threads.
   Scenario sc;
   sc.trace = bursty_trace(28, 7, Duration::millis(25), small_shape(), 19);
   sc.specs = uniform_fleet(3, core::StrategyKind::kMondeLoadBalanced, SchedulerConfig{});
@@ -378,7 +338,6 @@ TEST(DisaggDiff, FaultsCacheAndAutoscaleAgree) {
   sc.cfg.autoscale_period = Duration::millis(3);
   sc.cfg.cache = enabled_cache();
   sc.cfg.cache.survive_failstop = true;
-  sc.cfg.cache.checkpoint_interval_tokens = 4;
   sc.autoscaled = true;
   sc.autoscale.min_replicas = 2;
   sc.autoscale.max_replicas = 6;

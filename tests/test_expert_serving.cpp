@@ -1,6 +1,6 @@
 // Unit tests for expert-aware serving: per-request ExpertProfile derivation
 // (deterministic, layer-major, signature-consistent), expert-miss pricing
-// and preloads in ServerSim, the gating-aware dispatchers, and the
+// and preloads in ServerSim, the gating-aware dispatcher, and the
 // cluster-level rebalance / pruned-degraded-mode machinery.
 #include <gtest/gtest.h>
 
@@ -199,24 +199,6 @@ TEST(ExpertDispatch, AffinitySpillsOverWhenChoiceIsOverloaded) {
   std::vector<ReplicaSnapshot> ok{snap(0, 15, rq.expert_profile.signature),
                                   snap(1, 10, 0)};
   EXPECT_EQ(dispatcher->pick(ok, rq), 0u);
-}
-
-TEST(ExpertDispatch, ShardedHomesByPrimaryExpert) {
-  const auto dispatcher = make_dispatcher(DispatchPolicy::kExpertSharded, 17);
-  EXPECT_EQ(dispatcher->name(), "expert-sharded");
-  const Request rq = profiled_request({{2, 3}, {3, 7}});
-  std::vector<ReplicaSnapshot> v{snap(0, 10, 0), snap(1, 10, 0), snap(2, 10, 0),
-                                 snap(3, 10, 0)};
-  const std::size_t home = moe::expert_signature_bit(2, 3) % v.size();
-  EXPECT_EQ(dispatcher->pick(v, rq), home);
-  // Same primary expert, same home -- that is the partitioning invariant.
-  const Request rq2 = profiled_request({{2, 3}, {3, 1}});
-  EXPECT_EQ(dispatcher->pick(v, rq2), home);
-  // No profile: reduces to least-outstanding-tokens.
-  Request empty;
-  std::vector<ReplicaSnapshot> plain{snap(0, 20, 0), snap(1, 5, 0), snap(2, 30, 0),
-                                     snap(3, 10, 0)};
-  EXPECT_EQ(dispatcher->pick(plain, empty), 1u);
 }
 
 TEST(ExpertCluster, ReportsResidencyRebalanceAndPruning) {

@@ -3,13 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
-#include <sstream>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
 #include "moe/gating.hpp"
 #include "moe/model_config.hpp"
-#include "moe/trace.hpp"
 #include "moe/workload.hpp"
 
 namespace monde::moe {
@@ -348,49 +346,6 @@ TEST(Workload, RequiresMoeModel) {
   EXPECT_THROW(
       WorkloadGenerator(MoeModelConfig::t5_large_dense(), SkewProfile::uniform(), 1),
       Error);
-}
-
-
-TEST(Trace, SaveLoadRoundTrip) {
-  WorkloadGenerator gen{MoeModelConfig::nllb_moe_128(), SkewProfile::nllb_like(), 42};
-  const auto pass = gen.encoder_pass(2, 128);
-  std::ostringstream os;
-  save_trace(os, pass.moe_layers);
-  std::istringstream is{os.str()};
-  const auto loaded = load_trace(is);
-  ASSERT_EQ(loaded.size(), pass.moe_layers.size());
-  for (std::size_t i = 0; i < loaded.size(); ++i) {
-    EXPECT_EQ(loaded[i].layer_id, pass.moe_layers[i].layer_id);
-    EXPECT_EQ(loaded[i].total_tokens, pass.moe_layers[i].total_tokens);
-    EXPECT_EQ(loaded[i].top_k, pass.moe_layers[i].top_k);
-    EXPECT_EQ(loaded[i].tokens_per_expert, pass.moe_layers[i].tokens_per_expert);
-  }
-}
-
-TEST(Trace, SkipsCommentsAndBlankLines) {
-  std::istringstream is{"# captured from production router\n\n0,4,1,1,2,1,0\n"};
-  const auto layers = load_trace(is);
-  ASSERT_EQ(layers.size(), 1u);
-  EXPECT_EQ(layers[0].tokens_per_expert.size(), 4u);
-  EXPECT_EQ(layers[0].routed_tokens(), 4u);
-}
-
-TEST(Trace, RejectsMalformedRows) {
-  std::istringstream bad_header{"0,notanumber,1,1\n"};
-  EXPECT_THROW((void)load_trace(bad_header), Error);
-  std::istringstream no_counts{"0,4,1\n"};
-  EXPECT_THROW((void)load_trace(no_counts), Error);
-  std::istringstream inconsistent{"0,4,1,1,2\n1,4,1,1,2,3\n"};
-  EXPECT_THROW((void)load_trace(inconsistent), Error);
-}
-
-TEST(Trace, FileRoundTrip) {
-  WorkloadGenerator gen{MoeModelConfig::switch_large_128(), SkewProfile::switch_like(), 7};
-  const auto steps = gen.decoder_steps(4, 2);
-  save_trace_file("/tmp/monde_trace_test.csv", steps[0].moe_layers);
-  const auto loaded = load_trace_file("/tmp/monde_trace_test.csv");
-  EXPECT_EQ(loaded.size(), steps[0].moe_layers.size());
-  EXPECT_THROW((void)load_trace_file("/nonexistent/path.csv"), Error);
 }
 
 // Property sweep: token conservation across batch sizes and both models.

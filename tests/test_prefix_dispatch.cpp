@@ -1,7 +1,6 @@
-// Unit tests for the prefix-locality dispatch policies (serve/dispatch.hpp):
-// consistent-hash-ring determinism and bounded key movement for kPrefixHash,
-// holder-restricted power-of-two choices for kPrefixAffinity, the shared
-// load spill-over, and eligible_snapshots() on an all-healthy fleet.
+// Unit tests for the prefix-locality dispatch policy (serve/dispatch.hpp):
+// holder-restricted power-of-two choices for kPrefixAffinity, its load
+// spill-over and fallback, and eligible_snapshots() on an all-healthy fleet.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -17,7 +16,7 @@ namespace {
 /// `n` healthy replicas with equal load, ids 0..n-1. Equal outstanding
 /// tokens keep the spill-over from ever defecting (a probe is "better" only
 /// when the choice carries MORE than twice its tokens), so picks expose the
-/// ring / holder choice directly.
+/// holder choice directly.
 std::vector<ReplicaSnapshot> even_fleet(std::size_t n) {
   std::vector<ReplicaSnapshot> snaps;
   for (std::size_t i = 0; i < n; ++i) snaps.push_back({i, 1, 100});
@@ -32,100 +31,6 @@ Request prefix_request(std::uint64_t id, std::uint64_t prefix_id) {
   rq.prefix_id = prefix_id;
   rq.shared_prefix_len = prefix_id != 0 ? 16 : 0;
   return rq;
-}
-
-/// The ring home of every probe key under one dispatcher instance.
-std::vector<std::size_t> homes(Dispatcher& d, const std::vector<ReplicaSnapshot>& snaps,
-                               std::size_t keys) {
-  std::vector<std::size_t> out;
-  out.reserve(keys);
-  for (std::size_t k = 0; k < keys; ++k) {
-    out.push_back(snaps[d.pick(snaps, prefix_request(k, k + 1))].replica);
-  }
-  return out;
-}
-
-TEST(PrefixHash, RingPlacementIsSeedIndependent) {
-  // The ring is placed by a pure hash -- the seed feeds only the spill-over
-  // probes, which never defect on an evenly loaded fleet. Two dispatchers
-  // with different seeds must therefore agree on every home.
-  const auto snaps = even_fleet(8);
-  auto a = make_dispatcher(DispatchPolicy::kPrefixHash, 1);
-  auto b = make_dispatcher(DispatchPolicy::kPrefixHash, 999);
-  EXPECT_EQ(homes(*a, snaps, 256), homes(*b, snaps, 256));
-}
-
-TEST(PrefixHash, SameGroupAlwaysLandsOnItsHome) {
-  const auto snaps = even_fleet(5);
-  auto d = make_dispatcher(DispatchPolicy::kPrefixHash, 7);
-  const std::size_t home = d->pick(snaps, prefix_request(0, 42));
-  for (std::uint64_t id = 1; id < 50; ++id) {
-    EXPECT_EQ(d->pick(snaps, prefix_request(id, 42)), home);
-  }
-}
-
-TEST(PrefixHash, BoundedMovementOnReplicaAdd) {
-  auto d = make_dispatcher(DispatchPolicy::kPrefixHash, 7);
-  constexpr std::size_t kKeys = 2000;
-  const auto before = homes(*d, even_fleet(8), kKeys);
-  const auto after = homes(*d, even_fleet(9), kKeys);  // spawn replica 8
-  std::size_t moved = 0;
-  for (std::size_t k = 0; k < kKeys; ++k) {
-    if (before[k] != after[k]) {
-      ++moved;
-      // Consistent hashing moves keys only TO the new replica, never
-      // between surviving ones.
-      EXPECT_EQ(after[k], 8u);
-    }
-  }
-  // Expected moved share is 1/9 of the keyspace; allow 2x for hash variance.
-  EXPECT_GT(moved, 0u);
-  EXPECT_LE(moved, 2 * kKeys / 9);
-}
-
-TEST(PrefixHash, BoundedMovementOnReplicaRemoval) {
-  // Retire/death: the departed replica's keys scatter to survivors; every
-  // other key keeps its home. Removal is just membership absence, so this
-  // covers retire and detected-death alike.
-  auto d = make_dispatcher(DispatchPolicy::kPrefixHash, 7);
-  constexpr std::size_t kKeys = 2000;
-  const auto before = homes(*d, even_fleet(8), kKeys);
-  auto shrunk = even_fleet(8);
-  shrunk.erase(shrunk.begin() + 3);  // replica 3 died
-  const auto after = homes(*d, shrunk, kKeys);
-  std::size_t moved = 0;
-  for (std::size_t k = 0; k < kKeys; ++k) {
-    if (before[k] != after[k]) {
-      ++moved;
-      EXPECT_EQ(before[k], 3u);  // only the dead replica's keys re-home
-      EXPECT_NE(after[k], 3u);
-    }
-  }
-  EXPECT_GT(moved, 0u);
-  EXPECT_LE(moved, 2 * kKeys / 8);
-}
-
-TEST(PrefixHash, SpillOverLeavesSaturatedHome) {
-  auto d = make_dispatcher(DispatchPolicy::kPrefixHash, 7);
-  auto snaps = even_fleet(6);
-  const std::size_t home = d->pick(snaps, prefix_request(0, 5));
-  // Saturate the home: it now carries far more than twice any probe's
-  // outstanding tokens, so the bounded-load check defects every pick.
-  snaps[home].outstanding_tokens = 100000;
-  for (std::uint64_t id = 1; id < 32; ++id) {
-    EXPECT_NE(d->pick(snaps, prefix_request(id, 5)), home);
-  }
-}
-
-TEST(PrefixHash, FallsBackWithoutPrefixOrInDecodePhase) {
-  auto d = make_dispatcher(DispatchPolicy::kPrefixHash, 7);
-  auto snaps = even_fleet(4);
-  snaps[2].outstanding_tokens = 1;  // the least-outstanding fallback target
-  EXPECT_EQ(d->pick(snaps, prefix_request(0, 0)), 2u);  // no shared prefix
-  Request decode = prefix_request(1, 9);
-  decode.resume.prefilled = decode.prompt_len;  // handoff/retry: no prefill left
-  EXPECT_EQ(d->pick(snaps, decode), 2u);
-  EXPECT_EQ(d->pick(snaps), 2u);  // request-less entry point
 }
 
 TEST(PrefixAffinity, RoutesToTheResidentHolder) {
@@ -152,6 +57,19 @@ TEST(PrefixAffinity, PowerOfTwoAmongMultipleHolders) {
   }
 }
 
+TEST(PrefixAffinity, SpillOverLeavesSaturatedHolder) {
+  auto d = make_dispatcher(DispatchPolicy::kPrefixAffinity, 7);
+  auto snaps = even_fleet(6);
+  const std::uint64_t prefix = 5;
+  snaps[2].prefix_sig = std::uint64_t{1} << prefix_signature_bit(prefix);
+  // Saturate the only holder: it now carries far more than twice any
+  // probe's outstanding tokens, so the bounded-load check defects every pick.
+  snaps[2].outstanding_tokens = 100000;
+  for (std::uint64_t id = 0; id < 32; ++id) {
+    EXPECT_NE(d->pick(snaps, prefix_request(id, prefix)), 2u);
+  }
+}
+
 TEST(PrefixAffinity, FallsBackWhenNothingIsResident) {
   auto d = make_dispatcher(DispatchPolicy::kPrefixAffinity, 7);
   auto snaps = even_fleet(4);
@@ -166,16 +84,12 @@ TEST(PrefixAffinity, FallsBackWhenNothingIsResident) {
   EXPECT_EQ(d->pick(snaps, decode), 1u);
 }
 
-TEST(PrefixPolicies, NamesAndEmptySnapshotRejection) {
-  for (const DispatchPolicy policy :
-       {DispatchPolicy::kPrefixHash, DispatchPolicy::kPrefixAffinity}) {
-    auto d = make_dispatcher(policy);
-    EXPECT_EQ(d->name(), to_string(policy));
-    EXPECT_THROW((void)d->pick({}), Error) << to_string(policy);
-    EXPECT_THROW((void)d->pick({}, prefix_request(0, 1)), Error) << to_string(policy);
-  }
-  EXPECT_EQ(to_string(DispatchPolicy::kPrefixHash), "prefix-hash");
+TEST(PrefixAffinity, NameAndEmptySnapshotRejection) {
+  auto d = make_dispatcher(DispatchPolicy::kPrefixAffinity);
+  EXPECT_EQ(d->name(), "prefix-affinity");
   EXPECT_EQ(to_string(DispatchPolicy::kPrefixAffinity), "prefix-affinity");
+  EXPECT_THROW((void)d->pick({}, Request{}), Error);
+  EXPECT_THROW((void)d->pick({}, prefix_request(0, 1)), Error);
 }
 
 bool same_snapshot(const ReplicaSnapshot& a, const ReplicaSnapshot& b) {

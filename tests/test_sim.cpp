@@ -1,69 +1,13 @@
-// Unit tests for the discrete-event kernel and stream timelines.
+// Unit tests for the stream timelines and stream schedules.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "common/error.hpp"
-#include "sim/engine.hpp"
 #include "sim/timeline.hpp"
 
 namespace monde::sim {
 namespace {
-
-TEST(Engine, ExecutesInTimeOrder) {
-  Engine eng;
-  std::vector<int> order;
-  eng.schedule(Duration::nanos(30), [&] { order.push_back(3); });
-  eng.schedule(Duration::nanos(10), [&] { order.push_back(1); });
-  eng.schedule(Duration::nanos(20), [&] { order.push_back(2); });
-  eng.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_DOUBLE_EQ(eng.now().ns(), 30.0);
-  EXPECT_EQ(eng.executed_events(), 3u);
-}
-
-TEST(Engine, SimultaneousEventsFifo) {
-  Engine eng;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    eng.schedule(Duration::nanos(10), [&order, i] { order.push_back(i); });
-  }
-  eng.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(Engine, CallbacksCanScheduleMore) {
-  Engine eng;
-  int fired = 0;
-  eng.schedule(Duration::nanos(5), [&] {
-    ++fired;
-    eng.schedule(Duration::nanos(5), [&] { ++fired; });
-  });
-  eng.run();
-  EXPECT_EQ(fired, 2);
-  EXPECT_DOUBLE_EQ(eng.now().ns(), 10.0);
-}
-
-TEST(Engine, RunUntilStopsAtDeadline) {
-  Engine eng;
-  int fired = 0;
-  eng.schedule(Duration::nanos(10), [&] { ++fired; });
-  eng.schedule(Duration::nanos(100), [&] { ++fired; });
-  eng.run_until(Duration::nanos(50));
-  EXPECT_EQ(fired, 1);
-  EXPECT_FALSE(eng.idle());
-  eng.run();
-  EXPECT_EQ(fired, 2);
-  EXPECT_TRUE(eng.idle());
-}
-
-TEST(Engine, RejectsPastScheduling) {
-  Engine eng;
-  eng.schedule(Duration::nanos(10), [] {});
-  eng.run();
-  EXPECT_THROW(eng.schedule_at(Duration::nanos(5), [] {}), Error);
-  EXPECT_THROW(eng.schedule(Duration::nanos(-1), [] {}), Error);
-}
 
 TEST(Timeline, RecordsAndQueries) {
   Timeline tl;
