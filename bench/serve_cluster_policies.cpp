@@ -225,7 +225,6 @@ int main(int argc, char** argv) {
   {
     serve::SchedulerConfig weak = cfg;
     weak.token_budget = smoke ? 24 : 48;
-    weak.fixed_batch = std::min<std::int64_t>(cfg.fixed_batch, weak.token_budget);
     std::vector<serve::ReplicaSpec> specs;
     specs.push_back({core::StrategyKind::kMondeLoadBalanced, cfg, 1, {}});
     specs.push_back({core::StrategyKind::kMondeLoadBalanced, cfg, 2, {}});

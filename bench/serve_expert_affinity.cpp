@@ -133,10 +133,7 @@ int main(int argc, char** argv) {
     for (const bool on : {false, true}) {
       serve::ClusterConfig ccfg;
       ccfg.expert = expert;
-      if (on) {
-        ccfg.expert.rebalance_period = Duration::millis(smoke ? 20.0 : 50.0);
-        ccfg.expert.rebalance_hot_experts = 4;
-      }
+      if (on) ccfg.expert.rebalance_period = Duration::millis(smoke ? 20.0 : 50.0);
       ccfg.event_log_enabled = false;
       ccfg.threads = args.threads;
       serve::ClusterSim cluster{
@@ -170,10 +167,7 @@ int main(int argc, char** argv) {
     for (const bool on : {false, true}) {
       serve::ClusterConfig ccfg;
       ccfg.expert = expert;
-      if (on) {
-        ccfg.expert.prune_outstanding_tokens = 256;
-        ccfg.expert.prune_width = 1;
-      }
+      if (on) ccfg.expert.prune_outstanding_tokens = 256;
       ccfg.event_log_enabled = false;
       ccfg.threads = args.threads;
       serve::ClusterSim cluster{

@@ -36,9 +36,6 @@ int main() {
   specs.push_back({core::StrategyKind::kMondeLoadBalanced, sched, /*seed=*/2, fault});
 
   serve::ClusterConfig cfg;
-  cfg.health.heartbeat_interval = Duration::millis(2);
-  cfg.health.heartbeat_timeout = Duration::millis(6);
-  cfg.retry_timeout = Duration::millis(2);
   cfg.warmup = Duration::millis(15);  // expert placement on the new node
   cfg.autoscale_period = Duration::millis(5);
   serve::ClusterSim cluster{sys, model, moe::SkewProfile::nllb_like(), specs, cfg};

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Fail when the documentation drifts from the source tree.
 
-Five checks over README.md and docs/*.md:
+Six checks over README.md and docs/*.md:
 
 1. every CLI flag token (``--smoke``, ``--json``, ...) quoted in the docs
    must appear somewhere in the source tree (src/, bench/, tests/,
@@ -25,7 +25,13 @@ Five checks over README.md and docs/*.md:
 5. the bench catalogue docs/BENCHMARKS.md and bench/ agree: every binary
    named in the first column of its tables has a ``bench/<name>.cpp``, and
    every ``bench/*.cpp`` has a row -- a deleted bench cannot keep its row,
-   and a new one cannot ship undocumented.
+   and a new one cannot ship undocumented;
+6. the "Configuration surface" table in docs/ARCHITECTURE.md and the
+   serving config structs (``CONFIG_STRUCTS``) agree both ways: every
+   public data member has a ``Type::field`` row giving its default and the
+   non-test callers that set another value, and every row names a live
+   member -- a new setting has to say who needs it, and a deleted field
+   cannot keep its row.
 
 Exits non-zero listing every violation. Run from anywhere inside the
 repository:
@@ -47,6 +53,11 @@ MEMBER_RE = re.compile(
     r"`(?:[a-z_][a-z0-9_]*::)*([A-Z][A-Za-z0-9_]*)::(~?[A-Za-z_][A-Za-z0-9_]*)[^`]*`")
 # The header row of DISPATCH.md's policy matrix.
 MATRIX_HEADER_RE = re.compile(r"^\|\s*Enumerator\s*\|\s*Name\s*\|")
+# The header row of ARCHITECTURE.md's configuration-surface table.
+CONFIG_HEADER_RE = re.compile(r"^\|\s*Setting\s*\|\s*Default\s*\|")
+# The structs whose every public data member needs a configuration row.
+CONFIG_STRUCTS = ("ClusterConfig", "HealthConfig", "PrefixCacheConfig", "ExpertServingConfig",
+                  "DisaggConfig", "SchedulerConfig", "AutoscaleConfig")
 # A catalogue table row: its first cell is a backticked binary name.
 BENCH_ROW_RE = re.compile(r"\|\s*`([A-Za-z0-9_]+)`\s*\|")
 COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
@@ -176,6 +187,66 @@ def check_bench_catalogue(repo_root: Path) -> list[str]:
     return errors
 
 
+def data_members(body: str) -> list[str]:
+    """Public data members declared directly in a (comment-free) struct body."""
+    # Collapse nested braces (inline function bodies, brace initializers) so
+    # only the body's own declarations remain, each ending in ';'.
+    flat, depth = [], 0
+    for ch in body:
+        if ch == "{":
+            depth += 1
+            if depth == 1:
+                flat.append("{};")
+        elif ch == "}":
+            depth -= 1
+        elif depth == 0:
+            flat.append(ch)
+    members, public = [], True
+    for decl in "".join(flat).split(";"):
+        while m := re.match(r"\s*(public|private|protected)\s*:(?!:)", decl):
+            public = m.group(1) == "public"
+            decl = decl[m.end():]
+        decl = decl.split("{}")[0].split("=")[0].strip()
+        if (not public or not decl or "(" in decl
+                or re.match(r"(using|static|friend|enum|struct|class|template)\b", decl)):
+            continue
+        name = re.search(r"([A-Za-z_][A-Za-z0-9_]*)\s*(\[[^\]]*\])?$", decl)
+        if name:
+            members.append(name.group(1))
+    return members
+
+
+def check_config_surface(repo_root: Path, bodies: dict[str, list[str]]) -> list[str]:
+    page = repo_root / "docs" / "ARCHITECTURE.md"
+    lines = page.read_text(encoding="utf-8").splitlines()
+    header = next((i for i, line in enumerate(lines) if CONFIG_HEADER_RE.match(line)), None)
+    if header is None:
+        return [f"{page}: no configuration-surface table (a '| Setting | Default |' table)"]
+    live: set[tuple[str, str]] = set()
+    for owner in CONFIG_STRUCTS:
+        if len(bodies.get(owner, [])) != 1:
+            raise SystemExit(f"cannot find exactly one definition of {owner} under src/")
+        live.update((owner, field) for field in data_members(bodies[owner][0]))
+    errors, rows = [], set()
+    for lineno in range(header + 3, len(lines) + 1):
+        line = lines[lineno - 1]
+        if not line.startswith("|"):
+            break
+        cells = line.split("|")
+        m = re.fullmatch(r"\s*`([A-Za-z_]\w*)::([A-Za-z_]\w*)`\s*", cells[1])
+        if m is None or len(cells) < 5 or not cells[2].strip() or not cells[3].strip():
+            errors.append(f"{page}:{lineno}: configuration row needs `Type::field`, a "
+                          "default and the callers that set another value")
+            continue
+        rows.add((m.group(1), m.group(2)))
+        if (m.group(1), m.group(2)) not in live:
+            errors.append(f"{page}:{lineno}: {m.group(1)}::{m.group(2)} is not a public "
+                          f"data member of {', '.join(CONFIG_STRUCTS)}")
+    errors += [f"{page}: {owner}::{field} has no configuration-surface row"
+               for owner, field in sorted(live - rows)]
+    return errors
+
+
 def main() -> int:
     repo_root = Path(__file__).resolve().parent.parent
     docs = doc_files(repo_root)
@@ -195,6 +266,7 @@ def main() -> int:
     src_code = COMMENT_RE.sub("", src_text)
     bodies = type_bodies(src_code)
     errors += [e for md in docs for e in check_doc_members(md, src_code, bodies)]
+    errors += check_config_surface(repo_root, bodies)
     for e in errors:
         print(e)
     checked = ", ".join(str(f.relative_to(repo_root)) for f in docs)

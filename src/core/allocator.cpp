@@ -42,10 +42,6 @@ Bytes DeviceAllocator::weights_used() const {
   return Bytes{weights_cursor_ * static_cast<std::uint64_t>(weights_layout_.access_bytes())};
 }
 
-Bytes DeviceAllocator::activations_used() const {
-  return Bytes{acts_cursor_ * static_cast<std::uint64_t>(acts_layout_.access_bytes())};
-}
-
 std::uint64_t DeviceAllocator::address_of(const DeviceBuffer& buf, std::uint64_t block) const {
   MONDE_REQUIRE(block < buf.block_count, "block offset beyond buffer");
   const ndp::PartitionLayout& layout =

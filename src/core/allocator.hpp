@@ -50,8 +50,6 @@ class DeviceAllocator {
   void reset_activations();
 
   [[nodiscard]] Bytes weights_used() const;
-  [[nodiscard]] Bytes activations_used() const;
-  [[nodiscard]] Bytes partition_capacity() const { return weights_layout_.capacity(); }
 
   /// Resolve a block index within a buffer to a physical address.
   [[nodiscard]] std::uint64_t address_of(const DeviceBuffer& buf, std::uint64_t block) const;

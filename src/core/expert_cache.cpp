@@ -4,6 +4,12 @@
 
 namespace monde::core {
 
+namespace {
+
+int signature_bit(ExpertId id) { return moe::expert_signature_bit(id.layer, id.expert); }
+
+}  // namespace
+
 ExpertCache::ExpertCache(std::size_t capacity) : capacity_{capacity} {}
 
 bool ExpertCache::access(ExpertId id) {
@@ -26,30 +32,19 @@ void ExpertCache::insert(ExpertId id) {
   }
   if (index_.size() >= capacity_) {
     MONDE_ASSERT(!lru_.empty(), "cache index/list inconsistency");
-    signature_remove(lru_.back());
+    signature_.remove(signature_bit(lru_.back()));
     index_.erase(lru_.back());
     lru_.pop_back();
   }
   lru_.push_front(id);
   index_.emplace(id, lru_.begin());
-  signature_add(id);
-}
-
-void ExpertCache::signature_add(ExpertId id) {
-  const int bit = moe::expert_signature_bit(id.layer, id.expert);
-  if (bit_counts_[bit]++ == 0) signature_ |= std::uint64_t{1} << bit;
-}
-
-void ExpertCache::signature_remove(ExpertId id) {
-  const int bit = moe::expert_signature_bit(id.layer, id.expert);
-  MONDE_ASSERT(bit_counts_[bit] > 0, "signature bit count underflow");
-  if (--bit_counts_[bit] == 0) signature_ &= ~(std::uint64_t{1} << bit);
+  signature_.add(signature_bit(id));
 }
 
 void ExpertCache::erase(ExpertId id) {
   const auto it = index_.find(id);
   if (it == index_.end()) return;
-  signature_remove(id);
+  signature_.remove(signature_bit(id));
   lru_.erase(it->second);
   index_.erase(it);
 }
@@ -62,8 +57,7 @@ void ExpertCache::stats_reset() {
 void ExpertCache::clear() {
   lru_.clear();
   index_.clear();
-  signature_ = 0;
-  for (auto& c : bit_counts_) c = 0;
+  signature_.clear();
 }
 
 }  // namespace monde::core

@@ -17,6 +17,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/counting_signature.hpp"
 #include "core/monde_device.hpp"
 #include "moe/expert_profile.hpp"
 
@@ -67,7 +68,7 @@ class ExpertCache {
   /// incrementally (per-bit reference counts absorb collisions and
   /// evictions). A dispatcher ANDs this with a request's profile signature
   /// to estimate hot-set overlap without walking the cache.
-  [[nodiscard]] std::uint64_t signature() const { return signature_; }
+  [[nodiscard]] std::uint64_t signature() const { return signature_.bits(); }
 
   /// Drop one expert outright -- no recency refresh, no hit/miss accounting.
   /// The serving layer's residency refcounts (serve/server.hpp) use this to
@@ -82,16 +83,12 @@ class ExpertCache {
   void clear();
 
  private:
-  void signature_add(ExpertId id);
-  void signature_remove(ExpertId id);
-
   std::size_t capacity_;
   std::list<ExpertId> lru_;  ///< front = most recent
   std::unordered_map<ExpertId, std::list<ExpertId>::iterator, ExpertIdHash> index_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
-  std::uint64_t signature_ = 0;
-  std::uint32_t bit_counts_[64] = {};  ///< residents mapped onto each signature bit
+  CountingSignature signature_;  ///< over moe::expert_signature_bit
 };
 
 }  // namespace monde::core

@@ -26,6 +26,11 @@
 
 namespace monde::core {
 
+/// Layers between alpha-tuner runs, once the first four layers have retuned.
+inline constexpr int kTunePeriod = 4;
+/// Recent layers each tuner run re-evaluates.
+inline constexpr std::size_t kTuneWindow = 4;
+
 /// The MD+LB strategy. Also exposes dry-run evaluation used by the tuner
 /// and by the H-sweep ablation bench.
 class MondeLoadBalanced final : public Strategy {
@@ -53,21 +58,10 @@ class MondeLoadBalanced final : public Strategy {
   /// pass -1 to restore auto mode.
   void set_fixed_h(int h) { fixed_h_ = h; }
   /// Pin alpha and disable the auto-tuner.
-  void set_alpha(double alpha, bool keep_tuning = false);
-
-  /// Replace the datasheet bandwidths in Equation 6 with profiled values
-  /// (paper Section 3.3: "this can be replaced by profiled bandwidths").
-  /// Typical source: NdpKernelResult::achieved_bandwidth and a measured
-  /// PCIe rate. Pass zero-bandwidth values to revert to the specification.
-  void set_profiled_bandwidths(Bandwidth pcie, Bandwidth monde);
+  void set_alpha(double alpha);
 
   [[nodiscard]] double alpha() const { return alpha_; }
   [[nodiscard]] int last_h() const { return last_h_; }
-
-  /// Layers between tuner invocations.
-  int tune_period = 4;
-  /// Recent-layer window size used by the tuner.
-  std::size_t tune_window = 4;
 
  private:
   /// A routed layer prepared once for scheduling and tuning.
@@ -97,8 +91,6 @@ class MondeLoadBalanced final : public Strategy {
   int last_h_ = -1;
   int layers_seen_ = 0;
   std::deque<PreparedLayer> window_;
-  Bandwidth profiled_pcie_;   ///< zero = use specification
-  Bandwidth profiled_monde_;  ///< zero = use specification
   sim::StreamSchedule scratch_{sim::Recording::kOff};  ///< every what-if's streams
   HwStreams scratch_hw_;
 };

@@ -399,14 +399,8 @@ MondeLoadBalanced::MondeLoadBalanced(StrategyContext ctx)
 
 double MondeLoadBalanced::h_raw_equation6(const moe::MoeLayerWork& work) const {
   const double activ = static_cast<double>(work.activated_experts());
-  const double bw_pcie =
-      (profiled_pcie_.as_bytes_per_sec() > 0.0 ? profiled_pcie_
-                                               : ctx_.sys->pcie.effective_bandwidth())
-          .as_bytes_per_sec();
-  const double bw_md = (profiled_monde_.as_bytes_per_sec() > 0.0
-                            ? profiled_monde_ * static_cast<double>(ctx_.devices.size())
-                            : ctx_.sys->monde_aggregate_bandwidth())
-                           .as_bytes_per_sec();
+  const double bw_pcie = ctx_.sys->pcie.effective_bandwidth().as_bytes_per_sec();
+  const double bw_md = ctx_.sys->monde_aggregate_bandwidth().as_bytes_per_sec();
   return bw_pcie / (bw_md + bw_pcie) * activ;
 }
 
@@ -427,12 +421,6 @@ int MondeLoadBalanced::h_from_equation6(const moe::MoeLayerWork& work, double al
 
 int MondeLoadBalanced::PreparedLayer::h_at(double alpha) const {
   return h_from_raw(alpha, h_raw, static_cast<std::int64_t>(by_load.size()));
-}
-
-void MondeLoadBalanced::set_profiled_bandwidths(Bandwidth pcie, Bandwidth monde) {
-  profiled_pcie_ = pcie;
-  profiled_monde_ = monde;
-  for (PreparedLayer& w : window_) w.h_raw = h_raw_equation6(w.work);
 }
 
 MoeLayerResult MondeLoadBalanced::schedule_layer(const moe::MoeLayerWork& work,
@@ -471,10 +459,10 @@ Duration MondeLoadBalanced::evaluate_layer_with_h(const moe::MoeLayerWork& work,
   return what_if_latency(work, activated_by_load(work), h);
 }
 
-void MondeLoadBalanced::set_alpha(double alpha, bool keep_tuning) {
+void MondeLoadBalanced::set_alpha(double alpha) {
   MONDE_REQUIRE(alpha > 0.0, "alpha must be positive");
   alpha_ = alpha;
-  autotune_ = keep_tuning;
+  autotune_ = false;
 }
 
 void MondeLoadBalanced::maybe_retune() {
@@ -531,7 +519,7 @@ MoeLayerResult MondeLoadBalanced::run_layer(const moe::MoeLayerWork& work,
   if (autotune_ && fixed_h_ < 0) {
     if (window_.empty()) window_.push_back(layer);
     const bool warmup = layers_seen_ < 4;
-    if (warmup || layers_seen_ % tune_period == 0) maybe_retune();
+    if (warmup || layers_seen_ % kTunePeriod == 0) maybe_retune();
   }
   ++layers_seen_;
 
@@ -540,7 +528,7 @@ MoeLayerResult MondeLoadBalanced::run_layer(const moe::MoeLayerWork& work,
   const MoeLayerResult r =
       schedule_layer(work, layer.by_load, h, sched, hw, ready, /*what_if=*/false);
   window_.push_back(std::move(layer));
-  while (window_.size() > tune_window) window_.pop_front();
+  while (window_.size() > kTuneWindow) window_.pop_front();
   return r;
 }
 

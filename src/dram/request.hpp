@@ -41,11 +41,6 @@ struct Stats {
     const auto total = row_hits + row_misses + row_conflicts;
     return total == 0 ? 0.0 : static_cast<double>(row_hits) / static_cast<double>(total);
   }
-  [[nodiscard]] double bus_utilization() const {
-    return total_cycles == 0 ? 0.0
-                             : static_cast<double>(data_bus_busy_cycles) /
-                                   static_cast<double>(total_cycles);
-  }
   [[nodiscard]] double avg_read_latency_ns() const {
     return reads_completed == 0 ? 0.0 : read_latency_sum_ns / static_cast<double>(reads_completed);
   }

@@ -64,8 +64,6 @@ struct LinkSpec {
 struct DuplexLink {
   LinkSpec host_to_device;
   LinkSpec device_to_host;
-
-  [[nodiscard]] static DuplexLink symmetric(const LinkSpec& spec) { return {spec, spec}; }
 };
 
 }  // namespace monde::interconnect

@@ -94,12 +94,4 @@ MoeModelConfig MoeModelConfig::switch_variant(std::int64_t dmodel_, std::int64_t
   return c;
 }
 
-MoeModelConfig MoeModelConfig::with_experts(std::int64_t experts) const {
-  MoeModelConfig c = *this;
-  c.num_experts = experts;
-  if (experts > 0 && moe_every == 0) c.moe_every = 2;
-  c.name = name + "-E" + std::to_string(experts);
-  return c;
-}
-
 }  // namespace monde::moe

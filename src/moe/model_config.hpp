@@ -72,8 +72,6 @@ struct MoeModelConfig {
   /// Switch-Base-style variants for the Figure 7(a) sensitivity study:
   /// d768-E64, d768-E128, d1024-E128.
   [[nodiscard]] static MoeModelConfig switch_variant(std::int64_t dmodel_, std::int64_t experts);
-  /// Generic scaling helper: same topology, overridden E (Figure 2(a) sweep).
-  [[nodiscard]] MoeModelConfig with_experts(std::int64_t experts) const;
 };
 
 }  // namespace monde::moe

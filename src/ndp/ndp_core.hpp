@@ -89,8 +89,8 @@ class NdpCoreSim {
   NdpKernelResult simulate_expert(const compute::ExpertShape& expert, compute::DataType dt);
 
   /// Closed-form lower bound: max(compute cycles, weight streaming at peak
-  /// bandwidth). Used by the load-balancing planner (Equation 4's t_MD
-  /// approximation) and as a test oracle.
+  /// bandwidth). A test oracle for simulate_expert (tests/test_ndp.cpp);
+  /// nothing in the simulator calls it.
   [[nodiscard]] Duration analytic_expert_lower_bound(const compute::ExpertShape& expert,
                                                      compute::DataType dt) const;
 

@@ -15,8 +15,6 @@ void AutoscaleConfig::validate() const {
                 "watermarks must leave a hysteresis band: high "
                     << high_tokens_per_replica << " <= low " << low_tokens_per_replica);
   MONDE_REQUIRE(low_tokens_per_replica >= 0, "low watermark must be non-negative");
-  MONDE_REQUIRE(step >= 1, "autoscaling step must be >= 1");
-  MONDE_REQUIRE(cooldown >= Duration::zero(), "cooldown must be non-negative");
 }
 
 namespace {
@@ -29,34 +27,24 @@ class QueuePressureAutoscaler final : public Autoscaler {
 
   std::size_t target_size(const AutoscaleSignals& s) override {
     const std::size_t capacity = std::max<std::size_t>(s.capacity(), 1);
-    const auto clamp = [&](std::size_t n) {
-      return std::clamp(n, cfg_.min_replicas, cfg_.max_replicas);
-    };
-    if (cfg_.cooldown > Duration::zero() && last_change_ > Duration::zero() &&
-        s.now < last_change_ + cfg_.cooldown) {
-      return clamp(capacity);
-    }
     const double per_replica = static_cast<double>(s.outstanding_tokens) /
                                static_cast<double>(capacity);
     const bool delay_hot =
         cfg_.high_queue_delay_ms > 0.0 && s.p95_queue_delay_ms > cfg_.high_queue_delay_ms;
     std::size_t target = capacity;
     if (per_replica > static_cast<double>(cfg_.high_tokens_per_replica) || delay_hot) {
-      target = capacity + cfg_.step;
+      target = capacity + kAutoscaleStep;
     } else if (per_replica < static_cast<double>(cfg_.low_tokens_per_replica) &&
                !delay_hot && s.warming_replicas == 0) {
       // Never shrink while a scale-up is still warming: the pressure that
       // triggered it has not been absorbed yet.
-      target = capacity > cfg_.step ? capacity - cfg_.step : 1;
+      target = capacity > kAutoscaleStep ? capacity - kAutoscaleStep : 1;
     }
-    target = clamp(target);
-    if (target != capacity) last_change_ = s.now;
-    return target;
+    return std::clamp(target, cfg_.min_replicas, cfg_.max_replicas);
   }
 
  private:
   AutoscaleConfig cfg_;
-  Duration last_change_ = Duration::zero();
 };
 
 }  // namespace

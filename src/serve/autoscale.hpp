@@ -43,7 +43,7 @@ struct AutoscaleSignals {
 };
 
 /// An autoscaling policy. target_size() is called once per evaluation tick,
-/// in time order; implementations may carry state (cooldown clocks).
+/// in time order; implementations may carry state across ticks.
 class Autoscaler {
  public:
   virtual ~Autoscaler() = default;
@@ -54,6 +54,9 @@ class Autoscaler {
   /// the result to at least one replica and converges toward it.
   [[nodiscard]] virtual std::size_t target_size(const AutoscaleSignals& s) = 0;
 };
+
+/// Replicas the queue-pressure policy adds or removes per decision.
+inline constexpr std::size_t kAutoscaleStep = 1;
 
 /// Configuration for the shipped queue-pressure policy.
 struct AutoscaleConfig {
@@ -66,11 +69,6 @@ struct AutoscaleConfig {
   /// Optional latency trigger: also scale up when the p95 queue delay
   /// exceeds this many simulated milliseconds. <= 0 disables it.
   double high_queue_delay_ms = 0.0;
-  /// Replicas added or removed per decision.
-  std::size_t step = 1;
-  /// Minimum simulated time between two scaling actions (0 = none). Ticks
-  /// inside the cooldown hold the fleet size steady.
-  Duration cooldown = Duration::zero();
 
   void validate() const;
 };

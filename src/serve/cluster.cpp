@@ -32,7 +32,6 @@ std::vector<ReplicaSpec> uniform_fleet(std::size_t n, core::StrategyKind strateg
 
 void ClusterConfig::validate() const {
   health.validate();
-  MONDE_REQUIRE(retry_timeout > Duration::zero(), "retry_timeout must be positive");
   MONDE_REQUIRE(warmup >= Duration::zero(), "warmup must be non-negative");
   MONDE_REQUIRE(autoscale_period > Duration::zero(), "autoscale_period must be positive");
   MONDE_REQUIRE(threads >= 1, "threads must be >= 1 (the calling thread counts)");
@@ -106,7 +105,7 @@ void ClusterSim::add_replica(const ReplicaSpec& spec, Duration spawned_at,
   if (prefill) r.name += " [prefill]";
   r.spawned_at = spawned_at;
   if (spec.fault.fail_stop()) {
-    r.detect_at = failure_detection_time(spec.fault.fail_at, cfg_.health);
+    r.detect_at = failure_detection_time(spec.fault.fail_at);
   }
   replicas_.push_back(std::move(r));
 }
@@ -376,9 +375,10 @@ class ClusterSim::CalendarView final : public FleetView {
 
 namespace {
 
-/// Truncates a profile to the `width` heaviest experts per layer (entries
-/// are layer-major, descending activation). Returns true if it shrank.
-bool prune_profile(moe::ExpertProfile& p, int width) {
+/// Truncates a profile to the kPruneWidth heaviest experts per layer
+/// (entries are layer-major, descending activation). Returns true if it
+/// shrank.
+bool prune_profile(moe::ExpertProfile& p) {
   std::vector<moe::ExpertProfile::Entry> kept;
   kept.reserve(p.experts.size());
   int run = 0;
@@ -388,7 +388,7 @@ bool prune_profile(moe::ExpertProfile& p, int width) {
       cur_layer = e.layer;
       run = 0;
     }
-    if (run++ < width) kept.push_back(e);
+    if (run++ < kPruneWidth) kept.push_back(e);
   }
   if (kept.size() == p.experts.size()) return false;
   p.experts = std::move(kept);
@@ -514,7 +514,7 @@ class ClusterSim::ClusterRun {
     const bool resume = cfg_.cache.enabled && cfg_.cache.survive_failstop;
     for (Request rq : stranded) {
       ++rq.attempt;
-      Duration at = t + cfg_.retry_timeout;
+      Duration at = t + kRetryTimeout;
       if (resume) {
         // Surviving-cache mode: the state checkpointed at the last step is
         // restored onto the retry replica at the modelled transfer cost (a
@@ -562,9 +562,7 @@ class ClusterSim::ClusterRun {
     // stable sort keeps that order within a demand tie -- deterministic.
     std::stable_sort(by_demand.begin(), by_demand.end(),
                      [](const auto& a, const auto& b) { return a.first > b.first; });
-    if (by_demand.size() > cfg_.expert.rebalance_hot_experts) {
-      by_demand.resize(cfg_.expert.rebalance_hot_experts);
-    }
+    if (by_demand.size() > kRebalanceHotExperts) by_demand.resize(kRebalanceHotExperts);
     std::vector<core::ExpertId> hot;
     hot.reserve(by_demand.size());
     for (const auto& [count, id] : by_demand) hot.push_back(id);
@@ -618,7 +616,7 @@ class ClusterSim::ClusterRun {
     // hot, fewer fetches to price -- instead of queueing at full fidelity.
     if (cfg_.expert.enabled && cfg_.expert.prune_outstanding_tokens > 0 &&
         replicas_[idx].server->outstanding_tokens() > cfg_.expert.prune_outstanding_tokens &&
-        prune_profile(rq.expert_profile, cfg_.expert.prune_width)) {
+        prune_profile(rq.expert_profile)) {
       ++rep_.pruned_requests;
     }
     replicas_[idx].server->enqueue(rq);

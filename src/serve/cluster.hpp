@@ -25,10 +25,10 @@
 //   * Failure injection -- each ReplicaSpec may carry a FaultSpec
 //     (fault.hpp): fail-stop at an instant, or a slow-down window priced
 //     through ServerSim's steps. Fail-stop detection is heartbeat-based
-//     (HealthConfig): the dispatcher keeps feeding a dead replica until its
+//     (fault.hpp): the dispatcher keeps feeding a dead replica until its
 //     heartbeat goes stale, then the replica is excluded permanently, its
 //     stranded requests are harvested and re-dispatched to healthy replicas
-//     after `retry_timeout` (retries restart from scratch; fleet metrics
+//     after kRetryTimeout (retries restart from scratch; fleet metrics
 //     stay keyed to the original arrival so the loss lands in the tail).
 //
 //   * Prefix caching + partial-progress recovery -- with
@@ -125,13 +125,14 @@ struct ReplicaSpec {
                                                      SchedulerConfig sched,
                                                      std::uint64_t seed0 = 1);
 
-/// Cluster-wide behavior knobs (health checking, retry, elasticity, prefix
+/// Delay between detecting a replica failure and re-dispatching its
+/// stranded requests (the client/LB retry backoff).
+inline constexpr Duration kRetryTimeout = Duration::millis(2);
+
+/// Cluster-wide behavior knobs (health checking, elasticity, prefix
 /// caching). The defaults are inert for a fault-free, autoscaler-less run.
 struct ClusterConfig {
   HealthConfig health;
-  /// Delay between detecting a replica failure and re-dispatching its
-  /// stranded requests (the client/LB retry backoff).
-  Duration retry_timeout = Duration::millis(2);
   /// Cold-start span of an autoscaled replica: it accepts requests from the
   /// spawn instant but runs no step until spawn + warmup (expert placement).
   Duration warmup = Duration::millis(10);

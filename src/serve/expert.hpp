@@ -3,21 +3,29 @@
 // Reconnects the fleet layer to the paper's subject: when enabled, every
 // request carries an ExpertProfile (its top activated experts per decoder
 // MoE layer, moe/expert_profile.hpp), every replica keeps its own hot/cold
-// expert residency (core::ExpertCache), expert-miss fetches are priced into
-// step time through the interconnect transfer-cost model, and the cluster
+// expert residency (core::ExpertCache), each expert miss is priced into
+// step time as a fetch of MoeModelConfig::expert_bytes() over the paper's
+// CXL.mem Gen4 x16 path (the MoNDE device pulling cold experts from pooled
+// memory; rebalance preloads pay the same fetch), and the cluster
 // can periodically rebalance hot experts across replicas. Everything is
 // off by default: with `enabled == false` the serving stack is bit-identical
 // to an expert-oblivious build (pinned by tests/test_calendar_diff.cpp),
 // mirroring the PrefixCacheConfig pattern in serve/kvcache.hpp.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "common/error.hpp"
 #include "common/units.hpp"
-#include "interconnect/link.hpp"
 
 namespace monde::serve {
+
+/// Hottest experts preloaded per rebalance tick.
+inline constexpr std::size_t kRebalanceHotExperts = 4;
+
+/// Experts kept per layer for pruned requests.
+inline constexpr int kPruneWidth = 1;
 
 struct ExpertServingConfig {
   bool enabled = false;
@@ -39,32 +47,18 @@ struct ExpertServingConfig {
   /// replica seeds so profiles are fleet-global, not per-replica).
   std::uint64_t profile_seed = 42;
 
-  /// Weight bytes fetched per expert miss; Bytes{0} derives the size from
-  /// the model (MoeModelConfig::expert_bytes()).
-  Bytes expert_bytes{0};
-
-  /// Link pricing an expert fetch into the missing replica's step time --
-  /// the paper's CXL.mem path by default, matching the MoNDE device pulling
-  /// cold experts from pooled memory.
-  interconnect::LinkSpec fetch_link = interconnect::LinkSpec::cxl_mem_gen4_x16();
-
   /// Cross-replica rebalancing cadence on the cluster event calendar;
-  /// zero() disables rebalancing. Each tick preloads the fleet's currently
-  /// hottest experts (by dispatched-profile counts) into every accepting
-  /// replica's residency, each preload priced as a fetch_link transfer.
+  /// zero() disables rebalancing. Each tick preloads the fleet's
+  /// kRebalanceHotExperts currently hottest experts (by dispatched-profile
+  /// counts) into every accepting replica's residency, each preload priced
+  /// as an expert fetch.
   Duration rebalance_period = Duration::zero();
-
-  /// Hottest experts preloaded per rebalance tick.
-  std::size_t rebalance_hot_experts = 4;
 
   /// Pruned-expert degraded mode (MoNE-style): when the chosen replica's
   /// outstanding token load exceeds this threshold, the request's profile is
-  /// truncated to `prune_width` experts per layer before enqueue -- trading
+  /// truncated to kPruneWidth experts per layer before enqueue -- trading
   /// routing fidelity for fewer expert fetches under overload. 0 disables.
   std::int64_t prune_outstanding_tokens = 0;
-
-  /// Experts kept per layer for pruned requests.
-  int prune_width = 1;
 
   void validate() const {
     if (!enabled) return;
@@ -73,12 +67,8 @@ struct ExpertServingConfig {
     MONDE_REQUIRE(profile_tokens > 0, "expert serving needs profile_tokens > 0");
     MONDE_REQUIRE(rebalance_period >= Duration::zero(),
                   "rebalance_period must be >= 0");
-    MONDE_REQUIRE(rebalance_period == Duration::zero() || rebalance_hot_experts > 0,
-                  "rebalancing needs rebalance_hot_experts > 0");
     MONDE_REQUIRE(prune_outstanding_tokens >= 0,
                   "prune_outstanding_tokens must be >= 0");
-    MONDE_REQUIRE(prune_outstanding_tokens == 0 || prune_width > 0,
-                  "pruned mode needs prune_width > 0");
   }
 };
 

@@ -15,34 +15,29 @@ void FaultSpec::validate() const {
 }
 
 void HealthConfig::validate() const {
-  MONDE_REQUIRE(heartbeat_interval > Duration::zero(), "heartbeat_interval must be > 0");
-  MONDE_REQUIRE(heartbeat_timeout >= heartbeat_interval,
-                "heartbeat_timeout (" << heartbeat_timeout.str()
-                                      << ") must be >= heartbeat_interval ("
-                                      << heartbeat_interval.str() << ")");
   MONDE_REQUIRE(slow_ewma_factor > 1.0,
                 "slow_ewma_factor must exceed 1 (or be infinite to disable)");
 }
 
-Duration last_ok_heartbeat(Duration now, Duration fail_at, const HealthConfig& cfg) {
+Duration last_ok_heartbeat(Duration now, Duration fail_at) {
   MONDE_REQUIRE(now >= Duration::zero(), "heartbeat query before t=0");
   // Last poll at or before `now`...
-  double k = std::floor(now / cfg.heartbeat_interval);
+  double k = std::floor(now / kHeartbeatInterval);
   // ...clamped to the last poll strictly before the instant of death (the
   // k = 0 poll is defined to succeed: a replica is alive at its own start).
   if (fail_at < Duration::infinite()) {
-    const double k_dead = std::ceil(fail_at / cfg.heartbeat_interval) - 1.0;
+    const double k_dead = std::ceil(fail_at / kHeartbeatInterval) - 1.0;
     if (k_dead < k) k = k_dead;
   }
   if (k < 0.0) k = 0.0;
-  return cfg.heartbeat_interval * k;
+  return kHeartbeatInterval * k;
 }
 
-Duration failure_detection_time(Duration fail_at, const HealthConfig& cfg) {
+Duration failure_detection_time(Duration fail_at) {
   MONDE_REQUIRE(fail_at < Duration::infinite(),
                 "detection time is only defined for a fail-stop fault");
-  const Duration last_ok = last_ok_heartbeat(fail_at, fail_at, cfg);
-  return monde::max(fail_at, last_ok + cfg.heartbeat_timeout);
+  const Duration last_ok = last_ok_heartbeat(fail_at, fail_at);
+  return monde::max(fail_at, last_ok + kHeartbeatTimeout);
 }
 
 }  // namespace monde::serve

@@ -12,10 +12,10 @@
 //     `slow_factor` times slower, modelling thermal throttling, a noisy
 //     neighbour, or a degraded link. Work is never lost; latency stretches.
 //
-// Failure *detection* is modelled by heartbeat polling (HealthConfig): the
-// cluster polls each replica every `heartbeat_interval`; a replica whose last
-// successful poll is older than `heartbeat_timeout` is marked dead and never
-// dispatched to again. Detection therefore lags the actual death by up to
+// Failure *detection* is modelled by heartbeat polling: the cluster polls
+// each replica every kHeartbeatInterval; a replica whose last successful
+// poll is older than kHeartbeatTimeout is marked dead and never dispatched
+// to again. Detection therefore lags the actual death by up to
 // one polling interval plus the timeout -- requests dispatched inside that
 // window strand and are retried like the rest.
 //
@@ -58,18 +58,18 @@ struct FaultSpec {
   void validate() const;
 };
 
+/// Heartbeat polling cadence. A poll at instant p succeeds iff the replica
+/// is alive at p (p strictly before its fail-stop instant).
+inline constexpr Duration kHeartbeatInterval = Duration::millis(2);
+
+/// A replica whose last successful poll is older than this is declared
+/// dead: its stranded requests are harvested for retry and it is excluded
+/// from dispatch permanently. At least one interval, since a healthy
+/// replica's heartbeat age never exceeds one.
+inline constexpr Duration kHeartbeatTimeout = Duration::millis(6);
+
 /// How the cluster judges replica health at dispatch time.
 struct HealthConfig {
-  /// Heartbeat polling cadence. A poll at instant p succeeds iff the replica
-  /// is alive at p (p strictly before its fail-stop instant).
-  Duration heartbeat_interval = Duration::millis(2);
-
-  /// A replica whose last successful poll is older than this is declared
-  /// dead: its stranded requests are harvested for retry and it is excluded
-  /// from dispatch permanently. Must be >= heartbeat_interval (a healthy
-  /// replica's heartbeat age never exceeds one interval).
-  Duration heartbeat_timeout = Duration::millis(6);
-
   /// Soft slow-replica filter: deprioritize (skip while a faster peer
   /// exists) any replica whose step-duration EWMA exceeds this multiple of
   /// the fleet median. Infinity (the default) disables the filter, which
@@ -84,14 +84,13 @@ struct HealthConfig {
 
 /// Instant of the last successful heartbeat poll at or before `now` for a
 /// replica that dies at `fail_at` (infinite = never). Polls run at
-/// k * heartbeat_interval, k = 0, 1, ...; the k = 0 poll always succeeds
+/// k * kHeartbeatInterval, k = 0, 1, ...; the k = 0 poll always succeeds
 /// (a replica is alive at its own start).
-[[nodiscard]] Duration last_ok_heartbeat(Duration now, Duration fail_at,
-                                         const HealthConfig& cfg);
+[[nodiscard]] Duration last_ok_heartbeat(Duration now, Duration fail_at);
 
 /// Instant at which a fail-stop at `fail_at` is *detected*: the first moment
-/// the replica's heartbeat age exceeds the timeout. Never earlier than
+/// the replica's heartbeat age exceeds kHeartbeatTimeout. Never earlier than
 /// `fail_at` itself.
-[[nodiscard]] Duration failure_detection_time(Duration fail_at, const HealthConfig& cfg);
+[[nodiscard]] Duration failure_detection_time(Duration fail_at);
 
 }  // namespace monde::serve

@@ -52,7 +52,7 @@ void KvCache::admit(const Request& rq, std::int64_t saved) {
       lru_.push_back(SharedEntry{rq.prefix_id, rq.shared_prefix_len, /*in_use=*/1});
       shared_.emplace(rq.prefix_id, std::prev(lru_.end()));
       shared_tokens_ += rq.shared_prefix_len;
-      signature_add(rq.prefix_id);
+      signature_.add(prefix_signature_bit(rq.prefix_id));
     } else {
       if (rq.shared_prefix_len > it->second->tokens) {
         shared_tokens_ += rq.shared_prefix_len - it->second->tokens;
@@ -118,7 +118,7 @@ void KvCache::evict_over_capacity() {
     }
     shared_tokens_ -= it->tokens;
     shared_.erase(it->prefix_id);
-    signature_remove(it->prefix_id);
+    signature_.remove(prefix_signature_bit(it->prefix_id));
     it = lru_.erase(it);
     ++stats_.evictions;
   }
@@ -126,17 +126,6 @@ void KvCache::evict_over_capacity() {
 
 void KvCache::note_resident_peak() {
   stats_.resident_peak = std::max(stats_.resident_peak, resident_tokens());
-}
-
-void KvCache::signature_add(std::uint64_t prefix_id) {
-  const int bit = prefix_signature_bit(prefix_id);
-  if (sig_counts_[bit]++ == 0) signature_ |= std::uint64_t{1} << bit;
-}
-
-void KvCache::signature_remove(std::uint64_t prefix_id) {
-  const int bit = prefix_signature_bit(prefix_id);
-  MONDE_ASSERT(sig_counts_[bit] > 0, "prefix signature bit " << bit << " underflow");
-  if (--sig_counts_[bit] == 0) signature_ &= ~(std::uint64_t{1} << bit);
 }
 
 }  // namespace monde::serve

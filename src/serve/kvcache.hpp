@@ -41,6 +41,7 @@
 #include <list>
 #include <unordered_map>
 
+#include "common/counting_signature.hpp"
 #include "common/units.hpp"
 #include "serve/request.hpp"
 
@@ -166,7 +167,7 @@ class KvCache {
   /// the right direction for affinity routing: a spurious hit costs one
   /// ordinary prefill, a missed resident prefix would waste the cache.
   /// 0 whenever nothing is resident (and always, when disabled).
-  [[nodiscard]] std::uint64_t prefix_signature() const { return signature_; }
+  [[nodiscard]] std::uint64_t prefix_signature() const { return signature_.bits(); }
 
  private:
   struct SharedEntry {
@@ -184,8 +185,6 @@ class KvCache {
 
   void evict_over_capacity();
   void note_resident_peak();
-  void signature_add(std::uint64_t prefix_id);
-  void signature_remove(std::uint64_t prefix_id);
 
   PrefixCacheConfig cfg_;
   PrefixCacheStats stats_;
@@ -197,8 +196,7 @@ class KvCache {
   std::unordered_map<std::uint64_t, std::list<SharedEntry>::iterator> shared_;
   std::int64_t shared_tokens_ = 0;
   /// Residency signature over `shared_` (see prefix_signature()).
-  std::uint64_t signature_ = 0;
-  std::uint32_t sig_counts_[64] = {};  ///< resident prefixes mapped onto each bit
+  CountingSignature signature_;
 };
 
 }  // namespace monde::serve

@@ -10,6 +10,7 @@ std::string to_string(BatchingMode mode) {
 
 void SchedulerConfig::validate() const {
   MONDE_REQUIRE(token_budget > 0, "scheduler needs token_budget > 0, got " << token_budget);
+  if (mode != BatchingMode::kFixed) return;  // fixed_batch is a kFixed-only knob
   MONDE_REQUIRE(fixed_batch > 0, "scheduler needs fixed_batch > 0, got " << fixed_batch);
   MONDE_REQUIRE(fixed_batch <= token_budget,
                 "fixed_batch (" << fixed_batch << ") must not exceed token_budget ("

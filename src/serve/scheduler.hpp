@@ -77,7 +77,8 @@ struct SchedulerConfig {
   /// (it can never fit, and starving it forever would deadlock the queue).
   std::int64_t token_budget = 256;
   /// Batch size for kFixed; must not exceed token_budget so the two modes
-  /// are comparable under one config.
+  /// are comparable under one config. Ignored (and not validated) in
+  /// continuous mode.
   std::int64_t fixed_batch = 8;
   /// Continuous-mode admission order: false = FIFO (the classic behavior),
   /// true = fewest-remaining-tokens first, so short requests slip past a

@@ -2,6 +2,8 @@
 
 #include <tuple>
 
+#include "interconnect/link.hpp"
+
 namespace monde::serve {
 
 ServerSim::ServerSim(core::InferenceEngine& engine, SchedulerConfig cfg, Duration start_at,
@@ -28,10 +30,8 @@ ServerSim::ServerSim(core::InferenceEngine& engine, SchedulerConfig cfg, Duratio
                 "a prefill-role replica needs continuous batching (a fixed batch "
                 "cannot release requests mid-batch)");
   if (expert_.enabled) {
-    const Bytes bytes = expert_.expert_bytes.count() > 0
-                            ? expert_.expert_bytes
-                            : engine_.workload().model().expert_bytes();
-    expert_fetch_time_ = expert_.fetch_link.transfer_time(bytes);
+    expert_fetch_time_ = interconnect::LinkSpec::cxl_mem_gen4_x16().transfer_time(
+        engine_.workload().model().expert_bytes());
   }
   MONDE_REQUIRE(start_at_ >= Duration::zero(), "server cannot boot before t=0");
   MONDE_REQUIRE(fault_.fail_at > start_at_, "fail-stop must lie after the boot instant");

@@ -275,9 +275,6 @@ class ServerSim {
   /// pending); the cluster folds their spans into its health EWMA.
   [[nodiscard]] const std::vector<StepRecord>& steps() const { return steps_; }
 
-  /// The replica's prefix/KV cache (inert when disabled in the config).
-  [[nodiscard]] const KvCache& kv_cache() const { return cache_; }
-
   /// The replica's expert residency (empty when expert serving is disabled).
   [[nodiscard]] const core::ExpertCache& expert_cache() const { return expert_cache_; }
 

@@ -86,28 +86,12 @@ TEST(QueuePressurePolicy, QueueDelayTriggerFiresIndependently) {
   EXPECT_EQ(as->target_size(signals(2, 0, 64, /*p95_delay_ms=*/10.0)), 2u);
 }
 
-TEST(QueuePressurePolicy, CooldownHoldsTheFleetSteady) {
-  AutoscaleConfig cfg = test_policy();
-  cfg.cooldown = Duration::millis(50);
-  auto as = make_queue_pressure_autoscaler(cfg);
-  AutoscaleSignals hot = signals(1, 0, 500);
-  hot.now = Duration::millis(10);
-  EXPECT_EQ(as->target_size(hot), 2u);  // first decision scales up
-  hot.now = Duration::millis(20);
-  EXPECT_EQ(as->target_size(hot), 1u);  // inside cooldown: hold (capacity is 1)
-  hot.now = Duration::millis(70);
-  EXPECT_EQ(as->target_size(hot), 2u);  // cooldown expired
-}
-
 TEST(QueuePressurePolicy, RejectsBadConfig) {
   AutoscaleConfig cfg = test_policy();
   cfg.max_replicas = 0;
   EXPECT_THROW((void)make_queue_pressure_autoscaler(cfg), Error);
   cfg = test_policy();
   cfg.high_tokens_per_replica = cfg.low_tokens_per_replica;
-  EXPECT_THROW((void)make_queue_pressure_autoscaler(cfg), Error);
-  cfg = test_policy();
-  cfg.step = 0;
   EXPECT_THROW((void)make_queue_pressure_autoscaler(cfg), Error);
 }
 
@@ -346,13 +330,10 @@ TEST(Autoscale, DrainTicksTerminateWithStuckFixedBatch) {
 
 TEST(Autoscale, ConfigValidation) {
   ClusterConfig cfg;
-  cfg.retry_timeout = Duration::zero();
-  EXPECT_THROW(cfg.validate(), Error);
-  cfg = ClusterConfig{};
   cfg.autoscale_period = Duration::zero();
   EXPECT_THROW(cfg.validate(), Error);
   cfg = ClusterConfig{};
-  cfg.health.heartbeat_timeout = cfg.health.heartbeat_interval / 2.0;
+  cfg.health.slow_ewma_factor = 1.0;
   EXPECT_THROW(cfg.validate(), Error);
 }
 

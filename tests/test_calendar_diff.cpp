@@ -45,7 +45,6 @@ TEST(CalendarDiff, FaultInjectionWithRetries) {
   sc.specs[2].fault.slow_from = Duration::millis(10);  // and a degraded peer
   sc.specs[2].fault.slow_until = Duration::millis(60);
   sc.specs[2].fault.slow_factor = 3.0;
-  sc.cfg.retry_timeout = Duration::millis(2);
   expect_loops_agree(sc);
 }
 
@@ -57,7 +56,6 @@ TEST(CalendarDiff, TwoFailStopsCascade) {
   sc.specs = uniform_fleet(2, core::StrategyKind::kMondeLoadBalanced, SchedulerConfig{});
   sc.specs[0].fault.fail_at = Duration::millis(2);
   sc.specs[1].fault.fail_at = Duration::millis(8);
-  sc.cfg.retry_timeout = Duration::millis(2);
   sc.cfg.warmup = Duration::millis(1);
   sc.autoscaled = true;
   sc.autoscale.min_replicas = 1;
@@ -92,7 +90,6 @@ TEST(CalendarDiff, PrefixCacheSurvivalAndMigration) {
   sc.trace = poisson_trace(28, 100.0, shape, 17);
   sc.specs = uniform_fleet(3, core::StrategyKind::kMondeLoadBalanced, SchedulerConfig{});
   sc.specs[0].fault.fail_at = Duration::millis(25);  // retries resume from checkpoints
-  sc.cfg.retry_timeout = Duration::millis(2);
   sc.cfg.cache.enabled = true;
   sc.cfg.cache.capacity_tokens = 4096;
   sc.cfg.cache.survive_failstop = true;
@@ -133,7 +130,6 @@ TEST(CalendarDiff, SlowEwmaFilterWithFailuresAndAutoscale) {
   sc.specs[3].fault.slow_until = Duration::millis(80);
   sc.specs[3].fault.slow_factor = 6.0;
   sc.cfg.health.slow_ewma_factor = 2.0;
-  sc.cfg.retry_timeout = Duration::millis(2);
   sc.cfg.warmup = Duration::millis(2);
   sc.cfg.autoscale_period = Duration::millis(3);
   sc.autoscaled = true;
@@ -185,7 +181,6 @@ ExpertServingConfig diff_expert_config() {
   e.enabled = true;
   e.cache_capacity = 6;
   e.rebalance_period = Duration::millis(10);
-  e.rebalance_hot_experts = 3;
   e.prune_outstanding_tokens = 64;
   return e;
 }
@@ -208,7 +203,6 @@ TEST(CalendarDiff, ExpertServingWithFailuresAndAutoscale) {
   sc.specs = uniform_fleet(3, core::StrategyKind::kMondeLoadBalanced, SchedulerConfig{});
   sc.specs[1].fault.fail_at = Duration::millis(35);
   sc.cfg.expert = diff_expert_config();
-  sc.cfg.retry_timeout = Duration::millis(2);
   sc.cfg.warmup = Duration::millis(2);
   sc.cfg.autoscale_period = Duration::millis(3);
   sc.policy = DispatchPolicy::kExpertAffinity;
@@ -254,7 +248,6 @@ TEST(CalendarDiff, PrefixRoutingWithFaultsAndAutoscale) {
   sc.cfg.cache.capacity_tokens = 2048;
   sc.cfg.cache.survive_failstop = true;
   sc.cfg.cache.migrate_on_retire = true;
-  sc.cfg.retry_timeout = Duration::millis(2);
   sc.cfg.warmup = Duration::millis(2);
   sc.cfg.autoscale_period = Duration::millis(3);
   sc.policy = DispatchPolicy::kPrefixAffinity;
@@ -316,7 +309,6 @@ TEST(ParallelDiff, FaultInjectionWithRetries) {
   sc.specs[2].fault.slow_from = Duration::millis(10);
   sc.specs[2].fault.slow_until = Duration::millis(60);
   sc.specs[2].fault.slow_factor = 3.0;
-  sc.cfg.retry_timeout = Duration::millis(2);
   expect_threads_agree(sc);
 }
 
@@ -345,7 +337,6 @@ TEST(ParallelDiff, PrefixCacheSurvivalAndMigration) {
   sc.trace = poisson_trace(28, 100.0, shape, 17);
   sc.specs = uniform_fleet(3, core::StrategyKind::kMondeLoadBalanced, SchedulerConfig{});
   sc.specs[0].fault.fail_at = Duration::millis(25);
-  sc.cfg.retry_timeout = Duration::millis(2);
   sc.cfg.cache.enabled = true;
   sc.cfg.cache.capacity_tokens = 4096;
   sc.cfg.cache.survive_failstop = true;
@@ -443,7 +434,6 @@ TEST(CalendarDiff, CustomDispatcherSeesIdenticalSnapshots) {
   sc.specs[3].fault.slow_until = Duration::millis(60);
   sc.specs[3].fault.slow_factor = 6.0;
   sc.cfg.health.slow_ewma_factor = 2.0;
-  sc.cfg.retry_timeout = Duration::millis(2);
   sc.cfg.warmup = Duration::millis(4);
   sc.cfg.autoscale_period = Duration::millis(3);
   sc.autoscale.min_replicas = 4;  // the deaths are replaced by cold starts
@@ -498,7 +488,6 @@ TEST(CalendarDiff, EventLogOffLeavesMetricsIdentical) {
   sc.trace = bursty_trace(24, 6, Duration::millis(25), small_shape(), 13);
   sc.specs = uniform_fleet(3, core::StrategyKind::kMondeLoadBalanced, SchedulerConfig{});
   sc.specs[1].fault.fail_at = Duration::millis(30);
-  sc.cfg.retry_timeout = Duration::millis(2);
   sc.cfg.warmup = Duration::millis(2);
   sc.autoscaled = true;
   sc.autoscale.min_replicas = 1;

@@ -151,7 +151,6 @@ TEST(ClusterSim, LoadAwarePoliciesBeatRoundRobinOnBurstyTrace) {
   strong.token_budget = 128;
   SchedulerConfig weak;
   weak.token_budget = 24;
-  weak.fixed_batch = 4;
   const auto p95_ttft = [&](DispatchPolicy policy) {
     std::vector<ReplicaSpec> specs;
     specs.push_back({core::StrategyKind::kMondeLoadBalanced, strong, 1, {}});
@@ -271,8 +270,8 @@ TEST(ClusterSim, HeterogeneousReplicasServeTheWholeTrace) {
 // --- Failure injection --------------------------------------------------------
 
 TEST(ClusterSim, NoFaultConfiguredRunMatchesDefaultRunBitIdentically) {
-  // Carrying an explicit ClusterConfig (health checking armed, retry/warmup
-  // configured) must not perturb a fault-free, autoscaler-off run: the
+  // Carrying an explicit ClusterConfig (a non-default warmup) must not
+  // perturb a fault-free, autoscaler-off run: the
   // health filter is the identity when every replica is healthy. Together
   // with SingleReplicaReproducesServerSimBitIdentically this pins the PR 3
   // behavior of the elastic cluster layer.
@@ -287,9 +286,6 @@ TEST(ClusterSim, NoFaultConfiguredRunMatchesDefaultRunBitIdentically) {
     return cluster.run(trace, *dispatcher);
   };
   ClusterConfig tuned;
-  tuned.health.heartbeat_interval = Duration::millis(1);
-  tuned.health.heartbeat_timeout = Duration::millis(3);
-  tuned.retry_timeout = Duration::millis(7);
   tuned.warmup = Duration::millis(30);
   const ClusterReport a = run_with(ClusterConfig{});
   const ClusterReport b = run_with(tuned);
@@ -316,9 +312,6 @@ TEST(ClusterSim, FailStopRequestsAllCompleteViaRetry) {
   // and complete elsewhere, with the retry delay visible in the metrics.
   const auto trace = bursty_trace(24, 6, Duration::millis(25), small_shape(), 13);
   ClusterConfig cfg;
-  cfg.health.heartbeat_interval = Duration::millis(2);
-  cfg.health.heartbeat_timeout = Duration::millis(6);
-  cfg.retry_timeout = Duration::millis(2);
   auto specs = uniform_fleet(3, core::StrategyKind::kMondeLoadBalanced, SchedulerConfig{});
   specs[1].fault.fail_at = Duration::millis(30);
   ClusterSim cluster{core::SystemConfig::dac24(), tiny_model(), moe::SkewProfile::switch_like(),
@@ -345,7 +338,7 @@ TEST(ClusterSim, FailStopRequestsAllCompleteViaRetry) {
 
   // Detection lags death by the heartbeat model; retries land after the
   // retry timeout and their completions carry the full failure cost.
-  const Duration detect = failure_detection_time(specs[1].fault.fail_at, cfg.health);
+  const Duration detect = failure_detection_time(specs[1].fault.fail_at);
   EXPECT_GT(detect, specs[1].fault.fail_at);
   EXPECT_GT(rep.retries, 0u);
   bool saw_fail = false, saw_detect = false;
@@ -362,7 +355,7 @@ TEST(ClusterSim, FailStopRequestsAllCompleteViaRetry) {
         break;
       case ClusterEvent::Kind::kRetry:
         ++retry_events;
-        EXPECT_DOUBLE_EQ(ev.time.ns(), (detect + cfg.retry_timeout).ns());
+        EXPECT_DOUBLE_EQ(ev.time.ns(), (detect + kRetryTimeout).ns());
         EXPECT_NE(ev.replica, 1u);  // never back onto the dead replica
         break;
       default:
@@ -378,7 +371,7 @@ TEST(ClusterSim, FailStopRequestsAllCompleteViaRetry) {
   for (const auto& m : rep.requests) {
     if (m.attempt == 0) continue;
     ++retried;
-    EXPECT_GT(m.first_token, detect + cfg.retry_timeout);
+    EXPECT_GT(m.first_token, detect + kRetryTimeout);
     // Fleet metrics are re-based to the ORIGINAL arrival (which necessarily
     // precedes the failure), not the retry instant (which follows it).
     EXPECT_LT(m.arrival, specs[1].fault.fail_at);
@@ -456,21 +449,19 @@ TEST(ClusterSim, SlowdownStretchesStepsAndEwmaFilterRoutesAround) {
 }
 
 TEST(ClusterSim, HeartbeatModelIsConsistent) {
-  HealthConfig cfg;
-  cfg.heartbeat_interval = Duration::millis(2);
-  cfg.heartbeat_timeout = Duration::millis(6);
+  // Polls every kHeartbeatInterval = 2 ms, timeout kHeartbeatTimeout = 6 ms.
   // A live replica's heartbeat age never exceeds one interval.
   EXPECT_DOUBLE_EQ(
-      last_ok_heartbeat(Duration::millis(7), Duration::infinite(), cfg).ms(), 6.0);
+      last_ok_heartbeat(Duration::millis(7), Duration::infinite()).ms(), 6.0);
   // A replica dying at 9 ms last answered the 8 ms poll...
   EXPECT_DOUBLE_EQ(
-      last_ok_heartbeat(Duration::millis(20), Duration::millis(9), cfg).ms(), 8.0);
+      last_ok_heartbeat(Duration::millis(20), Duration::millis(9)).ms(), 8.0);
   // ...a replica dying exactly on a poll instant missed that poll...
   EXPECT_DOUBLE_EQ(
-      last_ok_heartbeat(Duration::millis(20), Duration::millis(8), cfg).ms(), 6.0);
+      last_ok_heartbeat(Duration::millis(20), Duration::millis(8)).ms(), 6.0);
   // ...and detection fires when the age crosses the timeout.
-  EXPECT_DOUBLE_EQ(failure_detection_time(Duration::millis(9), cfg).ms(), 14.0);
-  EXPECT_GE(failure_detection_time(Duration::millis(1), cfg), Duration::millis(1));
+  EXPECT_DOUBLE_EQ(failure_detection_time(Duration::millis(9)).ms(), 14.0);
+  EXPECT_GE(failure_detection_time(Duration::millis(1)), Duration::millis(1));
 }
 
 TEST(ClusterSim, RejectsBadConfigurations) {
@@ -570,9 +561,6 @@ TEST(ClusterSim, SurvivingCacheResumesStrandedWorkAndCutsTheTail) {
   const auto trace = bursty_trace(24, 6, Duration::millis(25), small_shape(), 13);
   const auto run_with = [&](bool survive) {
     ClusterConfig cfg;
-    cfg.health.heartbeat_interval = Duration::millis(2);
-    cfg.health.heartbeat_timeout = Duration::millis(6);
-    cfg.retry_timeout = Duration::millis(2);
     cfg.cache = enabled_cache();
     cfg.cache.survive_failstop = survive;
     auto specs = uniform_fleet(3, core::StrategyKind::kMondeLoadBalanced, SchedulerConfig{});
@@ -681,7 +669,6 @@ TEST(ClusterSim, EvacuatedReplicaLaterFailStopIsHarmless) {
   // is deterministically the scale-down victim.
   SchedulerConfig weak;
   weak.token_budget = 32;
-  weak.fixed_batch = 4;
   std::vector<ReplicaSpec> specs;
   specs.push_back({core::StrategyKind::kMondeLoadBalanced, SchedulerConfig{}, 1, {}});
   specs.push_back({core::StrategyKind::kMondeLoadBalanced, weak, 2, {}});
@@ -715,9 +702,6 @@ TEST(ClusterSim, DoubleFailureRebasesMetricsAcrossAttempts) {
   // keyed to the original arrival through both failures.
   const auto trace = closed_loop_trace(8, small_shape(), 9);
   ClusterConfig cfg;
-  cfg.health.heartbeat_interval = Duration::millis(1);
-  cfg.health.heartbeat_timeout = Duration::millis(2);
-  cfg.retry_timeout = Duration::millis(3);
   cfg.autoscale_period = Duration::millis(1);
   cfg.warmup = Duration::millis(1) / 2.0;
   auto specs = uniform_fleet(2, core::StrategyKind::kMondeLoadBalanced, SchedulerConfig{});
@@ -736,7 +720,7 @@ TEST(ClusterSim, DoubleFailureRebasesMetricsAcrossAttempts) {
 
   ASSERT_EQ(rep.requests.size(), trace.size());
   const Duration second_detect =
-      failure_detection_time(specs[1].fault.fail_at, cfg.health);
+      failure_detection_time(specs[1].fault.fail_at);
   std::size_t twice_retried = 0;
   for (const RequestMetrics& m : rep.requests) {
     if (m.attempt < 2) continue;
@@ -744,8 +728,8 @@ TEST(ClusterSim, DoubleFailureRebasesMetricsAcrossAttempts) {
     // Re-based to the original (t = 0) arrival, so the E2E spans BOTH
     // failures and both retry timeouts.
     EXPECT_DOUBLE_EQ(m.arrival.ns(), 0.0);
-    EXPECT_GT(m.completion, second_detect + cfg.retry_timeout);
-    EXPECT_GT(m.e2e(), second_detect + cfg.retry_timeout);  // arrival re-based to 0
+    EXPECT_GT(m.completion, second_detect + kRetryTimeout);
+    EXPECT_GT(m.e2e(), second_detect + kRetryTimeout);  // arrival re-based to 0
   }
   EXPECT_GT(twice_retried, 0u);
   std::size_t detections = 0;

@@ -530,18 +530,15 @@ class ReferenceTuner {
                            const HwStreams& hw, Duration ready) {
     if (window_.empty()) window_.push_back(work);
     const bool warmup = layers_seen_ < 4;
-    if (warmup || layers_seen_ % lb_.tune_period == 0) retune();
+    if (warmup || layers_seen_ % kTunePeriod == 0) retune();
     ++layers_seen_;
     window_.push_back(work);
-    while (window_.size() > lb_.tune_window) window_.pop_front();
+    while (window_.size() > kTuneWindow) window_.pop_front();
     last_h_ = lb_.h_from_equation6(work, alpha_);
     lb_.set_fixed_h(last_h_);
     return lb_.run_layer(work, sched, hw, ready);
   }
 
-  void set_profiled_bandwidths(Bandwidth pcie, Bandwidth monde) {
-    lb_.set_profiled_bandwidths(pcie, monde);
-  }
   [[nodiscard]] double alpha() const { return alpha_; }
   [[nodiscard]] int last_h() const { return last_h_; }
 
@@ -667,12 +664,6 @@ TEST_P(TunerDiff, OnePassSweepMatchesPerOffsetLoop) {
   bool alpha_moved = false;
   for (std::size_t i = 0; i < works.size(); ++i) {
     SCOPED_TRACE(i);
-    if (i == works.size() / 2) {
-      // Profiled bandwidths change Equation 6 for the layers already in
-      // the window too.
-      tuned.set_profiled_bandwidths(Bandwidth::gbps(20.0), Bandwidth::gbps(40.0));
-      reference.set_profiled_bandwidths(Bandwidth::gbps(20.0), Bandwidth::gbps(40.0));
-    }
     const MoeLayerResult a = tuned.run_layer(works[i], sched_tuned, hw_tuned, ready);
     const MoeLayerResult b =
         reference.run_layer(works[i], sched_reference, hw_reference, ready);

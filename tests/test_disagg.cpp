@@ -6,6 +6,7 @@
 // calendar/reference/thread agreement of the enabled one.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <string>
 
@@ -45,6 +46,40 @@ TEST(Disagg, ValidationCatchesBadConfigs) {
   EXPECT_THROW(bad.validate(), Error);
   // Disabled configs are never validated-failed, however malformed.
   bad.enabled = false;
+  EXPECT_NO_THROW(bad.validate());
+}
+
+TEST(Disagg, ValidationRejectsAHandoffLinkThatCannotCarryState) {
+  // A link with no bandwidth would price every handoff at +infinity and
+  // strand the handed-off requests; it must fail at construction, not as
+  // an unserved-request error deep inside run().
+  ClusterConfig cfg = disagg_config();
+  cfg.disagg.handoff_link = interconnect::LinkSpec{};
+  EXPECT_THROW(cfg.validate(), Error);
+  EXPECT_THROW((ClusterSim{core::SystemConfig::dac24(), tiny_model(),
+                           moe::SkewProfile::switch_like(),
+                           uniform_fleet(2, core::StrategyKind::kMondeLoadBalanced,
+                                         SchedulerConfig{}),
+                           cfg}),
+               Error);
+  DisaggConfig bad = cfg.disagg;
+  bad.handoff_link = interconnect::LinkSpec::pcie_gen4_x16();
+  bad.handoff_link.protocol_efficiency = 0.0;
+  EXPECT_THROW(bad.validate(), Error);
+  bad.handoff_link = interconnect::LinkSpec::pcie_gen4_x16();
+  bad.handoff_link.raw_bandwidth = Bandwidth::gbps(std::numeric_limits<double>::infinity());
+  EXPECT_THROW(bad.validate(), Error);
+  bad.handoff_link = interconnect::LinkSpec::pcie_gen4_x16();
+  bad.handoff_link.raw_bandwidth = Bandwidth::gbps(std::numeric_limits<double>::quiet_NaN());
+  EXPECT_THROW(bad.validate(), Error);
+  bad.handoff_link = interconnect::LinkSpec::pcie_gen4_x16();
+  bad.handoff_link.propagation = Duration::micros(-1.0);
+  EXPECT_THROW(bad.validate(), Error);
+  bad.handoff_link = interconnect::LinkSpec::pcie_gen4_x16();
+  bad.handoff_link.dma_setup = Duration::micros(-1.0);
+  EXPECT_THROW(bad.validate(), Error);
+  // The shipped presets pass.
+  bad.handoff_link = interconnect::LinkSpec::pcie_gen3_x16();
   EXPECT_NO_THROW(bad.validate());
 }
 
@@ -219,7 +254,6 @@ TEST(Disagg, DeadDecodeReplicaReHomesHandoffsWithinDecodePool) {
   // the decode pool -- which, with no autoscaler, means replica 2 exactly.
   const auto trace = bursty_trace(24, 6, Duration::millis(25), deep_decode_shape(), 13);
   ClusterConfig cfg = disagg_config();
-  cfg.retry_timeout = Duration::millis(2);
   cfg.cache = enabled_cache();
   cfg.cache.survive_failstop = true;
   auto specs = uniform_fleet(3, core::StrategyKind::kMondeLoadBalanced, SchedulerConfig{});
@@ -246,7 +280,6 @@ TEST(Disagg, LostCacheRetryReturnsToThePrefillPool) {
   // (replica 0), then hand off a second time.
   const auto trace = bursty_trace(24, 6, Duration::millis(25), deep_decode_shape(), 13);
   ClusterConfig cfg = disagg_config();
-  cfg.retry_timeout = Duration::millis(2);
   auto specs = uniform_fleet(3, core::StrategyKind::kMondeLoadBalanced, SchedulerConfig{});
   specs[1].fault.fail_at = Duration::millis(30);
   ClusterSim cluster{core::SystemConfig::dac24(), tiny_model(),
@@ -333,7 +366,6 @@ TEST(DisaggDiff, FaultsCacheAndAutoscaleAgree) {
   sc.specs = uniform_fleet(3, core::StrategyKind::kMondeLoadBalanced, SchedulerConfig{});
   sc.specs[1].fault.fail_at = Duration::millis(35);
   sc.cfg = disagg_config();
-  sc.cfg.retry_timeout = Duration::millis(2);
   sc.cfg.warmup = Duration::millis(2);
   sc.cfg.autoscale_period = Duration::millis(3);
   sc.cfg.cache = enabled_cache();

@@ -208,7 +208,6 @@ TEST(ExpertCluster, ReportsResidencyRebalanceAndPruning) {
   // least one hot expert absent from each replica, so preloads must fetch.
   cfg.expert.cache_capacity = 2;
   cfg.expert.rebalance_period = Duration::millis(10.0);
-  cfg.expert.rebalance_hot_experts = 3;
   cfg.expert.prune_outstanding_tokens = 64;
   ClusterSim cluster{core::SystemConfig::dac24(), tiny_model(),
                      moe::SkewProfile::switch_like(),
@@ -367,13 +366,11 @@ TEST(ExpertCluster, ValidationCatchesBadConfigs) {
   EXPECT_THROW(bad.validate(), Error);
   bad = {};
   bad.enabled = true;
-  bad.rebalance_period = Duration::millis(1.0);
-  bad.rebalance_hot_experts = 0;
+  bad.rebalance_period = Duration::millis(-1.0);
   EXPECT_THROW(bad.validate(), Error);
   bad = {};
   bad.enabled = true;
-  bad.prune_outstanding_tokens = 10;
-  bad.prune_width = 0;
+  bad.prune_outstanding_tokens = -1;
   EXPECT_THROW(bad.validate(), Error);
   // Disabled configs are never validated-failed, however malformed.
   bad.enabled = false;

@@ -106,7 +106,6 @@ Scenario random_scenario(std::uint64_t seed) {
     }
     if (chance(30)) {
       sc.cfg.expert.prune_outstanding_tokens = static_cast<std::int64_t>(draw(64, 256));
-      sc.cfg.expert.prune_width = 1;
     }
   }
 
@@ -146,7 +145,7 @@ Scenario random_scenario(std::uint64_t seed) {
     sc.autoscale.max_replicas = n_replicas + draw(1, 3);
     sc.autoscale.high_tokens_per_replica = static_cast<std::int64_t>(draw(48, 192));
     sc.autoscale.low_tokens_per_replica = static_cast<std::int64_t>(draw(8, 32));
-    if (chance(30)) sc.autoscale.cooldown = Duration::millis(static_cast<double>(draw(5, 15)));
+    if (chance(30)) (void)draw(5, 15);  // a deleted knob's draw: seeds keep their scenarios
     sc.cfg.autoscale_period = Duration::millis(static_cast<double>(draw(3, 8)));
   }
 

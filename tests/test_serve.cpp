@@ -121,8 +121,18 @@ TEST(Scheduler, ConfigValidation) {
   cfg.token_budget = 0;
   EXPECT_THROW(cfg.validate(), Error);
   cfg = SchedulerConfig{};
+  cfg.mode = BatchingMode::kFixed;
   cfg.fixed_batch = cfg.token_budget + 1;
   EXPECT_THROW(cfg.validate(), Error);
+  cfg.fixed_batch = 0;
+  EXPECT_THROW(cfg.validate(), Error);
+  // fixed_batch is a kFixed-only knob: continuous mode ignores it, so a
+  // caller lowering token_budget need not touch it.
+  cfg = SchedulerConfig{};
+  cfg.token_budget = 4;
+  cfg.fixed_batch = 8;
+  EXPECT_NO_THROW(cfg.validate());
+  EXPECT_NO_THROW(ContinuousBatchScheduler{cfg});
 }
 
 TEST(Scheduler, ContinuousAdmitsWithinBudget) {
