@@ -258,10 +258,13 @@ int main(int argc, char** argv) {
 
   std::printf("On a homogeneous fleet with evenly split bursts the four policies make\n"
               "near-identical choices. The asymmetric fleet is where load-awareness\n"
-              "pays: round-robin keeps handing the weak replica its full share and its\n"
-              "queue dominates the TTFT tail, while join-shortest-queue and least-\n"
-              "outstanding-tokens route around the backlog -- power-of-two-choices gets\n"
-              "most of that improvement probing only two replicas per request.\n\n");
+              "can pay. In the full run round-robin keeps handing the weak replica its\n"
+              "full share and its queue dominates the TTFT tail; least-outstanding-\n"
+              "tokens sends it the fewest requests and more than doubles round-robin's\n"
+              "tok/s. Join-shortest-queue and power-of-two-choices compare requests in\n"
+              "flight, not tokens owed, and recover only a small part of that gain.\n"
+              "The --smoke trace is too short to separate the policies: there,\n"
+              "round-robin has the best tok/s.\n\n");
 
   // Both must-beat sections run, so a failing run still prints every margin.
   const bool slow_ok = slow_replica_section(sys, ccfg, metrics);

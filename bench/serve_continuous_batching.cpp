@@ -36,7 +36,6 @@ int main() {
 
   serve::SchedulerConfig cfg;
   cfg.token_budget = 512;
-  cfg.fixed_batch = 8;
 
   std::printf("trace: %zu requests, prompts %lld-%lld tokens, %lld-%lld new tokens\n\n",
               trace.size(), static_cast<long long>(shape.prompt_min),

@@ -76,7 +76,6 @@ int main(int argc, char** argv) {
   // Far fewer cache slots than the 32 experts the model routes across, so
   // residency is a scarce resource the dispatcher can actually steward.
   expert.cache_capacity = 8;
-  expert.profile_width = 2;
 
   const std::size_t replicas = smoke ? 8 : 32;
   const int requests = smoke ? 600 : 5'000;

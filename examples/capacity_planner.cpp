@@ -18,8 +18,8 @@ int main() {
   using namespace monde;
 
   const core::SystemConfig sys = core::SystemConfig::dac24();
-  const double gpu_gb = sys.gpu.memory_capacity.as_gb();
-  std::printf("planning for 1x %s (%.0f GB) + MoNDE device (%s)\n\n", sys.gpu.name.c_str(),
+  const double gpu_gb = core::kGpu.memory_capacity.as_gb();
+  std::printf("planning for 1x %s (%.0f GB) + MoNDE device (%s)\n\n", core::kGpu.name.c_str(),
               gpu_gb, sys.monde_mem.org.total_capacity().str().c_str());
 
   Table t{{"model", "params (GB)", "fits GPU?", "GPU+PM enc tok/s", "MD+LB enc tok/s",

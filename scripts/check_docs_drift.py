@@ -27,11 +27,11 @@ Six checks over README.md and docs/*.md:
    every ``bench/*.cpp`` has a row -- a deleted bench cannot keep its row,
    and a new one cannot ship undocumented;
 6. the "Configuration surface" table in docs/ARCHITECTURE.md and the
-   serving config structs (``CONFIG_STRUCTS``) agree both ways: every
-   public data member has a ``Type::field`` row giving its default and the
-   non-test callers that set another value, and every row names a live
-   member -- a new setting has to say who needs it, and a deleted field
-   cannot keep its row.
+   config structs (``CONFIG_STRUCTS``: the platform's ``SystemConfig`` and
+   the serving configs) agree both ways: every public data member has a
+   ``Type::field`` row giving its default and the non-test callers that set
+   another value, and every row names a live member -- a new setting has to
+   say who needs it, and a deleted field cannot keep its row.
 
 Exits non-zero listing every violation. Run from anywhere inside the
 repository:
@@ -56,8 +56,8 @@ MATRIX_HEADER_RE = re.compile(r"^\|\s*Enumerator\s*\|\s*Name\s*\|")
 # The header row of ARCHITECTURE.md's configuration-surface table.
 CONFIG_HEADER_RE = re.compile(r"^\|\s*Setting\s*\|\s*Default\s*\|")
 # The structs whose every public data member needs a configuration row.
-CONFIG_STRUCTS = ("ClusterConfig", "HealthConfig", "PrefixCacheConfig", "ExpertServingConfig",
-                  "DisaggConfig", "SchedulerConfig", "AutoscaleConfig")
+CONFIG_STRUCTS = ("SystemConfig", "ClusterConfig", "HealthConfig", "PrefixCacheConfig",
+                  "ExpertServingConfig", "DisaggConfig", "SchedulerConfig", "AutoscaleConfig")
 # A catalogue table row: its first cell is a backticked binary name.
 BENCH_ROW_RE = re.compile(r"\|\s*`([A-Za-z0-9_]+)`\s*\|")
 COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)

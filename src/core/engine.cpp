@@ -13,8 +13,8 @@ InferenceEngine::InferenceEngine(SystemConfig sys, moe::MoeModelConfig model,
                                  std::shared_ptr<ndp::NdpCoreSim> shared_sim)
     : sys_{std::move(sys)},
       model_{std::move(model)},
-      gpu_{sys_.gpu},
-      cpu_{sys_.cpu},
+      gpu_{kGpu},
+      cpu_{kCpu},
       xformer_{gpu_, model_.dtype},
       // Callers benchmarking several strategies on the same platform should
       // pass a shared simulator so expert-shape latencies memoize across
@@ -68,7 +68,7 @@ StepResult InferenceEngine::prefill(EngineState& st, std::int64_t batch,
     const bool is_moe = model_.is_moe_block(block);
     const auto cost =
         xformer_.encoder_block(batch, seq_len, model_.dmodel, model_.dff, !is_moe);
-    const Duration block_time = cost.total() + sys_.framework_block_overhead;
+    const Duration block_time = cost.total() + kFrameworkBlockOverhead;
     const auto iv = st.sched.place(
         st.hw.gpu, t, block_time, [block] { return "enc block " + std::to_string(block); },
         "block");
@@ -119,7 +119,7 @@ StepResult InferenceEngine::decode_step(EngineState& st, const std::vector<Decod
   std::size_t moe_idx = 0;
   for (int block = 0; block < model_.decoder_blocks; ++block) {
     const bool is_moe = model_.is_moe_block(block);
-    Duration block_time = sys_.framework_block_overhead;
+    Duration block_time = kFrameworkBlockOverhead;
     for (const auto& [depth, count] : depth_groups) {
       block_time += xformer_
                         .decoder_block(count, depth.first, depth.second, model_.dmodel,
@@ -142,9 +142,9 @@ StepResult InferenceEngine::decode_step(EngineState& st, const std::vector<Decod
   // LM head projection over the vocabulary plus host-side step overhead
   // (sampling, KV-cache bookkeeping).
   const Duration lm = gpu_.gemm_time({batch, model_.vocab_size, model_.dmodel}, model_.dtype);
-  const auto head = st.sched.place(st.hw.gpu, t, lm + sys_.framework_step_overhead,
+  const auto head = st.sched.place(st.hw.gpu, t, lm + kFrameworkStepOverhead,
                                    [&] { return "lm head " + step_tag; }, "block");
-  st.non_moe += lm + sys_.framework_step_overhead;
+  st.non_moe += lm + kFrameworkStepOverhead;
   st.now = head.end;
   st.tokens += res.tokens;
   ++st.decode_steps;

@@ -26,12 +26,15 @@ namespace {
 
 /// Lazy per-expert label "<what> E<e> (<tok> tok)": formatted only when
 /// the schedule records (sim::StreamSchedule::place's lazy overload).
+/// Cold, so GCC keeps the formatting out of line and still inlines place()
+/// on the unrecorded hot path (every MD+LB what-if); otherwise place() can
+/// exceed GCC 12's inline size limit and each placement pays a call.
 struct ExpertLabel {
   const char* what;
   std::size_t e;
   std::uint64_t tok;
 
-  std::string operator()() const {
+  [[gnu::cold]] std::string operator()() const {
     return std::string{what} + " E" + std::to_string(e) + " (" + std::to_string(tok) + " tok)";
   }
 };
@@ -119,7 +122,7 @@ Duration Strategy::place_pmove_pipeline(std::span<const ExpertLoad> experts, int
         expert_cache_ && (what_if ? expert_cache_->contains(eid) : expert_cache_->access(eid));
     Duration weights_ready = ready;
     if (!cached) {
-      const auto tr = sched.place(hw.pcie_m2g, ready, ctx_.sys->pcie.transfer_time(weights),
+      const auto tr = sched.place(hw.pcie_m2g, ready, kPcie.transfer_time(weights),
                                   ExpertLabel{"PMove", e, tok}, "pmove");
       weights_ready = tr.end;
       result.pmove_bytes += weights;
@@ -127,7 +130,7 @@ Duration Strategy::place_pmove_pipeline(std::span<const ExpertLoad> experts, int
     } else {
       ++result.cache_hits;
     }
-    const auto disp = sched.place(hw.host, ready, ctx_.sys->gpu_expert_dispatch,
+    const auto disp = sched.place(hw.host, ready, kGpuExpertDispatch,
                                   ExpertLabel{"dispatch", e, tok}, "driver");
     const auto cp =
         sched.place(gpu_stream, max(weights_ready, disp.end),
@@ -138,6 +141,26 @@ Duration Strategy::place_pmove_pipeline(std::span<const ExpertLoad> experts, int
     ++result.experts_gpu;
   }
   return last_end;
+}
+
+Duration Strategy::place_resident_experts(std::span<const ExpertLoad> experts,
+                                          sim::StreamSchedule& sched, const HwStreams& hw,
+                                          Duration dispatch_ready, Duration ready,
+                                          sim::StreamId gpu_stream,
+                                          MoeLayerResult& result) const {
+  Duration end = ready;
+  for (const auto& [e, tok] : experts) {
+    const auto disp = sched.place(hw.host, dispatch_ready, kGpuExpertDispatch,
+                                  ExpertLabel{"dispatch", e, tok}, "driver");
+    const auto cp =
+        sched.place(gpu_stream, max(end, disp.end),
+                    ctx_.gpu->expert_time(ctx_.expert_shape(static_cast<std::int64_t>(tok)),
+                                          ctx_.dtype()),
+                    ExpertLabel{"expert", e, tok}, "gemm");
+    end = cp.end;
+    ++result.experts_gpu;
+  }
+  return end;
 }
 
 Duration Strategy::place_ndp_batch(std::span<const ExpertLoad> experts,
@@ -159,7 +182,7 @@ Duration Strategy::place_ndp_batch(std::span<const ExpertLoad> experts,
     dealt_to(d, [&](std::size_t, std::uint64_t tok) { routed += tok; });
     const Bytes in_bytes = ctx_.activation_bytes(routed);
     const auto am =
-        sched.place(hw.pcie_g2m, ready, ctx_.sys->pcie.transfer_time(in_bytes),
+        sched.place(hw.pcie_g2m, ready, kPcie.transfer_time(in_bytes),
                     [d] { return "AMove-in dev" + std::to_string(d); }, "amove");
     result.amove_bytes += in_bytes;
 
@@ -168,8 +191,7 @@ Duration Strategy::place_ndp_batch(std::span<const ExpertLoad> experts,
     // DMA is in flight; dispatches serialize on the host thread and gate
     // each kernel's start -- the framework-bound regime the paper's
     // profiled workflow exhibits for many-cold-expert layers.
-    const Duration per_dispatch =
-        ctx_.sys->offload_dispatch_overhead + ctx_.sys->cxl.message_time(instr) * 2.0;
+    const Duration per_dispatch = kOffloadDispatchOverhead + kCxl.message_time(instr) * 2.0;
 
     Duration kernel_ready = am.end;
     dealt_to(d, [&](std::size_t e, std::uint64_t tok) {
@@ -180,14 +202,14 @@ Duration Strategy::place_ndp_batch(std::span<const ExpertLoad> experts,
       // Kernel occupancy = simulated GEMM time + per-expert device overhead
       // (staging, decode, skew fill/drain, done handshake).
       const auto kv = sched.place(hw.ndp[d], max(kernel_ready, disp.end),
-                                  kr.latency + ctx_.sys->ndp_expert_overhead,
+                                  kr.latency + kNdpExpertOverhead,
                                   ExpertLabel{"NDP expert", e, tok}, "ndp");
       kernel_ready = kv.end;
       // Host observes the done register, then retrieves this expert's
       // output (M->G direction, shared with PMove traffic).
       const Bytes out_bytes = ctx_.activation_bytes(tok);
-      const auto out = sched.place(hw.pcie_m2g, kv.end + ctx_.sys->done_poll,
-                                   ctx_.sys->pcie.transfer_time(out_bytes),
+      const auto out = sched.place(hw.pcie_m2g, kv.end + kDonePoll,
+                                   kPcie.transfer_time(out_bytes),
                                    ExpertLabel{"AMove-out", e, tok}, "amove");
       result.amove_bytes += out_bytes;
       all_end = max(all_end, out.end);
@@ -211,19 +233,9 @@ class IdealGpu final : public Strategy {
     MoeLayerResult r;
     r.start = ready;
     const Duration gate_end = place_gating(work, sched, hw, ready, r);
-    Duration t = gate_end;
-    for (const auto& [e, tok] : activated_by_load(work)) {
-      const auto disp = sched.place(hw.host, gate_end, ctx_.sys->gpu_expert_dispatch,
-                                    ExpertLabel{"dispatch", e, tok}, "driver");
-      const auto iv =
-          sched.place(hw.gpu, max(t, disp.end),
-                      ctx_.gpu->expert_time(ctx_.expert_shape(static_cast<std::int64_t>(tok)),
-                                            ctx_.dtype()),
-                      ExpertLabel{"expert", e, tok}, "gemm");
-      t = iv.end;
-      ++r.experts_gpu;
-    }
-    r.end = place_combine(work, sched, hw, t, r);
+    const Duration experts_end =
+        place_resident_experts(activated_by_load(work), sched, hw, gate_end, gate_end, hw.gpu, r);
+    r.end = place_combine(work, sched, hw, experts_end, r);
     return r;
   }
 };
@@ -284,15 +296,14 @@ class CpuAmove final : public Strategy {
     std::uint64_t routed = 0;
     for (const auto& [e, tok] : experts) routed += tok;
     const Bytes in_bytes = ctx_.activation_bytes(routed);
-    const auto am = sched.place(hw.pcie_g2m, gate_end,
-                                ctx_.sys->pcie.transfer_time(in_bytes), "AMove-in CPU",
-                                "amove");
+    const auto am = sched.place(hw.pcie_g2m, gate_end, kPcie.transfer_time(in_bytes),
+                                "AMove-in CPU", "amove");
     r.amove_bytes += in_bytes;
 
     Duration t = am.end;
     Duration last_out = am.end;
     for (const auto& [e, tok] : experts) {
-      const auto disp = sched.place(hw.host, gate_end, ctx_.sys->offload_dispatch_overhead,
+      const auto disp = sched.place(hw.host, gate_end, kOffloadDispatchOverhead,
                                     ExpertLabel{"offload", e, tok}, "driver");
       const auto cp =
           sched.place(hw.cpu, max(t, disp.end),
@@ -301,8 +312,7 @@ class CpuAmove final : public Strategy {
                       ExpertLabel{"CPU expert", e, tok}, "cpu");
       t = cp.end;
       const Bytes out_bytes = ctx_.activation_bytes(tok);
-      const auto out = sched.place(hw.pcie_m2g, cp.end,
-                                   ctx_.sys->pcie.transfer_time(out_bytes),
+      const auto out = sched.place(hw.pcie_m2g, cp.end, kPcie.transfer_time(out_bytes),
                                    ExpertLabel{"AMove-out", e, tok}, "amove");
       r.amove_bytes += out_bytes;
       last_out = max(last_out, out.end);
@@ -345,41 +355,19 @@ class MultiGpu final : public Strategy {
     const Bytes dispatch = ctx_.activation_bytes(remote_tokens);
     Duration remote_ready = gate_end;
     if (remote_tokens > 0) {
-      const auto tr = sched.place(hw.pcie_g2m, gate_end,
-                                  ctx_.sys->pcie.transfer_time(dispatch), "a2a dispatch",
-                                  "amove");
+      const auto tr = sched.place(hw.pcie_g2m, gate_end, kPcie.transfer_time(dispatch),
+                                  "a2a dispatch", "amove");
       remote_ready = tr.end;
       r.amove_bytes += dispatch;
     }
 
-    Duration local_end = gate_end;
-    for (const auto& [e, tok] : local) {
-      const auto disp = sched.place(hw.host, gate_end, ctx_.sys->gpu_expert_dispatch,
-                                    ExpertLabel{"dispatch", e, tok}, "driver");
-      const auto cp =
-          sched.place(hw.gpu, max(local_end, disp.end),
-                      ctx_.gpu->expert_time(ctx_.expert_shape(static_cast<std::int64_t>(tok)),
-                                            ctx_.dtype()),
-                      ExpertLabel{"expert", e, tok}, "gemm");
-      local_end = cp.end;
-      ++r.experts_gpu;
-    }
-    Duration remote_end = remote_ready;
-    for (const auto& [e, tok] : remote) {
-      const auto disp = sched.place(hw.host, gate_end, ctx_.sys->gpu_expert_dispatch,
-                                    ExpertLabel{"dispatch", e, tok}, "driver");
-      const auto cp =
-          sched.place(hw.gpu2, max(remote_end, disp.end),
-                      ctx_.gpu->expert_time(ctx_.expert_shape(static_cast<std::int64_t>(tok)),
-                                            ctx_.dtype()),
-                      ExpertLabel{"expert", e, tok}, "gemm");
-      remote_end = cp.end;
-      ++r.experts_gpu;
-    }
+    const Duration local_end =
+        place_resident_experts(local, sched, hw, gate_end, gate_end, hw.gpu, r);
+    Duration remote_end =
+        place_resident_experts(remote, sched, hw, gate_end, remote_ready, hw.gpu2, r);
     if (remote_tokens > 0) {
-      const auto back = sched.place(hw.pcie_m2g, remote_end,
-                                    ctx_.sys->pcie.transfer_time(dispatch), "a2a return",
-                                    "amove");
+      const auto back = sched.place(hw.pcie_m2g, remote_end, kPcie.transfer_time(dispatch),
+                                    "a2a return", "amove");
       remote_end = back.end;
       r.amove_bytes += dispatch;
     }
@@ -399,7 +387,7 @@ MondeLoadBalanced::MondeLoadBalanced(StrategyContext ctx)
 
 double MondeLoadBalanced::h_raw_equation6(const moe::MoeLayerWork& work) const {
   const double activ = static_cast<double>(work.activated_experts());
-  const double bw_pcie = ctx_.sys->pcie.effective_bandwidth().as_bytes_per_sec();
+  const double bw_pcie = kPcie.effective_bandwidth().as_bytes_per_sec();
   const double bw_md = ctx_.sys->monde_aggregate_bandwidth().as_bytes_per_sec();
   return bw_pcie / (bw_md + bw_pcie) * activ;
 }

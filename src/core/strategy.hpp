@@ -139,6 +139,15 @@ class Strategy {
                                 Duration ready, sim::StreamId gpu_stream,
                                 MoeLayerResult& result, bool what_if = false);
 
+  /// GPU-resident experts (no weight transfer): per expert, a host dispatch
+  /// no earlier than `dispatch_ready`, then its GEMM serially on
+  /// `gpu_stream` from `ready`. Returns the last compute end (`ready` when
+  /// `experts` is empty).
+  Duration place_resident_experts(std::span<const ExpertLoad> experts,
+                                  sim::StreamSchedule& sched, const HwStreams& hw,
+                                  Duration dispatch_ready, Duration ready,
+                                  sim::StreamId gpu_stream, MoeLayerResult& result) const;
+
   /// AMove + NDP batch: deal `experts` (sorted by descending load)
   /// round-robin across the configured MoNDE devices (paper Section 3.3,
   /// multi-device), then per device ship the activations, run its experts

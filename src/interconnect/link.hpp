@@ -58,12 +58,4 @@ struct LinkSpec {
   [[nodiscard]] LinkSpec scaled(double factor) const;
 };
 
-/// A bidirectional link: independent lanes per direction (full duplex), as
-/// with PCIe/CXL. Directions are scheduled as separate streams by the
-/// runtime (PCI_G2M vs PCI_M2G in Figure 5 of the paper).
-struct DuplexLink {
-  LinkSpec host_to_device;
-  LinkSpec device_to_host;
-};
-
 }  // namespace monde::interconnect

@@ -74,8 +74,8 @@ struct NdpKernelResult {
 /// bit-identical regardless of thread count or interleaving. Only the
 /// hit/miss COUNTERS may differ run to run under concurrency (racing misses
 /// on one shape each count once); they are diagnostics, never simulation
-/// inputs. The public knobs (cycle_sim_token_limit, bank_partitioning,
-/// exhaustive_tick) must be set before concurrent use begins.
+/// inputs. The public knobs (bank_partitioning, exhaustive_tick) must be
+/// set before concurrent use begins.
 class NdpCoreSim {
  public:
   NdpCoreSim(NdpSpec ndp, dram::Spec mem);
@@ -104,7 +104,7 @@ class NdpCoreSim {
   /// The compute/memory crossover for the DAC'24 configuration sits near
   /// 4 tokens; by 16 tokens experts are >4x compute-bound, so the fast
   /// path's error is small (validated against the cycle sim in tests).
-  int cycle_sim_token_limit = 16;
+  static constexpr int cycle_sim_token_limit = 16;
 
   /// Section 3.4 design choice: map parameters to even banks and
   /// activations to odd banks. Setting this false places activations in the

@@ -602,7 +602,7 @@ class ClusterSim::ClusterRun {
       // it already carries (possibly pruned by an earlier overload).
       if (rq.expert_profile.empty()) {
         rq.expert_profile = sim_.profiler_->expert_profile_for(
-            rq.id, cfg_.expert.profile_width, cfg_.expert.profile_tokens);
+            rq.id, ExpertServingConfig::profile_width, ExpertServingConfig::profile_tokens);
       }
       // Fleet demand feeds the rebalance ticks; count the full profile (the
       // demand exists whether or not pruning later drops part of it).

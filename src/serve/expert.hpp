@@ -36,12 +36,12 @@ struct ExpertServingConfig {
   std::size_t cache_capacity = 24;
 
   /// Experts kept per decoder MoE layer in a request's profile.
-  int profile_width = 2;
+  static constexpr int profile_width = 2;
 
   /// Probe tokens routed per layer when deriving a profile. More tokens
   /// sharpen the top-k estimate; the draw happens on a dedicated per-request
   /// RNG stream either way, so this never perturbs the routed workload.
-  std::int64_t profile_tokens = 64;
+  static constexpr std::int64_t profile_tokens = 64;
 
   /// Seed of the cluster-level profiling WorkloadGenerator (independent of
   /// replica seeds so profiles are fleet-global, not per-replica).
@@ -63,8 +63,6 @@ struct ExpertServingConfig {
   void validate() const {
     if (!enabled) return;
     MONDE_REQUIRE(cache_capacity > 0, "expert serving needs cache_capacity > 0");
-    MONDE_REQUIRE(profile_width > 0, "expert serving needs profile_width > 0");
-    MONDE_REQUIRE(profile_tokens > 0, "expert serving needs profile_tokens > 0");
     MONDE_REQUIRE(rebalance_period >= Duration::zero(),
                   "rebalance_period must be >= 0");
     MONDE_REQUIRE(prune_outstanding_tokens >= 0,

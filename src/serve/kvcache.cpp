@@ -101,11 +101,6 @@ void KvCache::drop_pinned() {
   for (SharedEntry& entry : lru_) entry.in_use = 0;
 }
 
-Duration KvCache::transfer_time_for(std::int64_t tokens) const {
-  MONDE_REQUIRE(tokens >= 0, "cannot transfer a negative token count");
-  return cfg_.transfer_time_for(tokens);
-}
-
 void KvCache::evict_over_capacity() {
   // Pinned state is never evicted, and neither is a shared prefix an active
   // request references; unreferenced retained prefixes go LRU-first until

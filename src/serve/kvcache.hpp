@@ -42,6 +42,7 @@
 #include <unordered_map>
 
 #include "common/counting_signature.hpp"
+#include "common/error.hpp"
 #include "common/units.hpp"
 #include "serve/request.hpp"
 
@@ -96,6 +97,7 @@ struct PrefixCacheConfig {
 
   /// Span of moving `tokens` of KV state over the migration link.
   [[nodiscard]] Duration transfer_time_for(std::int64_t tokens) const {
+    MONDE_REQUIRE(tokens >= 0, "cannot transfer a negative token count");
     return transfer_time(kv_bytes_per_token * static_cast<std::uint64_t>(tokens),
                          migration_bw);
   }
@@ -150,9 +152,6 @@ class KvCache {
   /// Unpin everything at once (a harvest/evacuation took every unfinished
   /// request away with it). Retained shared prefixes stay.
   void drop_pinned();
-
-  /// Span of moving `tokens` of KV state over the migration link.
-  [[nodiscard]] Duration transfer_time_for(std::int64_t tokens) const;
 
   /// Tokens currently resident (pinned + retained shared prefixes).
   [[nodiscard]] std::int64_t resident_tokens() const { return pinned_tokens_ + shared_tokens_; }

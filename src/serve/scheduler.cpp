@@ -10,11 +10,10 @@ std::string to_string(BatchingMode mode) {
 
 void SchedulerConfig::validate() const {
   MONDE_REQUIRE(token_budget > 0, "scheduler needs token_budget > 0, got " << token_budget);
-  if (mode != BatchingMode::kFixed) return;  // fixed_batch is a kFixed-only knob
-  MONDE_REQUIRE(fixed_batch > 0, "scheduler needs fixed_batch > 0, got " << fixed_batch);
-  MONDE_REQUIRE(fixed_batch <= token_budget,
-                "fixed_batch (" << fixed_batch << ") must not exceed token_budget ("
-                                << token_budget << ")");
+  if (mode != BatchingMode::kFixed) return;  // kFixedBatch binds only in fixed mode
+  MONDE_REQUIRE(kFixedBatch <= token_budget,
+                "fixed mode's batch of " << kFixedBatch << " must not exceed token_budget ("
+                                         << token_budget << ")");
 }
 
 ContinuousBatchScheduler::ContinuousBatchScheduler(SchedulerConfig cfg) : cfg_{cfg} {
@@ -103,12 +102,11 @@ std::vector<RequestState*> ContinuousBatchScheduler::admit_fixed() {
   // while more arrivals are still due (the classic batching delay). An
   // unsealed scheduler may always receive more arrivals.
   if (!active_.empty() || queued_.empty()) return newly;
-  if (static_cast<std::int64_t>(queued_.size()) < cfg_.fixed_batch &&
+  if (static_cast<std::int64_t>(queued_.size()) < kFixedBatch &&
       (next_pending_ < states_.size() || !sealed_)) {
     return newly;
   }
-  const std::size_t take =
-      std::min(queued_.size(), static_cast<std::size_t>(cfg_.fixed_batch));
+  const std::size_t take = std::min(queued_.size(), static_cast<std::size_t>(kFixedBatch));
   for (std::size_t i = 0; i < take; ++i) {
     take_front(discount_for(states_[queued_.front()].request), newly);
   }
@@ -223,7 +221,7 @@ bool ContinuousBatchScheduler::step_ready() const {
   if (!active_.empty()) return true;
   if (queued_.empty()) return false;
   if (cfg_.mode != BatchingMode::kFixed) return true;
-  return static_cast<std::int64_t>(queued_.size()) >= cfg_.fixed_batch ||
+  return static_cast<std::int64_t>(queued_.size()) >= kFixedBatch ||
          (next_pending_ == states_.size() && sealed_);
 }
 

@@ -69,6 +69,10 @@ enum class BatchingMode {
 /// admitted before any of them (its next fitting step takes it first).
 inline constexpr std::int64_t kAdmissionBypassLimit = 8;
 
+/// Batch size for kFixed; must not exceed the token budget so the two modes
+/// are comparable under one config.
+inline constexpr std::int64_t kFixedBatch = 8;
+
 struct SchedulerConfig {
   BatchingMode mode = BatchingMode::kContinuous;
   /// Per-step token cap for continuous batching: prompt tokens prefilled in
@@ -76,10 +80,6 @@ struct SchedulerConfig {
   /// alone exceeds the budget is admitted once the server is otherwise empty
   /// (it can never fit, and starving it forever would deadlock the queue).
   std::int64_t token_budget = 256;
-  /// Batch size for kFixed; must not exceed token_budget so the two modes
-  /// are comparable under one config. Ignored (and not validated) in
-  /// continuous mode.
-  std::int64_t fixed_batch = 8;
   /// Continuous-mode admission order: false = FIFO (the classic behavior),
   /// true = fewest-remaining-tokens first, so short requests slip past a
   /// head-of-line giant instead of queueing behind it (shortest-job-first

@@ -314,14 +314,13 @@ TEST(Autoscale, DrainTicksTerminateWithStuckFixedBatch) {
   // the loop has to fall through to drain() and let the partial batch run.
   SchedulerConfig fixed;
   fixed.mode = BatchingMode::kFixed;
-  fixed.fixed_batch = 8;
   ClusterConfig cfg;
   cfg.autoscale_period = Duration::millis(2);
   ClusterSim cluster{core::SystemConfig::dac24(), tiny_model(), moe::SkewProfile::switch_like(),
                      uniform_fleet(1, core::StrategyKind::kMondeLoadBalanced, fixed), cfg};
   const auto dispatcher = make_dispatcher(DispatchPolicy::kRoundRobin);
   const auto autoscaler = make_queue_pressure_autoscaler(test_policy());
-  // 3 < fixed_batch requests: without the liveness cut this never returns.
+  // 3 < kFixedBatch requests: without the liveness cut this never returns.
   const ClusterReport rep =
       cluster.run(closed_loop_trace(3, small_shape(), 5), *dispatcher, autoscaler.get());
   ASSERT_EQ(rep.requests.size(), 3u);

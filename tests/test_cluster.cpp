@@ -209,13 +209,12 @@ TEST(ClusterSim, FleetMetricsAreUnionOfReplicaMetrics) {
 TEST(ClusterSim, SingleReplicaReproducesServerSimBitIdentically) {
   // Pins the run-to-completion -> incremental-event refactor: a one-replica
   // cluster must be indistinguishable from ServerSim::run() under every
-  // dispatch policy and both batching modes.
-  const auto trace = poisson_trace(10, 50.0, small_shape(), 8);
+  // dispatch policy and both batching modes (two full fixed-mode batches).
+  const auto trace = poisson_trace(static_cast<int>(2 * kFixedBatch), 50.0, small_shape(), 8);
   for (const BatchingMode mode : {BatchingMode::kContinuous, BatchingMode::kFixed}) {
     SchedulerConfig cfg;
     cfg.mode = mode;
     cfg.token_budget = 128;
-    cfg.fixed_batch = 4;
     core::InferenceEngine single{core::SystemConfig::dac24(), tiny_model(),
                                  moe::SkewProfile::switch_like(),
                                  core::StrategyKind::kMondeLoadBalanced, /*seed=*/21};

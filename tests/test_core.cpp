@@ -38,8 +38,8 @@ class StrategyTest : public ::testing::Test {
   StrategyTest()
       : sys_{SystemConfig::dac24()},
         model_{tiny_model()},
-        gpu_{sys_.gpu},
-        cpu_{sys_.cpu},
+        gpu_{kGpu},
+        cpu_{kCpu},
         xformer_{gpu_, model_.dtype},
         sim_{std::make_shared<ndp::NdpCoreSim>(sys_.ndp, sys_.monde_mem)} {
     devices_.push_back(std::make_unique<MondeDevice>(0, sim_));
@@ -277,7 +277,7 @@ TEST_F(StrategyTest, LoadBalancedBeatsOrMatchesPureStrategies) {
 TEST_F(StrategyTest, Equation6HValue) {
   MondeLoadBalanced lb{ctx()};
   moe::MoeLayerWork work = routed_work(128);
-  const double bw_pcie = sys_.pcie.effective_bandwidth().as_bytes_per_sec();
+  const double bw_pcie = kPcie.effective_bandwidth().as_bytes_per_sec();
   const double bw_md = sys_.monde_aggregate_bandwidth().as_bytes_per_sec();
   const double expected =
       bw_pcie / (bw_md + bw_pcie) * static_cast<double>(work.activated_experts());
@@ -576,7 +576,7 @@ class ReferenceTuner {
 struct Platform {
   Platform(const moe::MoeModelConfig& m, int devices, bool cache,
            const std::shared_ptr<ndp::NdpCoreSim>& sim)
-      : sys{SystemConfig::dac24()}, model{m}, gpu{sys.gpu}, cpu{sys.cpu},
+      : sys{SystemConfig::dac24()}, model{m}, gpu{kGpu}, cpu{kCpu},
         xformer{gpu, model.dtype} {
     sys.num_monde_devices = devices;
     if (cache) sys.gpu_expert_cache_bytes = model.expert_bytes() * 48;

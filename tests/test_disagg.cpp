@@ -96,7 +96,6 @@ TEST(Disagg, ClusterNeedsBothPoolsAndContinuousBatching) {
   // model requires continuous batching fleet-wide.
   SchedulerConfig fixed;
   fixed.mode = BatchingMode::kFixed;
-  fixed.fixed_batch = 4;
   EXPECT_THROW(
       (ClusterSim{core::SystemConfig::dac24(), tiny_model(),
                   moe::SkewProfile::switch_like(),

@@ -29,8 +29,8 @@ moe::MoeModelConfig tiny() {
 struct Platform {
   SystemConfig sys = SystemConfig::dac24();
   moe::MoeModelConfig model = tiny();
-  compute::GpuModel gpu{sys.gpu};
-  compute::CpuModel cpu{sys.cpu};
+  compute::GpuModel gpu{kGpu};
+  compute::CpuModel cpu{kCpu};
   compute::TransformerCostModel xformer{gpu, model.dtype};
   std::shared_ptr<ndp::NdpCoreSim> sim =
       std::make_shared<ndp::NdpCoreSim>(sys.ndp, sys.monde_mem);

@@ -235,9 +235,9 @@ TEST(KvCache, TransferTimeIsTokensTimesBytesOverBandwidth) {
   KvCache cache{cfg};
   // 1024 tokens x 64 KiB = 64 MiB over 16 GB/s.
   const double expect_s = 1024.0 * 64.0 * 1024.0 / 16e9;
-  EXPECT_NEAR(cache.transfer_time_for(1024).sec(), expect_s, 1e-12);
-  EXPECT_DOUBLE_EQ(cache.transfer_time_for(0).ns(), 0.0);
-  EXPECT_THROW((void)cache.transfer_time_for(-1), Error);
+  EXPECT_NEAR(cache.config().transfer_time_for(1024).sec(), expect_s, 1e-12);
+  EXPECT_DOUBLE_EQ(cache.config().transfer_time_for(0).ns(), 0.0);
+  EXPECT_THROW((void)cache.config().transfer_time_for(-1), Error);
 }
 
 TEST(ResumeState, RequestValidationGuardsResumeInvariants) {

@@ -75,7 +75,7 @@ Scenario random_scenario(std::uint64_t seed) {
   if (!sc.cfg.disagg.enabled && chance(20)) {
     // Fixed batching (disaggregation requires continuous batching).
     sched.mode = BatchingMode::kFixed;
-    sched.fixed_batch = static_cast<std::int64_t>(draw(2, 4));
+    (void)draw(2, 4);  // a deleted knob's draw: seeds keep their scenarios
   }
   sc.specs = uniform_fleet(n_replicas, core::StrategyKind::kMondeLoadBalanced,
                            sched, /*seed0=*/seed + 1);

@@ -120,17 +120,19 @@ TEST(Scheduler, ConfigValidation) {
   SchedulerConfig cfg;
   cfg.token_budget = 0;
   EXPECT_THROW(cfg.validate(), Error);
+  cfg.token_budget = -1;
+  EXPECT_THROW(cfg.validate(), Error);
+  // Fixed mode's batch of kFixedBatch must fit the token budget.
   cfg = SchedulerConfig{};
   cfg.mode = BatchingMode::kFixed;
-  cfg.fixed_batch = cfg.token_budget + 1;
+  cfg.token_budget = kFixedBatch - 1;
   EXPECT_THROW(cfg.validate(), Error);
-  cfg.fixed_batch = 0;
-  EXPECT_THROW(cfg.validate(), Error);
-  // fixed_batch is a kFixed-only knob: continuous mode ignores it, so a
-  // caller lowering token_budget need not touch it.
+  cfg.token_budget = kFixedBatch;
+  EXPECT_NO_THROW(cfg.validate());
+  // kFixedBatch binds only in fixed mode: continuous mode accepts a budget
+  // below it.
   cfg = SchedulerConfig{};
   cfg.token_budget = 4;
-  cfg.fixed_batch = 8;
   EXPECT_NO_THROW(cfg.validate());
   EXPECT_NO_THROW(ContinuousBatchScheduler{cfg});
 }
@@ -154,7 +156,6 @@ TEST(Scheduler, ContinuousAdmitsWithinBudget) {
 TEST(Scheduler, OversizedPromptAdmittedAloneOnEmptyServer) {
   SchedulerConfig cfg;
   cfg.token_budget = 32;
-  cfg.fixed_batch = 1;
   ContinuousBatchScheduler sched{cfg};
   sched.submit({{0, Duration::zero(), 100, 2}, {1, Duration::zero(), 8, 2}});
   sched.release_arrivals(Duration::zero());
@@ -167,14 +168,19 @@ TEST(Scheduler, OversizedPromptAdmittedAloneOnEmptyServer) {
 TEST(Scheduler, FixedWaitsForFullBatch) {
   SchedulerConfig cfg;
   cfg.mode = BatchingMode::kFixed;
-  cfg.fixed_batch = 2;
   ContinuousBatchScheduler sched{cfg};
-  sched.submit({{0, Duration::zero(), 8, 2}, {1, Duration::millis(5), 8, 2}});
+  // One short of a full batch at t = 0; the last member arrives at 5 ms.
+  std::vector<Request> trace;
+  for (std::int64_t i = 0; i < kFixedBatch; ++i) {
+    const Duration at = i + 1 < kFixedBatch ? Duration::zero() : Duration::millis(5);
+    trace.push_back({static_cast<std::uint64_t>(i), at, 8, 2});
+  }
+  sched.submit(std::move(trace));
   sched.release_arrivals(Duration::zero());
-  EXPECT_TRUE(sched.admit().empty());  // waits: a second arrival is still due
+  EXPECT_TRUE(sched.admit().empty());  // waits: the batch's last arrival is still due
   EXPECT_DOUBLE_EQ(sched.next_arrival().ms(), 5.0);
   sched.release_arrivals(Duration::millis(5));
-  EXPECT_EQ(sched.admit().size(), 2u);
+  EXPECT_EQ(sched.admit().size(), static_cast<std::size_t>(kFixedBatch));
 }
 
 TEST(Scheduler, MergedStepWorksConserveRoutedTokens) {
@@ -229,30 +235,36 @@ TEST(Scheduler, FixedModePadsDoneSlotsAtFrozenDepth) {
   // surfaced (inflating the attention price of fixed-mode padding).
   SchedulerConfig cfg;
   cfg.mode = BatchingMode::kFixed;
-  cfg.fixed_batch = 2;
   ContinuousBatchScheduler sched{cfg};
-  sched.submit({{0, Duration::zero(), 8, 1}, {1, Duration::zero(), 8, 3}});
+  // One full batch: req 0 wants one token, every other request three.
+  std::vector<Request> trace;
+  for (std::int64_t i = 0; i < kFixedBatch; ++i) {
+    trace.push_back({static_cast<std::uint64_t>(i), Duration::zero(), 8, i == 0 ? 1 : 3});
+  }
+  sched.submit(std::move(trace));
   sched.release_arrivals(Duration::zero());
-  ASSERT_EQ(sched.admit().size(), 2u);
+  const auto batch = static_cast<std::size_t>(kFixedBatch);
+  ASSERT_EQ(sched.admit().size(), batch);
 
-  sched.complete_step(Duration::millis(1));  // both surface a token; req 0 done
+  sched.complete_step(Duration::millis(1));  // all surface a token; req 0 done
   auto slots = sched.slots();
-  ASSERT_EQ(slots.size(), 2u);  // the padded slot still occupies the batch
-  EXPECT_EQ(slots[0].step, 1);
-  EXPECT_EQ(slots[1].step, 1);
+  ASSERT_EQ(slots.size(), batch);  // the padded slot still occupies the batch
+  for (const auto& slot : slots) EXPECT_EQ(slot.step, 1);
 
-  sched.complete_step(Duration::millis(2));  // only req 1 advances
+  sched.complete_step(Duration::millis(2));  // only the live requests advance
   slots = sched.slots();
-  ASSERT_EQ(slots.size(), 2u);
+  ASSERT_EQ(slots.size(), batch);
   EXPECT_EQ(slots[0].step, 1);  // frozen at its final depth (KV stops growing)
-  EXPECT_EQ(slots[1].step, 2);
+  for (std::size_t i = 1; i < batch; ++i) EXPECT_EQ(slots[i].step, 2);
   EXPECT_EQ(sched.states()[0].generated, 1);  // padding surfaces no tokens
 
-  sched.complete_step(Duration::millis(3));  // req 1 finishes -> batch drains
+  sched.complete_step(Duration::millis(3));  // the rest finish -> batch drains
   EXPECT_TRUE(sched.drained());
-  EXPECT_EQ(sched.states()[1].generated, 3);
   EXPECT_DOUBLE_EQ(sched.states()[0].completion.ms(), 1.0);
-  EXPECT_DOUBLE_EQ(sched.states()[1].completion.ms(), 3.0);
+  for (std::size_t i = 1; i < batch; ++i) {
+    EXPECT_EQ(sched.states()[i].generated, 3);
+    EXPECT_DOUBLE_EQ(sched.states()[i].completion.ms(), 3.0);
+  }
 }
 
 // --- ServerSim ----------------------------------------------------------------
@@ -263,7 +275,6 @@ TEST(ServerSim, NextEventTimeWaitsOnUnfilledFixedBatch) {
   // (infinite) rather than advertise the current boundary forever.
   SchedulerConfig cfg;
   cfg.mode = BatchingMode::kFixed;
-  cfg.fixed_batch = 4;
   auto engine = make_engine(core::StrategyKind::kMondeAmove);
   ServerSim sim{engine, cfg};
   sim.enqueue({0, Duration::zero(), 8, 2});
@@ -334,10 +345,11 @@ TEST(ServerSim, NextEventTimeAndLoadAccessorsTrackQueueState) {
 }
 
 TEST(ServerSim, ContinuousBeatsFixedOnPoissonTrace) {
-  const auto trace = test_trace();
+  // Two full fixed-mode batches.
+  const auto trace = poisson_trace(static_cast<int>(2 * kFixedBatch), /*rate_per_s=*/40.0,
+                                   small_shape(), /*seed=*/5);
   SchedulerConfig cfg;
   cfg.token_budget = 128;
-  cfg.fixed_batch = 4;
 
   cfg.mode = BatchingMode::kFixed;
   auto fixed_engine = make_engine(core::StrategyKind::kMondeLoadBalanced);
