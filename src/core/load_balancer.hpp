@@ -16,7 +16,10 @@
 // The tuner's sweep is one pass per window layer: the layer's experts are
 // sorted by load once, when it enters the window; each distinct clamped H
 // is priced once; every what-if replays on one reused, non-recording
-// scratch schedule rewound to time zero.
+// scratch schedule rewound to time zero. What-ifs and live layers price
+// experts from the same cost tables (see strategy.hpp), so once a layer's
+// token counts are warm a what-if makes no model call and no NDP memo
+// lookup, and it still places exactly what a pinned-H layer would.
 #pragma once
 
 #include <deque>

@@ -61,8 +61,17 @@ void StrategyContext::validate() const {
                 "device list size mismatch");
 }
 
-Strategy::Strategy(StrategyContext ctx) : ctx_{std::move(ctx)} {
+void TokenCostTable::grow(std::uint64_t n) {
+  // Whole 64-entry blocks: a replica's counts stay within its token budget
+  // times top-k, so its tables stay a few KB.
+  entries_.resize((n / 64 + 1) * 64, Duration::nanos(-1.0));
+}
+
+Strategy::Strategy(StrategyContext ctx) : ctx_{std::move(ctx)}, ndp_time_(ctx_.devices.size()) {
   ctx_.validate();
+  pmove_time_ = kPcie.transfer_time(ctx_.model->expert_bytes());
+  // The host driver's per-expert offload: two 64-B NDP instructions over CXL.
+  offload_dispatch_ = kOffloadDispatchOverhead + kCxl.message_time(Bytes{64}) * 2.0;
   // Optional GPU expert cache for the PMove-side paths (extension).
   const std::uint64_t cache_bytes = ctx_.sys->gpu_expert_cache_bytes.count();
   if (cache_bytes > 0) {
@@ -104,6 +113,28 @@ Duration Strategy::place_combine(const moe::MoeLayerWork& work, sim::StreamSched
   return iv.end;
 }
 
+Duration Strategy::gpu_expert_time(std::uint64_t tok) {
+  return gpu_time_.at(tok, [this](std::uint64_t n) {
+    return ctx_.gpu->expert_time(ctx_.expert_shape(static_cast<std::int64_t>(n)), ctx_.dtype());
+  });
+}
+
+Duration Strategy::ndp_kernel_time(std::size_t d, std::uint64_t tok) {
+  return ndp_time_[d].at(tok, [this, d](std::uint64_t n) {
+    // Kernel occupancy = simulated GEMM time + per-expert device overhead
+    // (staging, decode, skew fill/drain, done handshake).
+    return ctx_.devices[d]
+               ->expert_latency(ctx_.expert_shape(static_cast<std::int64_t>(n)), ctx_.dtype())
+               .latency +
+           kNdpExpertOverhead;
+  });
+}
+
+Duration Strategy::activation_transfer_time(std::uint64_t routed) {
+  return activation_time_.at(
+      routed, [this](std::uint64_t n) { return kPcie.transfer_time(ctx_.activation_bytes(n)); });
+}
+
 Duration Strategy::place_pmove_pipeline(std::span<const ExpertLoad> experts, int layer_id,
                                         sim::StreamSchedule& sched, const HwStreams& hw,
                                         Duration ready, sim::StreamId gpu_stream,
@@ -122,8 +153,8 @@ Duration Strategy::place_pmove_pipeline(std::span<const ExpertLoad> experts, int
         expert_cache_ && (what_if ? expert_cache_->contains(eid) : expert_cache_->access(eid));
     Duration weights_ready = ready;
     if (!cached) {
-      const auto tr = sched.place(hw.pcie_m2g, ready, kPcie.transfer_time(weights),
-                                  ExpertLabel{"PMove", e, tok}, "pmove");
+      const auto tr =
+          sched.place(hw.pcie_m2g, ready, pmove_time_, ExpertLabel{"PMove", e, tok}, "pmove");
       weights_ready = tr.end;
       result.pmove_bytes += weights;
       if (expert_cache_ && !what_if) expert_cache_->insert(eid);
@@ -132,11 +163,8 @@ Duration Strategy::place_pmove_pipeline(std::span<const ExpertLoad> experts, int
     }
     const auto disp = sched.place(hw.host, ready, kGpuExpertDispatch,
                                   ExpertLabel{"dispatch", e, tok}, "driver");
-    const auto cp =
-        sched.place(gpu_stream, max(weights_ready, disp.end),
-                    ctx_.gpu->expert_time(ctx_.expert_shape(static_cast<std::int64_t>(tok)),
-                                          ctx_.dtype()),
-                    ExpertLabel{"expert", e, tok}, "gemm");
+    const auto cp = sched.place(gpu_stream, max(weights_ready, disp.end), gpu_expert_time(tok),
+                                ExpertLabel{"expert", e, tok}, "gemm");
     last_end = max(last_end, cp.end);
     ++result.experts_gpu;
   }
@@ -147,16 +175,13 @@ Duration Strategy::place_resident_experts(std::span<const ExpertLoad> experts,
                                           sim::StreamSchedule& sched, const HwStreams& hw,
                                           Duration dispatch_ready, Duration ready,
                                           sim::StreamId gpu_stream,
-                                          MoeLayerResult& result) const {
+                                          MoeLayerResult& result) {
   Duration end = ready;
   for (const auto& [e, tok] : experts) {
     const auto disp = sched.place(hw.host, dispatch_ready, kGpuExpertDispatch,
                                   ExpertLabel{"dispatch", e, tok}, "driver");
-    const auto cp =
-        sched.place(gpu_stream, max(end, disp.end),
-                    ctx_.gpu->expert_time(ctx_.expert_shape(static_cast<std::int64_t>(tok)),
-                                          ctx_.dtype()),
-                    ExpertLabel{"expert", e, tok}, "gemm");
+    const auto cp = sched.place(gpu_stream, max(end, disp.end), gpu_expert_time(tok),
+                                ExpertLabel{"expert", e, tok}, "gemm");
     end = cp.end;
     ++result.experts_gpu;
   }
@@ -165,12 +190,11 @@ Duration Strategy::place_resident_experts(std::span<const ExpertLoad> experts,
 
 Duration Strategy::place_ndp_batch(std::span<const ExpertLoad> experts,
                                    sim::StreamSchedule& sched, const HwStreams& hw,
-                                   Duration ready, MoeLayerResult& result) const {
+                                   Duration ready, MoeLayerResult& result) {
   const std::size_t n = ctx_.devices.size();
   MONDE_REQUIRE(n > 0, "strategy needs MoNDE devices");
   MONDE_REQUIRE(n <= hw.ndp.size(), "more MoNDE devices than NDP streams");
   Duration all_end = ready;
-  const Bytes instr{64};
   // Device d runs experts d, d + n, d + 2n, ...: round-robin in load order.
   const auto dealt_to = [&](std::size_t d, const auto& fn) {
     for (std::size_t i = d; i < experts.size(); i += n) fn(experts[i].first, experts[i].second);
@@ -180,38 +204,30 @@ Duration Strategy::place_ndp_batch(std::span<const ExpertLoad> experts,
     // DMA (G->M direction).
     std::uint64_t routed = 0;
     dealt_to(d, [&](std::size_t, std::uint64_t tok) { routed += tok; });
-    const Bytes in_bytes = ctx_.activation_bytes(routed);
     const auto am =
-        sched.place(hw.pcie_g2m, ready, kPcie.transfer_time(in_bytes),
+        sched.place(hw.pcie_g2m, ready, activation_transfer_time(routed),
                     [d] { return "AMove-in dev" + std::to_string(d); }, "amove");
-    result.amove_bytes += in_bytes;
+    result.amove_bytes += ctx_.activation_bytes(routed);
 
     // The host driver prepares each expert offload (input slicing, two 64-B
     // NDP instructions over CXL, completion arming) while the activation
     // DMA is in flight; dispatches serialize on the host thread and gate
     // each kernel's start -- the framework-bound regime the paper's
     // profiled workflow exhibits for many-cold-expert layers.
-    const Duration per_dispatch = kOffloadDispatchOverhead + kCxl.message_time(instr) * 2.0;
-
     Duration kernel_ready = am.end;
     dealt_to(d, [&](std::size_t e, std::uint64_t tok) {
-      const auto disp = sched.place(hw.host, ready, per_dispatch,
+      const auto disp = sched.place(hw.host, ready, offload_dispatch_,
                                     ExpertLabel{"offload", e, tok}, "driver");
-      const auto kr = ctx_.devices[d]->expert_latency(
-          ctx_.expert_shape(static_cast<std::int64_t>(tok)), ctx_.dtype());
-      // Kernel occupancy = simulated GEMM time + per-expert device overhead
-      // (staging, decode, skew fill/drain, done handshake).
       const auto kv = sched.place(hw.ndp[d], max(kernel_ready, disp.end),
-                                  kr.latency + kNdpExpertOverhead,
+                                  ndp_kernel_time(d, tok),
                                   ExpertLabel{"NDP expert", e, tok}, "ndp");
       kernel_ready = kv.end;
       // Host observes the done register, then retrieves this expert's
       // output (M->G direction, shared with PMove traffic).
-      const Bytes out_bytes = ctx_.activation_bytes(tok);
       const auto out = sched.place(hw.pcie_m2g, kv.end + kDonePoll,
-                                   kPcie.transfer_time(out_bytes),
+                                   activation_transfer_time(tok),
                                    ExpertLabel{"AMove-out", e, tok}, "amove");
-      result.amove_bytes += out_bytes;
+      result.amove_bytes += ctx_.activation_bytes(tok);
       all_end = max(all_end, out.end);
       ++result.experts_ndp;
     });
@@ -295,10 +311,9 @@ class CpuAmove final : public Strategy {
     const ExpertList experts = activated_by_load(work);
     std::uint64_t routed = 0;
     for (const auto& [e, tok] : experts) routed += tok;
-    const Bytes in_bytes = ctx_.activation_bytes(routed);
-    const auto am = sched.place(hw.pcie_g2m, gate_end, kPcie.transfer_time(in_bytes),
+    const auto am = sched.place(hw.pcie_g2m, gate_end, activation_transfer_time(routed),
                                 "AMove-in CPU", "amove");
-    r.amove_bytes += in_bytes;
+    r.amove_bytes += ctx_.activation_bytes(routed);
 
     Duration t = am.end;
     Duration last_out = am.end;
@@ -311,10 +326,9 @@ class CpuAmove final : public Strategy {
                                             ctx_.dtype()),
                       ExpertLabel{"CPU expert", e, tok}, "cpu");
       t = cp.end;
-      const Bytes out_bytes = ctx_.activation_bytes(tok);
-      const auto out = sched.place(hw.pcie_m2g, cp.end, kPcie.transfer_time(out_bytes),
+      const auto out = sched.place(hw.pcie_m2g, cp.end, activation_transfer_time(tok),
                                    ExpertLabel{"AMove-out", e, tok}, "amove");
-      r.amove_bytes += out_bytes;
+      r.amove_bytes += ctx_.activation_bytes(tok);
       last_out = max(last_out, out.end);
       ++r.experts_cpu;
     }

@@ -14,6 +14,14 @@
 // matching the stream layout of Figure 5. The schedule is deterministic
 // list scheduling (sim::StreamSchedule); the resulting Timeline doubles as
 // the Figure 5 workflow trace.
+//
+// Every placement loop prices experts from per-strategy cost tables indexed
+// by an expert's token count: GPU expert time, NDP kernel time per MoNDE
+// device, and PCIe activation transfer time. A table entry is filled on
+// first use by the model call that prices it directly, so it is the same
+// double, and pricing a warm count is an array lookup. NDP entries come
+// from the shared NdpCoreSim memo, which stays the one source of NDP
+// latencies; a token count never placed on a device is never simulated.
 #pragma once
 
 #include <memory>
@@ -106,7 +114,29 @@ enum class StrategyKind {
 
 [[nodiscard]] std::string to_string(StrategyKind kind);
 
-/// Base class: schedules routed MoE layers onto hardware streams.
+/// A cost indexed by a token count, computed on first use and kept: entry n
+/// holds `compute(n)` from its first lookup on, so a lookup returns the very
+/// double the direct call returns, and a count nobody looks up is never
+/// computed.
+class TokenCostTable {
+ public:
+  template <typename Compute>
+  Duration at(std::uint64_t n, const Compute& compute) {
+    if (n >= entries_.size()) [[unlikely]] grow(n);
+    Duration& entry = entries_[n];
+    if (entry < Duration::zero()) [[unlikely]] entry = compute(n);
+    return entry;
+  }
+
+ private:
+  /// Extend the table past index `n` with not-yet-computed entries.
+  void grow(std::uint64_t n);
+
+  std::vector<Duration> entries_;  ///< negative = not computed yet
+};
+
+/// Base class: schedules routed MoE layers onto hardware streams. Its cost
+/// tables are its own: strategies are not shared between replicas.
 class Strategy {
  public:
   explicit Strategy(StrategyContext ctx);
@@ -146,15 +176,22 @@ class Strategy {
   Duration place_resident_experts(std::span<const ExpertLoad> experts,
                                   sim::StreamSchedule& sched, const HwStreams& hw,
                                   Duration dispatch_ready, Duration ready,
-                                  sim::StreamId gpu_stream, MoeLayerResult& result) const;
+                                  sim::StreamId gpu_stream, MoeLayerResult& result);
 
   /// AMove + NDP batch: deal `experts` (sorted by descending load)
   /// round-robin across the configured MoNDE devices (paper Section 3.3,
   /// multi-device), then per device ship the activations, run its experts
   /// sequentially on the NDP, and retrieve outputs as kernels complete.
   Duration place_ndp_batch(std::span<const ExpertLoad> experts, sim::StreamSchedule& sched,
-                           const HwStreams& hw, Duration ready,
-                           MoeLayerResult& result) const;
+                           const HwStreams& hw, Duration ready, MoeLayerResult& result);
+
+  /// GEMM time of one expert with `tok` routed tokens on a GPU.
+  Duration gpu_expert_time(std::uint64_t tok);
+  /// Kernel occupancy of one expert with `tok` routed tokens on MoNDE
+  /// device `d`: its simulated latency plus kNdpExpertOverhead.
+  Duration ndp_kernel_time(std::size_t d, std::uint64_t tok);
+  /// PCIe transfer time of `routed` token-slots of activations.
+  Duration activation_transfer_time(std::uint64_t routed);
 
  public:
   /// The GPU expert cache, when SystemConfig::gpu_expert_cache_bytes > 0
@@ -164,6 +201,13 @@ class Strategy {
  protected:
   StrategyContext ctx_;
   std::unique_ptr<ExpertCache> expert_cache_;
+
+ private:
+  TokenCostTable gpu_time_;
+  std::vector<TokenCostTable> ndp_time_;  ///< one per MoNDE device
+  TokenCostTable activation_time_;
+  Duration pmove_time_;         ///< PCIe transfer of one expert's weights
+  Duration offload_dispatch_;   ///< host work to offload one expert to NDP
 };
 
 /// Factory covering every StrategyKind.

@@ -112,6 +112,14 @@ GatingModel::GatingModel(std::int64_t num_experts, int top_k, const SkewProfile&
     cdf_[i] = acc;
   }
   MONDE_ASSERT(acc > 0.999 && acc < 1.001, "popularity must normalize to 1");
+  MONDE_ASSERT(std::is_sorted(cdf_.begin(), cdf_.end()), "popularity must be non-negative");
+
+  // A bucket past the last knot's holds draws above every knot: it starts at e.
+  guide_.assign(e, e);
+  guide_scale_ = static_cast<double>(e) / acc;
+  for (std::size_t i = 0, j = 0; i < e; ++i) {
+    for (const std::size_t b = bucket_of(cdf_[i]); j <= b; ++j) guide_[j] = i;
+  }
 }
 
 std::vector<std::uint64_t> GatingModel::route(std::int64_t tokens, Rng& rng) const {
@@ -120,11 +128,7 @@ std::vector<std::uint64_t> GatingModel::route(std::int64_t tokens, Rng& rng) con
   std::vector<std::uint64_t> counts(e, 0);
   const double total = cdf_.back();
 
-  auto draw = [&]() {
-    const double r = rng.next_double() * total;
-    const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), r);
-    return std::min(static_cast<std::size_t>(it - cdf_.begin()), e - 1);
-  };
+  auto draw = [&]() { return expert_at(rng.next_double() * total); };
 
   for (std::int64_t t = 0; t < tokens; ++t) {
     // top_k distinct experts per token (dropless top-k routing).

@@ -16,6 +16,7 @@
 // bucket counts; tests assert this.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -61,14 +62,35 @@ class GatingModel {
   /// to tokens * top_k). Each token selects top_k distinct experts.
   [[nodiscard]] std::vector<std::uint64_t> route(std::int64_t tokens, Rng& rng) const;
 
+  /// The expert a draw `r` in [0, total popularity) picks: the first whose
+  /// cumulative popularity reaches `r` (std::lower_bound over the CDF,
+  /// clamped to the last expert), found through a guide table.
+  [[nodiscard]] std::size_t expert_at(double r) const {
+    std::size_t i = guide_[bucket_of(r)];
+    while (i < cdf_.size() && cdf_[i] < r) ++i;
+    return std::min(i, cdf_.size() - 1);
+  }
+
   [[nodiscard]] const std::vector<double>& popularity() const { return popularity_; }
   [[nodiscard]] std::int64_t num_experts() const { return static_cast<std::int64_t>(popularity_.size()); }
   [[nodiscard]] int top_k() const { return top_k_; }
 
  private:
+  /// Guide-table bucket of a draw: monotone in `r`, so a CDF value in an
+  /// earlier bucket than `r`'s is below `r`.
+  [[nodiscard]] std::size_t bucket_of(double r) const {
+    return std::min(guide_.size() - 1, static_cast<std::size_t>(r * guide_scale_));
+  }
+
   int top_k_;
   std::vector<double> popularity_;  ///< normalized, shuffled
   std::vector<double> cdf_;
+  /// Chen-Asau guide table, one bucket per expert: guide_[j] is the first
+  /// CDF index whose bucket is j or later. Every index before it holds a
+  /// value below any draw in bucket j, so expert_at() scans on from it and
+  /// lands where std::lower_bound would, usually in a step or two.
+  std::vector<std::size_t> guide_;
+  double guide_scale_ = 0.0;  ///< buckets per unit of CDF mass
 };
 
 /// Summary of one routed MoE layer: the unit of work every strategy consumes.

@@ -9,6 +9,8 @@ WorkloadGenerator::WorkloadGenerator(const MoeModelConfig& model, const SkewProf
     : model_{model}, rng_{seed}, seed_{seed} {
   model_.validate();
   MONDE_REQUIRE(model_.moe_every > 0, "workload generation needs an MoE model");
+  encoder_gatings_.reserve(static_cast<std::size_t>(model_.encoder_moe_layers()));
+  decoder_gatings_.reserve(static_cast<std::size_t>(model_.decoder_moe_layers()));
   for (int i = 0; i < model_.encoder_moe_layers(); ++i) {
     encoder_gatings_.emplace_back(model_.num_experts, model_.top_k, profile,
                                   seed * std::uint64_t{1000003} + static_cast<std::uint64_t>(i));

@@ -5,10 +5,14 @@
 #include <algorithm>
 #include <deque>
 #include <memory>
+#include <set>
+#include <span>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "core/engine.hpp"
 #include "core/load_balancer.hpp"
 #include "core/monde_device.hpp"
@@ -686,6 +690,218 @@ INSTANTIATE_TEST_SUITE_P(DevicesAndCache, TunerDiff,
                          ::testing::Combine(::testing::Values(std::int64_t{16},
                                                               std::int64_t{128}),
                                             ::testing::Values(1, 2, 4), ::testing::Bool()));
+
+// --- Cost-table differential -------------------------------------------------------
+//
+// Strategies price experts from lazily filled per-token-count tables. The
+// reference below places an MD+LB layer as MondeLoadBalanced does, but
+// prices every task with a direct model call, as the strategies did before
+// the tables. A what-if, a pinned-H layer and the reference must agree to
+// the bit, and the pinned layer's trace must match the reference's
+// interval for interval.
+
+std::string expert_label(const char* what, std::size_t e, std::uint64_t tok) {
+  return std::string{what} + " E" + std::to_string(e) + " (" + std::to_string(tok) + " tok)";
+}
+
+/// The MD+LB layer under H, from time zero, priced with direct model calls.
+/// An expert `cache` (may be null) is peeked at, as a what-if does.
+/// Returns the layer's end.
+Duration reference_md_lb_layer(Platform& p, const moe::MoeLayerWork& work, int h,
+                               const ExpertCache* cache, sim::StreamSchedule& sched,
+                               const HwStreams& hw) {
+  const moe::MoeModelConfig& m = p.model;
+  const auto shape = [&](std::uint64_t tok) {
+    return compute::ExpertShape{static_cast<std::int64_t>(tok), m.dmodel, m.dff};
+  };
+  const auto act_bytes = [&](std::uint64_t n) {
+    return Bytes{n * static_cast<std::uint64_t>(m.dmodel) *
+                 static_cast<std::uint64_t>(compute::bytes_per_element(m.dtype))};
+  };
+  const std::vector<ExpertLoad> by_load = activated_by_load(work);
+  const std::size_t hot = std::min(static_cast<std::size_t>(h), by_load.size());
+
+  const Duration gate_end =
+      sched.place(hw.gpu, Duration::zero(),
+                  p.xformer.gating_time(work.total_tokens, m.num_experts, m.dmodel), "gating",
+                  "gating")
+          .end;
+  Duration gpu_end = gate_end;
+  for (std::size_t i = 0; i < hot; ++i) {
+    const auto [e, tok] = by_load[i];
+    Duration weights_ready = gate_end;
+    if (!(cache && cache->contains({work.layer_id, static_cast<int>(e)}))) {
+      weights_ready = sched.place(hw.pcie_m2g, gate_end, kPcie.transfer_time(m.expert_bytes()),
+                                  expert_label("PMove", e, tok), "pmove")
+                          .end;
+    }
+    const auto disp = sched.place(hw.host, gate_end, kGpuExpertDispatch,
+                                  expert_label("dispatch", e, tok), "driver");
+    gpu_end = max(gpu_end, sched.place(hw.gpu, max(weights_ready, disp.end),
+                                       p.gpu.expert_time(shape(tok), m.dtype),
+                                       expert_label("expert", e, tok), "gemm")
+                               .end);
+  }
+
+  const std::span<const ExpertLoad> cold = std::span{by_load}.subspan(hot);
+  const std::size_t n = p.device_list.size();
+  Duration ndp_end = gate_end;
+  for (std::size_t d = 0; d < std::min(n, cold.size()); ++d) {
+    std::uint64_t routed = 0;
+    for (std::size_t i = d; i < cold.size(); i += n) routed += cold[i].second;
+    const auto am = sched.place(hw.pcie_g2m, gate_end, kPcie.transfer_time(act_bytes(routed)),
+                                "AMove-in dev" + std::to_string(d), "amove");
+    Duration kernel_ready = am.end;
+    for (std::size_t i = d; i < cold.size(); i += n) {
+      const auto [e, tok] = cold[i];
+      const auto disp =
+          sched.place(hw.host, gate_end, kOffloadDispatchOverhead + kCxl.message_time(Bytes{64}) * 2.0,
+                      expert_label("offload", e, tok), "driver");
+      const auto kv = sched.place(
+          hw.ndp[d], max(kernel_ready, disp.end),
+          p.device_list[d]->sim().simulate_expert(shape(tok), m.dtype).latency + kNdpExpertOverhead,
+          expert_label("NDP expert", e, tok), "ndp");
+      kernel_ready = kv.end;
+      ndp_end = max(ndp_end, sched.place(hw.pcie_m2g, kv.end + kDonePoll,
+                                         kPcie.transfer_time(act_bytes(tok)),
+                                         expert_label("AMove-out", e, tok), "amove")
+                                 .end);
+    }
+  }
+  return sched
+      .place(hw.gpu, max(gpu_end, ndp_end), p.xformer.combine_time(work.total_tokens, m.dmodel),
+             "combine", "combine")
+      .end;
+}
+
+void expect_same_intervals(const sim::Timeline& got, const sim::Timeline& want) {
+  ASSERT_EQ(got.intervals().size(), want.intervals().size());
+  for (std::size_t i = 0; i < got.intervals().size(); ++i) {
+    SCOPED_TRACE(i);
+    const sim::Interval& a = got.intervals()[i];
+    const sim::Interval& b = want.intervals()[i];
+    EXPECT_EQ(a.stream, b.stream);
+    EXPECT_EQ(a.start.ns(), b.start.ns());
+    EXPECT_EQ(a.end.ns(), b.end.ns());
+    EXPECT_EQ(a.label, b.label);
+    EXPECT_EQ(a.category, b.category);
+  }
+}
+
+class CostTableDiff : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+
+TEST_P(CostTableDiff, TablePricingMatchesDirectPricing) {
+  const auto [devices, cache] = GetParam();
+  const moe::MoeModelConfig model = tuner_model(16);
+  const SystemConfig sys = SystemConfig::dac24();
+  static const auto ndp_sim = std::make_shared<ndp::NdpCoreSim>(sys.ndp, sys.monde_mem);
+  Platform platform{model, devices, cache, ndp_sim};
+
+  // Random layers: decoder steps of a few tokens, and encoder passes up to
+  // 4 x 512 tokens top-2, whose hot experts route far more tokens than
+  // NdpCoreSim::cycle_sim_token_limit or a table's first block holds.
+  moe::WorkloadGenerator gen{model, moe::SkewProfile::switch_like(), 11};
+  Rng rng{2024};
+  std::vector<moe::MoeLayerWork> works;
+  for (int i = 0; i < 8; ++i) {
+    const std::vector<moe::MoeLayerWork> layers =
+        rng.next_below(2) == 0
+            ? gen.encoder_pass(1 + static_cast<std::int64_t>(rng.next_below(4)),
+                               16 + static_cast<std::int64_t>(rng.next_below(497)))
+                  .moe_layers
+            : gen.decoder_steps(1 + static_cast<std::int64_t>(rng.next_below(8)), 1)
+                  .front()
+                  .moe_layers;
+    works.push_back(layers[rng.next_below(layers.size())]);
+  }
+  works.push_back(gen.encoder_pass(4, 512).moe_layers.front());
+  std::uint64_t max_tok = 0;
+  for (const moe::MoeLayerWork& w : works) {
+    for (const std::uint64_t tok : w.tokens_per_expert) max_tok = std::max(max_tok, tok);
+  }
+  EXPECT_GT(max_tok, 512u);
+
+  // The strategy under test runs every layer live between its what-ifs, so
+  // its tables (and its expert cache, when on) are warm and growing.
+  MondeLoadBalanced lb{platform.ctx()};
+  sim::StreamSchedule live{sim::Recording::kOff};
+  const HwStreams live_hw = HwStreams::create(live, platform.sys);
+  Duration t = Duration::zero();
+  for (const moe::MoeLayerWork& w : works) {
+    const int activated = static_cast<int>(w.activated_experts());
+    for (int h = 0; h <= activated + 2; ++h) {
+      SCOPED_TRACE(testing::Message() << "layer " << w.layer_id << ", " << w.total_tokens
+                                      << " tokens, H " << h);
+      sim::StreamSchedule peeked{sim::Recording::kOff};
+      const HwStreams peeked_hw = HwStreams::create(peeked, platform.sys);
+      const Duration what_if = lb.evaluate_layer_with_h(w, h);
+      EXPECT_EQ(what_if.ns(),
+                reference_md_lb_layer(platform, w, h, lb.expert_cache(), peeked, peeked_hw).ns());
+
+      // A fresh strategy's cache is empty, so the reference peeks at none.
+      MondeLoadBalanced pinned{platform.ctx()};
+      pinned.set_fixed_h(h);
+      sim::StreamSchedule fresh;
+      const HwStreams fresh_hw = HwStreams::create(fresh, platform.sys);
+      const Duration pinned_latency =
+          pinned.run_layer(w, fresh, fresh_hw, Duration::zero()).latency();
+      sim::StreamSchedule want;
+      const HwStreams want_hw = HwStreams::create(want, platform.sys);
+      EXPECT_EQ(pinned_latency.ns(),
+                reference_md_lb_layer(platform, w, h, nullptr, want, want_hw).ns());
+      expect_same_intervals(fresh.timeline(), want.timeline());
+      if (!cache) {
+        EXPECT_EQ(what_if.ns(), pinned_latency.ns());
+      }
+    }
+    t = lb.run_layer(w, live, live_hw, t).end;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(DevicesAndCache, CostTableDiff,
+                         ::testing::Combine(::testing::Values(1, 2, 4), ::testing::Bool()));
+
+TEST(CostTables, SimulateEachPlacedNdpShapeOnce) {
+  // The NDP table fills on first use: after N layers the simulator has
+  // missed once per distinct token count placed on the NDP side and never
+  // for the GPU-side counts; a second strategy on the same simulator fills
+  // its own tables from the memo and adds no miss.
+  const moe::MoeModelConfig model = tuner_model(16);
+  const SystemConfig sys = SystemConfig::dac24();
+  const auto ndp_sim = std::make_shared<ndp::NdpCoreSim>(sys.ndp, sys.monde_mem);
+  Platform platform{model, 1, false, ndp_sim};
+  moe::WorkloadGenerator gen{model, moe::SkewProfile::switch_like(), 5};
+  std::vector<moe::MoeLayerWork> works = gen.encoder_pass(2, 64).moe_layers;
+  for (const moe::DecoderStep& step : gen.decoder_steps(8, 6)) {
+    works.insert(works.end(), step.moe_layers.begin(), step.moe_layers.end());
+  }
+  constexpr int kHot = 2;
+  std::set<std::uint64_t> ndp_counts;
+  std::set<std::uint64_t> gpu_only_counts;
+  for (const moe::MoeLayerWork& w : works) {
+    const std::vector<ExpertLoad> by_load = activated_by_load(w);
+    for (std::size_t i = 0; i < by_load.size(); ++i) {
+      (i < kHot ? gpu_only_counts : ndp_counts).insert(by_load[i].second);
+    }
+  }
+  for (const std::uint64_t tok : ndp_counts) gpu_only_counts.erase(tok);
+  ASSERT_FALSE(gpu_only_counts.empty());  // some shapes must never be simulated
+
+  const auto run_all = [&] {
+    MondeLoadBalanced lb{platform.ctx()};
+    lb.set_fixed_h(kHot);
+    sim::StreamSchedule sched{sim::Recording::kOff};
+    const HwStreams hw = HwStreams::create(sched, platform.sys);
+    Duration t = Duration::zero();
+    for (const moe::MoeLayerWork& w : works) t = lb.run_layer(w, sched, hw, t).end;
+  };
+  run_all();
+  EXPECT_EQ(ndp_sim->memo_misses(), ndp_counts.size());
+  EXPECT_EQ(ndp_sim->memo_hits(), 0u);  // repeats are table hits
+  run_all();
+  EXPECT_EQ(ndp_sim->memo_misses(), ndp_counts.size());
+  EXPECT_EQ(ndp_sim->memo_hits(), ndp_counts.size());
+}
 
 // --- Engine -----------------------------------------------------------------------
 

@@ -2,7 +2,12 @@
 // (Figure 3), and workload generation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
@@ -218,6 +223,55 @@ TEST(Gating, HotExpertsAbsorbMostTokens) {
   const std::uint64_t top2 =
       work.tokens_per_expert[order[0]] + work.tokens_per_expert[order[1]];
   EXPECT_GT(static_cast<double>(top2) / static_cast<double>(work.routed_tokens()), 0.6);
+}
+
+TEST(Gating, GuidedDrawMatchesLowerBound) {
+  // expert_at() must pick exactly std::lower_bound's expert for every draw,
+  // so routing consumes the same draws and every answer stays the same.
+  SkewProfile dead = SkewProfile::switch_like();
+  dead.dead_fraction = 0.25;
+  dead.dead_scale = 0.0;  // zero-popularity experts: repeated CDF knots
+  const std::pair<const char*, SkewProfile> profiles[] = {
+      {"switch", SkewProfile::switch_like()},
+      {"nllb", SkewProfile::nllb_like()},
+      {"uniform", SkewProfile::uniform()},
+      {"dead", dead},
+  };
+  for (const auto& [name, prof] : profiles) {
+    for (const std::int64_t experts : {16, 64, 128}) {
+      SCOPED_TRACE(std::string{name} + " E=" + std::to_string(experts));
+      const GatingModel g{experts, 2, prof, 99};
+      // The same left-to-right sum the model builds its CDF with.
+      std::vector<double> cdf;
+      double acc = 0.0;
+      for (const double p : g.popularity()) cdf.push_back(acc += p);
+      const auto want = [&](double r) {
+        const auto it = std::lower_bound(cdf.begin(), cdf.end(), r);
+        return std::min(static_cast<std::size_t>(it - cdf.begin()), cdf.size() - 1);
+      };
+      // Edge draws: zero, just below the total, every knot and its
+      // neighbours (zero-popularity experts repeat a knot).
+      std::vector<double> edges = {0.0, std::nextafter(acc, 0.0)};
+      for (const double c : cdf) {
+        edges.insert(edges.end(), {c, std::nextafter(c, 0.0), std::nextafter(c, 2.0)});
+      }
+      for (const double r : edges) {
+        if (r < acc) {
+          EXPECT_EQ(g.expert_at(r), want(r)) << r;
+        }
+      }
+      if (std::string{name} == "dead") {
+        EXPECT_NE(std::adjacent_find(cdf.begin(), cdf.end()), cdf.end());
+      }
+      Rng rng{static_cast<std::uint64_t>(experts)};
+      std::size_t mismatches = 0;
+      for (int i = 0; i < 1'000'000; ++i) {
+        const double r = rng.next_double() * acc;
+        mismatches += g.expert_at(r) == want(r) ? 0 : 1;
+      }
+      EXPECT_EQ(mismatches, 0u);
+    }
+  }
 }
 
 TEST(Gating, RejectsBadProfiles) {
