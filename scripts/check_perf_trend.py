@@ -10,10 +10,10 @@ per-phase keys "advance_s"/"dispatch_s"/"commit_s" and an optional
 sample against the trailing median of its own (bench, threads) group. The
 phase split shows where the wall-clock went (parallel advancement vs
 sequential dispatch and commit) and peak RSS how much memory the run held.
-Peak RSS is display-only. The phase split is display-only by default, but
---max-phase-share turns it into a gate: a sequential phase swelling past its
-share cap fails the run even when total wall_s still squeaks under the
-regression band. A slow sample on an unlucky runner widens the band once; a
+Both are display-only by default. --max-phase-share turns the phase split
+into a gate: a sequential phase swelling past its share cap fails the run
+even when total wall_s still squeaks under the regression band. --max-rss
+caps peak RSS, so a memory win cannot regress silently. A slow sample on an unlucky runner widens the band once; a
 real slowdown shifts every subsequent sample and trips the gate.
 
 Usage:
@@ -21,6 +21,7 @@ Usage:
     check_perf_trend.py --history perf_history.jsonl            # check only
     check_perf_trend.py ... --require-speedup serve_scale_full:8:1:2.0
     check_perf_trend.py ... --max-phase-share serve_scale_full:8:dispatch_s:0.25
+    check_perf_trend.py ... --max-rss serve_scale_full:1:545
 
 The trend table goes to stdout and, when $GITHUB_STEP_SUMMARY is set, to
 the job summary. Gating rules:
@@ -38,6 +39,10 @@ the job summary. Gating rules:
     phase blowup at 8 threads silently erodes the parallel speedup long
     before total wall-clock trips the 25% band -- this catches it the
     night it lands.
+  * peak RSS (opt-in): --max-rss BENCH:THREADS:MIB fails when the newest
+    sample of that bench+threads group held more than MIB MiB (or
+    carries no peak_rss_mb). Peak memory is nearly deterministic, so a
+    fixed cap works where wall-clock needs a trailing median.
 """
 
 import argparse
@@ -49,7 +54,7 @@ import sys
 
 TRAILING_WINDOW = 10  # samples per (bench, threads) group the median sees
 PHASE_KEYS = ("advance_s", "dispatch_s", "commit_s")  # optional, display-only
-RSS_KEY = "peak_rss_mb"  # optional, display-only
+RSS_KEY = "peak_rss_mb"  # optional; gated only by --max-rss
 
 
 def load_history(path):
@@ -194,6 +199,27 @@ def check_phase_share(entries, spec):
     return None
 
 
+def check_max_rss(entries, spec):
+    bench, threads, max_mib = spec
+    newest = None
+    for entry in entries:
+        if entry["bench"] == bench and int(entry["threads"]) == threads:
+            newest = entry
+    if newest is None:
+        return (f"{bench}: --max-rss needs a sample at threads={threads}; "
+                f"none in history")
+    if RSS_KEY not in newest:
+        return (f"{bench} threads={threads}: newest sample carries no "
+                f"'{RSS_KEY}'")
+    rss = newest[RSS_KEY]
+    print(f"  {bench} t{threads}: peak RSS {rss:.1f} MiB "
+          f"(max {max_mib:.1f} MiB)")
+    if rss > max_mib:
+        return (f"{bench} threads={threads}: peak RSS {rss:.1f} MiB exceeds "
+                f"the {max_mib:.1f} MiB cap")
+    return None
+
+
 def parse_speedup(text):
     parts = text.split(":")
     if len(parts) != 4:
@@ -209,6 +235,13 @@ def parse_phase_share(text):
             "expected BENCH:THREADS:PHASE:MAX_SHARE with PHASE one of "
             + "/".join(PHASE_KEYS))
     return (parts[0], int(parts[1]), parts[2], float(parts[3]))
+
+
+def parse_max_rss(text):
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError("expected BENCH:THREADS:MIB")
+    return (parts[0], int(parts[1]), float(parts[2]))
 
 
 def main():
@@ -232,6 +265,10 @@ def main():
                         metavar="BENCH:THREADS:PHASE:SHARE",
                         help="cap PHASE at SHARE of the newest sample's "
                         "wall_s for that bench+threads group (repeatable)")
+    parser.add_argument("--max-rss", type=parse_max_rss, action="append",
+                        default=[], metavar="BENCH:THREADS:MIB",
+                        help="cap the newest sample's peak RSS for that "
+                        "bench+threads group at MIB MiB (repeatable)")
     args = parser.parse_args()
 
     if args.add:
@@ -264,6 +301,12 @@ def main():
         print("phase-share gate:")
         for spec in args.max_phase_share:
             failure = check_phase_share(entries, spec)
+            if failure:
+                failures.append(failure)
+    if args.max_rss:
+        print("peak-RSS gate:")
+        for spec in args.max_rss:
+            failure = check_max_rss(entries, spec)
             if failure:
                 failures.append(failure)
     if failures:

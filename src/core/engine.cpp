@@ -1,7 +1,9 @@
 #include "core/engine.hpp"
 
-#include <map>
+#include <algorithm>
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -101,12 +103,31 @@ StepResult InferenceEngine::decode_step(EngineState& st, const std::vector<Decod
 
   // Attention cost depends on each request's KV depth and encoder context;
   // group slots by (past_len, cross_len) so a uniform batch prices as one
-  // batched block while a mixed continuous batch sums its depth groups.
-  std::map<std::pair<std::int64_t, std::int64_t>, std::int64_t> depth_groups;
+  // batched block while a mixed continuous batch sums its depth groups, in
+  // ascending (past_len, cross_len) order.
+  std::vector<std::pair<std::int64_t, std::int64_t>> depths;
+  depths.reserve(slots.size());
   for (const DecodeSlot& slot : slots) {
     MONDE_REQUIRE(slot.step >= 0, "decode slot depth must be >= 0, got " << slot.step);
-    ++depth_groups[{slot.step + 1, slot.cross_len}];
+    depths.emplace_back(slot.step + 1, slot.cross_len);
   }
+  std::sort(depths.begin(), depths.end());
+  const auto price_block = [&](bool is_moe) {
+    Duration block_time = kFrameworkBlockOverhead;
+    for (std::size_t i = 0; i < depths.size();) {
+      std::size_t end = i + 1;
+      while (end < depths.size() && depths[end] == depths[i]) ++end;
+      block_time += xformer_
+                        .decoder_block(static_cast<std::int64_t>(end - i), depths[i].first,
+                                       depths[i].second, model_.dmodel, model_.dff, !is_moe)
+                        .total();
+      i = end;
+    }
+    return block_time;
+  };
+  // Every block of one kind (dense or MoE) costs the same within a step, so
+  // each kind is priced once.
+  std::optional<Duration> block_times[2];
 
   StepResult res;
   res.start = st.now;
@@ -119,13 +140,9 @@ StepResult InferenceEngine::decode_step(EngineState& st, const std::vector<Decod
   std::size_t moe_idx = 0;
   for (int block = 0; block < model_.decoder_blocks; ++block) {
     const bool is_moe = model_.is_moe_block(block);
-    Duration block_time = kFrameworkBlockOverhead;
-    for (const auto& [depth, count] : depth_groups) {
-      block_time += xformer_
-                        .decoder_block(count, depth.first, depth.second, model_.dmodel,
-                                       model_.dff, !is_moe)
-                        .total();
-    }
+    std::optional<Duration>& priced = block_times[is_moe ? 1 : 0];
+    if (!priced) priced = price_block(is_moe);
+    const Duration block_time = *priced;
     const auto iv = st.sched.place(
         st.hw.gpu, t, block_time,
         [&] { return step_tag + " block " + std::to_string(block); }, "block");

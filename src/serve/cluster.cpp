@@ -10,7 +10,6 @@
 #include <optional>
 #include <queue>
 #include <tuple>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -416,10 +415,8 @@ class ClusterSim::ClusterRun {
         // run() is called once, so replicas_ is the boot fleet here.
         boot_prefill_{cfg_.disagg.enabled ? cfg_.disagg.prefill_replicas : 0},
         boot_decode_{cfg_.disagg.enabled ? replicas_.size() - boot_prefill_ : 0} {
-    original_arrival_.reserve(arrivals_.size_hint());
     head_ = arrivals_.next();
     MONDE_REQUIRE(head_.has_value(), "cannot serve an empty trace");
-    note_original(*head_);
     rep_.policy = dispatcher_.name();
     rep_.autoscaler = autoscaler_ != nullptr ? autoscaler_->name() : "";
     rep_.peak_replicas = sim_.accepting_counts().total();
@@ -596,7 +593,6 @@ class ClusterSim::ClusterRun {
     last_pop_ = it.time;
     phase_begin();
     Request rq = it.rq;
-    rq.arrival = it.time;  // = the original arrival except for re-dispatches
     if (cfg_.expert.enabled) {
       // First dispatch derives the profile; a retry/migration keeps the one
       // it already carries (possibly pruned by an earlier overload).
@@ -619,7 +615,9 @@ class ClusterSim::ClusterRun {
         prune_profile(rq.expert_profile)) {
       ++rep_.pruned_requests;
     }
-    replicas_[idx].server->enqueue(rq);
+    // The request joins the queue now: at its trace arrival, or at a
+    // re-dispatch's later instant.
+    replicas_[idx].server->enqueue(rq, it.time);
     ++replicas_[idx].dispatched;
     view_->touched(idx);
     note_redispatch(it, rq, idx);
@@ -645,17 +643,14 @@ class ClusterSim::ClusterRun {
   };
   using WallClock = std::chrono::steady_clock;
 
-  // --- Arrival intake: lazy stream head + duplicate/order policing ---------
-  void note_original(const Request& rq) {
-    MONDE_REQUIRE(original_arrival_.emplace(rq.id, rq.arrival).second,
-                  "duplicate request id " << rq.id << " in trace");
-  }
+  // --- Arrival intake: lazy stream head + order policing --------------------
+  // Duplicate ids are caught in report(), once every request has a record:
+  // remembering each id at intake would cost memory per trace request.
   void pull_head() {
     std::optional<Request> nxt = arrivals_.next();
     if (nxt.has_value()) {
       MONDE_REQUIRE(!arrival_order(*nxt, *head_),
                     "arrival stream is out of (arrival, id) order at request " << nxt->id);
-      note_original(*nxt);
     }
     head_ = std::move(nxt);
   }
@@ -674,6 +669,7 @@ class ClusterSim::ClusterRun {
          (head_->arrival == pending_.top().time && head_->id < pending_.top().rq.id));
     if (from_stream) {
       Item it{head_->arrival, *head_, false};
+      ++intake_;
       pull_head();
       return it;
     }
@@ -911,7 +907,7 @@ class ClusterSim::ClusterRun {
   std::unique_ptr<FleetView> view_;
   const bool log_ = cfg_.event_log_enabled;
 
-  std::unordered_map<std::uint64_t, Duration> original_arrival_;
+  std::size_t intake_ = 0;       ///< requests taken from the arrival stream
   std::optional<Request> head_;  ///< next request of the arrival stream
   // The re-dispatch queue: failure retries, scale-down migrations and
   // handoffs, merged with the arrival stream in (time, id) order so
@@ -942,9 +938,14 @@ ClusterReport ClusterSim::ClusterRun::report() {
   std::stable_sort(rep.events.begin(), rep.events.end(),
                    [](const ClusterEvent& a, const ClusterEvent& b) { return a.time < b.time; });
 
+  // Each server hands its steps and records over by move.
   std::vector<ServeReport> serves;
   serves.reserve(replicas_.size());
-  for (Replica& r : replicas_) serves.push_back(r.server->report());
+  std::size_t served = 0;
+  for (Replica& r : replicas_) {
+    serves.push_back(r.server->report());
+    served += serves.back().requests.size();
+  }
   // Fleet makespan: a spawned replica that never ran a step contributes its
   // spawn instant, not its (possibly later) warm-up boundary.
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
@@ -952,8 +953,34 @@ ClusterReport ClusterSim::ClusterRun::report() {
                                                                      : serves[i].makespan);
   }
 
+  // Fleet-level copies measure from the trace arrival, so re-dispatches
+  // span their failures.
+  const auto rebased = [](RequestMetrics m) {
+    m.arrival = m.trace_arrival;
+    return m;
+  };
+  // Fleet percentiles, one scratch vector at a time, all before the union
+  // -- the report's largest object -- is allocated.
+  const auto fleet_percentiles = [&](auto&& pick) {
+    std::vector<double> ms;
+    ms.reserve(served);
+    for (const ServeReport& s : serves) {
+      for (const RequestMetrics& m : s.requests) {
+        if (const std::optional<double> v = pick(rebased(m))) ms.push_back(*v);
+      }
+    }
+    return ms.empty() ? Percentiles{} : compute_percentiles(std::move(ms));
+  };
+  rep.ttft_ms = fleet_percentiles(
+      [](const RequestMetrics& m) { return std::optional{m.ttft().ms()}; });
+  rep.tpot_ms = fleet_percentiles([](const RequestMetrics& m) {
+    return m.generated > 1 ? std::optional{m.tpot().ms()} : std::nullopt;
+  });
+  rep.e2e_ms = fleet_percentiles(
+      [](const RequestMetrics& m) { return std::optional{m.e2e().ms()}; });
+
   std::vector<double> busy_ms;
-  std::vector<double> ttft_ms, tpot_ms, e2e_ms;
+  rep.requests.reserve(served);
   Duration total_busy = Duration::zero();
   Duration total_alive = Duration::zero();
   rep.replicas.reserve(replicas_.size());
@@ -1001,30 +1028,30 @@ ClusterReport ClusterSim::ClusterRun::report() {
     total_alive += window;
     busy_ms.push_back(rr.serve.busy.ms());
     for (const RequestMetrics& m : rr.serve.requests) {
-      RequestMetrics fm = m;
-      fm.arrival = original_arrival_.at(fm.id);  // re-dispatches span their failures
       // Tokens delivered, fleet-wide: each request's full generation counts
       // once, on the replica that finished it (resumed tokens included --
       // they reached the user, and the replica that computed them aborted
       // without reporting).
-      rep.generated_tokens += static_cast<std::uint64_t>(fm.generated);
-      ttft_ms.push_back(fm.ttft().ms());
-      if (fm.generated > 1) tpot_ms.push_back(fm.tpot().ms());
-      e2e_ms.push_back(fm.e2e().ms());
-      rep.requests.push_back(fm);
+      rep.generated_tokens += static_cast<std::uint64_t>(m.generated);
+      rep.requests.push_back(rebased(m));
     }
     rep.replicas.push_back(std::move(rr));
   }
-  MONDE_ASSERT(rep.requests.size() == original_arrival_.size(),
-               "cluster lost requests: served " << rep.requests.size() << " of "
-                                                << original_arrival_.size());
-  std::stable_sort(rep.requests.begin(), rep.requests.end(), arrival_order<RequestMetrics>);
+  MONDE_ASSERT(rep.requests.size() == intake_,
+               "cluster lost requests: served " << rep.requests.size() << " of " << intake_);
+  // Every request completes exactly once, so a repeated id is a repeated
+  // trace entry. With ids unique, (arrival, id) keys are too, and the
+  // unstable in-place sort gives the one order a stable sort would.
+  std::sort(rep.requests.begin(), rep.requests.end(),
+            [](const RequestMetrics& a, const RequestMetrics& b) { return a.id < b.id; });
+  const auto dup = std::adjacent_find(
+      rep.requests.begin(), rep.requests.end(),
+      [](const RequestMetrics& a, const RequestMetrics& b) { return a.id == b.id; });
+  MONDE_REQUIRE(dup == rep.requests.end(), "duplicate request id " << dup->id << " in trace");
+  std::sort(rep.requests.begin(), rep.requests.end(), arrival_order<RequestMetrics>);
   rep.imbalance = imbalance_factor(busy_ms);
   rep.fleet_utilization = total_alive > Duration::zero() ? total_busy / total_alive : 0.0;
   rep.replica_seconds = total_alive.sec();
-  if (!ttft_ms.empty()) rep.ttft_ms = compute_percentiles(std::move(ttft_ms));
-  if (!tpot_ms.empty()) rep.tpot_ms = compute_percentiles(std::move(tpot_ms));
-  if (!e2e_ms.empty()) rep.e2e_ms = compute_percentiles(std::move(e2e_ms));
   rep.tokens_per_s = rep.makespan > Duration::zero()
                          ? static_cast<double>(rep.generated_tokens) / rep.makespan.sec()
                          : 0.0;

@@ -49,16 +49,17 @@ struct ResumeState {
 /// Units: `arrival` is simulated time (Duration, nanosecond resolution);
 /// `prompt_len` and `max_new_tokens` are token counts. `attempt` tracks
 /// re-dispatch: a request stranded on a failed replica (or evacuated from a
-/// retiring one) is re-enqueued elsewhere with `attempt` incremented and
-/// `arrival` rewritten to the re-dispatch instant (the cluster re-bases
-/// fleet-level metrics to the original arrival so retries show up in the
-/// latency tail). `prefix_id`/`shared_prefix_len` model system-prompt-style
+/// retiring one) is re-enqueued elsewhere with `attempt` incremented. Its
+/// `arrival` stays the original trace arrival -- the re-dispatch instant is
+/// the queue-join time passed to ServerSim::enqueue -- so fleet-level
+/// metrics measure from it and retries show up in the latency tail.
+/// `prefix_id`/`shared_prefix_len` model system-prompt-style
 /// shared prefixes: requests with the same non-zero `prefix_id` share their
 /// first `shared_prefix_len` prompt tokens, which a replica's prefix cache
 /// (serve/kvcache.hpp) can serve without re-running the prefill.
 struct Request {
   std::uint64_t id = 0;
-  Duration arrival = Duration::zero();  ///< when the request enters the queue
+  Duration arrival = Duration::zero();  ///< when the request enters the trace
   std::int64_t prompt_len = 0;          ///< source tokens to prefill
   std::int64_t max_new_tokens = 0;      ///< decode budget (tokens to generate)
   std::uint32_t attempt = 0;            ///< 0 = first dispatch; +1 per re-dispatch
@@ -92,6 +93,38 @@ struct Request {
                   "request " << id << " resumes at or past its decode budget");
     MONDE_REQUIRE(resume.decoded == 0 || resume.prefilled == prompt_len,
                   "request " << id << " decoded tokens without a full prefill");
+  }
+};
+
+/// Final per-request latency accounting. `arrival` is the instant the
+/// request joined *this* server's queue -- for a failure retry that is the
+/// re-dispatch instant; the cluster re-bases its fleet-level copy to
+/// `trace_arrival` (Request::arrival), so the retry delay lands in the
+/// latency tail.
+///
+/// A request resumed with prior decode progress (`resumed_tokens` > 0)
+/// keeps its ORIGINAL `first_token` instant -- the user saw that token
+/// before the failure -- which may precede this server's `arrival`;
+/// per-server TTFT/TPOT percentiles therefore skip resumed requests, while
+/// the cluster's re-based copies include them.
+struct RequestMetrics {
+  std::uint64_t id = 0;
+  std::uint32_t attempt = 0;  ///< dispatch attempt that finally served it
+  std::int64_t prompt_len = 0;
+  std::int64_t generated = 0;       ///< tokens delivered, summed across attempts
+  std::int64_t saved_tokens = 0;    ///< prefill tokens the cache skipped this attempt
+  std::int64_t resumed_tokens = 0;  ///< decode tokens carried in from earlier attempts
+  Duration arrival = Duration::zero();
+  Duration trace_arrival = Duration::zero();  ///< the original trace arrival
+  Duration admitted = Duration::zero();
+  Duration first_token = Duration::zero();
+  Duration completion = Duration::zero();
+
+  [[nodiscard]] Duration ttft() const { return first_token - arrival; }
+  [[nodiscard]] Duration e2e() const { return completion - arrival; }
+  [[nodiscard]] Duration tpot() const {
+    return generated > 1 ? (completion - first_token) / static_cast<double>(generated - 1)
+                         : Duration::zero();
   }
 };
 

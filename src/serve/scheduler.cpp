@@ -1,6 +1,7 @@
 #include "serve/scheduler.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace monde::serve {
 
@@ -20,22 +21,32 @@ ContinuousBatchScheduler::ContinuousBatchScheduler(SchedulerConfig cfg) : cfg_{c
   cfg_.validate();
 }
 
-void ContinuousBatchScheduler::push(const Request& rq) {
+void ContinuousBatchScheduler::push(const Request& rq, Duration at) {
   MONDE_REQUIRE(!sealed_, "scheduler is sealed; no further requests accepted");
   rq.validate();
-  if (!states_.empty()) {
-    const Request& last = states_.back().request;
-    MONDE_REQUIRE(arrival_order(last, rq),
-                  "requests must be pushed in (arrival, id) order: request "
-                      << rq.id << " after request " << last.id);
+  MONDE_REQUIRE(at >= rq.arrival,
+                "request " << rq.id << " cannot join a queue before its trace arrival");
+  const std::pair key{at, rq.id};
+  MONDE_REQUIRE(!last_push_ || *last_push_ < key,
+                "requests must be pushed in (arrival, id) order: request "
+                    << rq.id << " after request " << last_push_->second);
+  last_push_ = key;
+  std::size_t idx = states_.size();
+  if (free_.empty()) {
+    states_.emplace_back();
+  } else {
+    idx = free_.back();
+    free_.pop_back();
   }
-  states_.push_back(RequestState{rq});
-  RequestState& rs = states_.back();
+  RequestState& rs = states_[idx];
+  rs = RequestState{rq};
+  rs.arrival = at;
   // A resumed request continues at its checkpointed decode depth; the first
   // token (if any surfaced before) keeps its original instant across
   // attempts -- the user already saw it.
   rs.generated = rq.resume.decoded;
   if (rq.resume.decoded > 0) rs.first_token = rq.resume.first_token;
+  pending_.push_back(idx);
   ++live_;
   owed_tokens_ +=
       (rq.prompt_len - rq.resume.prefilled) + (rq.max_new_tokens - rq.resume.decoded);
@@ -47,24 +58,30 @@ void ContinuousBatchScheduler::submit(std::vector<Request> trace) {
   MONDE_REQUIRE(states_.empty() && !sealed_, "submit() needs a fresh scheduler");
   MONDE_REQUIRE(!trace.empty(), "cannot serve an empty trace");
   std::stable_sort(trace.begin(), trace.end(), arrival_order<Request>);
+  // The whole trace is pending at once, so the pool holds all of it.
   states_.reserve(trace.size());
+  pending_.reserve(trace.size());
   for (const Request& rq : trace) push(rq);
   seal();
 }
 
 bool ContinuousBatchScheduler::drained() const {
-  return next_pending_ == states_.size() && queued_.empty() && active_.empty();
+  return !has_pending() && queued_.empty() && active_.empty();
 }
 
 Duration ContinuousBatchScheduler::next_arrival() const {
-  return next_pending_ < states_.size() ? states_[next_pending_].request.arrival
-                                        : Duration::infinite();
+  return has_pending() ? states_[pending_[pending_head_]].arrival : Duration::infinite();
 }
 
 void ContinuousBatchScheduler::release_arrivals(Duration now) {
-  while (next_pending_ < states_.size() && states_[next_pending_].request.arrival <= now) {
-    queued_.push_back(next_pending_);
-    ++next_pending_;
+  while (has_pending() && states_[pending_[pending_head_]].arrival <= now) {
+    queued_.push_back(pending_[pending_head_++]);
+  }
+  // Erasing the released prefix only once it is half the vector keeps the
+  // shift amortized O(1) per request.
+  if (2 * pending_head_ >= pending_.size()) {
+    pending_.erase(pending_.begin(), pending_.begin() + static_cast<std::ptrdiff_t>(pending_head_));
+    pending_head_ = 0;
   }
 }
 
@@ -103,7 +120,7 @@ std::vector<RequestState*> ContinuousBatchScheduler::admit_fixed() {
   // unsealed scheduler may always receive more arrivals.
   if (!active_.empty() || queued_.empty()) return newly;
   if (static_cast<std::int64_t>(queued_.size()) < kFixedBatch &&
-      (next_pending_ < states_.size() || !sealed_)) {
+      (has_pending() || !sealed_)) {
     return newly;
   }
   const std::size_t take = std::min(queued_.size(), static_cast<std::size_t>(kFixedBatch));
@@ -222,7 +239,7 @@ bool ContinuousBatchScheduler::step_ready() const {
   if (queued_.empty()) return false;
   if (cfg_.mode != BatchingMode::kFixed) return true;
   return static_cast<std::int64_t>(queued_.size()) >= kFixedBatch ||
-         (next_pending_ == states_.size() && sealed_);
+         (!has_pending() && sealed_);
 }
 
 std::vector<core::DecodeSlot> ContinuousBatchScheduler::slots() const {
@@ -249,41 +266,57 @@ std::vector<moe::MoeLayerWork> ContinuousBatchScheduler::step_works(
 
 std::vector<Duration> ContinuousBatchScheduler::waiting_arrivals() const {
   std::vector<Duration> out;
-  out.reserve(states_.size() - next_pending_ + queued_.size());
-  for (std::size_t i = next_pending_; i < states_.size(); ++i) {
-    out.push_back(states_[i].request.arrival);
+  out.reserve(pending_.size() - pending_head_ + queued_.size());
+  for (std::size_t i = pending_head_; i < pending_.size(); ++i) {
+    out.push_back(states_[pending_[i]].arrival);
   }
-  for (const std::size_t idx : queued_) out.push_back(states_[idx].request.arrival);
+  for (const std::size_t idx : queued_) out.push_back(states_[idx].arrival);
   return out;
 }
 
+std::vector<std::size_t> ContinuousBatchScheduler::in_push_order(
+    std::vector<std::size_t> slots) const {
+  std::sort(slots.begin(), slots.end(), [this](std::size_t a, std::size_t b) {
+    const RequestState& x = states_[a];
+    const RequestState& y = states_[b];
+    return x.arrival != y.arrival ? x.arrival < y.arrival : x.request.id < y.request.id;
+  });
+  return slots;
+}
+
+Request ContinuousBatchScheduler::checkpointed(const RequestState& rs) {
+  Request rq = rs.request;
+  rq.resume.prefilled = rq.prompt_len;
+  rq.resume.decoded = rs.generated;
+  rq.resume.first_token = rs.first_token;
+  return rq;
+}
+
 std::vector<Request> ContinuousBatchScheduler::abort_unfinished() {
+  std::vector<std::size_t> unfinished;
+  const auto collect = [&](std::size_t idx) {
+    if (!states_[idx].done) unfinished.push_back(idx);  // done: a padded fixed-mode slot
+  };
+  for (std::size_t i = pending_head_; i < pending_.size(); ++i) collect(pending_[i]);
+  for (const std::size_t idx : queued_) collect(idx);
+  for (const std::size_t idx : active_) collect(idx);
   std::vector<Request> stranded;
-  std::vector<RequestState> kept;
-  kept.reserve(states_.size());
-  for (RequestState& rs : states_) {
-    if (rs.done) {
-      kept.push_back(std::move(rs));
-    } else {
-      Request rq = rs.request;
-      // Checkpointed progress: an applied step since admission means the
-      // whole prompt and `generated` decode tokens were resident at the
-      // last completed step boundary. Anything short of that (waiting, or
-      // admitted into a step whose completion never applied -- stranded
-      // mid-prefill) keeps the resume state it arrived with. Whether the
-      // retry USES the annotation is the cluster's cache-survival policy.
-      if (rs.generated > rq.resume.decoded) {
-        rq.resume.prefilled = rq.prompt_len;
-        rq.resume.decoded = rs.generated;
-        rq.resume.first_token = rs.first_token;
-      }
-      stranded.push_back(rq);
-    }
+  stranded.reserve(unfinished.size());
+  for (const std::size_t idx : in_push_order(std::move(unfinished))) {
+    const RequestState& rs = states_[idx];
+    // Checkpointed progress: an applied step since admission means the
+    // whole prompt and `generated` decode tokens were resident at the last
+    // completed step boundary. Anything short of that (waiting, or admitted
+    // into a step whose completion never applied -- stranded mid-prefill)
+    // keeps the resume state it arrived with. Whether the retry USES the
+    // annotation is the cluster's cache-survival policy.
+    stranded.push_back(rs.generated > rs.request.resume.decoded ? checkpointed(rs)
+                                                                 : rs.request);
   }
-  states_ = std::move(kept);
+  // Completed requests keep their records; every slot goes.
+  release_pool();
   queued_.clear();
   active_.clear();
-  next_pending_ = states_.size();
   live_ = 0;
   owed_tokens_ = 0;
   sealed_ = true;  // an aborted replica never accepts again
@@ -291,27 +324,79 @@ std::vector<Request> ContinuousBatchScheduler::abort_unfinished() {
 }
 
 std::vector<Request> ContinuousBatchScheduler::release_prefilled() {
-  std::vector<Request> released;
+  std::vector<std::size_t> releasable;
   for (const std::size_t idx : active_) {
-    RequestState& rs = states_[idx];
-    if (rs.done) continue;
+    const RequestState& rs = states_[idx];
     // Only requests whose admission step has completed are releasable: the
     // step advanced their decode depth past what they arrived with, which is
     // the same signal abort_unfinished() keys its checkpoint annotation on.
-    if (rs.generated <= rs.request.resume.decoded) continue;
-    Request rq = rs.request;
-    rq.resume.prefilled = rq.prompt_len;
-    rq.resume.decoded = rs.generated;
-    rq.resume.first_token = rs.first_token;
-    released.push_back(rq);
-    rs.done = true;  // leaves the batch; handed_off keeps reporting honest
-    rs.handed_off = true;
+    if (!rs.done && rs.generated > rs.request.resume.decoded) releasable.push_back(idx);
+  }
+  std::vector<Request> released;
+  released.reserve(releasable.size());
+  for (const std::size_t idx : in_push_order(std::move(releasable))) {
+    RequestState& rs = states_[idx];
+    released.push_back(checkpointed(rs));
+    // Leaves the batch without a record: the request finishes (and reports)
+    // on the decode replica. Only the tokens decoded here count.
+    rs.done = true;
     --live_;
     owed_tokens_ -= rs.request.max_new_tokens - rs.generated;
+    credited_tokens_ += static_cast<std::uint64_t>(rs.generated - rs.request.resume.decoded);
   }
-  std::erase_if(active_, [this](std::size_t idx) { return states_[idx].done; });
-  std::stable_sort(released.begin(), released.end(), arrival_order<Request>);
+  retire_done();
   return released;
+}
+
+void ContinuousBatchScheduler::finish(RequestState& rs, Duration end) {
+  rs.done = true;
+  --live_;
+  const Request& rq = rs.request;
+  credited_tokens_ += static_cast<std::uint64_t>(rs.generated - rq.resume.decoded);
+  records_.push_back({.id = rq.id,
+                      .attempt = rq.attempt,
+                      .prompt_len = rq.prompt_len,
+                      .generated = rs.generated,
+                      .saved_tokens = rs.saved_tokens,
+                      .resumed_tokens = rq.resume.decoded,
+                      .arrival = rs.arrival,
+                      .trace_arrival = rq.arrival,
+                      .admitted = rs.admitted,
+                      .first_token = rs.first_token,
+                      .completion = end});
+}
+
+void ContinuousBatchScheduler::release_pool() {
+  // Move-assigning an empty vector frees the storage; `v = {}` would pick
+  // the initializer-list assignment and keep the capacity.
+  states_ = std::vector<RequestState>{};
+  free_ = std::vector<std::size_t>{};
+  pending_ = std::vector<std::size_t>{};
+  pending_head_ = 0;
+}
+
+void ContinuousBatchScheduler::retire_done() {
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < active_.size(); ++i) {
+    const std::size_t idx = active_[i];
+    if (states_[idx].done) {
+      free_.push_back(idx);
+    } else {
+      active_[kept++] = idx;
+    }
+  }
+  active_.resize(kept);
+}
+
+std::vector<RequestMetrics> ContinuousBatchScheduler::take_records() {
+  MONDE_REQUIRE(drained(), "take_records() before the scheduler drained");
+  // Drained, every slot is free: hand the pool back before the caller
+  // builds anything from the records.
+  release_pool();
+  // Push order is (queue-join instant, id) order, and those keys are unique.
+  std::sort(records_.begin(), records_.end(), arrival_order<RequestMetrics>);
+  records_.shrink_to_fit();
+  return std::exchange(records_, {});
 }
 
 StepOutcome ContinuousBatchScheduler::complete_step(Duration end) {
@@ -327,19 +412,13 @@ StepOutcome ContinuousBatchScheduler::complete_step(Duration end) {
     out.advanced.push_back(rs.request.id);
     if (rs.generated == 1) rs.first_token = end;
     if (rs.generated == rs.request.max_new_tokens) {
-      rs.done = true;
-      rs.completion = end;
-      --live_;
+      finish(rs, end);
       out.finished.push_back(rs.request.id);
     }
     all_done = all_done && rs.done;
   }
-  if (cfg_.mode == BatchingMode::kFixed) {
-    // Padded slots keep running until the whole batch drains.
-    if (all_done) active_.clear();
-    return out;
-  }
-  std::erase_if(active_, [this](std::size_t idx) { return states_[idx].done; });
+  // Padded fixed-mode slots keep running until the whole batch drains.
+  if (cfg_.mode != BatchingMode::kFixed || all_done) retire_done();
   return out;
 }
 

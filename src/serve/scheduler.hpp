@@ -26,6 +26,11 @@
 // into RequestState::saved_tokens at admission so the server prices the
 // step with exactly the tokens admission budgeted.
 //
+// Memory follows in-flight work, not trace length: a request holds one slot
+// of a recycled state pool from push() until it completes, is handed off or
+// is aborted; a completed request leaves only its 88-B RequestMetrics
+// record, which take_records() hands over in push order.
+//
 // Requests enter either all at once (submit(), the one-shot trace path) or
 // incrementally (push(), the path a cluster dispatcher drives); seal()
 // declares that no further requests will arrive, which is what lets the
@@ -48,7 +53,9 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -89,24 +96,24 @@ struct SchedulerConfig {
   void validate() const;
 };
 
-/// A request plus its serving-lifecycle bookkeeping. The request's decode
-/// depth IS its generated count: padded fixed-mode slots surface no tokens
-/// and so stay frozen at their final depth. A resumed request starts with
+/// A request plus its serving-lifecycle bookkeeping: one slot of the
+/// scheduler's state pool, held from push() until the request completes, is
+/// handed off or is aborted, then recycled. The request's decode depth IS
+/// its generated count: padded fixed-mode slots surface no tokens and so
+/// stay frozen at their final depth. A resumed request starts with
 /// `generated = resume.decoded` (its decode depth carries over) and keeps
 /// the original attempt's `first_token`.
 struct RequestState {
   Request request;
   std::int64_t generated = 0;  ///< tokens produced across attempts (= decode depth)
   std::int64_t saved_tokens = 0;  ///< prefill tokens skipped at admission
+  /// Completed or released. A completed fixed-mode slot keeps padding the
+  /// batch until the whole batch drains.
   bool done = false;
-  /// Released to a decode replica by release_prefilled(): the request left
-  /// this scheduler mid-flight by design, not by completion or failure. Its
-  /// metrics finish elsewhere, so reporting skips it like a padded slot.
-  bool handed_off = false;
   std::int64_t bypassed = 0;   ///< size-aware admissions that skipped past this
+  Duration arrival = Duration::zero();  ///< when it joined this queue (see push())
   Duration admitted = Duration::zero();
   Duration first_token = Duration::zero();
-  Duration completion = Duration::zero();
 };
 
 /// What one completed step did to the batch, for residency layers above
@@ -130,9 +137,13 @@ class ContinuousBatchScheduler {
   /// is its own `resume.prefilled`.
   void set_prefill_discount(PrefillDiscount fn) { discount_ = std::move(fn); }
 
-  /// Append one request. Pushes must come in (arrival, id) order -- the
-  /// order a trace replay or a cluster dispatcher naturally produces.
-  void push(const Request& rq);
+  /// Append one request joining the queue at `at` -- its trace arrival, or
+  /// for a re-dispatch the later instant the cluster re-dispatched it.
+  /// Pushes must come in (at, id) order -- the order a trace replay or a
+  /// cluster dispatcher naturally produces.
+  void push(const Request& rq, Duration at);
+  /// push() at the request's trace arrival.
+  void push(const Request& rq) { push(rq, rq.arrival); }
 
   /// Declare that no further push() will happen. Fixed-mode admission may
   /// then stop holding under-full batches for arrivals that never come.
@@ -156,9 +167,26 @@ class ContinuousBatchScheduler {
   /// Returns the newly admitted requests (they still need their prefill).
   std::vector<RequestState*> admit();
 
-  /// The active decode batch (admission order).
+  /// The active decode batch (admission order), as indices into states().
   [[nodiscard]] const std::vector<std::size_t>& active() const { return active_; }
+  /// The state pool. A slot is recycled once its request completes, is
+  /// handed off or is aborted, so the pool's size is the most requests the
+  /// scheduler ever held at once, not the trace length. Empty after
+  /// take_records() or abort_unfinished().
   [[nodiscard]] const std::vector<RequestState>& states() const { return states_; }
+
+  /// One record per completed request, in completion order; a handed-off
+  /// or aborted request leaves none (it reports where it finishes).
+  [[nodiscard]] const std::vector<RequestMetrics>& records() const { return records_; }
+
+  /// The records in push order, moved out. Requires drained(); the
+  /// scheduler keeps no records afterwards and releases its state pool.
+  [[nodiscard]] std::vector<RequestMetrics> take_records();
+
+  /// Tokens decoded here by requests that completed here or were handed off
+  /// (a resumed request's carried-in tokens are not counted; an aborted
+  /// request's are not credited either -- they are redone or carried on).
+  [[nodiscard]] std::uint64_t credited_tokens() const { return credited_tokens_; }
 
   /// Arrived requests awaiting admission.
   [[nodiscard]] std::size_t queued_count() const { return queued_.size(); }
@@ -203,7 +231,7 @@ class ContinuousBatchScheduler {
 
   /// Fail-stop / evacuation support: remove every accepted-but-unfinished
   /// request (pending, queued, or active) and return the original Requests,
-  /// in (arrival, id) order, each annotated with its checkpointed progress
+  /// in push order, each annotated with its checkpointed progress
   /// (Request::resume): an admitted request whose admission step completed
   /// has its full prompt and `generated` tokens resident; anything else
   /// keeps the resume state it arrived with. Whether a retry may *use* the
@@ -215,11 +243,12 @@ class ContinuousBatchScheduler {
   /// Disaggregated-serving support: release every active request whose
   /// admission step has completed (its prompt is fully resident and at least
   /// one decode token surfaced) for handoff to a decode replica. Returns the
-  /// original Requests in (arrival, id) order, each annotated with its
+  /// original Requests in push order, each annotated with its
   /// checkpointed progress exactly like abort_unfinished(); the released
-  /// states stay behind flagged `handed_off` (their metrics finish on the
-  /// decode replica). Unlike abort_unfinished() the scheduler keeps serving:
-  /// queued and pending requests are untouched and push() stays legal.
+  /// slots are recycled and no record is kept (their metrics finish on the
+  /// decode replica). Unlike abort_unfinished() the scheduler keeps
+  /// serving: queued and pending requests are untouched and push() stays
+  /// legal.
   std::vector<Request> release_prefilled();
 
  private:
@@ -234,16 +263,36 @@ class ContinuousBatchScheduler {
   /// mark_admitted() plus popping the FIFO head (the fixed/FIFO orders).
   void take_front(std::int64_t saved, std::vector<RequestState*>& newly);
   [[nodiscard]] std::int64_t discount_for(const Request& rq) const;
+  [[nodiscard]] bool has_pending() const { return pending_head_ < pending_.size(); }
+  /// Slot indices sorted by push order.
+  [[nodiscard]] std::vector<std::size_t> in_push_order(std::vector<std::size_t> slots) const;
+  /// `rs`'s request annotated with its progress at the last completed step:
+  /// the whole prompt resident and `generated` tokens decoded.
+  [[nodiscard]] static Request checkpointed(const RequestState& rs);
+  /// Mark `rs` done at `end` and append its record.
+  void finish(RequestState& rs, Duration end);
+  /// Drop done requests from the batch and recycle their slots.
+  void retire_done();
+  /// Free the state pool and the pending list (every slot must be free).
+  void release_pool();
 
   SchedulerConfig cfg_;
   PrefillDiscount discount_;
-  std::vector<RequestState> states_;  ///< in (arrival, id) order; stable storage
-  std::size_t next_pending_ = 0;      ///< states_[next_pending_..) not yet arrived
+  std::vector<RequestState> states_;   ///< slot pool (see states())
+  std::vector<std::size_t> free_;      ///< recycled slots of states_
+  std::vector<RequestMetrics> records_;  ///< see records()
+  /// (queue-join instant, id) of the latest push, for push()'s order check.
+  std::optional<std::pair<Duration, std::uint64_t>> last_push_;
+  /// Pushed but not yet arrived, in push order from pending_head_ on; the
+  /// released prefix is erased once it is at least half the vector.
+  std::vector<std::size_t> pending_;
+  std::size_t pending_head_ = 0;
   std::deque<std::size_t> queued_;    ///< arrived, awaiting admission (FIFO)
   std::vector<std::size_t> active_;   ///< in the decode batch
   bool sealed_ = false;               ///< no further push() calls
   std::size_t live_ = 0;              ///< accepted, not yet done
   std::int64_t owed_tokens_ = 0;      ///< un-prefilled prompt + remaining decode
+  std::uint64_t credited_tokens_ = 0;  ///< see credited_tokens()
 };
 
 }  // namespace monde::serve

@@ -1,6 +1,7 @@
 #include "serve/server.hpp"
 
 #include <tuple>
+#include <utility>
 
 #include "interconnect/link.hpp"
 
@@ -47,9 +48,9 @@ ServerSim::ServerSim(core::InferenceEngine& engine, SchedulerConfig cfg, Duratio
   }
 }
 
-void ServerSim::enqueue(const Request& rq) {
+void ServerSim::enqueue(const Request& rq, Duration at) {
   MONDE_REQUIRE(!harvested_, "enqueue() on a harvested or evacuated server");
-  sched_.push(rq);
+  sched_.push(rq, at);
   touch();
 }
 
@@ -321,37 +322,24 @@ std::size_t ServerSim::preload_experts(const std::vector<core::ExpertId>& ids) {
   return fetched;
 }
 
-ServeReport ServerSim::report() const {
+ServeReport ServerSim::report() {
   MONDE_REQUIRE(sched_.drained(), "report() before the server drained");
+  MONDE_REQUIRE(!reported_, "report() hands the server's history over; call it once");
+  reported_ = true;
   ServeReport report;
   report.strategy = engine_.strategy().name();
   report.mode = to_string(cfg_.mode);
-  report.steps = steps_;
+  report.steps = std::exchange(steps_, {});
+  report.steps.shrink_to_fit();  // a replica's history can outlive the run
   report.makespan = st_.now;
   report.busy = busy_;
+  // Handed-off requests have no record (their metrics finish on a decode
+  // replica) but the tokens they decoded here are credited.
+  report.requests = sched_.take_records();
+  report.generated_tokens = sched_.credited_tokens();
   std::vector<double> ttft_ms, tpot_ms, e2e_ms;
-  for (const RequestState& rs : sched_.states()) {
-    if (rs.handed_off) {
-      // The request left mid-flight for a decode replica; its latency
-      // metrics finish there. Credit only the tokens decoded here.
-      report.generated_tokens +=
-          static_cast<std::uint64_t>(rs.generated - rs.request.resume.decoded);
-      continue;
-    }
-    MONDE_ASSERT(rs.done, "request " << rs.request.id << " never completed");
-    RequestMetrics m;
-    m.id = rs.request.id;
-    m.attempt = rs.request.attempt;
-    m.prompt_len = rs.request.prompt_len;
-    m.generated = rs.generated;
-    m.saved_tokens = rs.saved_tokens;
-    m.resumed_tokens = rs.request.resume.decoded;
-    m.arrival = rs.request.arrival;
-    m.admitted = rs.admitted;
-    m.first_token = rs.first_token;
-    m.completion = rs.completion;
-    // Only locally decoded tokens count toward this server's throughput.
-    report.generated_tokens += static_cast<std::uint64_t>(rs.generated - m.resumed_tokens);
+  e2e_ms.reserve(report.requests.size());
+  for (const RequestMetrics& m : report.requests) {
     // A resumed request's first token predates this server (and possibly
     // its local arrival): its TTFT/TPOT belong to the fleet-level re-based
     // metrics, not this replica's.
@@ -360,7 +348,6 @@ ServeReport ServerSim::report() const {
       if (m.generated > 1) tpot_ms.push_back(m.tpot().ms());
     }
     e2e_ms.push_back(m.e2e().ms());
-    report.requests.push_back(m);
   }
   // A replica that never received a request legitimately reports nothing.
   if (!ttft_ms.empty()) report.ttft_ms = compute_percentiles(std::move(ttft_ms));

@@ -5,8 +5,9 @@
 // It exposes an incremental event API so a cluster of replicas can be
 // interleaved in simulated time by an outside driver (serve/cluster.hpp):
 //
-//   enqueue(rq)       hand the server one request (its arrival time is the
-//                     moment it lands in this server's queue);
+//   enqueue(rq, at)   hand the server one request; it lands in this
+//                     server's queue at `at` (its trace arrival by default,
+//                     a later instant for a re-dispatch);
 //   advance_to(t)     run every scheduler step that starts strictly before
 //                     t. A step that would start at or after t is deferred,
 //                     because the caller may still enqueue arrivals in the
@@ -14,7 +15,8 @@
 //                     even if it ends after t (steps are atomic).
 //   next_event_time() earliest time at which advance_to() would do work;
 //   drain()           declare the trace complete and run everything left;
-//   report()          per-request metrics + aggregates, after drain().
+//   report()          per-request metrics + aggregates, after drain(); the
+//                     step history and records move out with it.
 //
 // The classic one-shot run(trace) is a thin wrapper: enqueue the sorted
 // trace, drain, report. Queue-state accessors (in_flight(),
@@ -98,36 +100,6 @@ struct StepRecord {
   Duration handoff_ship = Duration::zero();
 };
 
-/// Final per-request latency accounting. `arrival` is the instant the
-/// request joined *this* server's queue -- for a failure retry that is the
-/// re-dispatch instant; the cluster re-bases its fleet-level copy to the
-/// original trace arrival so the retry delay lands in the latency tail.
-///
-/// A request resumed with prior decode progress (`resumed_tokens` > 0)
-/// keeps its ORIGINAL `first_token` instant -- the user saw that token
-/// before the failure -- which may precede this server's `arrival`;
-/// per-server TTFT/TPOT percentiles therefore skip resumed requests, while
-/// the cluster's re-based copies include them.
-struct RequestMetrics {
-  std::uint64_t id = 0;
-  std::uint32_t attempt = 0;  ///< dispatch attempt that finally served it
-  std::int64_t prompt_len = 0;
-  std::int64_t generated = 0;       ///< tokens delivered, summed across attempts
-  std::int64_t saved_tokens = 0;    ///< prefill tokens the cache skipped this attempt
-  std::int64_t resumed_tokens = 0;  ///< decode tokens carried in from earlier attempts
-  Duration arrival = Duration::zero();
-  Duration admitted = Duration::zero();
-  Duration first_token = Duration::zero();
-  Duration completion = Duration::zero();
-
-  [[nodiscard]] Duration ttft() const { return first_token - arrival; }
-  [[nodiscard]] Duration e2e() const { return completion - arrival; }
-  [[nodiscard]] Duration tpot() const {
-    return generated > 1 ? (completion - first_token) / static_cast<double>(generated - 1)
-                         : Duration::zero();
-  }
-};
-
 /// Everything one serving run produced.
 struct ServeReport {
   std::string strategy;
@@ -193,10 +165,13 @@ class ServerSim {
 
   // --- Incremental event API (what a cluster dispatcher drives) -----------
 
-  /// Hand the server one request; it joins the queue at `rq.arrival`
-  /// (dispatch is zero-latency). Requests must arrive in (arrival, id)
-  /// order, before drain(), and never after harvest_stranded().
-  void enqueue(const Request& rq);
+  /// Hand the server one request; it joins the queue at `at` (dispatch is
+  /// zero-latency): its trace arrival, or a re-dispatch's later instant.
+  /// Requests must arrive in (at, id) order, before drain(), and never
+  /// after harvest_stranded().
+  void enqueue(const Request& rq, Duration at);
+  /// enqueue() at the request's trace arrival.
+  void enqueue(const Request& rq) { enqueue(rq, rq.arrival); }
 
   /// Run every scheduler step that starts strictly before `t`; idle gaps
   /// fast-forward through queued arrivals. See the file comment for the
@@ -240,7 +215,7 @@ class ServerSim {
   [[nodiscard]] bool failed() const { return failed_; }
 
   /// After a fail-stop: remove and return every accepted-but-unfinished
-  /// request (in (arrival, id) order) so the cluster can re-dispatch them.
+  /// request (in enqueue order) so the cluster can re-dispatch them.
   /// Each is annotated with its checkpointed progress as of the last
   /// completed step (Request::resume); whether the retry honors it is the
   /// cluster's cache-survival policy -- with no prefix cache the
@@ -275,6 +250,9 @@ class ServerSim {
   /// pending); the cluster folds their spans into its health EWMA.
   [[nodiscard]] const std::vector<StepRecord>& steps() const { return steps_; }
 
+  /// The request scheduler (its state pool and records), for inspection.
+  [[nodiscard]] const ContinuousBatchScheduler& scheduler() const { return sched_; }
+
   /// The replica's expert residency (empty when expert serving is disabled).
   [[nodiscard]] const core::ExpertCache& expert_cache() const { return expert_cache_; }
 
@@ -307,8 +285,10 @@ class ServerSim {
   /// lazy-completion contract). Prefill-role only.
   [[nodiscard]] std::vector<HandoffRecord> take_handoffs(Duration now);
 
-  /// Metrics for everything served so far. Requires drained().
-  [[nodiscard]] ServeReport report() const;
+  /// Metrics for everything served so far. Requires drained(). The step
+  /// history and the per-request records move into the report, so call it
+  /// once; steps() is empty afterwards.
+  [[nodiscard]] ServeReport report();
 
   // --- One-shot entry point ------------------------------------------------
 
@@ -379,6 +359,7 @@ class ServerSim {
   Duration pending_end_ = Duration::zero();
   bool failed_ = false;     ///< fail-stop instant reached; frozen forever
   bool harvested_ = false;  ///< stranded requests already handed back
+  bool reported_ = false;   ///< report() moved the history out
   std::uint64_t version_ = 0;  ///< observable-mutation counter (see version())
   mutable bool next_event_valid_ = false;      ///< cache flag for next_event_time()
   mutable Duration next_event_cache_ = Duration::zero();

@@ -4,7 +4,8 @@
 // test_disagg.cpp, and test_random_diff.cpp all build the same small fleets
 // over the same tiny models; this header is the single definition of those
 // builders plus the bit-identity comparator the differential suites pin
-// against. Every helper is inline -- each test source is its own binary.
+// against, and the conservation/causality audit every differential scenario
+// must pass. Every helper is inline -- each test source is its own binary.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "serve/arrivals.hpp"
@@ -67,6 +69,7 @@ inline void expect_reports_identical(const ClusterReport& a, const ClusterReport
     EXPECT_EQ(x.saved_tokens, y.saved_tokens) << "request " << x.id;
     EXPECT_EQ(x.resumed_tokens, y.resumed_tokens) << "request " << x.id;
     EXPECT_EQ(x.arrival, y.arrival) << "request " << x.id;
+    EXPECT_EQ(x.trace_arrival, y.trace_arrival) << "request " << x.id;
     EXPECT_EQ(x.admitted, y.admitted) << "request " << x.id;
     EXPECT_EQ(x.first_token, y.first_token) << "request " << x.id;
     EXPECT_EQ(x.completion, y.completion) << "request " << x.id;
@@ -140,6 +143,75 @@ inline void expect_reports_identical(const ClusterReport& a, const ClusterReport
   }
 }
 
+/// Conservation and causality over a finished ClusterReport fed `trace`:
+/// one line per violation, empty when the report is sound.
+///   - each trace id completes exactly once, and no other id completes;
+///   - `generated` equals the request's decode budget, and `arrival` its
+///     trace arrival;
+///   - arrival <= admitted <= first_token <= completion. A request resumed
+///     with decode progress keeps its first attempt's first token, which may
+///     precede its last admission, so it is held to arrival <= first_token
+///     and admitted <= completion instead;
+///   - the sum of `generated` equals `generated_tokens`;
+///   - the per-replica record counts sum to the size of the fleet union.
+inline std::vector<std::string> audit_report(const ClusterReport& rep,
+                                             const std::vector<Request>& trace) {
+  std::vector<std::string> findings;
+  const auto finding = [&](std::uint64_t id, const std::string& what) {
+    findings.push_back("request " + std::to_string(id) + ": " + what);
+  };
+  std::unordered_map<std::uint64_t, const Request*> offered;
+  for (const Request& rq : trace) offered.emplace(rq.id, &rq);
+  std::unordered_map<std::uint64_t, int> completions;
+  std::uint64_t generated = 0;
+  for (const RequestMetrics& m : rep.requests) {
+    ++completions[m.id];
+    generated += static_cast<std::uint64_t>(m.generated);
+    const auto it = offered.find(m.id);
+    if (it == offered.end()) {
+      finding(m.id, "completed but never offered");
+      continue;
+    }
+    const Request& rq = *it->second;
+    if (m.generated != rq.max_new_tokens) {
+      finding(m.id, "generated " + std::to_string(m.generated) + " of a budget of " +
+                        std::to_string(rq.max_new_tokens));
+    }
+    if (m.arrival != rq.arrival) finding(m.id, "arrival is not the trace arrival");
+    const bool resumed = m.resumed_tokens > 0;
+    if (m.admitted < m.arrival) finding(m.id, "admitted before it arrived");
+    if (m.first_token < (resumed ? m.arrival : m.admitted)) {
+      finding(m.id, "first token before it arrived or was admitted");
+    }
+    if (m.completion < m.first_token || m.completion < m.admitted) {
+      finding(m.id, "completed before its first token or admission");
+    }
+  }
+  for (const Request& rq : trace) {
+    const auto it = completions.find(rq.id);
+    const int n = it == completions.end() ? 0 : it->second;
+    if (n != 1) finding(rq.id, "completed " + std::to_string(n) + " times");
+  }
+  if (generated != rep.generated_tokens) {
+    findings.push_back("records generated " + std::to_string(generated) +
+                       " tokens, the report says " + std::to_string(rep.generated_tokens));
+  }
+  std::size_t per_replica = 0;
+  for (const ReplicaReport& r : rep.replicas) per_replica += r.serve.requests.size();
+  if (per_replica != rep.requests.size()) {
+    findings.push_back("replicas hold " + std::to_string(per_replica) +
+                       " records, the fleet union " + std::to_string(rep.requests.size()));
+  }
+  return findings;
+}
+
+inline void expect_audit_clean(const ClusterReport& rep, const std::vector<Request>& trace) {
+  const std::vector<std::string> findings = audit_report(rep, trace);
+  if (!findings.empty()) {
+    ADD_FAILURE() << findings.size() << " audit finding(s), first: " << findings.front();
+  }
+}
+
 /// Run one scenario twice -- calendar loop vs reference loop -- with fresh
 /// (stateful) dispatchers/autoscalers, and demand bit-identical reports.
 struct Scenario {
@@ -168,8 +240,9 @@ inline ClusterReport run_scenario(const Scenario& sc, bool reference_loop) {
 }
 
 inline void expect_loops_agree(const Scenario& sc) {
-  expect_reports_identical(run_scenario(sc, /*reference_loop=*/false),
-                           run_scenario(sc, /*reference_loop=*/true));
+  const ClusterReport calendar = run_scenario(sc, /*reference_loop=*/false);
+  expect_audit_clean(calendar, sc.trace);
+  expect_reports_identical(calendar, run_scenario(sc, /*reference_loop=*/true));
 }
 
 /// The parallel calendar loop must match the sequential reference at every
@@ -177,6 +250,7 @@ inline void expect_loops_agree(const Scenario& sc) {
 /// ascending-replica commit order pins every counter and RNG stream.
 inline void expect_threads_agree(Scenario sc) {
   const ClusterReport ref = run_scenario(sc, /*reference_loop=*/true);
+  expect_audit_clean(ref, sc.trace);
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     sc.threads = threads;

@@ -4,6 +4,8 @@
 // cluster run fed from a stream must equal one fed the materialized vector.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.hpp"
 #include "serve/arrivals.hpp"
 #include "serve/cluster.hpp"
@@ -151,6 +153,31 @@ TEST(ArrivalStream, StreamRunRejectsDuplicateIds) {
                      uniform_fleet(2, core::StrategyKind::kMondeLoadBalanced, SchedulerConfig{})};
   const auto dispatcher = make_dispatcher(DispatchPolicy::kRoundRobin, 1);
   EXPECT_THROW((void)cluster.run(std::move(trace), *dispatcher), Error);
+}
+
+TEST(ArrivalStream, StreamRunRejectsDuplicateIdArrivingLater) {
+  // The duplicate arrives later than the original, so the stream's order
+  // check passes it and both copies are served before the fleet report
+  // finds the repeated id.
+  std::vector<Request> trace = poisson_trace(8, 400.0, small_shape(), 3);
+  trace[5].id = trace[1].id;
+  ASSERT_GT(trace[5].arrival, trace[1].arrival);
+  const auto error_of = [&](bool streamed) -> std::string {
+    ClusterSim cluster{core::SystemConfig::dac24(), tiny_model(),
+                       moe::SkewProfile::switch_like(),
+                       uniform_fleet(2, core::StrategyKind::kMondeLoadBalanced,
+                                     SchedulerConfig{})};
+    const auto dispatcher = make_dispatcher(DispatchPolicy::kRoundRobin, 1);
+    TraceArrivalStream stream{trace};
+    try {
+      (void)(streamed ? cluster.run(stream, *dispatcher) : cluster.run(trace, *dispatcher));
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EXPECT_NE(error_of(/*streamed=*/false).find("duplicate request id"), std::string::npos);
+  EXPECT_NE(error_of(/*streamed=*/true).find("duplicate request id"), std::string::npos);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 // ServerSim version counter the calendar's lazy deletion trusts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -46,6 +47,37 @@ TEST(CalendarDiff, FaultInjectionWithRetries) {
   sc.specs[2].fault.slow_until = Duration::millis(60);
   sc.specs[2].fault.slow_factor = 3.0;
   expect_loops_agree(sc);
+}
+
+TEST(CalendarDiff, AuditCatchesSeededDroppedCompletion) {
+  // The conservation audit every diff scenario runs must notice a request
+  // that never reports. Seed the fault the way a lost record would surface:
+  // gone from its replica's records and from the fleet union alike, with
+  // the token total recomputed to match, so only conservation can tell.
+  Scenario sc;
+  sc.trace = bursty_trace(24, 6, Duration::millis(25), small_shape(), 13);
+  sc.specs = uniform_fleet(3, core::StrategyKind::kMondeLoadBalanced, SchedulerConfig{});
+  sc.specs[1].fault.fail_at = Duration::millis(30);
+  ClusterReport rep = run_scenario(sc, /*reference_loop=*/false);
+  ASSERT_TRUE(audit_report(rep, sc.trace).empty());
+  ASSERT_GT(rep.retries, 0u);
+
+  // Drop a retried request's completion: the path with the most hand-overs.
+  const auto victim = std::find_if(rep.requests.begin(), rep.requests.end(),
+                                   [](const RequestMetrics& m) { return m.attempt > 0; });
+  ASSERT_NE(victim, rep.requests.end());
+  const std::uint64_t id = victim->id;
+  rep.generated_tokens -= static_cast<std::uint64_t>(victim->generated);
+  rep.requests.erase(victim);
+  std::size_t dropped = 0;
+  for (ReplicaReport& r : rep.replicas) {
+    dropped += std::erase_if(r.serve.requests,
+                             [id](const RequestMetrics& m) { return m.id == id; });
+  }
+  ASSERT_EQ(dropped, 1u);
+  const std::vector<std::string> findings = audit_report(rep, sc.trace);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0], "request " + std::to_string(id) + ": completed 0 times");
 }
 
 TEST(CalendarDiff, TwoFailStopsCascade) {

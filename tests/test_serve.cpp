@@ -260,10 +260,11 @@ TEST(Scheduler, FixedModePadsDoneSlotsAtFrozenDepth) {
 
   sched.complete_step(Duration::millis(3));  // the rest finish -> batch drains
   EXPECT_TRUE(sched.drained());
-  EXPECT_DOUBLE_EQ(sched.states()[0].completion.ms(), 1.0);
+  EXPECT_EQ(sched.records()[0].generated, 1);
+  EXPECT_DOUBLE_EQ(sched.records()[0].completion.ms(), 1.0);
   for (std::size_t i = 1; i < batch; ++i) {
-    EXPECT_EQ(sched.states()[i].generated, 3);
-    EXPECT_DOUBLE_EQ(sched.states()[i].completion.ms(), 3.0);
+    EXPECT_EQ(sched.records()[i].generated, 3);
+    EXPECT_DOUBLE_EQ(sched.records()[i].completion.ms(), 3.0);
   }
 }
 
@@ -314,6 +315,42 @@ TEST(ServerSim, IncrementalEventApiMatchesOneShotRun) {
   ASSERT_EQ(rep.steps.size(), once.steps.size());
   EXPECT_DOUBLE_EQ(rep.makespan.ns(), once.makespan.ns());
   EXPECT_DOUBLE_EQ(rep.busy.ns(), once.busy.ns());
+}
+
+TEST(ServerSim, LiveStateFollowsInFlightNotTraceLength) {
+  // A long trace at bounded concurrency: the scheduler's state pool stays
+  // as small as the most requests ever in flight, while the report keeps
+  // every request, in order, exactly as a one-shot run of the whole trace
+  // (which holds it all pending at once) reports it.
+  const auto trace = poisson_trace(10'000, /*rate_per_s=*/100.0, small_shape(), /*seed=*/9);
+  SchedulerConfig cfg;
+  auto ref_engine = make_engine(core::StrategyKind::kGpuPmove, 7);
+  const ServeReport ref = ServerSim{ref_engine, cfg}.run(trace);
+
+  auto engine = make_engine(core::StrategyKind::kGpuPmove, 7);
+  ServerSim sim{engine, cfg};
+  std::size_t peak_in_flight = 0;
+  for (const Request& rq : trace) {
+    sim.advance_to(rq.arrival);
+    sim.enqueue(rq);
+    peak_in_flight = std::max(peak_in_flight, sim.in_flight());
+  }
+  sim.drain();
+  EXPECT_LT(peak_in_flight, 64u);  // the bounded-concurrency regime under test
+  EXPECT_LE(sim.scheduler().states().size(), peak_in_flight);
+  const ServeReport rep = sim.report();
+  ASSERT_EQ(rep.requests.size(), ref.requests.size());
+  for (std::size_t i = 0; i < rep.requests.size(); ++i) {
+    EXPECT_EQ(rep.requests[i].id, ref.requests[i].id);
+    EXPECT_EQ(rep.requests[i].arrival, ref.requests[i].arrival);
+    EXPECT_EQ(rep.requests[i].admitted, ref.requests[i].admitted);
+    EXPECT_EQ(rep.requests[i].first_token, ref.requests[i].first_token);
+    EXPECT_EQ(rep.requests[i].completion, ref.requests[i].completion);
+  }
+  EXPECT_EQ(rep.generated_tokens, ref.generated_tokens);
+  EXPECT_TRUE(sim.steps().empty());  // report() moved the history out...
+  EXPECT_TRUE(sim.scheduler().states().empty());  // ...and released the pool
+  EXPECT_THROW((void)sim.report(), Error);
 }
 
 TEST(ServerSim, NextEventTimeAndLoadAccessorsTrackQueueState) {
@@ -529,9 +566,10 @@ TEST(Scheduler, ResumedRequestContinuesFromCheckpoint) {
   EXPECT_EQ(out.finished[0], 7u);
   EXPECT_TRUE(sched.drained());
   EXPECT_EQ(sched.outstanding_tokens(), 0);
-  EXPECT_EQ(sched.states()[0].generated, 6);
-  EXPECT_DOUBLE_EQ(sched.states()[0].first_token.ms(), 3.0);
-  EXPECT_DOUBLE_EQ(sched.states()[0].completion.ms(), 13.0);
+  EXPECT_EQ(sched.records()[0].generated, 6);
+  EXPECT_EQ(sched.records()[0].resumed_tokens, 2);
+  EXPECT_DOUBLE_EQ(sched.records()[0].first_token.ms(), 3.0);
+  EXPECT_DOUBLE_EQ(sched.records()[0].completion.ms(), 13.0);
 }
 
 TEST(Scheduler, PrefillDiscountShrinksAdmissionCharge) {
