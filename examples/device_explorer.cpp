@@ -72,7 +72,7 @@ int main() {
               static_cast<long long>(model.dmodel), static_cast<long long>(model.dff));
   for (const std::int64_t tokens : {std::int64_t{1}, std::int64_t{4}, std::int64_t{16},
                                     std::int64_t{64}}) {
-    const auto r = device.expert_latency({tokens, model.dmodel, model.dff}, model.dtype);
+    const auto r = device.sim().simulate_expert({tokens, model.dmodel, model.dff}, model.dtype);
     std::printf("  %3lld tokens: %10s  (%.1f GB/s achieved, row-hit %.1f%%, %s)\n",
                 static_cast<long long>(tokens), r.latency.str().c_str(),
                 r.achieved_bandwidth.as_gbps(), 100.0 * r.row_hit_rate,

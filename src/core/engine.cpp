@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "core/monde_device.hpp"
 
 namespace monde::core {
 
@@ -28,24 +29,18 @@ InferenceEngine::InferenceEngine(SystemConfig sys, moe::MoeModelConfig model,
   model_.validate();
   MONDE_REQUIRE(model_.moe_every > 0, "InferenceEngine needs an MoE model");
 
-  // Instantiate MoNDE devices and make the expert working set resident,
-  // sharded round-robin across devices (Section 3.3).
-  for (int d = 0; d < sys_.num_monde_devices; ++d) {
-    devices_.push_back(std::make_unique<MondeDevice>(d, ndp_sim_));
-    devices_.back()->place_model(model_, sys_.num_monde_devices);
+  // The expert working set must be resident, sharded round-robin across the
+  // MoNDE devices (Section 3.3); the devices are identical, so the check is
+  // arithmetic and kernels price from the one shared simulator.
+  if (sys_.num_monde_devices > 0) {
+    check_model_fits(ndp_sim_->mem_spec(), model_, sys_.num_monde_devices);
   }
-  strategy_ = make_strategy(kind, make_context());
-}
-
-StrategyContext InferenceEngine::make_context() {
-  StrategyContext ctx;
-  ctx.sys = &sys_;
-  ctx.model = &model_;
-  ctx.gpu = &gpu_;
-  ctx.cpu = &cpu_;
-  ctx.xformer = &xformer_;
-  for (auto& d : devices_) ctx.devices.push_back(d.get());
-  return ctx;
+  strategy_ = make_strategy(kind, StrategyContext{.sys = &sys_,
+                                                  .model = &model_,
+                                                  .gpu = &gpu_,
+                                                  .cpu = &cpu_,
+                                                  .xformer = &xformer_,
+                                                  .ndp = ndp_sim_.get()});
 }
 
 EngineState InferenceEngine::make_state(sim::Recording recording) const {

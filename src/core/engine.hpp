@@ -1,6 +1,6 @@
 // End-to-end MoE transformer inference engine.
 //
-// Assembles the platform (GPU/CPU models, MoNDE devices, links), generates
+// Assembles the platform (GPU/CPU models, NDP simulator, links), generates
 // routed workloads, and simulates inference under a chosen expert-execution
 // strategy. Execution is built from two step primitives -- prefill() (one
 // encoder pass) and decode_step() (one autoregressive step over a batch of
@@ -17,7 +17,6 @@
 #include "compute/cpu.hpp"
 #include "compute/gpu.hpp"
 #include "compute/transformer.hpp"
-#include "core/monde_device.hpp"
 #include "core/strategy.hpp"
 #include "core/system_config.hpp"
 #include "moe/workload.hpp"
@@ -130,20 +129,14 @@ class InferenceEngine {
   [[nodiscard]] const SystemConfig& system() const { return sys_; }
   [[nodiscard]] const moe::MoeModelConfig& model() const { return model_; }
   [[nodiscard]] moe::WorkloadGenerator& workload() { return workload_; }
-  [[nodiscard]] const std::vector<std::unique_ptr<MondeDevice>>& devices() const {
-    return devices_;
-  }
 
  private:
-  [[nodiscard]] StrategyContext make_context();
-
   SystemConfig sys_;
   moe::MoeModelConfig model_;
   compute::GpuModel gpu_;
   compute::CpuModel cpu_;
   compute::TransformerCostModel xformer_;
   std::shared_ptr<ndp::NdpCoreSim> ndp_sim_;
-  std::vector<std::unique_ptr<MondeDevice>> devices_;
   std::unique_ptr<Strategy> strategy_;
   moe::WorkloadGenerator workload_;
 };

@@ -71,9 +71,9 @@ class ExpertCache {
   [[nodiscard]] std::uint64_t signature() const { return signature_.bits(); }
 
   /// Drop one expert outright -- no recency refresh, no hit/miss accounting.
-  /// The serving layer's residency refcounts (serve/server.hpp) use this to
-  /// evict experts whose last referencing request migrated off the replica,
-  /// so the demand re-homes with the request. No-op when absent.
+  /// A harvested or evacuated serving replica (serve/server.hpp) uses this
+  /// to evict every expert its in-flight requests reference, so the demand
+  /// re-homes with the requests. No-op when absent.
   void erase(ExpertId id);
 
   /// Zero the hit/miss counters without touching the resident set, so a

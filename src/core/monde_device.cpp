@@ -30,16 +30,27 @@ void MondeDevice::place_model(const moe::MoeModelConfig& model, int num_devices)
   }
 }
 
+void check_model_fits(const dram::Spec& mem, const moe::MoeModelConfig& model,
+                      int num_devices) {
+  MONDE_REQUIRE(num_devices >= 1, "need at least one device");
+  const dram::AddressMapper mapper{mem};
+  const ndp::PartitionLayout weights{mem, mapper, ndp::Partition::kWeights};
+  const auto shard_experts =
+      static_cast<std::uint64_t>((model.num_experts + num_devices - 1) / num_devices) *
+      static_cast<std::uint64_t>(model.total_moe_layers());
+  const std::uint64_t blocks = shard_experts * weights.blocks_for(model.expert_bytes());
+  MONDE_REQUIRE(blocks <= weights.block_count(),
+                "device memory exhausted placing " << model.name << ": device 0 holds "
+                    << shard_experts << " experts ("
+                    << Bytes{blocks * static_cast<std::uint64_t>(weights.access_bytes())}.str()
+                    << ") in a " << weights.capacity().str() << " weight partition");
+}
+
 const DeviceBuffer& MondeDevice::expert_buffer(ExpertId eid) const {
   const auto it = experts_.find(eid);
   MONDE_REQUIRE(it != experts_.end(), "expert (layer " << eid.layer << ", expert "
                                                        << eid.expert << ") not resident");
   return it->second;
-}
-
-ndp::NdpKernelResult MondeDevice::expert_latency(const compute::ExpertShape& shape,
-                                                 compute::DataType dt) const {
-  return sim_->simulate_expert(shape, dt);
 }
 
 std::vector<interconnect::NdpInstruction> MondeDevice::compile_expert_op(

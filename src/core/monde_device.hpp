@@ -1,5 +1,10 @@
 // One MoNDE device: device memory + allocator + resident expert placement +
 // host-driver instruction generation (paper Sections 3.1 and 3.4).
+//
+// The timing path never builds one: strategies price NDP kernels from the
+// platform's shared NdpCoreSim, and an engine only checks that the model
+// fits (check_model_fits). MondeDevice is the allocation and
+// instruction-compile model behind that check's rule.
 #pragma once
 
 #include <cstdint>
@@ -46,10 +51,6 @@ class MondeDevice {
   [[nodiscard]] const DeviceBuffer& expert_buffer(ExpertId eid) const;
   [[nodiscard]] Bytes weights_used() const { return allocator_.weights_used(); }
 
-  /// Cycle-level latency of running one expert FFN on this device's NDP.
-  [[nodiscard]] ndp::NdpKernelResult expert_latency(const compute::ExpertShape& shape,
-                                                    compute::DataType dt) const;
-
   /// Compile one expert operation into its two 64-B NDP instructions
   /// (gemm+relu for linear1, gemm for linear2) with real device addresses.
   [[nodiscard]] std::vector<interconnect::NdpInstruction> compile_expert_op(
@@ -66,5 +67,13 @@ class MondeDevice {
   std::map<ExpertId, DeviceBuffer> experts_;
   std::uint16_t next_kernel_seq_ = 0;
 };
+
+/// Throws monde::Error ("device memory exhausted ...") unless every
+/// device's place_model(model, num_devices) fits in a device of `mem`.
+/// Device 0's round-robin shard is the largest -- ceil(E / num_devices)
+/// experts per MoE layer -- so the check is that shard's block count
+/// against the weight partition's, without placing anything.
+void check_model_fits(const dram::Spec& mem, const moe::MoeModelConfig& model,
+                      int num_devices);
 
 }  // namespace monde::core

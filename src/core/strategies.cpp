@@ -57,8 +57,7 @@ HwStreams HwStreams::create(sim::StreamSchedule& sched, const SystemConfig& sys)
 
 void StrategyContext::validate() const {
   MONDE_REQUIRE(sys && model && gpu && cpu && xformer, "incomplete strategy context");
-  MONDE_REQUIRE(devices.size() == static_cast<std::size_t>(sys->num_monde_devices),
-                "device list size mismatch");
+  MONDE_REQUIRE(ndp || sys->num_monde_devices == 0, "MoNDE devices need an NDP simulator");
 }
 
 void TokenCostTable::grow(std::uint64_t n) {
@@ -67,7 +66,7 @@ void TokenCostTable::grow(std::uint64_t n) {
   entries_.resize((n / 64 + 1) * 64, Duration::nanos(-1.0));
 }
 
-Strategy::Strategy(StrategyContext ctx) : ctx_{std::move(ctx)}, ndp_time_(ctx_.devices.size()) {
+Strategy::Strategy(StrategyContext ctx) : ctx_{std::move(ctx)} {
   ctx_.validate();
   pmove_time_ = kPcie.transfer_time(ctx_.model->expert_bytes());
   // The host driver's per-expert offload: two 64-B NDP instructions over CXL.
@@ -119,12 +118,12 @@ Duration Strategy::gpu_expert_time(std::uint64_t tok) {
   });
 }
 
-Duration Strategy::ndp_kernel_time(std::size_t d, std::uint64_t tok) {
-  return ndp_time_[d].at(tok, [this, d](std::uint64_t n) {
+Duration Strategy::ndp_kernel_time(std::uint64_t tok) {
+  return ndp_time_.at(tok, [this](std::uint64_t n) {
     // Kernel occupancy = simulated GEMM time + per-expert device overhead
     // (staging, decode, skew fill/drain, done handshake).
-    return ctx_.devices[d]
-               ->expert_latency(ctx_.expert_shape(static_cast<std::int64_t>(n)), ctx_.dtype())
+    return ctx_.ndp->simulate_expert(ctx_.expert_shape(static_cast<std::int64_t>(n)),
+                                     ctx_.dtype())
                .latency +
            kNdpExpertOverhead;
   });
@@ -191,7 +190,7 @@ Duration Strategy::place_resident_experts(std::span<const ExpertLoad> experts,
 Duration Strategy::place_ndp_batch(std::span<const ExpertLoad> experts,
                                    sim::StreamSchedule& sched, const HwStreams& hw,
                                    Duration ready, MoeLayerResult& result) {
-  const std::size_t n = ctx_.devices.size();
+  const auto n = static_cast<std::size_t>(ctx_.sys->num_monde_devices);
   MONDE_REQUIRE(n > 0, "strategy needs MoNDE devices");
   MONDE_REQUIRE(n <= hw.ndp.size(), "more MoNDE devices than NDP streams");
   Duration all_end = ready;
@@ -219,7 +218,7 @@ Duration Strategy::place_ndp_batch(std::span<const ExpertLoad> experts,
       const auto disp = sched.place(hw.host, ready, offload_dispatch_,
                                     ExpertLabel{"offload", e, tok}, "driver");
       const auto kv = sched.place(hw.ndp[d], max(kernel_ready, disp.end),
-                                  ndp_kernel_time(d, tok),
+                                  ndp_kernel_time(tok),
                                   ExpertLabel{"NDP expert", e, tok}, "ndp");
       kernel_ready = kv.end;
       // Host observes the done register, then retrieves this expert's
@@ -396,7 +395,7 @@ class MultiGpu final : public Strategy {
 
 MondeLoadBalanced::MondeLoadBalanced(StrategyContext ctx)
     : Strategy{std::move(ctx)}, scratch_hw_{HwStreams::create(scratch_, *ctx_.sys)} {
-  MONDE_REQUIRE(!ctx_.devices.empty(), "MD+LB needs at least one MoNDE device");
+  MONDE_REQUIRE(ctx_.sys->num_monde_devices > 0, "MD+LB needs at least one MoNDE device");
 }
 
 double MondeLoadBalanced::h_raw_equation6(const moe::MoeLayerWork& work) const {

@@ -16,12 +16,14 @@
 // the Figure 5 workflow trace.
 //
 // Every placement loop prices experts from per-strategy cost tables indexed
-// by an expert's token count: GPU expert time, NDP kernel time per MoNDE
-// device, and PCIe activation transfer time. A table entry is filled on
-// first use by the model call that prices it directly, so it is the same
-// double, and pricing a warm count is an array lookup. NDP entries come
-// from the shared NdpCoreSim memo, which stays the one source of NDP
-// latencies; a token count never placed on a device is never simulated.
+// by an expert's token count: GPU expert time, NDP kernel time, and PCIe
+// activation transfer time. A table entry is filled on first use by the
+// model call that prices it directly, so it is the same double, and pricing
+// a warm count is an array lookup. The MoNDE devices of a platform are
+// identical (Section 3.3), so one NDP table serves all of them; its entries
+// come from the platform's shared NdpCoreSim memo, which stays the one
+// source of NDP latencies. A token count never placed on a device is never
+// simulated.
 #pragma once
 
 #include <memory>
@@ -34,10 +36,10 @@
 #include "compute/gpu.hpp"
 #include "compute/transformer.hpp"
 #include "core/expert_cache.hpp"
-#include "core/monde_device.hpp"
 #include "core/system_config.hpp"
 #include "moe/gating.hpp"
 #include "moe/model_config.hpp"
+#include "ndp/ndp_core.hpp"
 #include "sim/timeline.hpp"
 
 namespace monde::core {
@@ -71,7 +73,9 @@ struct StrategyContext {
   const compute::GpuModel* gpu = nullptr;
   const compute::CpuModel* cpu = nullptr;
   const compute::TransformerCostModel* xformer = nullptr;
-  std::vector<MondeDevice*> devices;
+  /// The NDP simulator every MoNDE device of the platform shares (its
+  /// SystemConfig::num_monde_devices devices are identical).
+  ndp::NdpCoreSim* ndp = nullptr;
 
   [[nodiscard]] compute::DataType dtype() const { return model->dtype; }
   [[nodiscard]] compute::ExpertShape expert_shape(std::int64_t tokens) const {
@@ -187,9 +191,9 @@ class Strategy {
 
   /// GEMM time of one expert with `tok` routed tokens on a GPU.
   Duration gpu_expert_time(std::uint64_t tok);
-  /// Kernel occupancy of one expert with `tok` routed tokens on MoNDE
-  /// device `d`: its simulated latency plus kNdpExpertOverhead.
-  Duration ndp_kernel_time(std::size_t d, std::uint64_t tok);
+  /// Kernel occupancy of one expert with `tok` routed tokens on a MoNDE
+  /// device: its simulated latency plus kNdpExpertOverhead.
+  Duration ndp_kernel_time(std::uint64_t tok);
   /// PCIe transfer time of `routed` token-slots of activations.
   Duration activation_transfer_time(std::uint64_t routed);
 
@@ -204,7 +208,7 @@ class Strategy {
 
  private:
   TokenCostTable gpu_time_;
-  std::vector<TokenCostTable> ndp_time_;  ///< one per MoNDE device
+  TokenCostTable ndp_time_;
   TokenCostTable activation_time_;
   Duration pmove_time_;         ///< PCIe transfer of one expert's weights
   Duration offload_dispatch_;   ///< host work to offload one expert to NDP

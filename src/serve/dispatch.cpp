@@ -29,6 +29,18 @@ std::size_t least_outstanding(const std::vector<ReplicaSnapshot>& snapshots) {
   return argmin_load(snapshots, [](const ReplicaSnapshot& s) { return s.outstanding_tokens; });
 }
 
+/// Power-of-two choices over [0, n), n >= 2: two distinct uniform probes,
+/// of which the lower `load` wins (the lower index on ties, so the choice
+/// is deterministic given the RNG stream).
+template <typename LoadFn>
+std::size_t two_probe_pick(std::size_t n, Rng& rng, LoadFn load) {
+  std::size_t a = static_cast<std::size_t>(rng.next_below(n));
+  std::size_t b = static_cast<std::size_t>(rng.next_below(n - 1));
+  if (b >= a) ++b;
+  if (a > b) std::swap(a, b);
+  return load(b) < load(a) ? b : a;
+}
+
 class RoundRobinDispatcher final : public Dispatcher {
  public:
   [[nodiscard]] std::string name() const override { return "round-robin"; }
@@ -72,13 +84,8 @@ class PowerOfTwoChoicesDispatcher final : public Dispatcher {
     MONDE_REQUIRE(!snapshots.empty(), "dispatcher needs at least one replica");
     const std::size_t n = snapshots.size();
     if (n == 1) return 0;
-    // Two distinct uniform probes; keep the shorter queue (lower index wins
-    // ties so the choice is deterministic).
-    std::size_t a = static_cast<std::size_t>(rng_.next_below(n));
-    std::size_t b = static_cast<std::size_t>(rng_.next_below(n - 1));
-    if (b >= a) ++b;
-    if (a > b) std::swap(a, b);
-    return snapshots[b].in_flight < snapshots[a].in_flight ? b : a;
+    // Keep the shorter queue of the two probes.
+    return two_probe_pick(n, rng_, [&](std::size_t i) { return snapshots[i].in_flight; });
   }
 
  private:
@@ -94,12 +101,8 @@ std::size_t spill_over(const std::vector<ReplicaSnapshot>& snapshots, std::size_
                        Rng& rng) {
   const std::size_t n = snapshots.size();
   if (n < 2) return choice;
-  std::size_t a = static_cast<std::size_t>(rng.next_below(n));
-  std::size_t b = static_cast<std::size_t>(rng.next_below(n - 1));
-  if (b >= a) ++b;
-  if (a > b) std::swap(a, b);
   const std::size_t probe =
-      snapshots[b].outstanding_tokens < snapshots[a].outstanding_tokens ? b : a;
+      two_probe_pick(n, rng, [&](std::size_t i) { return snapshots[i].outstanding_tokens; });
   if (snapshots[choice].outstanding_tokens > 2 * snapshots[probe].outstanding_tokens) {
     return probe;
   }
@@ -161,17 +164,10 @@ class PrefixAffinityDispatcher final : public Dispatcher {
     if (holders_.empty()) return least_outstanding(snapshots);
     std::size_t choice = holders_.front();
     if (holders_.size() > 1) {
-      // Two distinct uniform probes among the holders; fewer outstanding
-      // tokens wins, lower index on ties.
-      const std::size_t h = holders_.size();
-      std::size_t a = static_cast<std::size_t>(rng_.next_below(h));
-      std::size_t b = static_cast<std::size_t>(rng_.next_below(h - 1));
-      if (b >= a) ++b;
-      if (a > b) std::swap(a, b);
-      choice = snapshots[holders_[b]].outstanding_tokens <
-                       snapshots[holders_[a]].outstanding_tokens
-                   ? holders_[b]
-                   : holders_[a];
+      // Two probes among the holders; fewer outstanding tokens wins.
+      choice = holders_[two_probe_pick(holders_.size(), rng_, [&](std::size_t i) {
+        return snapshots[holders_[i]].outstanding_tokens;
+      })];
     }
     return spill_over(snapshots, choice, rng_);
   }

@@ -133,9 +133,9 @@ std::vector<Request> ServerSim::harvest_stranded() {
   MONDE_REQUIRE(failed_, "harvest_stranded() is only valid after a fail-stop");
   MONDE_REQUIRE(!harvested_, "stranded requests were already harvested");
   harvested_ = true;
+  evict_in_flight_experts();
   std::vector<Request> stranded = sched_.abort_unfinished();
   cache_.drop_pinned();
-  for (const Request& rq : stranded) unpin_experts(rq.id, /*evict=*/true);
   touch();
   return stranded;
 }
@@ -155,12 +155,9 @@ std::vector<Request> ServerSim::evacuate() {
     pending_admits_.clear();
   }
   apply_pending_completion();
+  evict_in_flight_experts();
   std::vector<Request> moved = sched_.abort_unfinished();
   cache_.drop_pinned();
-  // The migrating requests take their expert demand with them: experts no
-  // remaining local request references leave the cache and re-home on
-  // whichever replica the cluster re-dispatches the requests to.
-  for (const Request& rq : moved) unpin_experts(rq.id, /*evict=*/true);
   touch();
   return moved;
 }
@@ -177,9 +174,6 @@ void ServerSim::apply_pending_completion() {
     for (const std::uint64_t id : out.advanced) cache_.decode_token(id);
     for (const std::uint64_t id : out.finished) cache_.complete(id);
   }
-  if (expert_.enabled) {
-    for (const std::uint64_t id : out.finished) unpin_experts(id, /*evict=*/false);
-  }
   if (prefill_role_) {
     // Prefill complete: every request whose admission step just landed
     // (prompt resident, first decode token surfaced) leaves for the decode
@@ -189,7 +183,6 @@ void ServerSim::apply_pending_completion() {
     // each record into a decode-pool dispatch at release + transfer.
     for (Request& rq : sched_.release_prefilled()) {
       cache_.complete(rq.id);  // no-op when the cache is disabled
-      unpin_experts(rq.id, /*evict=*/false);
       const Duration transfer = disagg_.handoff_link.transfer_time(
           cache_.config().kv_bytes_per_token *
           static_cast<std::uint64_t>(rq.resume.resident_tokens()));
@@ -253,7 +246,6 @@ void ServerSim::step(const std::vector<RequestState*>& newly) {
   // arrived since the last step are charged here too. The walk is in
   // admission order, so the accounting is deterministic.
   if (expert_.enabled) {
-    for (const RequestState* rs : newly) pin_experts(rs->request);
     const auto& states = sched_.states();
     for (const std::size_t idx : sched_.active()) {
       for (const auto& e : states[idx].request.expert_profile.experts) {
@@ -284,29 +276,15 @@ void ServerSim::step(const std::vector<RequestState*>& newly) {
   steps_.push_back(rec);
 }
 
-void ServerSim::pin_experts(const Request& rq) {
-  if (rq.expert_profile.empty()) return;
-  std::vector<core::ExpertId>& ids = request_experts_[rq.id];
-  for (const auto& e : rq.expert_profile.experts) {
-    const core::ExpertId id{e.layer, e.expert};
-    ids.push_back(id);
-    ++expert_pins_[id];
-  }
-}
-
-void ServerSim::unpin_experts(std::uint64_t id, bool evict) {
-  const auto it = request_experts_.find(id);
-  if (it == request_experts_.end()) return;
-  for (const core::ExpertId& eid : it->second) {
-    const auto pin = expert_pins_.find(eid);
-    MONDE_ASSERT(pin != expert_pins_.end() && pin->second > 0,
-                 "expert residency refcount underflow");
-    if (--pin->second == 0) {
-      expert_pins_.erase(pin);
-      if (evict) expert_cache_.erase(eid);
+void ServerSim::evict_in_flight_experts() {
+  if (!expert_.enabled) return;
+  const auto& states = sched_.states();
+  for (const std::size_t idx : sched_.active()) {
+    if (states[idx].done) continue;  // a padded fixed-mode slot
+    for (const auto& e : states[idx].request.expert_profile.experts) {
+      expert_cache_.erase({e.layer, e.expert});
     }
   }
-  request_experts_.erase(it);
 }
 
 std::size_t ServerSim::preload_experts(const std::vector<core::ExpertId>& ids) {

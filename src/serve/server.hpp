@@ -71,8 +71,6 @@
 #include <cstdint>
 #include <vector>
 
-#include <unordered_map>
-
 #include "common/stats.hpp"
 #include "core/engine.hpp"
 #include "core/expert_cache.hpp"
@@ -308,17 +306,14 @@ class ServerSim {
   /// landed in time, discard one that did not, clamp the clock.
   void fail_now();
 
-  /// Expert residency refcounts: remember which experts `rq` references so
-  /// its departure can release them (satisfying "demand re-homes with the
-  /// request"). Pins never protect an expert from ordinary LRU pressure --
-  /// they only drive departure eviction.
-  void pin_experts(const Request& rq);
-
-  /// Drop request `id`'s pins. A completing or handed-off request leaves its
-  /// experts warm (`evict` false); a harvested/evacuated one takes its
-  /// demand with it -- experts with no remaining referencing request are
-  /// erased from the cache (`evict` true).
-  void unpin_experts(std::uint64_t id, bool evict);
+  /// Departure eviction at harvest/evacuation: the in-flight requests (the
+  /// active, not-done slots) take their expert demand with them, so every
+  /// expert of their profiles leaves the cache and re-homes on whichever
+  /// replica the cluster re-dispatches them to. Completing and handed-off
+  /// requests leave their experts warm; nothing protects an expert from
+  /// ordinary LRU pressure. Call before abort_unfinished() empties the
+  /// batch.
+  void evict_in_flight_experts();
 
   /// Record a mutation: bump version_ and drop the next_event_time() cache.
   void touch() {
@@ -337,10 +332,6 @@ class ServerSim {
   core::ExpertCache expert_cache_;  ///< capacity 0 (inert) when disabled
   Duration expert_fetch_time_ = Duration::zero();  ///< per-expert miss cost
   Duration pending_preload_ = Duration::zero();    ///< rebalance fetches awaiting a step
-  /// Expert residency refcounts (see pin_experts/unpin_experts): per-request
-  /// pinned experts and how many in-flight requests reference each expert.
-  std::unordered_map<std::uint64_t, std::vector<core::ExpertId>> request_experts_;
-  std::unordered_map<core::ExpertId, std::int64_t, core::ExpertIdHash> expert_pins_;
   // Disaggregated serving (inert unless prefill_role_):
   DisaggConfig disagg_;
   bool prefill_role_ = false;

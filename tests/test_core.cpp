@@ -45,9 +45,9 @@ class StrategyTest : public ::testing::Test {
         gpu_{kGpu},
         cpu_{kCpu},
         xformer_{gpu_, model_.dtype},
-        sim_{std::make_shared<ndp::NdpCoreSim>(sys_.ndp, sys_.monde_mem)} {
-    devices_.push_back(std::make_unique<MondeDevice>(0, sim_));
-    devices_.back()->place_model(model_, 1);
+        sim_{std::make_shared<ndp::NdpCoreSim>(sys_.ndp, sys_.monde_mem)},
+        device_{0, sim_} {
+    device_.place_model(model_, 1);
   }
 
   StrategyContext ctx() {
@@ -57,7 +57,7 @@ class StrategyTest : public ::testing::Test {
     c.gpu = &gpu_;
     c.cpu = &cpu_;
     c.xformer = &xformer_;
-    for (auto& d : devices_) c.devices.push_back(d.get());
+    c.ndp = sim_.get();
     return c;
   }
 
@@ -83,7 +83,7 @@ class StrategyTest : public ::testing::Test {
   compute::CpuModel cpu_;
   compute::TransformerCostModel xformer_;
   std::shared_ptr<ndp::NdpCoreSim> sim_;
-  std::vector<std::unique_ptr<MondeDevice>> devices_;
+  MondeDevice device_;
 };
 
 // --- SystemConfig -------------------------------------------------------------
@@ -162,7 +162,7 @@ TEST(Allocator, AddressOfStaysInBuffer) {
 // --- MondeDevice -------------------------------------------------------------------
 
 TEST_F(StrategyTest, DevicePlacementAndLookup) {
-  MondeDevice& dev = *devices_[0];
+  MondeDevice& dev = device_;
   EXPECT_TRUE(dev.has_expert({0, 0}));
   EXPECT_TRUE(dev.has_expert({3, 15}));  // 4 layers x 16 experts
   EXPECT_FALSE(dev.has_expert({4, 0}));
@@ -182,7 +182,7 @@ TEST_F(StrategyTest, ModelShardingAcrossDevices) {
 }
 
 TEST_F(StrategyTest, CompiledInstructionsAreValid) {
-  MondeDevice& dev = *devices_[0];
+  MondeDevice& dev = device_;
   const auto instrs = dev.compile_expert_op({1, 3}, 12, model_);
   ASSERT_EQ(instrs.size(), 2u);
   EXPECT_EQ(instrs[0].opcode, interconnect::Opcode::kGemmRelu);
@@ -203,7 +203,7 @@ TEST_F(StrategyTest, CompiledInstructionsAreValid) {
 }
 
 TEST_F(StrategyTest, CompiledAddressesRespectBankPartitions) {
-  MondeDevice& dev = *devices_[0];
+  MondeDevice& dev = device_;
   const auto instrs = dev.compile_expert_op({0, 5}, 4, model_);
   const dram::AddressMapper mapper{sys_.monde_mem};
   for (const auto& inst : instrs) {
@@ -578,16 +578,11 @@ class ReferenceTuner {
 /// One platform: `devices` MoNDE devices sharing one NDP simulator, with
 /// or without a GPU expert cache.
 struct Platform {
-  Platform(const moe::MoeModelConfig& m, int devices, bool cache,
-           const std::shared_ptr<ndp::NdpCoreSim>& sim)
+  Platform(const moe::MoeModelConfig& m, int devices, bool cache, ndp::NdpCoreSim& sim)
       : sys{SystemConfig::dac24()}, model{m}, gpu{kGpu}, cpu{kCpu},
-        xformer{gpu, model.dtype} {
+        xformer{gpu, model.dtype}, ndp{&sim} {
     sys.num_monde_devices = devices;
     if (cache) sys.gpu_expert_cache_bytes = model.expert_bytes() * 48;
-    for (int d = 0; d < devices; ++d) {
-      device_list.push_back(std::make_unique<MondeDevice>(d, sim));
-      device_list.back()->place_model(model, devices);
-    }
   }
 
   StrategyContext ctx() {
@@ -597,7 +592,7 @@ struct Platform {
     c.gpu = &gpu;
     c.cpu = &cpu;
     c.xformer = &xformer;
-    for (auto& d : device_list) c.devices.push_back(d.get());
+    c.ndp = ndp;
     return c;
   }
 
@@ -606,7 +601,7 @@ struct Platform {
   compute::GpuModel gpu;
   compute::CpuModel cpu;
   compute::TransformerCostModel xformer;
-  std::vector<std::unique_ptr<MondeDevice>> device_list;
+  ndp::NdpCoreSim* ndp;
 };
 
 moe::MoeModelConfig tuner_model(std::int64_t experts) {
@@ -653,7 +648,7 @@ TEST_P(TunerDiff, OnePassSweepMatchesPerOffsetLoop) {
   const SystemConfig sys = SystemConfig::dac24();
   // One simulator for every instantiation, so expert shapes memoize.
   static const auto ndp_sim = std::make_shared<ndp::NdpCoreSim>(sys.ndp, sys.monde_mem);
-  Platform platform{model, devices, cache, ndp_sim};
+  Platform platform{model, devices, cache, *ndp_sim};
 
   MondeLoadBalanced tuned{platform.ctx()};
   ReferenceTuner reference{platform.ctx()};
@@ -744,7 +739,7 @@ Duration reference_md_lb_layer(Platform& p, const moe::MoeLayerWork& work, int h
   }
 
   const std::span<const ExpertLoad> cold = std::span{by_load}.subspan(hot);
-  const std::size_t n = p.device_list.size();
+  const auto n = static_cast<std::size_t>(p.sys.num_monde_devices);
   Duration ndp_end = gate_end;
   for (std::size_t d = 0; d < std::min(n, cold.size()); ++d) {
     std::uint64_t routed = 0;
@@ -759,7 +754,7 @@ Duration reference_md_lb_layer(Platform& p, const moe::MoeLayerWork& work, int h
                       expert_label("offload", e, tok), "driver");
       const auto kv = sched.place(
           hw.ndp[d], max(kernel_ready, disp.end),
-          p.device_list[d]->sim().simulate_expert(shape(tok), m.dtype).latency + kNdpExpertOverhead,
+          p.ndp->simulate_expert(shape(tok), m.dtype).latency + kNdpExpertOverhead,
           expert_label("NDP expert", e, tok), "ndp");
       kernel_ready = kv.end;
       ndp_end = max(ndp_end, sched.place(hw.pcie_m2g, kv.end + kDonePoll,
@@ -795,7 +790,7 @@ TEST_P(CostTableDiff, TablePricingMatchesDirectPricing) {
   const moe::MoeModelConfig model = tuner_model(16);
   const SystemConfig sys = SystemConfig::dac24();
   static const auto ndp_sim = std::make_shared<ndp::NdpCoreSim>(sys.ndp, sys.monde_mem);
-  Platform platform{model, devices, cache, ndp_sim};
+  Platform platform{model, devices, cache, *ndp_sim};
 
   // Random layers: decoder steps of a few tokens, and encoder passes up to
   // 4 x 512 tokens top-2, whose hot experts route far more tokens than
@@ -869,7 +864,7 @@ TEST(CostTables, SimulateEachPlacedNdpShapeOnce) {
   const moe::MoeModelConfig model = tuner_model(16);
   const SystemConfig sys = SystemConfig::dac24();
   const auto ndp_sim = std::make_shared<ndp::NdpCoreSim>(sys.ndp, sys.monde_mem);
-  Platform platform{model, 1, false, ndp_sim};
+  Platform platform{model, 1, false, *ndp_sim};
   moe::WorkloadGenerator gen{model, moe::SkewProfile::switch_like(), 5};
   std::vector<moe::MoeLayerWork> works = gen.encoder_pass(2, 64).moe_layers;
   for (const moe::DecoderStep& step : gen.decoder_steps(8, 6)) {
@@ -1201,6 +1196,54 @@ TEST(Engine, RejectsDenseModel) {
   EXPECT_THROW(InferenceEngine(SystemConfig::dac24(), moe::MoeModelConfig::t5_large_dense(),
                                moe::SkewProfile::uniform(), StrategyKind::kIdealGpu, 1),
                Error);
+}
+
+TEST(Engine, FitCheckAgreesWithDevicePlacement) {
+  // The engine rejects a model that does not fit without placing it; the
+  // allocator, which places every expert of device 0's shard, is the
+  // oracle. The sweep straddles the 256-GiB weight partition: an NLLB
+  // expert is 8 KiB x dff and device 0 holds ceil(E / n) experts in each
+  // of the 12 MoE layers.
+  const auto error_of = [](const auto& fn) -> std::string {
+    try {
+      fn();
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return {};
+  };
+  SystemConfig sys = SystemConfig::dac24();
+  const auto sim = std::make_shared<ndp::NdpCoreSim>(sys.ndp, sys.monde_mem);
+  int fits = 0;
+  int rejected = 0;
+  for (const int devices : {1, 2}) {
+    sys.num_monde_devices = devices;
+    for (const std::int64_t experts : {128, 341, 342, 682, 683}) {
+      for (const std::int64_t dff : {8192, 21845, 21846, 43690, 43691}) {
+        moe::MoeModelConfig model = moe::MoeModelConfig::nllb_moe_128();
+        model.num_experts = experts;
+        model.dff = dff;
+        SCOPED_TRACE(std::to_string(devices) + " devices, E=" + std::to_string(experts) +
+                     ", dff=" + std::to_string(dff));
+        const std::string placed =
+            error_of([&] { MondeDevice{0, sim}.place_model(model, devices); });
+        const std::string built = error_of([&] {
+          InferenceEngine{sys, model, moe::SkewProfile::uniform(), StrategyKind::kMondeAmove, 1,
+                          sim};
+        });
+        EXPECT_EQ(built.empty(), placed.empty()) << "engine: " << built << "\ndevice: " << placed;
+        if (placed.empty()) {
+          ++fits;
+        } else {
+          ++rejected;
+          EXPECT_NE(placed.find("exhausted"), std::string::npos) << placed;
+          EXPECT_NE(built.find("exhausted"), std::string::npos) << built;
+        }
+      }
+    }
+  }
+  EXPECT_GT(fits, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(Engine, MultiDeviceEncoderNotSlower) {

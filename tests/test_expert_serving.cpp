@@ -297,7 +297,7 @@ TEST(ExpertServing, EvacuationReleasesDepartingResidencyKeepsWarmSets) {
 
 TEST(ExpertServing, HarvestAfterFailStopReleasesResidency) {
   // Same invariant on the failure path: requests stranded by a fail-stop
-  // take their expert pins with them, so a re-homed request re-fetches on
+  // take their expert demand with them, so a re-homed request re-fetches on
   // the retry replica instead of phantom-hitting the dead one's cache.
   auto engine = core::InferenceEngine{core::SystemConfig::dac24(), tiny_model(),
                                       moe::SkewProfile::switch_like(),

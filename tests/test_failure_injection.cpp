@@ -34,12 +34,9 @@ struct Platform {
   compute::TransformerCostModel xformer{gpu, model.dtype};
   std::shared_ptr<ndp::NdpCoreSim> sim =
       std::make_shared<ndp::NdpCoreSim>(sys.ndp, sys.monde_mem);
-  std::vector<std::unique_ptr<MondeDevice>> devices;
+  MondeDevice device{0, sim};
 
-  Platform() {
-    devices.push_back(std::make_unique<MondeDevice>(0, sim));
-    devices.back()->place_model(model, 1);
-  }
+  Platform() { device.place_model(model, 1); }
 
   StrategyContext ctx() {
     StrategyContext c;
@@ -48,7 +45,7 @@ struct Platform {
     c.gpu = &gpu;
     c.cpu = &cpu;
     c.xformer = &xformer;
-    for (auto& d : devices) c.devices.push_back(d.get());
+    c.ndp = sim.get();
     return c;
   }
 };
@@ -92,7 +89,7 @@ TEST(FailureInjection, MondeStrategiesRequireDevices) {
   Platform p;
   p.sys.num_monde_devices = 0;
   StrategyContext c = p.ctx();
-  c.devices.clear();
+  c.ndp = nullptr;
   EXPECT_THROW(make_strategy(StrategyKind::kMondeLoadBalanced, c), Error);
   // MD+AM constructs but must fail loudly when asked to schedule.
   auto am = make_strategy(StrategyKind::kMondeAmove, c);
@@ -123,7 +120,7 @@ TEST(FailureInjection, ActivationArenaResetEnablesLongRuns) {
   // compile_expert_op consumes activation-arena space; periodic per-layer
   // resets (the paper's fixed per-layer allocation) keep it bounded.
   Platform p;
-  MondeDevice& dev = *p.devices[0];
+  MondeDevice& dev = p.device;
   for (int round = 0; round < 200; ++round) {
     (void)dev.compile_expert_op({0, round % 16}, 64, p.model);
     if (round % 8 == 7) dev.allocator().reset_activations();
