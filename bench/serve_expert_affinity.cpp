@@ -19,7 +19,10 @@
 //   3. degraded mode -- an overloaded fleet with the pruned-expert mode:
 //      requests dispatched onto replicas past the outstanding-token
 //      threshold are served with a truncated profile (fewer expert
-//      fetches, top-1 quality).
+//      fetches, top-1 quality). The binary also FAILS unless pruning on
+//      beats pruning off on BOTH tok/s AND TPOT p99. The 512-token
+//      threshold wins both at smoke and full size; thresholds of 256 and
+//      below lose full-size throughput.
 //
 //   ./bench/serve_expert_affinity                  full sweep
 //   ./bench/serve_expert_affinity --smoke          tiny CI configuration
@@ -35,10 +38,16 @@
 
 namespace {
 
-struct PolicyRun {
+/// The figures a section's must-beat gate compares.
+struct GatedRun {
+  double tokens_per_s = 0.0;
   double hit_rate = 0.0;
   double tpot_p99 = 0.0;
 };
+
+GatedRun gated_run(const monde::serve::ClusterReport& rep) {
+  return {rep.tokens_per_s, rep.expert_hit_rate, rep.tpot_ms.p99};
+}
 
 }  // namespace
 
@@ -82,7 +91,7 @@ int main(int argc, char** argv) {
   const double rate_per_s = 250.0 * static_cast<double>(replicas);
 
   // --- 1. Dispatch policies under expert residency ------------------------
-  PolicyRun baseline, affinity;
+  GatedRun baseline, affinity;
   {
     std::printf("--- dispatch: %zu replicas, %d requests, %zu-expert caches ---\n",
                 replicas, requests, expert.cache_capacity);
@@ -117,9 +126,9 @@ int main(int argc, char** argv) {
       metrics.add(key + "e2e_p95_ms", rep.e2e_ms.p95);
       metrics.add(key + "imbalance", rep.imbalance);
       if (p.policy == serve::DispatchPolicy::kLeastOutstandingTokens) {
-        baseline = {rep.expert_hit_rate, rep.tpot_ms.p99};
+        baseline = gated_run(rep);
       } else if (p.policy == serve::DispatchPolicy::kExpertAffinity) {
-        affinity = {rep.expert_hit_rate, rep.tpot_ms.p99};
+        affinity = gated_run(rep);
       }
     }
     std::printf("%s\n", table.str().c_str());
@@ -155,6 +164,7 @@ int main(int argc, char** argv) {
   }
 
   // --- 3. Pruned-expert degraded mode under overload ----------------------
+  GatedRun full_profiles, pruned;
   {
     std::printf("--- overload: prune profiles dispatched onto backed-up replicas ---\n");
     // A small fleet driven well past capacity, so outstanding tokens pile up
@@ -166,7 +176,7 @@ int main(int argc, char** argv) {
     for (const bool on : {false, true}) {
       serve::ClusterConfig ccfg;
       ccfg.expert = expert;
-      if (on) ccfg.expert.prune_outstanding_tokens = 256;
+      if (on) ccfg.expert.prune_outstanding_tokens = 512;
       ccfg.event_log_enabled = false;
       ccfg.threads = args.threads;
       serve::ClusterSim cluster{
@@ -181,8 +191,10 @@ int main(int argc, char** argv) {
                      Table::num(100.0 * rep.expert_hit_rate, 1) + "%",
                      Table::num(rep.tpot_ms.p99, 3), std::to_string(rep.pruned_requests)});
       const std::string key = on ? "prune.on." : "prune.off.";
+      metrics.add(key + "tokens_per_s", rep.tokens_per_s);
       metrics.add(key + "tpot_p99_ms", rep.tpot_ms.p99);
       metrics.add(key + "pruned_requests", static_cast<double>(rep.pruned_requests));
+      (on ? pruned : full_profiles) = gated_run(rep);
     }
     std::printf("%s\n", table.str().c_str());
   }
@@ -193,8 +205,9 @@ int main(int argc, char** argv) {
 
   metrics.write(args.json_path);
 
-  // The acceptance gate this bench exists for: gating-aware dispatch must
-  // beat the load-only baseline on residency AND on the decode tail.
+  // The acceptance gates this bench exists for: gating-aware dispatch must
+  // beat the load-only baseline on residency AND on the decode tail, and
+  // the degraded mode must beat full profiles on throughput AND the tail.
   bool failed = false;
   if (affinity.hit_rate <= baseline.hit_rate) {
     std::printf("FAIL: affinity hit rate (%.1f%%) did not beat baseline (%.1f%%)\n",
@@ -206,9 +219,22 @@ int main(int argc, char** argv) {
                 affinity.tpot_p99, baseline.tpot_p99);
     failed = true;
   }
+  if (pruned.tokens_per_s <= full_profiles.tokens_per_s) {
+    std::printf("FAIL: pruned tok/s (%.1f) did not beat full profiles (%.1f)\n",
+                pruned.tokens_per_s, full_profiles.tokens_per_s);
+    failed = true;
+  }
+  if (pruned.tpot_p99 >= full_profiles.tpot_p99) {
+    std::printf("FAIL: pruned TPOT p99 (%.3f ms) did not beat full profiles (%.3f ms)\n",
+                pruned.tpot_p99, full_profiles.tpot_p99);
+    failed = true;
+  }
   if (failed) return 1;
   std::printf("affinity hit rate %.1f%% > baseline %.1f%%; TPOT p99 %.3f ms < %.3f ms\n",
               100.0 * affinity.hit_rate, 100.0 * baseline.hit_rate, affinity.tpot_p99,
               baseline.tpot_p99);
+  std::printf("pruned tok/s %.1f > full profiles %.1f; TPOT p99 %.3f ms < %.3f ms\n",
+              pruned.tokens_per_s, full_profiles.tokens_per_s, pruned.tpot_p99,
+              full_profiles.tpot_p99);
   return 0;
 }

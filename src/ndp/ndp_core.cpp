@@ -12,59 +12,7 @@ namespace {
 
 std::uint64_t ceil_div(std::uint64_t a, std::uint64_t b) { return (a + b - 1) / b; }
 
-/// splitmix64 finalizer: a cheap, well-mixed integer hash.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 }  // namespace
-
-NdpCoreSim::MemoTable::~MemoTable() {
-  for (std::atomic<Node*>& head : heads_) {
-    Node* n = head.load(std::memory_order_relaxed);
-    while (n != nullptr) {
-      Node* next = n->next;
-      delete n;
-      n = next;
-    }
-  }
-}
-
-std::size_t NdpCoreSim::MemoTable::bucket_of(const Key& key) {
-  std::uint64_t h = mix64(static_cast<std::uint64_t>(std::get<0>(key)));
-  h = mix64(h ^ static_cast<std::uint64_t>(std::get<1>(key)));
-  h = mix64(h ^ static_cast<std::uint64_t>(std::get<2>(key)));
-  h = mix64(h ^ static_cast<std::uint64_t>(std::get<3>(key)));
-  return static_cast<std::size_t>(h) % kBuckets;
-}
-
-const NdpKernelResult* NdpCoreSim::MemoTable::find(const Key& key) const {
-  // The acquire pairs with insert()'s release store: a published node's key,
-  // value, and next pointer are fully visible and never mutated afterwards.
-  for (const Node* n = heads_[bucket_of(key)].load(std::memory_order_acquire); n != nullptr;
-       n = n->next) {
-    if (n->key == key) return &n->value;
-  }
-  return nullptr;
-}
-
-const NdpKernelResult& NdpCoreSim::MemoTable::insert(const Key& key,
-                                                     const NdpKernelResult& value) {
-  std::lock_guard<std::mutex> lock{insert_mu_};
-  // A racing computer of the same shape may have published first; its value
-  // is identical (the simulation is deterministic in the shape), so the
-  // first insert is canonical and the duplicate is simply dropped.
-  std::atomic<Node*>& head = heads_[bucket_of(key)];
-  for (Node* n = head.load(std::memory_order_relaxed); n != nullptr; n = n->next) {
-    if (n->key == key) return n->value;
-  }
-  Node* node = new Node{key, value, head.load(std::memory_order_relaxed)};
-  head.store(node, std::memory_order_release);
-  return node->value;
-}
 
 NdpCoreSim::NdpCoreSim(NdpSpec ndp, dram::Spec mem) : ndp_{ndp}, mem_{std::move(mem)} {
   mem_.validate();
@@ -353,18 +301,7 @@ NdpKernelResult NdpCoreSim::run_pipeline(const std::vector<std::vector<Chunk>>& 
 
 NdpKernelResult NdpCoreSim::simulate_gemm(const compute::GemmShape& shape,
                                           compute::DataType dt) {
-  // The memo key folds in the ablation / simulation-mode flags.
-  const Key key{shape.m, shape.n, shape.k, memo_flags(dt)};
-  if (const NdpKernelResult* hit = gemm_memo_.find(key)) {
-    memo_hits_.fetch_add(1, std::memory_order_relaxed);
-    return *hit;
-  }
-  memo_misses_.fetch_add(1, std::memory_order_relaxed);
-  // Computed outside any lock: racing threads may simulate the same shape
-  // concurrently, but the result is shape-deterministic and insert() keeps
-  // one canonical copy.
-  const NdpKernelResult r = run_pipeline({build_chunks(shape, dt)});
-  return gemm_memo_.insert(key, r);
+  return run_pipeline({build_chunks(shape, dt)});
 }
 
 NdpKernelResult NdpCoreSim::compute_bound_estimate(const compute::ExpertShape& expert,
@@ -402,12 +339,19 @@ NdpKernelResult NdpCoreSim::compute_bound_estimate(const compute::ExpertShape& e
 NdpKernelResult NdpCoreSim::simulate_expert(const compute::ExpertShape& expert,
                                             compute::DataType dt) {
   MONDE_REQUIRE(expert.tokens > 0, "expert simulation needs at least one token");
+  // The memo key folds in the ablation / simulation-mode flags.
   const Key key{expert.tokens, expert.dmodel, expert.dff, memo_flags(dt)};
-  if (const NdpKernelResult* hit = expert_memo_.find(key)) {
-    memo_hits_.fetch_add(1, std::memory_order_relaxed);
-    return *hit;
+  {
+    const std::lock_guard<std::mutex> lock{memo_mu_};
+    if (const auto hit = memo_.find(key); hit != memo_.end()) {
+      ++memo_hits_;
+      return hit->second;
+    }
+    ++memo_misses_;
   }
-  memo_misses_.fetch_add(1, std::memory_order_relaxed);
+  // Simulated outside the lock: racing threads may simulate the same shape
+  // concurrently, but the result is shape-deterministic and the first insert
+  // stays canonical.
   NdpKernelResult r;
   if (expert.tokens > cycle_sim_token_limit) {
     r = compute_bound_estimate(expert, dt);
@@ -416,7 +360,8 @@ NdpKernelResult NdpCoreSim::simulate_expert(const compute::ExpertShape& expert,
     // Two kernels were decoded (gemm+relu, gemm).
     r.latency += 2.0 * ndp_.kernel_decode;
   }
-  return expert_memo_.insert(key, r);
+  const std::lock_guard<std::mutex> lock{memo_mu_};
+  return memo_.try_emplace(key, r).first->second;
 }
 
 Duration NdpCoreSim::analytic_expert_lower_bound(const compute::ExpertShape& expert,

@@ -36,9 +36,8 @@
 // the cycle simulator itself validates at the crossover (see tests).
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <tuple>
 #include <vector>
@@ -62,25 +61,28 @@ struct NdpKernelResult {
 };
 
 /// The NDP core + device-memory simulator. One instance per MoNDE device
-/// configuration; results are memoized by GEMM shape (deterministic).
+/// configuration; expert results are memoized by shape (deterministic).
 ///
-/// Concurrency: simulate_gemm() / simulate_expert() may be called from many
-/// threads at once (a parallel ClusterSim shares one NdpCoreSim across every
-/// replica). The shape memo is a read-mostly concurrent table: lookups are
-/// lock-free (the steady state once the shape space is warm), and a miss
-/// computes the result outside any lock, then inserts under a mutex --
-/// concurrent computers of one shape each derive the identical deterministic
-/// value and converge on a single canonical entry, so memoized latencies are
+/// Concurrency: simulate_expert() may be called from many threads at once (a
+/// parallel ClusterSim shares one NdpCoreSim across every replica). The memo
+/// is one ordered map and its hit/miss counters under one mutex, sized to the
+/// traffic it sees: the strategies' per-token cost tables absorb repeat
+/// pricing, so a replica makes only a handful of lookups per run. A miss
+/// simulates outside the lock, so cold shapes still simulate in parallel;
+/// racing computers of one shape each derive the identical deterministic
+/// value and the first insert stays canonical, so memoized latencies are
 /// bit-identical regardless of thread count or interleaving. Only the
-/// hit/miss COUNTERS may differ run to run under concurrency (racing misses
-/// on one shape each count once); they are diagnostics, never simulation
-/// inputs. The public knobs (bank_partitioning, exhaustive_tick) must be
-/// set before concurrent use begins.
+/// counters may differ run to run under concurrency (racing misses on one
+/// shape each count once); they are diagnostics, never simulation inputs.
+/// simulate_gemm() is uncached and touches no shared state. The public knobs
+/// (bank_partitioning, exhaustive_tick) must be set before concurrent use
+/// begins.
 class NdpCoreSim {
  public:
   NdpCoreSim(NdpSpec ndp, dram::Spec mem);
 
-  /// Simulate a single gemm / gemm+relu kernel.
+  /// Simulate a single gemm / gemm+relu kernel (uncached: a test entry point;
+  /// the simulator prices whole experts).
   NdpKernelResult simulate_gemm(const compute::GemmShape& shape, compute::DataType dt);
 
   /// Simulate one expert FFN: linear1 (gemm+relu) then linear2 (gemm), with
@@ -118,10 +120,12 @@ class NdpCoreSim {
   bool exhaustive_tick = dram::DramSystem::exhaustive_tick_env_default();
 
   [[nodiscard]] std::uint64_t memo_hits() const {
-    return memo_hits_.load(std::memory_order_relaxed);
+    const std::lock_guard<std::mutex> lock{memo_mu_};
+    return memo_hits_;
   }
   [[nodiscard]] std::uint64_t memo_misses() const {
-    return memo_misses_.load(std::memory_order_relaxed);
+    const std::lock_guard<std::mutex> lock{memo_mu_};
+    return memo_misses_;
   }
 
  private:
@@ -150,45 +154,12 @@ class NdpCoreSim {
     return static_cast<int>(dt) * 4 + (bank_partitioning ? 2 : 0) + (exhaustive_tick ? 1 : 0);
   }
 
-  /// Read-mostly concurrent memo table: fixed bucket array of immutable,
-  /// prepend-only chains. find() is lock-free (acquire-load the bucket head,
-  /// walk nodes that are never mutated after publication); insert() takes
-  /// one mutex, re-checks, and publishes with a release store. Entries are
-  /// never removed, so lookups need no reader registration and returned
-  /// references stay valid for the table's lifetime.
-  class MemoTable {
-   public:
-    MemoTable() = default;
-    ~MemoTable();
-    MemoTable(const MemoTable&) = delete;
-    MemoTable& operator=(const MemoTable&) = delete;
-
-    /// Lock-free lookup; nullptr on miss. The pointee is immutable.
-    [[nodiscard]] const NdpKernelResult* find(const Key& key) const;
-
-    /// Insert under the table mutex; returns the canonical entry (an earlier
-    /// racer's identical value wins, the duplicate is discarded).
-    const NdpKernelResult& insert(const Key& key, const NdpKernelResult& value);
-
-   private:
-    struct Node {
-      Key key;
-      NdpKernelResult value;
-      Node* next = nullptr;
-    };
-    static constexpr std::size_t kBuckets = 512;
-    [[nodiscard]] static std::size_t bucket_of(const Key& key);
-
-    std::array<std::atomic<Node*>, kBuckets> heads_{};
-    std::mutex insert_mu_;
-  };
-
   NdpSpec ndp_;
   dram::Spec mem_;
-  MemoTable gemm_memo_;
-  MemoTable expert_memo_;
-  std::atomic<std::uint64_t> memo_hits_{0};
-  std::atomic<std::uint64_t> memo_misses_{0};
+  mutable std::mutex memo_mu_;  ///< guards the three members below
+  std::map<Key, NdpKernelResult> memo_;
+  std::uint64_t memo_hits_ = 0;
+  std::uint64_t memo_misses_ = 0;
 };
 
 }  // namespace monde::ndp

@@ -10,7 +10,6 @@
 #include <optional>
 #include <queue>
 #include <tuple>
-#include <unordered_set>
 #include <utility>
 
 #include "common/taskpool.hpp"
@@ -1072,15 +1071,6 @@ ClusterReport ClusterSim::run(std::vector<Request> trace, Dispatcher& dispatcher
   MONDE_REQUIRE(!used_, "ClusterSim::run() may be called only once");
   MONDE_REQUIRE(!trace.empty(), "cannot serve an empty trace");
   std::stable_sort(trace.begin(), trace.end(), arrival_order<Request>);
-  // Preserve the classic error timing: duplicate ids are rejected before any
-  // simulation runs (the streaming path can only catch them on arrival).
-  {
-    std::unordered_set<std::uint64_t> seen;
-    seen.reserve(trace.size());
-    for (const Request& rq : trace) {
-      MONDE_REQUIRE(seen.insert(rq.id).second, "duplicate request id " << rq.id << " in trace");
-    }
-  }
   TraceArrivalStream stream{std::move(trace)};
   return run(stream, dispatcher, autoscaler);
 }

@@ -144,9 +144,9 @@ TEST(NdpMemoConcurrency, ParallelLookupsMatchSequentialSim) {
 TEST(NdpMemoConcurrency, HitReturnsIdenticalResultObject) {
   const core::SystemConfig sys = core::SystemConfig::dac24();
   ndp::NdpCoreSim sim{sys.ndp, sys.monde_mem};
-  const compute::GemmShape shape{/*m=*/4, /*n=*/512, /*k=*/256};
-  const ndp::NdpKernelResult first = sim.simulate_gemm(shape, compute::DataType::kFp16);
-  const ndp::NdpKernelResult again = sim.simulate_gemm(shape, compute::DataType::kFp16);
+  const compute::ExpertShape shape{/*tokens=*/4, /*dmodel=*/512, /*dff=*/1024};
+  const ndp::NdpKernelResult first = sim.simulate_expert(shape, compute::DataType::kFp16);
+  const ndp::NdpKernelResult again = sim.simulate_expert(shape, compute::DataType::kFp16);
   EXPECT_EQ(first.latency, again.latency);
   EXPECT_EQ(first.compute_cycles, again.compute_cycles);
   EXPECT_EQ(first.read_blocks, again.read_blocks);
