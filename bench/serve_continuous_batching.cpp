@@ -4,8 +4,14 @@
 // request trace is replayed under the classic fixed-batch policy and under
 // continuous batching, for each expert-execution strategy. Reports aggregate
 // tokens/s plus TTFT / end-to-end latency percentiles per configuration.
+// It is the one bench that drives ServerSim::run() and fixed batching.
 //
-//   ./bench/serve_continuous_batching
+//   ./bench/serve_continuous_batching [--json <path>]
+//
+// The run is already smoke-sized (32 requests, under a second), so --smoke
+// changes nothing. --json writes tok/s, TTFT p99 and E2E p99 per
+// configuration for the budget gate (bench/budgets.json).
+#include <cctype>
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -13,8 +19,10 @@
 #include "serve/arrivals.hpp"
 #include "serve/server.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace monde;
+  const bench::BenchArgs args = bench::parse_bench_args(argc, argv);
+  bench::BenchMetrics metrics{"serve_continuous_batching"};
 
   bench::banner("serving", "continuous vs fixed batching, Poisson open-loop trace");
 
@@ -56,6 +64,17 @@ int main() {
       table.add_row({rep.strategy, rep.mode, Table::num(rep.tokens_per_s, 1),
                      Table::num(rep.ttft_ms.p50, 2), Table::num(rep.ttft_ms.p99, 2),
                      Table::num(rep.e2e_ms.p50, 2), Table::num(rep.e2e_ms.p99, 2)});
+      // "GPU+PM" -> "gpu_pm.fixed.", and so on.
+      std::string key;
+      for (const char c : rep.strategy) {
+        key += c == '+' ? '_' : static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+      }
+      key += '.';
+      key += rep.mode;
+      key += '.';
+      metrics.add(key + "tokens_per_s", rep.tokens_per_s);
+      metrics.add(key + "ttft_p99_ms", rep.ttft_ms.p99);
+      metrics.add(key + "e2e_p99_ms", rep.e2e_ms.p99);
     }
   }
   std::printf("%s\n", table.str().c_str());
@@ -63,5 +82,6 @@ int main() {
               "batch to fill (TTFT) and the padded decode slots after short requests\n"
               "finish (tokens/s). The gap is largest under bursty queueing.\n");
   factory.report_memo_stats();
+  metrics.write(args.json_path);
   return 0;
 }

@@ -18,7 +18,7 @@ Six checks over README.md and docs/*.md:
    policy matrix must be one of those -- adding a policy without
    documenting it fails CI, and so does deleting one but keeping its row;
 4. every backticked qualified member (``ClusterConfig::reference_loop``,
-   ``ServerSim::version()``, ...) must name a member that still exists
+   ``ServerSim::next_event_time()``, ...) must name a member that still exists
    under src/: either ``Type::member`` appears verbatim (an out-of-line
    definition) or ``member`` appears in the body of ``struct``/``class
    Type`` -- deleting a field or method cannot leave docs pointing at it;

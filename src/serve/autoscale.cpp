@@ -17,40 +17,28 @@ void AutoscaleConfig::validate() const {
   MONDE_REQUIRE(low_tokens_per_replica >= 0, "low watermark must be non-negative");
 }
 
-namespace {
+Autoscaler::Autoscaler(AutoscaleConfig cfg) : cfg_{cfg} { cfg_.validate(); }
 
-class QueuePressureAutoscaler final : public Autoscaler {
- public:
-  explicit QueuePressureAutoscaler(AutoscaleConfig cfg) : cfg_{cfg} { cfg_.validate(); }
-
-  [[nodiscard]] std::string name() const override { return "queue-pressure"; }
-
-  std::size_t target_size(const AutoscaleSignals& s) override {
-    const std::size_t capacity = std::max<std::size_t>(s.capacity(), 1);
-    const double per_replica = static_cast<double>(s.outstanding_tokens) /
-                               static_cast<double>(capacity);
-    const bool delay_hot =
-        cfg_.high_queue_delay_ms > 0.0 && s.p95_queue_delay_ms > cfg_.high_queue_delay_ms;
-    std::size_t target = capacity;
-    if (per_replica > static_cast<double>(cfg_.high_tokens_per_replica) || delay_hot) {
-      target = capacity + kAutoscaleStep;
-    } else if (per_replica < static_cast<double>(cfg_.low_tokens_per_replica) &&
-               !delay_hot && s.warming_replicas == 0) {
-      // Never shrink while a scale-up is still warming: the pressure that
-      // triggered it has not been absorbed yet.
-      target = capacity > kAutoscaleStep ? capacity - kAutoscaleStep : 1;
-    }
-    return std::clamp(target, cfg_.min_replicas, cfg_.max_replicas);
+std::size_t Autoscaler::target_size(const AutoscaleSignals& s) const {
+  const std::size_t capacity = std::max<std::size_t>(s.capacity(), 1);
+  const double per_replica = static_cast<double>(s.outstanding_tokens) /
+                             static_cast<double>(capacity);
+  const bool delay_hot =
+      cfg_.high_queue_delay_ms > 0.0 && s.p95_queue_delay_ms > cfg_.high_queue_delay_ms;
+  std::size_t target = capacity;
+  if (per_replica > static_cast<double>(cfg_.high_tokens_per_replica) || delay_hot) {
+    target = capacity + kAutoscaleStep;
+  } else if (per_replica < static_cast<double>(cfg_.low_tokens_per_replica) && !delay_hot &&
+             s.warming_replicas == 0) {
+    // Never shrink while a scale-up is still warming: the pressure that
+    // triggered it has not been absorbed yet.
+    target = capacity > kAutoscaleStep ? capacity - kAutoscaleStep : 1;
   }
-
- private:
-  AutoscaleConfig cfg_;
-};
-
-}  // namespace
+  return std::clamp(target, cfg_.min_replicas, cfg_.max_replicas);
+}
 
 std::unique_ptr<Autoscaler> make_queue_pressure_autoscaler(AutoscaleConfig cfg) {
-  return std::make_unique<QueuePressureAutoscaler>(cfg);
+  return std::make_unique<Autoscaler>(cfg);
 }
 
 }  // namespace monde::serve

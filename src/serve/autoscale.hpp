@@ -11,10 +11,9 @@
 // to again. Failed replicas do not count toward capacity once detected,
 // so an autoscaler naturally replaces dead capacity.
 //
-// Like dispatchers, autoscalers are pure policy: deterministic, engine-free
-// values in, a target fleet size out. To add a policy, implement
-// Autoscaler::target_size() and hand an instance to ClusterSim::run() --
-// see docs/ARCHITECTURE.md for a worked example.
+// Like dispatchers, the autoscaler is pure policy: deterministic,
+// engine-free values in, a target fleet size out. It is one concrete class
+// because one policy exists; docs/ARCHITECTURE.md says how to add a second.
 #pragma once
 
 #include <cstdint>
@@ -42,23 +41,10 @@ struct AutoscaleSignals {
   [[nodiscard]] std::size_t capacity() const { return ready_replicas + warming_replicas; }
 };
 
-/// An autoscaling policy. target_size() is called once per evaluation tick,
-/// in time order; implementations may carry state across ticks.
-class Autoscaler {
- public:
-  virtual ~Autoscaler() = default;
-
-  [[nodiscard]] virtual std::string name() const = 0;
-
-  /// Desired accepting-replica count (ready + warming). The cluster clamps
-  /// the result to at least one replica and converges toward it.
-  [[nodiscard]] virtual std::size_t target_size(const AutoscaleSignals& s) = 0;
-};
-
 /// Replicas the queue-pressure policy adds or removes per decision.
 inline constexpr std::size_t kAutoscaleStep = 1;
 
-/// Configuration for the shipped queue-pressure policy.
+/// Configuration for the queue-pressure policy.
 struct AutoscaleConfig {
   std::size_t min_replicas = 1;
   std::size_t max_replicas = 8;
@@ -73,9 +59,25 @@ struct AutoscaleConfig {
   void validate() const;
 };
 
-/// Hysteresis autoscaler over outstanding-token pressure with an optional
-/// p95-queue-delay trigger. Never scales down while a replica is still
-/// warming (the previous decision has not landed yet).
+/// The autoscaling policy: hysteresis over outstanding-token pressure with
+/// an optional p95-queue-delay trigger. Never scales down while a replica
+/// is still warming (the previous decision has not landed yet).
+class Autoscaler {
+ public:
+  explicit Autoscaler(AutoscaleConfig cfg);
+
+  [[nodiscard]] std::string name() const { return "queue-pressure"; }
+
+  /// Desired accepting-replica count (ready + warming), called once per
+  /// evaluation tick in time order. The cluster clamps the result to at
+  /// least one replica and converges toward it.
+  [[nodiscard]] std::size_t target_size(const AutoscaleSignals& s) const;
+
+ private:
+  AutoscaleConfig cfg_;
+};
+
+/// A heap-allocated Autoscaler, for holders that keep the policy optional.
 [[nodiscard]] std::unique_ptr<Autoscaler> make_queue_pressure_autoscaler(AutoscaleConfig cfg);
 
 }  // namespace monde::serve

@@ -124,7 +124,6 @@ ReplicaSnapshot ClusterSim::snapshot(std::size_t i) const {
   return ReplicaSnapshot{i,
                          r.server->in_flight(),
                          r.server->outstanding_tokens(),
-                         /*accepting=*/!r.detected && !r.retired,
                          r.ewma_ms,
                          r.server->expert_signature(),
                          r.server->prefix_signature(),
@@ -252,6 +251,8 @@ class ClusterSim::ScanView final : public FleetView {
 
 /// The indexed view: a lazy-deletion calendar of per-replica server events,
 /// sorted fail-stop and detection cursors, and the accepting-snapshot index.
+/// The calendar owns entry liveness: due_[i] is the time of replica i's one
+/// live entry (infinite: none), so an entry whose time differs is stale.
 class ClusterSim::CalendarView final : public FleetView {
  public:
   CalendarView(ClusterSim& sim, std::size_t threads) : FleetView{sim, threads} {
@@ -283,9 +284,11 @@ class ClusterSim::CalendarView final : public FleetView {
     }
     for (;;) {
       settle();
-      if (calendar_.empty() || calendar_.top().time >= t) break;
-      batch_.push_back(calendar_.top().replica);
+      if (calendar_.empty() || calendar_.top().first >= t) break;
+      const std::size_t i = calendar_.top().second;
       calendar_.pop();
+      due_[i] = Duration::infinite();  // commit() re-arms it
+      batch_.push_back(i);
     }
     // A failing replica may also hold a live calendar entry before t; never
     // hand the same replica to two workers.
@@ -315,19 +318,20 @@ class ClusterSim::CalendarView final : public FleetView {
 
   const std::vector<ReplicaSnapshot>& accepting() override { return eligible_; }
 
-  // Every mutation bumps the server's version, killing its prior entries,
-  // so each touch re-pushes: a replica with a finite next event keeps a
-  // live entry.
+  // A push happens only when the next event moved; the entry it replaces
+  // goes stale. A replica with a finite next event keeps a live entry; an
+  // idle one is woken by a future enqueue.
   void touched(std::size_t i) override {
     if (epos_[i] != kNoSlot) eligible_[epos_[i]] = sim_.snapshot(i);
-    const ServerSim& s = *replicas_[i].server;
-    const Duration t = s.next_event_time();
-    if (t == Duration::infinite()) return;  // idle: woken by a future enqueue
-    calendar_.push(CalEntry{t, i, s.version()});
+    const Duration t = replicas_[i].server->next_event_time();
+    if (t == due_[i]) return;
+    due_[i] = t;
+    if (t != Duration::infinite()) calendar_.push({t, i});
   }
 
   void joined(std::size_t i) override {
     epos_.resize(replicas_.size(), kNoSlot);
+    due_.resize(replicas_.size(), Duration::infinite());
     epos_[i] = eligible_.size();
     eligible_.push_back(sim_.snapshot(i));
   }
@@ -341,25 +345,19 @@ class ClusterSim::CalendarView final : public FleetView {
   }
 
  private:
-  // Min-heap order is (time, replica); entries of one replica at one time
-  // differ only in version, a tiebreak that never changes a batch.
-  struct CalEntry {
-    Duration time;
-    std::size_t replica;
-    std::uint64_t version;
-    auto operator<=>(const CalEntry&) const = default;
-  };
+  using CalEntry = std::pair<Duration, std::size_t>;  // (time, replica), min-heap
   static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
 
-  /// Drops dead (version-superseded) entries off the calendar's top.
+  /// Drops stale entries (time no longer the replica's due time) off the
+  /// calendar's top.
   void settle() {
-    while (!calendar_.empty() &&
-           calendar_.top().version != replicas_[calendar_.top().replica].server->version()) {
+    while (!calendar_.empty() && calendar_.top().first != due_[calendar_.top().second]) {
       calendar_.pop();
     }
   }
 
   std::priority_queue<CalEntry, std::vector<CalEntry>, std::greater<>> calendar_;
+  std::vector<Duration> due_;  // per replica: its live entry's time, or infinite
   std::vector<std::pair<Duration, std::size_t>> fail_order_;    // (fail_at, replica)
   std::vector<std::pair<Duration, std::size_t>> detect_order_;  // (detect_at, replica)
   std::size_t fail_cursor_ = 0;
@@ -447,10 +445,7 @@ class ClusterSim::ClusterRun {
                  ? next_tick_
                  : Duration::infinite();
     // Rebalance ticks only matter while requests remain to route.
-    a.rebalance = (cfg_.expert.enabled && cfg_.expert.rebalance_period > Duration::zero() &&
-                   has_item())
-                      ? next_rebalance_
-                      : Duration::infinite();
+    a.rebalance = rebalance_ && has_item() ? next_rebalance_ : Duration::infinite();
     // Earliest prefill-internal event (admission start, step boundary, or an
     // already-buffered release awaiting drain); infinite without
     // disaggregation, and an infinite anchor never wins a strict comparison.
@@ -599,10 +594,13 @@ class ClusterSim::ClusterRun {
         rq.expert_profile = sim_.profiler_->expert_profile_for(
             rq.id, ExpertServingConfig::profile_width, ExpertServingConfig::profile_tokens);
       }
-      // Fleet demand feeds the rebalance ticks; count the full profile (the
-      // demand exists whether or not pruning later drops part of it).
-      for (const auto& e : rq.expert_profile.experts) {
-        ++fleet_expert_load_[core::ExpertId{e.layer, e.expert}];
+      // Fleet demand feeds the rebalance ticks, so it is counted only when
+      // they run; count the full profile (the demand exists whether or not
+      // pruning later drops part of it).
+      if (rebalance_) {
+        for (const auto& e : rq.expert_profile.experts) {
+          ++fleet_expert_load_[core::ExpertId{e.layer, e.expert}];
+        }
       }
     }
     const std::size_t idx = pick_replica(rq);
@@ -705,8 +703,8 @@ class ClusterSim::ClusterRun {
   }
   /// Write-backs after replica i advanced to `t`: fold its new steps into
   /// the EWMA, turn its buffered prefill releases into items, then let the
-  /// view re-index it -- the drain may bump the server's version, so the
-  /// view's calendar re-push must come last.
+  /// view re-index it -- the drain may apply a pending completion, which
+  /// moves the server's next event, so the view's re-read must come last.
   void commit(std::size_t i, Duration t, Duration floor) {
     sim_.update_ewma(replicas_[i]);
     drain_handoffs(i, t, floor);
@@ -905,6 +903,9 @@ class ClusterSim::ClusterRun {
   Autoscaler* autoscaler_;
   std::unique_ptr<FleetView> view_;
   const bool log_ = cfg_.event_log_enabled;
+  /// Expert rebalance ticks run (and fleet demand is counted for them).
+  const bool rebalance_ =
+      cfg_.expert.enabled && cfg_.expert.rebalance_period > Duration::zero();
 
   std::size_t intake_ = 0;       ///< requests taken from the arrival stream
   std::optional<Request> head_;  ///< next request of the arrival stream
@@ -918,8 +919,9 @@ class ClusterSim::ClusterRun {
   Duration next_rebalance_;
   const std::size_t boot_prefill_;  ///< boot pool shares (disaggregated autoscaling)
   const std::size_t boot_decode_;
-  // Fleet-wide demand per expert, accumulated from dispatched profiles; the
-  // ordered map gives rebalance ticks a deterministic hottest-first walk.
+  // Fleet-wide demand per expert, accumulated from dispatched profiles while
+  // rebalancing is on; the ordered map gives rebalance ticks a
+  // deterministic hottest-first walk.
   std::map<core::ExpertId, std::uint64_t> fleet_expert_load_;
   WallClock::time_point phase_t0_{};
   ClusterReport rep_;  ///< counters, events and phase times accumulate here

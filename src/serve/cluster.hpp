@@ -47,11 +47,12 @@
 //
 // Scale (PR 6): run() is driven by an indexed event calendar -- a
 // lazy-deletion min-heap over per-replica server events (keyed (time,
-// replica), entries tagged with ServerSim::version() and discarded when the
-// version moved on) merged with the arrival stream, the retry/migration
-// queue, sorted fail-stop/detection cursors, and the autoscale tick -- so
-// each cluster event advances only the replicas that actually have work
-// before it, instead of scanning the whole fleet. Dispatch likewise reads an
+// replica); the calendar keeps one due time per replica and discards an
+// entry whose time is no longer that due time) merged with the arrival
+// stream, the retry/migration queue, sorted fail-stop/detection cursors,
+// and the autoscale tick -- so each cluster event advances only the
+// replicas that actually have work before it, instead of scanning the
+// whole fleet. Dispatch likewise reads an
 // index of accepting-replica snapshots written through whenever a replica's
 // server mutates, rather than rebuilding every snapshot per request; every
 // snapshot field is a function of server state, so the index is exact. The

@@ -199,27 +199,20 @@ std::vector<DispatchPolicy> all_dispatch_policies() {
 
 std::vector<ReplicaSnapshot> eligible_snapshots(const std::vector<ReplicaSnapshot>& all,
                                                 double slow_ewma_factor) {
-  std::vector<ReplicaSnapshot> eligible;
-  eligible.reserve(all.size());
-  for (const ReplicaSnapshot& s : all) {
-    if (s.accepting) eligible.push_back(s);
-  }
-  MONDE_REQUIRE(!eligible.empty(),
-                "no replica is accepting requests (every replica failed or retired)");
-  if (!std::isfinite(slow_ewma_factor)) return eligible;
+  if (!std::isfinite(slow_ewma_factor)) return all;
   // Soft filter: skip pathologically slow replicas, but never starve the
   // dispatcher -- if everyone looks slow, everyone stays eligible.
   std::vector<double> ewmas;
-  for (const ReplicaSnapshot& s : eligible) {
+  for (const ReplicaSnapshot& s : all) {
     if (s.step_ewma_ms > 0.0) ewmas.push_back(s.step_ewma_ms);
   }
-  if (ewmas.empty()) return eligible;
+  if (ewmas.empty()) return all;
   const double cutoff = percentile(std::move(ewmas), 50.0) * slow_ewma_factor;
   std::vector<ReplicaSnapshot> fast;
-  for (const ReplicaSnapshot& s : eligible) {
+  for (const ReplicaSnapshot& s : all) {
     if (s.step_ewma_ms <= cutoff) fast.push_back(s);
   }
-  return fast.empty() ? eligible : fast;
+  return fast.empty() ? all : fast;
 }
 
 std::vector<ReplicaSnapshot> pool_snapshots(const std::vector<ReplicaSnapshot>& all,

@@ -27,11 +27,12 @@
 // replica index.
 //
 // Health-checked dispatch: the cluster never hands a policy the raw fleet.
-// Detected-dead and retired replicas are excluded outright, and (through
-// eligible_snapshots()) replicas whose step-duration EWMA marks them as
-// pathologically slow are skipped while a faster peer exists. A policy's
-// pick() therefore indexes into the filtered vector; the caller maps back
-// through ReplicaSnapshot::replica. With every replica healthy the filter is
+// Detected-dead and retired replicas get no snapshot at all (the cluster's
+// accepting list excludes them), and (through eligible_snapshots())
+// replicas whose step-duration EWMA marks them as pathologically slow are
+// skipped while a faster peer exists. A policy's pick() therefore indexes
+// into the filtered vector; the caller maps back through
+// ReplicaSnapshot::replica. With every replica healthy the filter is
 // the identity, so fault-free dispatch is bit-identical to the pre-health
 // behavior. The slow filter is off by default (infinite slow_ewma_factor);
 // bench/serve_cluster_policies fails unless it beats filter-free dispatch
@@ -97,9 +98,9 @@ struct ReplicaSnapshot {
   std::size_t replica = 0;             ///< index into the cluster's replica list
   std::size_t in_flight = 0;           ///< accepted, not yet finished requests
   std::int64_t outstanding_tokens = 0; ///< un-prefilled prompt + remaining decode tokens
-  // Health (filled by the cluster; defaults describe a healthy replica so
-  // hand-built snapshots keep working):
-  bool accepting = true;    ///< false: detected dead or retired -- never dispatch
+  // Health (filled by the cluster; the default describes a healthy replica
+  // so hand-built snapshots keep working). Only accepting replicas -- not
+  // detected dead, not retired -- ever get a snapshot.
   double step_ewma_ms = 0;  ///< step-duration EWMA, newest weight 0.25 (0 = no steps)
   /// Compact residency summary: the replica's ExpertCache signature
   /// (core/expert_cache.hpp), 0 when expert-aware serving is disabled.
@@ -142,14 +143,10 @@ class Dispatcher {
 [[nodiscard]] std::unique_ptr<Dispatcher> make_dispatcher(DispatchPolicy policy,
                                                           std::uint64_t seed = 42);
 
-/// The health filter (the cluster runs it per dispatch with a finite
-/// `slow_ewma_factor`; its own accepting list already does step 1):
-///
-///   1. keeps accepting replicas only -- throws when nothing is left: the
-///      whole fleet failed or retired;
-///   2. when `slow_ewma_factor` is finite, drops replicas whose step EWMA
-///      exceeds factor x the median EWMA of the remaining set -- unless
-///      that would empty it (a soft deprioritization).
+/// The slow-replica filter (the cluster runs it per dispatch, on its
+/// accepting list, with a finite `slow_ewma_factor`): drops replicas whose
+/// step EWMA exceeds factor x the median EWMA of `all` -- unless that would
+/// empty it (a soft deprioritization). An infinite factor keeps everything.
 ///
 /// Cold-starting replicas stay eligible (a warming replica accepts and
 /// queues; that *is* the modelled warm-up cost). Order and `replica`

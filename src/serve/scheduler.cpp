@@ -54,17 +54,6 @@ void ContinuousBatchScheduler::push(const Request& rq, Duration at) {
 
 void ContinuousBatchScheduler::seal() { sealed_ = true; }
 
-void ContinuousBatchScheduler::submit(std::vector<Request> trace) {
-  MONDE_REQUIRE(states_.empty() && !sealed_, "submit() needs a fresh scheduler");
-  MONDE_REQUIRE(!trace.empty(), "cannot serve an empty trace");
-  std::stable_sort(trace.begin(), trace.end(), arrival_order<Request>);
-  // The whole trace is pending at once, so the pool holds all of it.
-  states_.reserve(trace.size());
-  pending_.reserve(trace.size());
-  for (const Request& rq : trace) push(rq);
-  seal();
-}
-
 bool ContinuousBatchScheduler::drained() const {
   return !has_pending() && queued_.empty() && active_.empty();
 }

@@ -31,11 +31,10 @@
 // is aborted; a completed request leaves only its 88-B RequestMetrics
 // record, which take_records() hands over in push order.
 //
-// Requests enter either all at once (submit(), the one-shot trace path) or
-// incrementally (push(), the path a cluster dispatcher drives); seal()
-// declares that no further requests will arrive, which is what lets the
-// fixed-mode batch-fill wait distinguish "more arrivals are due" from "the
-// trace is exhausted".
+// Requests enter one at a time through push(), in (queue-join instant, id)
+// order; seal() declares that no further requests will arrive, which is
+// what lets the fixed-mode batch-fill wait distinguish "more arrivals are
+// due" from "the trace is exhausted".
 //
 // The scheduler also merges the per-request, step-indexed gating draws from
 // moe::WorkloadGenerator into the per-layer MoeLayerWork a shared decode
@@ -149,10 +148,6 @@ class ContinuousBatchScheduler {
   /// then stop holding under-full batches for arrivals that never come.
   void seal();
 
-  /// Load a whole trace (any order; sorted by (arrival, id) internally) and
-  /// seal it. Call once, on a fresh scheduler, instead of push()/seal().
-  void submit(std::vector<Request> trace);
-
   /// Every accepted request has been fully served (vacuously true when no
   /// request was ever pushed).
   [[nodiscard]] bool drained() const;
@@ -187,9 +182,6 @@ class ContinuousBatchScheduler {
   /// (a resumed request's carried-in tokens are not counted; an aborted
   /// request's are not credited either -- they are redone or carried on).
   [[nodiscard]] std::uint64_t credited_tokens() const { return credited_tokens_; }
-
-  /// Arrived requests awaiting admission.
-  [[nodiscard]] std::size_t queued_count() const { return queued_.size(); }
 
   /// Would a step run right now? True when a batch is in flight, or when
   /// admit() would accept at least one queued request (fixed mode holds an

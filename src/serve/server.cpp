@@ -1,6 +1,6 @@
 #include "serve/server.hpp"
 
-#include <tuple>
+#include <algorithm>
 #include <utility>
 
 #include "interconnect/link.hpp"
@@ -51,19 +51,10 @@ ServerSim::ServerSim(core::InferenceEngine& engine, SchedulerConfig cfg, Duratio
 void ServerSim::enqueue(const Request& rq, Duration at) {
   MONDE_REQUIRE(!harvested_, "enqueue() on a harvested or evacuated server");
   sched_.push(rq, at);
-  touch();
 }
 
 void ServerSim::advance_to(Duration t) {
   if (failed_) return;  // frozen at the fail-stop instant forever
-  // Mutation detection for version(): everything next_event_time() and the
-  // dispatch-facing load accessors read, snapshotted before the loop.
-  const auto observable = [this] {
-    return std::tuple{st_.now,          steps_.size(),    completion_pending_,
-                      failed_,          sched_.queued_count(), sched_.in_flight(),
-                      sched_.next_arrival()};
-  };
-  const auto before = observable();
   // Death occurs the moment simulated time reaches fail_at: no step starts
   // at or after it, which the strict-before loop below gives us by clamping.
   const bool dies = fault_.fail_stop() && t >= fault_.fail_at;
@@ -88,26 +79,21 @@ void ServerSim::advance_to(Duration t) {
     step(newly);
   }
   if (dies) fail_now();
-  if (observable() != before) touch();
 }
 
 Duration ServerSim::next_event_time() const {
-  if (next_event_valid_) return next_event_cache_;
-  next_event_valid_ = true;
-  if (failed_) return next_event_cache_ = Duration::infinite();
-  if (sched_.step_ready()) return next_event_cache_ = st_.now;
+  if (failed_) return Duration::infinite();
+  if (sched_.step_ready()) return st_.now;
   // An arrival already at or before the clock (a cold-starting replica
   // buffers those) becomes runnable the moment the clock can move: the
   // event time is the clock itself, never the past.
-  return next_event_cache_ = monde::max(st_.now, sched_.next_arrival());
+  return monde::max(st_.now, sched_.next_arrival());
 }
 
 void ServerSim::drain() {
   sched_.seal();
-  touch();  // seal() may unblock a fixed-mode batch-fill wait
   advance_to(Duration::infinite());
   apply_pending_completion();
-  touch();
   MONDE_ASSERT(sched_.drained(),
                (failed_ ? "drain() on a failed server with unharvested stranded requests"
                         : "drain() left requests unserved"));
@@ -136,7 +122,6 @@ std::vector<Request> ServerSim::harvest_stranded() {
   evict_in_flight_experts();
   std::vector<Request> stranded = sched_.abort_unfinished();
   cache_.drop_pinned();
-  touch();
   return stranded;
 }
 
@@ -158,7 +143,6 @@ std::vector<Request> ServerSim::evacuate() {
   evict_in_flight_experts();
   std::vector<Request> moved = sched_.abort_unfinished();
   cache_.drop_pinned();
-  touch();
   return moved;
 }
 
@@ -197,10 +181,7 @@ void ServerSim::apply_pending_completion() {
 
 std::vector<HandoffRecord> ServerSim::take_handoffs(Duration now) {
   MONDE_REQUIRE(prefill_role_, "take_handoffs() on a non-prefill replica");
-  if (!failed_ && completion_pending_ && pending_end_ < now) {
-    apply_pending_completion();
-    touch();
-  }
+  if (!failed_ && completion_pending_ && pending_end_ < now) apply_pending_completion();
   std::vector<HandoffRecord> out;
   out.swap(handoffs_out_);
   return out;
@@ -296,7 +277,6 @@ std::size_t ServerSim::preload_experts(const std::vector<core::ExpertId>& ids) {
     pending_preload_ += expert_fetch_time_;
     ++fetched;
   }
-  if (fetched > 0) touch();
   return fetched;
 }
 
@@ -347,8 +327,12 @@ ServeReport ServerSim::report() {
 }
 
 ServeReport ServerSim::run(std::vector<Request> trace) {
-  sched_.submit(std::move(trace));  // rejects a used server or an empty trace
-  touch();
+  // The pool is empty until the first enqueue (and after report(), which
+  // frees it); a drained-only server is sealed, so its enqueue throws.
+  MONDE_REQUIRE(!reported_ && sched_.states().empty(), "run() needs a fresh server");
+  MONDE_REQUIRE(!trace.empty(), "cannot serve an empty trace");
+  std::stable_sort(trace.begin(), trace.end(), arrival_order<Request>);
+  for (const Request& rq : trace) enqueue(rq);
   drain();
   return report();
 }

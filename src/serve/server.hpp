@@ -183,17 +183,9 @@ class ServerSim {
   /// else the next queued arrival, else infinite -- the server then waits
   /// on enqueue()/drain() (e.g. a fixed-mode batch still filling). Because
   /// advance_to() is strict-before, pass a time strictly greater than this
-  /// to run the work. Cached: recomputed only after a mutation (see
-  /// version()), so a cluster driver may poll it freely.
+  /// to run the work. O(1) and side-effect free, so a cluster driver may
+  /// poll it freely.
   [[nodiscard]] Duration next_event_time() const;
-
-  /// Monotone mutation counter: bumped whenever the server's observable
-  /// state changes (an enqueue, steps run by advance_to(), a fail-stop,
-  /// drain(), harvest, evacuation). While version() is unchanged,
-  /// next_event_time() is unchanged too -- the contract the cluster's event
-  /// calendar relies on to detect stale entries without re-polling (lazy
-  /// deletion: an entry tagged with an older version is dead).
-  [[nodiscard]] std::uint64_t version() const { return version_; }
 
   /// No further enqueue(): finish every request still in the system. On an
   /// empty queue this is a harmless no-op (the server reports zero
@@ -270,9 +262,6 @@ class ServerSim {
   /// a no-op on a failed/evacuated server or with expert serving disabled.
   std::size_t preload_experts(const std::vector<core::ExpertId>& ids);
 
-  /// Disaggregated serving: true when this replica runs the prefill role.
-  [[nodiscard]] bool prefill_role() const { return prefill_role_; }
-
   /// Prefill-complete releases buffered since the last take_handoffs().
   [[nodiscard]] bool has_handoffs() const { return !handoffs_out_.empty(); }
 
@@ -290,8 +279,9 @@ class ServerSim {
 
   // --- One-shot entry point ------------------------------------------------
 
-  /// Simulate the whole trace to completion on a fresh server. Deterministic
-  /// given the engine's seed and the trace.
+  /// Simulate the whole trace to completion on a fresh server: enqueue it in
+  /// (arrival, id) order, drain, report. Deterministic given the engine's
+  /// seed and the trace. Throws on an empty trace or a used server.
   [[nodiscard]] ServeReport run(std::vector<Request> trace);
 
  private:
@@ -314,12 +304,6 @@ class ServerSim {
   /// ordinary LRU pressure. Call before abort_unfinished() empties the
   /// batch.
   void evict_in_flight_experts();
-
-  /// Record a mutation: bump version_ and drop the next_event_time() cache.
-  void touch() {
-    ++version_;
-    next_event_valid_ = false;
-  }
 
   core::InferenceEngine& engine_;
   SchedulerConfig cfg_;
@@ -351,9 +335,6 @@ class ServerSim {
   bool failed_ = false;     ///< fail-stop instant reached; frozen forever
   bool harvested_ = false;  ///< stranded requests already handed back
   bool reported_ = false;   ///< report() moved the history out
-  std::uint64_t version_ = 0;  ///< observable-mutation counter (see version())
-  mutable bool next_event_valid_ = false;      ///< cache flag for next_event_time()
-  mutable Duration next_event_cache_ = Duration::zero();
 };
 
 }  // namespace monde::serve

@@ -8,7 +8,7 @@
 // reference; the commit-order rule in serve/cluster.cpp is what makes that
 // hold). Also covers the event-log gating satellite (metrics identical with
 // the log off), the slow-EWMA filter applied on the maintained index, and the
-// ServerSim version counter the calendar's lazy deletion trusts.
+// ServerSim next-event time the calendar's due times read.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -503,7 +503,6 @@ TEST(CalendarDiff, CustomDispatcherSeesIdenticalSnapshots) {
         EXPECT_EQ(x.replica, y.replica);
         EXPECT_EQ(x.in_flight, y.in_flight);
         EXPECT_EQ(x.outstanding_tokens, y.outstanding_tokens);
-        EXPECT_EQ(x.accepting, y.accepting);
         EXPECT_EQ(x.step_ewma_ms, y.step_ewma_ms);
         EXPECT_EQ(x.expert_sig, y.expert_sig);
         EXPECT_EQ(x.prefix_sig, y.prefix_sig);
@@ -545,16 +544,15 @@ TEST(CalendarDiff, EventLogOffLeavesMetricsIdentical) {
   expect_reports_identical(a, b);
 }
 
-// --- ServerSim version counter (what lazy deletion trusts) ------------------
+// --- ServerSim next event (what the calendar's due times read) -------------
 
-TEST(ServerVersion, BumpsOnMutationOnlyAndGuardsNextEvent) {
+TEST(ServerNextEvent, FollowsMutationsAndIsPure) {
   auto engine = core::InferenceEngine{core::SystemConfig::dac24(), tiny_model(),
                                       moe::SkewProfile::switch_like(),
                                       core::StrategyKind::kMondeLoadBalanced, 42};
   ServerSim server{engine, SchedulerConfig{}};
-  const std::uint64_t v0 = server.version();
   EXPECT_EQ(server.next_event_time(), Duration::infinite());
-  EXPECT_EQ(server.version(), v0);  // polling is not a mutation
+  EXPECT_EQ(server.next_event_time(), Duration::infinite());  // polling changes nothing
 
   Request rq;
   rq.id = 0;
@@ -562,28 +560,23 @@ TEST(ServerVersion, BumpsOnMutationOnlyAndGuardsNextEvent) {
   rq.prompt_len = 16;
   rq.max_new_tokens = 4;
   server.enqueue(rq);
-  const std::uint64_t v1 = server.version();
-  EXPECT_GT(v1, v0);  // an enqueue is
   EXPECT_EQ(server.next_event_time(), Duration::millis(1));
 
   server.advance_to(Duration::millis(1));  // strict-before: a no-op
-  EXPECT_EQ(server.version(), v1);
   EXPECT_EQ(server.next_event_time(), Duration::millis(1));
 
   server.advance_to(Duration::millis(2));  // runs at least the first step
-  const std::uint64_t v2 = server.version();
-  EXPECT_GT(v2, v1);
-  // The cached next event matches a fresh computation and survives polling.
+  // An advanced server's next event lands at or after the advance target --
+  // the calendar's one-batch-per-event guarantee -- and survives polling.
   const Duration next = server.next_event_time();
+  EXPECT_GE(next, Duration::millis(2));
   EXPECT_EQ(server.next_event_time(), next);
-  EXPECT_EQ(server.version(), v2);
 
   server.drain();
-  EXPECT_GT(server.version(), v2);
   EXPECT_EQ(server.next_event_time(), Duration::infinite());
 }
 
-TEST(ServerVersion, FailStopBumpsAndPinsInfiniteNextEvent) {
+TEST(ServerNextEvent, FailStopPinsInfiniteNextEvent) {
   auto engine = core::InferenceEngine{core::SystemConfig::dac24(), tiny_model(),
                                       moe::SkewProfile::switch_like(),
                                       core::StrategyKind::kMondeLoadBalanced, 42};
@@ -596,14 +589,12 @@ TEST(ServerVersion, FailStopBumpsAndPinsInfiniteNextEvent) {
   rq.prompt_len = 16;
   rq.max_new_tokens = 64;  // long enough to still be running at the death
   server.enqueue(rq);
-  const std::uint64_t armed = server.version();
+  EXPECT_EQ(server.next_event_time(), Duration::zero());
   server.advance_to(Duration::millis(10));  // crosses fail_at: the server dies
   EXPECT_TRUE(server.failed());
-  EXPECT_GT(server.version(), armed);
   EXPECT_EQ(server.next_event_time(), Duration::infinite());
-  const std::uint64_t dead = server.version();
-  (void)server.harvest_stranded();
-  EXPECT_GT(server.version(), dead);  // harvest mutates too
+  EXPECT_EQ(server.harvest_stranded().size(), 1u);
+  EXPECT_EQ(server.next_event_time(), Duration::infinite());  // harvest keeps it dead
 }
 
 }  // namespace

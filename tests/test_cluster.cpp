@@ -76,27 +76,17 @@ TEST(Dispatch, EligibleSnapshotsFilterHealth) {
   // All healthy: the filter is the identity (the fault-free fast path).
   EXPECT_EQ(eligible_snapshots(all, inf).size(), 4u);
 
-  // Non-accepting replicas are excluded outright.
-  all[1].accepting = false;
-  auto out = eligible_snapshots(all, inf);
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[1].replica, 2u);  // order and indices preserved
-
   // The slow-EWMA cut drops outliers but never empties the set.
   std::vector<ReplicaSnapshot> fleet = snapshots({0, 0, 0}, {0, 0, 0});
   fleet[0].step_ewma_ms = 1.0;
   fleet[1].step_ewma_ms = 1.2;
   fleet[2].step_ewma_ms = 9.0;  // > 2x median
-  out = eligible_snapshots(fleet, /*slow_ewma_factor=*/2.0);
+  const auto out = eligible_snapshots(fleet, /*slow_ewma_factor=*/2.0);
   ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].replica, 0u);
+  EXPECT_EQ(out[0].replica, 0u);  // order and indices preserved
   EXPECT_EQ(out[1].replica, 1u);
   for (ReplicaSnapshot& s : fleet) s.step_ewma_ms = 50.0;  // all equally "slow"
   EXPECT_EQ(eligible_snapshots(fleet, 2.0).size(), 3u);
-
-  // Every replica failed/retired: the cluster cannot place the request.
-  for (ReplicaSnapshot& s : all) s.accepting = false;
-  EXPECT_THROW((void)eligible_snapshots(all, inf), Error);
 }
 
 TEST(Dispatch, RejectsEmptySnapshot) {
@@ -393,6 +383,31 @@ TEST(ClusterSim, FailStopAfterLastArrivalStillRecoversStrandedWork) {
   ASSERT_EQ(rep.requests.size(), trace.size());
   EXPECT_TRUE(rep.replicas[0].failed);
   EXPECT_GT(rep.retries, 0u);
+}
+
+TEST(ClusterSim, WholeFleetFailStopThrowsWhileRequestsRemain) {
+  // Both replicas die at once with work stranded on them: once the
+  // heartbeat monitor has excluded both, the retries have nowhere to go,
+  // and run() must say so instead of hanging or dropping them.
+  const auto trace = closed_loop_trace(10, small_shape(), 9);
+  auto specs = uniform_fleet(2, core::StrategyKind::kMondeLoadBalanced, SchedulerConfig{});
+  specs[0].fault.fail_at = Duration::millis(4);
+  specs[1].fault.fail_at = Duration::millis(4);
+  for (const bool reference_loop : {false, true}) {
+    SCOPED_TRACE(reference_loop ? "reference loop" : "calendar loop");
+    ClusterConfig cfg;
+    cfg.reference_loop = reference_loop;
+    ClusterSim cluster{core::SystemConfig::dac24(), tiny_model(),
+                       moe::SkewProfile::switch_like(), specs, cfg};
+    const auto dispatcher = make_dispatcher(DispatchPolicy::kRoundRobin);
+    try {
+      (void)cluster.run(trace, *dispatcher);
+      ADD_FAILURE() << "run() returned with no replica accepting";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string{e.what()}.find("no replica is accepting"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ClusterSim, SlowdownStretchesStepsAndEwmaFilterRoutesAround) {

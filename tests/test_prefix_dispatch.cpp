@@ -94,8 +94,8 @@ TEST(PrefixAffinity, NameAndEmptySnapshotRejection) {
 
 bool same_snapshot(const ReplicaSnapshot& a, const ReplicaSnapshot& b) {
   return a.replica == b.replica && a.in_flight == b.in_flight &&
-         a.outstanding_tokens == b.outstanding_tokens && a.accepting == b.accepting &&
-         a.step_ewma_ms == b.step_ewma_ms && a.expert_sig == b.expert_sig &&
+         a.outstanding_tokens == b.outstanding_tokens && a.step_ewma_ms == b.step_ewma_ms &&
+         a.expert_sig == b.expert_sig &&
          a.prefix_sig == b.prefix_sig && a.prefill_pool == b.prefill_pool;
 }
 
@@ -105,7 +105,7 @@ TEST(EligibleSnapshots, NoFilterFastPathMatchesElementWiseScan) {
   const double inf = std::numeric_limits<double>::infinity();
   std::vector<ReplicaSnapshot> all;
   for (std::size_t i = 0; i < 5; ++i) {
-    ReplicaSnapshot s{i, i + 1, static_cast<std::int64_t>(100 * i), true};
+    ReplicaSnapshot s{i, i + 1, static_cast<std::int64_t>(100 * i)};
     s.step_ewma_ms = 1.0 + 0.1 * static_cast<double>(i);
     s.expert_sig = 0xf0f0u + i;
     s.prefix_sig = 0x0f0fu + i;
@@ -123,11 +123,6 @@ TEST(EligibleSnapshots, NoFilterFastPathMatchesElementWiseScan) {
   for (std::size_t i = 0; i < cut.size(); ++i) {
     EXPECT_TRUE(same_snapshot(cut[i], all[i])) << "snapshot " << i;
   }
-  // And a non-accepting replica is dropped.
-  all[0].accepting = false;
-  const auto filtered = eligible_snapshots(all, inf);
-  ASSERT_EQ(filtered.size(), 4u);
-  EXPECT_EQ(filtered[0].replica, 1u);
 }
 
 }  // namespace

@@ -116,6 +116,12 @@ TEST(Arrivals, RejectsBadParameters) {
 
 // --- Scheduler ----------------------------------------------------------------
 
+// Pushes a trace already in (arrival, id) order, then seals the scheduler.
+void push_all(ContinuousBatchScheduler& sched, const std::vector<Request>& trace) {
+  for (const Request& rq : trace) sched.push(rq);
+  sched.seal();
+}
+
 TEST(Scheduler, ConfigValidation) {
   SchedulerConfig cfg;
   cfg.token_budget = 0;
@@ -142,9 +148,9 @@ TEST(Scheduler, ContinuousAdmitsWithinBudget) {
   cfg.token_budget = 100;
   ContinuousBatchScheduler sched{cfg};
   // Three requests with 40-token prompts: only two fit (40+40+2 <= 100).
-  sched.submit({{0, Duration::zero(), 40, 4},
-                {1, Duration::zero(), 40, 4},
-                {2, Duration::zero(), 40, 4}});
+  push_all(sched, {{0, Duration::zero(), 40, 4},
+                  {1, Duration::zero(), 40, 4},
+                  {2, Duration::zero(), 40, 4}});
   sched.release_arrivals(Duration::zero());
   EXPECT_EQ(sched.admit().size(), 2u);
   EXPECT_EQ(sched.active().size(), 2u);
@@ -157,7 +163,7 @@ TEST(Scheduler, OversizedPromptAdmittedAloneOnEmptyServer) {
   SchedulerConfig cfg;
   cfg.token_budget = 32;
   ContinuousBatchScheduler sched{cfg};
-  sched.submit({{0, Duration::zero(), 100, 2}, {1, Duration::zero(), 8, 2}});
+  push_all(sched, {{0, Duration::zero(), 100, 2}, {1, Duration::zero(), 8, 2}});
   sched.release_arrivals(Duration::zero());
   const auto first = sched.admit();
   ASSERT_EQ(first.size(), 1u);
@@ -175,7 +181,7 @@ TEST(Scheduler, FixedWaitsForFullBatch) {
     const Duration at = i + 1 < kFixedBatch ? Duration::zero() : Duration::millis(5);
     trace.push_back({static_cast<std::uint64_t>(i), at, 8, 2});
   }
-  sched.submit(std::move(trace));
+  push_all(sched, trace);
   sched.release_arrivals(Duration::zero());
   EXPECT_TRUE(sched.admit().empty());  // waits: the batch's last arrival is still due
   EXPECT_DOUBLE_EQ(sched.next_arrival().ms(), 5.0);
@@ -187,7 +193,7 @@ TEST(Scheduler, MergedStepWorksConserveRoutedTokens) {
   auto engine = make_engine(core::StrategyKind::kMondeAmove);
   SchedulerConfig cfg;
   ContinuousBatchScheduler sched{cfg};
-  sched.submit({{0, Duration::zero(), 8, 4}, {1, Duration::zero(), 8, 4}});
+  push_all(sched, {{0, Duration::zero(), 8, 4}, {1, Duration::zero(), 8, 4}});
   sched.release_arrivals(Duration::zero());
   ASSERT_EQ(sched.admit().size(), 2u);
   const auto works = sched.step_works(engine.workload());
@@ -210,7 +216,7 @@ TEST(Scheduler, BurstAdmissionDrainsFifoWithinBudget) {
   for (int i = 0; i < n; ++i) {
     trace.push_back({static_cast<std::uint64_t>(i), Duration::zero(), 4, 2});
   }
-  sched.submit(std::move(trace));
+  push_all(sched, trace);
   sched.release_arrivals(Duration::zero());
   std::uint64_t next_expected = 0;
   Duration t = Duration::zero();
@@ -241,7 +247,7 @@ TEST(Scheduler, FixedModePadsDoneSlotsAtFrozenDepth) {
   for (std::int64_t i = 0; i < kFixedBatch; ++i) {
     trace.push_back({static_cast<std::uint64_t>(i), Duration::zero(), 8, i == 0 ? 1 : 3});
   }
-  sched.submit(std::move(trace));
+  push_all(sched, trace);
   sched.release_arrivals(Duration::zero());
   const auto batch = static_cast<std::size_t>(kFixedBatch);
   ASSERT_EQ(sched.admit().size(), batch);
@@ -521,11 +527,21 @@ TEST(ServerSim, AdvanceToPastTimestampIsANoOp) {
   EXPECT_EQ(rep.requests[1].generated, 2);
 }
 
-TEST(ServerSim, RejectsEmptyTrace) {
+TEST(ServerSim, RunRejectsEmptyTraceAndUsedServer) {
   SchedulerConfig cfg;
   auto engine = make_engine(core::StrategyKind::kMondeAmove);
   ServerSim sim{engine, cfg};
   EXPECT_THROW((void)sim.run({}), Error);
+  // A server that already ran, holds an enqueued request, or was drained
+  // is used.
+  (void)sim.run(test_trace());
+  EXPECT_THROW((void)sim.run(test_trace()), Error);
+  ServerSim holding{engine, cfg};
+  holding.enqueue(test_trace().front());
+  EXPECT_THROW((void)holding.run(test_trace()), Error);
+  ServerSim drained{engine, cfg};
+  drained.drain();
+  EXPECT_THROW((void)drained.run(test_trace()), Error);
 }
 
 // --- Resume / prefix-cache / size-aware admission -----------------------------
@@ -579,7 +595,7 @@ TEST(Scheduler, PrefillDiscountShrinksAdmissionCharge) {
   // Two 40-token prompts: undiscounted, only one fits (40+40+2 > 50); with
   // half the prompt cached, both do (20+20+2 <= 50).
   sched.set_prefill_discount([](const Request& rq) { return rq.prompt_len / 2; });
-  sched.submit({{0, Duration::zero(), 40, 4}, {1, Duration::zero(), 40, 4}});
+  push_all(sched, {{0, Duration::zero(), 40, 4}, {1, Duration::zero(), 40, 4}});
   sched.release_arrivals(Duration::zero());
   const auto newly = sched.admit();
   ASSERT_EQ(newly.size(), 2u);
@@ -594,7 +610,7 @@ TEST(Scheduler, SizeAwareAdmissionPrefersFewestRemainingTokens) {
     cfg.size_aware_admission = size_aware;
     ContinuousBatchScheduler sched{cfg};
     // A 40-token giant arrives ahead of an 8-token short request.
-    sched.submit({{0, Duration::zero(), 40, 4}, {1, Duration::zero(), 8, 2}});
+    push_all(sched, {{0, Duration::zero(), 40, 4}, {1, Duration::zero(), 8, 2}});
     sched.release_arrivals(Duration::zero());
     const auto newly = sched.admit();
     EXPECT_EQ(newly.size(), 1u);  // either way only one fits the 45-token budget
