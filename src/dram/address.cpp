@@ -18,53 +18,44 @@ AddressMapper::AddressMapper(const Spec& spec) {
   spec.validate();
   const Organization& org = spec.org;
   offset_bits_ = log2_exact(org.access_bytes);
-  channel_bits_ = log2_exact(org.channels);
-  column_bits_ = log2_exact(org.columns);
-  rank_bits_ = log2_exact(org.ranks);
-  bankgroup_bits_ = log2_exact(org.bankgroups);
-  bank_bits_ = log2_exact(org.banks_per_group);
-  row_bits_ = log2_exact(org.rows);
+  // Fields from the LSB up, each starting where the previous one ends.
+  int shift = offset_bits_;
+  auto field = [&shift](int size) {
+    const int bits = log2_exact(size);
+    const Field f{shift, (std::uint64_t{1} << bits) - 1};
+    shift += bits;
+    return f;
+  };
+  channel_ = field(org.channels);
+  column_ = field(org.columns);
+  rank_ = field(org.ranks);
+  bankgroup_ = field(org.bankgroups);
+  bank_ = field(org.banks_per_group);
+  row_ = field(org.rows);
   capacity_ = org.total_capacity().count();
 }
 
 Address AddressMapper::decompose(std::uint64_t addr) const {
   MONDE_REQUIRE(addr < capacity_, "address 0x" << std::hex << addr << " beyond device capacity");
-  std::uint64_t v = addr >> offset_bits_;
-  auto take = [&v](int bits) {
-    const auto field = static_cast<int>(v & ((1ULL << bits) - 1));
-    v >>= bits;
-    return field;
-  };
   Address a;
-  a.channel = take(channel_bits_);
-  a.column = take(column_bits_);
-  a.rank = take(rank_bits_);
-  a.bankgroup = take(bankgroup_bits_);
-  a.bank = take(bank_bits_);
-  a.row = take(row_bits_);
+  a.channel = channel_.get(addr);
+  a.column = column_.get(addr);
+  a.rank = rank_.get(addr);
+  a.bankgroup = bankgroup_.get(addr);
+  a.bank = bank_.get(addr);
+  a.row = row_.get(addr);
   return a;
 }
 
 std::uint64_t AddressMapper::compose(const Address& a) const {
-  MONDE_REQUIRE(a.channel >= 0 && a.channel < (1 << channel_bits_), "channel out of range");
-  MONDE_REQUIRE(a.column >= 0 && a.column < (1 << column_bits_), "column out of range");
-  MONDE_REQUIRE(a.rank >= 0 && a.rank < (1 << rank_bits_), "rank out of range");
-  MONDE_REQUIRE(a.bankgroup >= 0 && a.bankgroup < (1 << bankgroup_bits_), "bankgroup out of range");
-  MONDE_REQUIRE(a.bank >= 0 && a.bank < (1 << bank_bits_), "bank out of range");
-  MONDE_REQUIRE(a.row >= 0 && a.row < (1 << row_bits_), "row out of range");
-  std::uint64_t v = 0;
-  int shift = 0;
-  auto put = [&](int field, int bits) {
-    v |= static_cast<std::uint64_t>(field) << shift;
-    shift += bits;
-  };
-  put(a.channel, channel_bits_);
-  put(a.column, column_bits_);
-  put(a.rank, rank_bits_);
-  put(a.bankgroup, bankgroup_bits_);
-  put(a.bank, bank_bits_);
-  put(a.row, row_bits_);
-  return v << offset_bits_;
+  MONDE_REQUIRE(channel_.holds(a.channel), "channel out of range");
+  MONDE_REQUIRE(column_.holds(a.column), "column out of range");
+  MONDE_REQUIRE(rank_.holds(a.rank), "rank out of range");
+  MONDE_REQUIRE(bankgroup_.holds(a.bankgroup), "bankgroup out of range");
+  MONDE_REQUIRE(bank_.holds(a.bank), "bank out of range");
+  MONDE_REQUIRE(row_.holds(a.row), "row out of range");
+  return channel_.put(a.channel) | column_.put(a.column) | rank_.put(a.rank) |
+         bankgroup_.put(a.bankgroup) | bank_.put(a.bank) | row_.put(a.row);
 }
 
 }  // namespace monde::dram

@@ -47,7 +47,7 @@ class AddressMapper {
   /// Channel field alone: the cheap part of decompose() for admission checks.
   [[nodiscard]] int channel_of(std::uint64_t addr) const {
     MONDE_REQUIRE(addr < capacity_, "address 0x" << std::hex << addr << " beyond device capacity");
-    return static_cast<int>((addr >> offset_bits_) & ((1ULL << channel_bits_) - 1));
+    return channel_.get(addr);
   }
 
   /// Compose a byte address (offset bits zero) from a coordinate.
@@ -59,13 +59,28 @@ class AddressMapper {
   [[nodiscard]] int offset_bits() const { return offset_bits_; }
 
  private:
+  /// One coordinate's bit slice of a byte address. Each field is read
+  /// independently of the others, so a decode has no serial shift chain.
+  struct Field {
+    int shift = 0;
+    std::uint64_t mask = 0;  ///< (1 << width) - 1
+
+    [[nodiscard]] int get(std::uint64_t addr) const {
+      return static_cast<int>((addr >> shift) & mask);
+    }
+    [[nodiscard]] bool holds(int v) const {
+      return v >= 0 && static_cast<std::uint64_t>(v) <= mask;
+    }
+    [[nodiscard]] std::uint64_t put(int v) const { return static_cast<std::uint64_t>(v) << shift; }
+  };
+
   int offset_bits_;
-  int channel_bits_;
-  int column_bits_;
-  int rank_bits_;
-  int bankgroup_bits_;
-  int bank_bits_;
-  int row_bits_;
+  Field channel_;
+  Field column_;
+  Field rank_;
+  Field bankgroup_;
+  Field bank_;
+  Field row_;
   std::uint64_t capacity_;
 };
 

@@ -34,10 +34,11 @@ class FixedRing {
   const T& front() const { return (*this)[0]; }
   const T& back() const { return (*this)[size_ - 1]; }
 
-  void push_back(T v) {
+  /// Append a slot at the back and return it for the caller to fill in
+  /// place. The slot holds whatever it held before (see above).
+  T& emplace_back() {
     MONDE_ASSERT(size_ < capacity_, "fixed ring overflow (capacity " << capacity_ << ")");
-    (*this)[size_] = std::move(v);
-    ++size_;
+    return (*this)[size_++];
   }
   void pop_front() {
     head_ = (head_ + 1) & mask_;
@@ -63,13 +64,14 @@ class ChannelController {
  public:
   ChannelController(const Spec& spec, int channel_index);
 
-  /// True if the (bounded) request queue can take another entry.
+  /// True if the (bounded) request queues can take another entry.
   [[nodiscard]] bool can_accept() const;
 
-  /// Enqueue a request already mapped to this channel; `addr` is its
-  /// decomposed address. `now_cycle` is the current controller cycle (used
-  /// for latency accounting).
-  void enqueue(Request req, const Address& addr, std::uint64_t now_cycle);
+  /// Enqueue a request already mapped to this channel if can_accept();
+  /// returns false, changing nothing, otherwise. `addr` is its decomposed
+  /// address. `now_cycle` is the current controller cycle (used for latency
+  /// accounting).
+  bool try_enqueue(const Request& req, const Address& addr, std::uint64_t now_cycle);
 
   /// Advance one controller clock cycle: issue at most one command, retire
   /// completed data transfers, handle refresh.
@@ -100,11 +102,21 @@ class ChannelController {
   struct Bank {
     bool open = false;
     int open_row = -1;
-    // Earliest cycles at which each command may be issued to this bank.
+    // Earliest cycles at which each command may be issued to this bank by
+    // its own timing; the bank group and rank add theirs (earliest_*_cycle
+    // takes the max of all three).
     std::uint64_t next_act = 0;
     std::uint64_t next_pre = 0;
     std::uint64_t next_rd = 0;
     std::uint64_t next_wr = 0;
+  };
+
+  /// Constraints that bind every bank of one bank group alike (the
+  /// same-group _L timings), kept once instead of copied into each bank.
+  struct BankGroup {
+    std::uint64_t next_act = 0;  ///< RRD_L
+    std::uint64_t next_rd = 0;   ///< CCD_L, WTR_L
+    std::uint64_t next_wr = 0;   ///< CCD_L
   };
 
   struct RankState {
@@ -125,17 +137,22 @@ class ChannelController {
   /// rank has queued demand so streams are not cut mid-burst.
   static constexpr std::uint64_t kMaxPostponedRefreshes = 8;
 
+  /// A queued request with the coordinates the scheduler reads, decoded
+  /// once at admission.
   struct Entry {
     Request req;
-    Address addr;
     std::uint64_t enqueue_cycle = 0;
+    std::uint32_t bank = 0;   ///< index into banks_
+    std::uint32_t group = 0;  ///< index into groups_
+    int rank = 0;
+    int row = 0;
+    [[nodiscard]] bool is_read() const { return req.type == Request::Type::kRead; }
   };
 
   struct InFlight {
     Request req;
     std::uint64_t complete_cycle = 0;
     std::uint64_t enqueue_cycle = 0;
-    bool is_read = false;
   };
 
   /// Memoized result of a failed prep scan (see schedule_queue): while the
@@ -151,33 +168,34 @@ class ChannelController {
     std::uint64_t blocked_until = 0;
   };
 
-  Bank& bank_at(const Address& a);
-  [[nodiscard]] const Bank& bank_at(const Address& a) const;
+  [[nodiscard]] bool row_hit(const Entry& e) const {
+    const Bank& b = banks_[e.bank];
+    return b.open && b.open_row == e.row;
+  }
 
   // Earliest cycles at which a command could be issued under the timing
-  // constraints alone (bank-state preconditions aside). The can_* predicates
-  // and the event-bound computations (sched_bound, try_prep's blocked_until)
-  // share these so the fast path can never drift from the reference
+  // constraints alone (bank-state preconditions aside). The scheduler's issue
+  // checks and the event-bound computations (sched_bound, try_prep's
+  // blocked_until) share these so the fast path can never drift from the reference
   // semantics when a timing rule changes.
-  [[nodiscard]] std::uint64_t earliest_act_cycle(const Address& a) const;
-  [[nodiscard]] std::uint64_t earliest_cas_cycle(const Address& a, bool is_read) const;
-
-  // Timing predicates (at cycle `c`).
-  [[nodiscard]] bool can_activate(const Address& a, std::uint64_t c) const;
-  [[nodiscard]] bool can_precharge(const Address& a, std::uint64_t c) const;
-  [[nodiscard]] bool can_read(const Address& a, std::uint64_t c) const;
-  [[nodiscard]] bool can_write(const Address& a, std::uint64_t c) const;
+  [[nodiscard]] std::uint64_t earliest_act_cycle(const Entry& e) const;
+  [[nodiscard]] std::uint64_t earliest_cas_cycle(const Entry& e) const;
 
   // Command issue (updates timing state + stats).
-  void issue_activate(const Address& a, std::uint64_t c);
-  void issue_precharge(const Address& a, std::uint64_t c);
-  void issue_cas(Entry& e, std::uint64_t c);
+  void issue_activate(const Entry& e, std::uint64_t c);
+  void issue_precharge(std::size_t bank, std::uint64_t c);
+  void issue_cas(const Entry& e, std::uint64_t c);
   void issue_refresh(int rank, std::uint64_t c);
 
   /// Try to make progress on one queued request; returns true if a command
   /// was issued this cycle.
   bool schedule_queue(FixedRing<Entry>& q, std::uint64_t c);
+  /// Start or advance a due refresh. Called only from cycle refresh_wake_
+  /// on: before it no rank can start or advance one.
   bool try_refresh(std::uint64_t c);
+  /// Earliest cycle > `c` at which try_refresh could act if no rank's
+  /// demand or refresh state changes first.
+  [[nodiscard]] std::uint64_t refresh_bound(std::uint64_t c) const;
 
   void retire(std::uint64_t c, Duration tick_period);
 
@@ -194,7 +212,8 @@ class ChannelController {
   const Spec& spec_;
   int channel_;
 
-  std::vector<Bank> banks_;       // [rank][flat_bank] flattened
+  std::vector<Bank> banks_;        // [rank][flat_bank] flattened
+  std::vector<BankGroup> groups_;  // [rank][bankgroup] flattened
   std::vector<RankState> ranks_;
   FixedRing<Entry> read_q_{kQueueCapacity};
   FixedRing<Entry> write_q_{kQueueCapacity};
@@ -205,6 +224,11 @@ class ChannelController {
   FixedRing<InFlight> inflight_;
   std::uint64_t bus_free_ = 0;  ///< first cycle the data bus is free
   bool draining_writes_ = false;
+  /// Lower bound on the next cycle at which try_refresh can act: it scans
+  /// the ranks only from this cycle on. Every state change that can make
+  /// refresh act sooner (a rank's demand draining) lowers it; changes that
+  /// delay refresh leave it early, which only costs a rescan.
+  std::uint64_t refresh_wake_ = 0;
   PrepCache read_prep_cache_;
   PrepCache write_prep_cache_;
   Stats stats_;

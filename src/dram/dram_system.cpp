@@ -17,8 +17,8 @@ bool DramSystem::exhaustive_tick_env_default() {
   return on;
 }
 
-DramSystem::DramSystem(Spec spec) : spec_{std::move(spec)}, mapper_{spec_} {
-  spec_.validate();
+DramSystem::DramSystem(Spec spec)
+    : spec_{std::move(spec)}, mapper_{spec_}, period_{spec_.clock_period()} {
   channels_.reserve(static_cast<std::size_t>(spec_.org.channels));
   for (int c = 0; c < spec_.org.channels; ++c) {
     channels_.push_back(std::make_unique<ChannelController>(spec_, c));
@@ -31,17 +31,20 @@ bool DramSystem::can_accept(std::uint64_t addr) const {
   return channels_[static_cast<std::size_t>(channel_of(addr))]->can_accept();
 }
 
-void DramSystem::enqueue(Request req) {
+bool DramSystem::try_enqueue(const Request& req) {
   const Address a = mapper_.decompose(req.addr);
-  ChannelController& ch = *channels_[static_cast<std::size_t>(a.channel)];
-  MONDE_REQUIRE(ch.can_accept(), "channel " << a.channel << " queue full; check can_accept() first");
-  ch.enqueue(std::move(req), a, cycle_);
+  return channels_[static_cast<std::size_t>(a.channel)]->try_enqueue(req, a, cycle_);
+}
+
+void DramSystem::enqueue(const Request& req) {
+  const bool accepted = try_enqueue(req);
+  MONDE_REQUIRE(accepted,
+                "channel " << channel_of(req.addr) << " queue full; check can_accept() first");
 }
 
 void DramSystem::tick() {
   ++cycle_;
-  const Duration period = spec_.clock_period();
-  for (auto& ch : channels_) ch->tick(cycle_, period);
+  for (auto& ch : channels_) ch->tick(cycle_, period_);
 }
 
 void DramSystem::advance_until(std::uint64_t limit_cycle) {
@@ -49,11 +52,16 @@ void DramSystem::advance_until(std::uint64_t limit_cycle) {
     tick();
     return;
   }
+  // Every call advances at least one cycle, so once some channel's next
+  // event is the very next cycle the other channels need not be asked.
+  const std::uint64_t next = cycle_ + 1;
   std::uint64_t target = limit_cycle;
-  for (const auto& ch : channels_) target = std::min(target, ch->next_event_cycle(cycle_));
-  cycle_ = std::max(target, cycle_ + 1);
-  const Duration period = spec_.clock_period();
-  for (auto& ch : channels_) ch->tick(cycle_, period);
+  for (const auto& ch : channels_) {
+    if (target <= next) break;
+    target = std::min(target, ch->next_event_cycle(cycle_));
+  }
+  cycle_ = std::max(target, next);
+  for (auto& ch : channels_) ch->tick(cycle_, period_);
 }
 
 void DramSystem::run_until_idle() {
@@ -62,8 +70,7 @@ void DramSystem::run_until_idle() {
   // rates: no workload in this repository legitimately needs more than ~1 s
   // of simulated DRAM time to drain.
   const Duration max_drain = Duration::seconds(1.0);
-  const std::uint64_t limit =
-      cycle_ + static_cast<std::uint64_t>(max_drain / spec_.clock_period()) + 1;
+  const std::uint64_t limit = cycle_ + static_cast<std::uint64_t>(max_drain / period_) + 1;
   while (!idle()) {
     advance_until(limit);
     if (cycle_ >= limit && !idle()) {
@@ -80,9 +87,7 @@ void DramSystem::run_until_idle() {
   }
 }
 
-Duration DramSystem::now() const {
-  return spec_.clock_period() * static_cast<double>(cycle_);
-}
+Duration DramSystem::now() const { return period_ * static_cast<double>(cycle_); }
 
 bool DramSystem::idle() const {
   for (const auto& ch : channels_) {

@@ -30,8 +30,13 @@ class DramSystem {
   /// True if the owning channel can take another request.
   [[nodiscard]] bool can_accept(std::uint64_t addr) const;
 
-  /// Enqueue a request. Requires can_accept(addr).
-  void enqueue(Request req);
+  /// Enqueue a request if its channel can take it; returns false, changing
+  /// nothing, otherwise. One address decode and one admission check: the
+  /// streaming form of can_accept() + enqueue().
+  bool try_enqueue(const Request& req);
+
+  /// Enqueue a request. Requires can_accept(req.addr).
+  void enqueue(const Request& req);
 
   /// Advance one controller cycle on every channel.
   void tick();
@@ -85,6 +90,7 @@ class DramSystem {
   Spec spec_;
   AddressMapper mapper_;
   std::vector<std::unique_ptr<ChannelController>> channels_;
+  Duration period_;  ///< spec_.clock_period(), computed once
   std::uint64_t cycle_ = 0;
   bool exhaustive_tick_ = exhaustive_tick_env_default();
 };

@@ -3,24 +3,41 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <type_traits>
 
 #include "common/units.hpp"
 
 namespace monde::dram {
 
-/// One column-granularity DRAM transaction.
+/// One column-granularity DRAM transaction. Trivially copyable: the
+/// controller queues requests by value, so a request carries no owning
+/// state -- its completion is a plain function pointer plus the caller's
+/// context, and a caller with many requests in flight tells them apart by
+/// `id`.
 struct Request {
-  enum class Type { kRead, kWrite };
+  enum class Type : std::uint8_t { kRead, kWrite };
+  using Completion = void (*)(void* context, const Request& req, Duration completion_time);
 
   std::uint64_t addr = 0;
   Type type = Type::kRead;
   std::uint64_t id = 0;  ///< caller-assigned tag, echoed on completion
 
-  /// Called at the cycle the data transfer finishes (read data returned /
-  /// write data accepted by the device). May be empty.
-  std::function<void(const Request&, Duration completion_time)> on_complete;
+  /// Called with `context` at the cycle the data transfer finishes (read
+  /// data returned / write data accepted by the device). May be null.
+  Completion on_complete = nullptr;
+  void* context = nullptr;
+
+  /// Route the completion to `sink(req, completion_time)`. The request holds
+  /// only `&sink`, so the sink must outlive the request's retirement.
+  template <typename Sink>
+  void complete_into(Sink& sink) {
+    context = &sink;
+    on_complete = [](void* ctx, const Request& req, Duration t) {
+      (*static_cast<Sink*>(ctx))(req, t);
+    };
+  }
 };
+static_assert(std::is_trivially_copyable_v<Request>);
 
 /// Aggregate statistics across the device (or one channel).
 struct Stats {

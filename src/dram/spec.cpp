@@ -1,6 +1,7 @@
 #include "dram/spec.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -64,9 +65,23 @@ void Spec::validate() const {
                     pow2(org.banks_per_group) && pow2(org.rows) && pow2(org.columns),
                 "organization dimensions must be powers of two for bit-sliced mapping");
   MONDE_REQUIRE(data_rate_mtps > 0.0, "data rate must be positive");
-  MONDE_REQUIRE(timing.nBL >= 1 && timing.nCL >= 1 && timing.nRCD >= 1 && timing.nRP >= 1,
-                "core timings must be at least one cycle");
-  MONDE_REQUIRE(timing.nRAS + timing.nRP <= timing.nRC + 1, "tRC must cover tRAS + tRP");
+  // Every constraint is at least one cycle: a zero tREFI would make refresh
+  // due forever, and a non-positive latency breaks the in-flight FIFO order.
+  const Timing& t = timing;
+  const std::pair<const char*, int> cycles[] = {
+      {"nBL", t.nBL},   {"nCL", t.nCL},     {"nWL", t.nWL},     {"nRCD", t.nRCD},
+      {"nRP", t.nRP},   {"nRAS", t.nRAS},   {"nRC", t.nRC},     {"nCCDS", t.nCCDS},
+      {"nCCDL", t.nCCDL}, {"nRRDS", t.nRRDS}, {"nRRDL", t.nRRDL}, {"nFAW", t.nFAW},
+      {"nRTP", t.nRTP}, {"nWR", t.nWR},     {"nWTRS", t.nWTRS}, {"nWTRL", t.nWTRL},
+      {"nREFI", t.nREFI}, {"nRFC", t.nRFC}};
+  for (const auto& [field, value] : cycles) {
+    MONDE_REQUIRE(value >= 1, "timing " << field << " must be at least one cycle, got " << value);
+  }
+  MONDE_REQUIRE(t.nRAS + t.nRP <= t.nRC + 1, "tRC must cover tRAS + tRP");
+  // A refresh must finish before the next one falls due, or the device does
+  // nothing but refresh.
+  MONDE_REQUIRE(t.nRFC < t.nREFI, "tRFC (" << t.nRFC << ") must be shorter than tREFI ("
+                                            << t.nREFI << ")");
 }
 
 }  // namespace monde::dram

@@ -20,6 +20,8 @@ NdpCoreSim::NdpCoreSim(NdpSpec ndp, dram::Spec mem) : ndp_{ndp}, mem_{std::move(
                 "NDP array dimensions must be positive");
   MONDE_REQUIRE(ndp_.clock_ghz > 0.0, "NDP clock must be positive");
   MONDE_REQUIRE(ndp_.stream_chunk_rows > 0, "stream chunk must be positive");
+  MONDE_REQUIRE(ndp_.pipeline_fill >= 0, "pipeline fill must be non-negative");
+  MONDE_REQUIRE(ndp_.kernel_decode >= Duration::zero(), "kernel decode time must be non-negative");
 }
 
 std::uint64_t NdpCoreSim::compute_cycles_for(const compute::GemmShape& shape) const {
@@ -107,10 +109,38 @@ NdpKernelResult NdpCoreSim::run_pipeline(const std::vector<std::vector<Chunk>>& 
   Duration kernel_chain_end = Duration::zero();
 
   // Sequential block cursors: weights stream contiguously; activations place
-  // A tiles first and C tiles behind them (distinct rows, same parity).
+  // A tiles in the first half of their partition and C tiles in the second
+  // (distinct rows, same parity). Each cursor wraps within its region.
+  const std::uint64_t half = acts.block_count() / 2;
   std::uint64_t w_cursor = 0;
   std::uint64_t a_cursor = 0;
-  std::uint64_t c_cursor = acts.block_count() / 2;
+  std::uint64_t c_cursor = 0;
+
+  // Consecutive blocks of one region that one chunk moves: the addresses of
+  // blocks `base + (index + i) % span` for i < `left`, produced as they are
+  // injected rather than queued one request at a time.
+  struct BlockRun {
+    const PartitionLayout* layout;
+    std::uint64_t base;
+    std::uint64_t span;
+    std::uint64_t index;  ///< next block, already reduced mod span
+    std::uint64_t left;
+    std::size_t chunk;
+
+    [[nodiscard]] std::uint64_t addr() const { return layout->block_address(base + index); }
+    /// Step past the block just injected; true once the run is exhausted.
+    bool pop() {
+      if (++index == span) index = 0;
+      return --left == 0;
+    }
+  };
+  auto take_run = [](std::deque<BlockRun>& runs, const PartitionLayout& layout,
+                     std::uint64_t base, std::uint64_t span, std::uint64_t& cursor,
+                     std::uint64_t blocks, std::size_t chunk) {
+    if (blocks == 0) return;
+    runs.push_back({&layout, base, span, cursor % span, blocks, chunk});
+    cursor += blocks;
+  };
 
   for (const auto& chunks : kernels) {
     if (chunks.empty()) continue;
@@ -119,14 +149,22 @@ NdpKernelResult NdpCoreSim::run_pipeline(const std::vector<std::vector<Chunk>>& 
     // (linear2 consumes linear1's output) plus instruction decode.
     const Duration t0 = kernel_chain_end + ndp_.kernel_decode;
 
-    // State the load-completion callback updates. The callback captures one
-    // pointer to it and finds its chunk in Request::id, so the closure fits
-    // std::function's small buffer and a load allocates nothing.
+    // State the load completions update: every load carries a pointer to it
+    // as its completion context and its chunk index as Request::id.
     struct LoadState {
       std::vector<Duration> done;
       std::vector<std::uint64_t> remaining;
       Duration t0;
       bool chunk_completed = false;  ///< some chunk's last load retired
+
+      static void on_load(void* ctx, const dram::Request& r, Duration t) {
+        auto* st = static_cast<LoadState*>(ctx);
+        MONDE_ASSERT(st->remaining[r.id] > 0, "duplicate load completion");
+        if (--st->remaining[r.id] == 0) {
+          st->done[r.id] = max(t, st->t0);
+          st->chunk_completed = true;
+        }
+      }
     };
     LoadState loads{std::vector<Duration>(total, Duration::zero()),
                     std::vector<std::uint64_t>(total, 0), t0};
@@ -135,33 +173,23 @@ NdpKernelResult NdpCoreSim::run_pipeline(const std::vector<std::vector<Chunk>>& 
     Duration last_store_done = t0;
 
     // Pending DRAM work, generated lazily per chunk.
-    struct PendingReq {
-      std::uint64_t addr;
-      bool is_write;
-      std::size_t chunk;
-    };
-    std::deque<PendingReq> inject;
-    std::deque<PendingReq> deferred_stores;  // released when their pass computes
+    std::deque<BlockRun> inject;
+    std::deque<BlockRun> deferred_stores;  // released when their pass computes
     std::vector<Duration> store_release(total, Duration::infinite());
+    dram::Request store;
+    store.type = dram::Request::Type::kWrite;
+    store.on_complete = [](void* ctx, const dram::Request&, Duration t) {
+      auto* done = static_cast<Duration*>(ctx);
+      *done = max(*done, t);
+    };
+    store.context = &last_store_done;
 
     auto gen_chunk_requests = [&](std::size_t idx) {
       const Chunk& ch = chunks[idx];
       loads.remaining[idx] = ch.load_blocks + ch.load_act_blocks;
-      for (std::uint64_t b = 0; b < ch.load_blocks; ++b) {
-        inject.push_back({weights.block_address(w_cursor % weights.block_count()), false, idx});
-        ++w_cursor;
-      }
-      for (std::uint64_t b = 0; b < ch.load_act_blocks; ++b) {
-        inject.push_back({acts.block_address(a_cursor % (acts.block_count() / 2)), false, idx});
-        ++a_cursor;
-      }
-      for (std::uint64_t b = 0; b < ch.store_blocks; ++b) {
-        deferred_stores.push_back(
-            {acts.block_address(acts.block_count() / 2 +
-                                c_cursor % (acts.block_count() / 2)),
-             true, idx});
-        ++c_cursor;
-      }
+      take_run(inject, weights, 0, weights.block_count(), w_cursor, ch.load_blocks, idx);
+      take_run(inject, acts, 0, half, a_cursor, ch.load_act_blocks, idx);
+      take_run(deferred_stores, acts, half, half, c_cursor, ch.store_blocks, idx);
       result.read_blocks += ch.load_blocks + ch.load_act_blocks;
       result.write_blocks += ch.store_blocks;
       result.compute_cycles += ch.compute_cycles;
@@ -176,23 +204,17 @@ NdpKernelResult NdpCoreSim::run_pipeline(const std::vector<std::vector<Chunk>>& 
     auto all_loads_done = [&](std::size_t idx) { return loads.remaining[idx] == 0; };
 
     // Inject queued loads, oldest first, until channel admission blocks.
+    dram::Request load;
+    load.type = dram::Request::Type::kRead;
+    load.on_complete = &LoadState::on_load;
+    load.context = &loads;
     auto pump_loads = [&] {
-      while (!inject.empty() && dramsys.can_accept(inject.front().addr)) {
-        const PendingReq& pr = inject.front();
-        dram::Request req;
-        req.addr = pr.addr;
-        req.type = dram::Request::Type::kRead;
-        req.id = pr.chunk;
-        LoadState* st = &loads;
-        req.on_complete = [st](const dram::Request& r, Duration t) {
-          MONDE_ASSERT(st->remaining[r.id] > 0, "duplicate load completion");
-          if (--st->remaining[r.id] == 0) {
-            st->done[r.id] = max(t, st->t0);
-            st->chunk_completed = true;
-          }
-        };
-        dramsys.enqueue(std::move(req));
-        inject.pop_front();
+      while (!inject.empty()) {
+        BlockRun& run = inject.front();
+        load.addr = run.addr();
+        load.id = run.chunk;
+        if (!dramsys.try_enqueue(load)) break;
+        if (run.pop()) inject.pop_front();
       }
     };
 
@@ -216,17 +238,11 @@ NdpKernelResult NdpCoreSim::run_pipeline(const std::vector<std::vector<Chunk>>& 
 
       // Inject stores whose pass has computed.
       while (!deferred_stores.empty()) {
-        const PendingReq& pr = deferred_stores.front();
-        if (store_release[pr.chunk] > now) break;
-        if (!dramsys.can_accept(pr.addr)) break;
-        dram::Request req;
-        req.addr = pr.addr;
-        req.type = dram::Request::Type::kWrite;
-        req.on_complete = [&](const dram::Request&, Duration t) {
-          last_store_done = max(last_store_done, t);
-        };
-        dramsys.enqueue(std::move(req));
-        deferred_stores.pop_front();
+        BlockRun& run = deferred_stores.front();
+        if (store_release[run.chunk] > now) break;
+        store.addr = run.addr();
+        if (!dramsys.try_enqueue(store)) break;
+        if (run.pop()) deferred_stores.pop_front();
       }
 
       // Schedule compute for ready chunks (bookkeeping only; the MAC arrays
@@ -276,7 +292,7 @@ NdpKernelResult NdpCoreSim::run_pipeline(const std::vector<std::vector<Chunk>>& 
       if (stores_gated && !exhaustive_tick) {
         while (!loads.chunk_completed && dramsys.cycle() < limit) {
           pump_loads();
-          if (dramsys.idle() && inject.empty()) break;
+          if (inject.empty() && dramsys.idle()) break;
           dramsys.advance_until(limit);
         }
       }

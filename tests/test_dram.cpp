@@ -42,6 +42,27 @@ TEST(Spec, ValidateRejectsBadFields) {
   s = Spec::monde_lpddr5x_8533();
   s.data_rate_mtps = -1;
   EXPECT_THROW(s.validate(), Error);
+  // Every timing is at least one cycle: a zero tREFI would make refresh due
+  // forever, and a negative latency would break the in-flight FIFO.
+  int Timing::*const fields[] = {
+      &Timing::nBL,   &Timing::nCL,   &Timing::nWL,   &Timing::nRCD,  &Timing::nRP,
+      &Timing::nRAS,  &Timing::nRC,   &Timing::nCCDS, &Timing::nCCDL, &Timing::nRRDS,
+      &Timing::nRRDL, &Timing::nFAW,  &Timing::nRTP,  &Timing::nWR,   &Timing::nWTRS,
+      &Timing::nWTRL, &Timing::nREFI, &Timing::nRFC};
+  for (int Timing::*field : fields) {
+    for (const int bad : {0, -12}) {
+      s = Spec::monde_lpddr5x_8533();
+      s.timing.*field = bad;
+      EXPECT_THROW(s.validate(), Error) << "timing value " << bad;
+      EXPECT_THROW(DramSystem{s}, Error) << "timing value " << bad;
+    }
+  }
+  // A refresh must finish before the next one falls due.
+  s = Spec::monde_lpddr5x_8533();
+  s.timing.nRFC = s.timing.nREFI;
+  EXPECT_THROW(s.validate(), Error);
+  s.timing.nRFC = s.timing.nREFI - 1;
+  EXPECT_NO_THROW(s.validate());
 }
 
 TEST(Spec, BandwidthScalingPreservesWallClockTimings) {
@@ -112,11 +133,12 @@ TEST(DramSystem, ColdReadLatency) {
   const Spec s = small_spec();
   DramSystem sys{s};
   Duration done = Duration::zero();
+  auto on_done = [&](const Request&, Duration t) { done = t; };
   Request req;
   req.addr = 0;
   req.type = Request::Type::kRead;
-  req.on_complete = [&](const Request&, Duration t) { done = t; };
-  sys.enqueue(std::move(req));
+  req.complete_into(on_done);
+  sys.enqueue(req);
   sys.run_until_idle();
   const double expected_cycles = s.timing.nRCD + s.timing.nCL + s.timing.nBL;
   const double actual_cycles = done.ns() / s.clock_period().ns();
@@ -131,17 +153,19 @@ TEST(DramSystem, RowHitFasterThanRowMiss) {
   auto measure_pair = [&](std::uint64_t addr2) {
     DramSystem sys{s};
     Duration t1, t2;
+    auto on_first = [&](const Request&, Duration t) { t1 = t; };
+    auto on_second = [&](const Request&, Duration t) { t2 = t; };
     Request r1;
     r1.addr = 0;
     r1.type = Request::Type::kRead;
-    r1.on_complete = [&](const Request&, Duration t) { t1 = t; };
-    sys.enqueue(std::move(r1));
+    r1.complete_into(on_first);
+    sys.enqueue(r1);
     sys.run_until_idle();
     Request r2;
     r2.addr = addr2;
     r2.type = Request::Type::kRead;
-    r2.on_complete = [&](const Request&, Duration t) { t2 = t; };
-    sys.enqueue(std::move(r2));
+    r2.complete_into(on_second);
+    sys.enqueue(r2);
     sys.run_until_idle();
     return (t2 - t1).ns();
   };
@@ -167,13 +191,14 @@ TEST(DramSystem, StreamingReachesHighBandwidth) {
   const std::uint64_t total = 40000;
   std::uint64_t next = 0;
   std::uint64_t completed = 0;
+  auto count_completion = [&](const Request&, Duration) { ++completed; };
   while (completed < total) {
     while (next < total && sys.can_accept(next * block)) {
       Request r;
       r.addr = next * block;
       r.type = Request::Type::kRead;
-      r.on_complete = [&](const Request&, Duration) { ++completed; };
-      sys.enqueue(std::move(r));
+      r.complete_into(count_completion);
+      sys.enqueue(r);
       ++next;
     }
     sys.tick();
@@ -192,7 +217,7 @@ TEST(DramSystem, RefreshesAreIssued) {
     Request r;
     r.addr = static_cast<std::uint64_t>(epoch) * block;
     r.type = Request::Type::kRead;
-    sys.enqueue(std::move(r));
+    sys.enqueue(r);
     for (int i = 0; i < s.timing.nREFI; ++i) sys.tick();
   }
   sys.run_until_idle();
@@ -204,13 +229,14 @@ TEST(DramSystem, WritesCompleteAndDrain) {
   DramSystem sys{s};
   const auto block = static_cast<std::uint64_t>(s.org.access_bytes);
   std::uint64_t completed = 0;
+  auto count_completion = [&](const Request&, Duration) { ++completed; };
   for (std::uint64_t i = 0; i < 100; ++i) {
     while (!sys.can_accept(i * block)) sys.tick();
     Request r;
     r.addr = i * block;
     r.type = Request::Type::kWrite;
-    r.on_complete = [&](const Request&, Duration) { ++completed; };
-    sys.enqueue(std::move(r));
+    r.complete_into(count_completion);
+    sys.enqueue(r);
   }
   sys.run_until_idle();
   EXPECT_EQ(completed, 100u);
@@ -225,6 +251,7 @@ TEST(DramSystem, MixedReadWriteConserved) {
   const auto block = static_cast<std::uint64_t>(s.org.access_bytes);
   const std::uint64_t blocks = s.org.total_capacity().count() / block;
   std::uint64_t completed = 0;
+  auto count_completion = [&](const Request&, Duration) { ++completed; };
   const std::uint64_t total = 2000;
   std::uint64_t issued = 0;
   while (completed < total) {
@@ -234,8 +261,8 @@ TEST(DramSystem, MixedReadWriteConserved) {
       Request r;
       r.addr = addr;
       r.type = (rng.next_u64() & 1) ? Request::Type::kWrite : Request::Type::kRead;
-      r.on_complete = [&](const Request&, Duration) { ++completed; };
-      sys.enqueue(std::move(r));
+      r.complete_into(count_completion);
+      sys.enqueue(r);
       ++issued;
     }
     sys.tick();
@@ -254,13 +281,13 @@ TEST(DramSystem, EnqueueWithoutAdmissionCheckThrows) {
     Request r;
     r.addr = i * chan_stride;  // always channel 0
     r.type = Request::Type::kRead;
-    sys.enqueue(std::move(r));
+    sys.enqueue(r);
     ++i;
   }
   Request r;
   r.addr = i * chan_stride;
   r.type = Request::Type::kRead;
-  EXPECT_THROW(sys.enqueue(std::move(r)), Error);
+  EXPECT_THROW(sys.enqueue(r), Error);
 }
 
 // Completion cycle of a request finishing at `t`.
@@ -277,6 +304,7 @@ TEST(DramSystem, FourActivateWindowDelaysFifthActivate) {
   ASSERT_GT(s.timing.nFAW, 4 * s.timing.nRRDS);
   DramSystem sys{s};
   std::uint64_t done[5] = {};
+  auto on_done = [&](const Request& q, Duration t) { done[q.id] = cycle_of(s, t); };
   const int bankgroups[5] = {0, 1, 2, 3, 0};
   const int banks[5] = {0, 0, 0, 0, 1};
   for (int i = 0; i < 5; ++i) {
@@ -286,8 +314,8 @@ TEST(DramSystem, FourActivateWindowDelaysFifthActivate) {
     Request r;
     r.addr = sys.mapper().compose(a);
     r.id = static_cast<std::uint64_t>(i);
-    r.on_complete = [&](const Request& q, Duration t) { done[q.id] = cycle_of(s, t); };
-    sys.enqueue(std::move(r));
+    r.complete_into(on_done);
+    sys.enqueue(r);
   }
   sys.run_until_idle();
   // Each read completes nRCD + nCL + nBL after its ACT.
@@ -316,6 +344,10 @@ TEST(DramSystem, GoldenRandomMixedStream) {
   const auto block = static_cast<std::uint64_t>(s.org.access_bytes);
   std::uint64_t checksum = 0;
   std::uint64_t completions = 0;
+  auto on_done = [&](const Request& q, Duration t) {
+    checksum = (checksum ^ (q.id * 0x9e3779b97f4a7c15ULL + cycle_of(s, t))) * 0x100000001b3ULL;
+    ++completions;
+  };
   std::uint64_t addr = 0;
   for (std::uint64_t id = 0; id < 6000; ++id) {
     if (rng.next_below(2) == 0) {
@@ -336,12 +368,9 @@ TEST(DramSystem, GoldenRandomMixedStream) {
     r.addr = addr;
     r.id = id;
     r.type = rng.next_below(5) < 2 ? Request::Type::kWrite : Request::Type::kRead;
-    r.on_complete = [&](const Request& q, Duration t) {
-      checksum = (checksum ^ (q.id * 0x9e3779b97f4a7c15ULL + cycle_of(s, t))) * 0x100000001b3ULL;
-      ++completions;
-    };
+    r.complete_into(on_done);
     while (!sys.can_accept(addr)) sys.advance();
-    sys.enqueue(std::move(r));
+    sys.enqueue(r);
     if (id % 2000 == 1999) {
       // Idle gap: refresh falls due with no queued demand.
       const std::uint64_t until = sys.cycle() + 2500;
@@ -378,13 +407,14 @@ TEST_P(BandwidthScaleTest, StreamingTracksScale) {
   const auto block = static_cast<std::uint64_t>(s.org.access_bytes);
   const std::uint64_t total = 20000;
   std::uint64_t next = 0, completed = 0;
+  auto count_completion = [&](const Request&, Duration) { ++completed; };
   while (completed < total) {
     while (next < total && sys.can_accept(next * block)) {
       Request r;
       r.addr = next * block;
       r.type = Request::Type::kRead;
-      r.on_complete = [&](const Request&, Duration) { ++completed; };
-      sys.enqueue(std::move(r));
+      r.complete_into(count_completion);
+      sys.enqueue(r);
       ++next;
     }
     sys.tick();

@@ -139,9 +139,11 @@ void expect_result(const NdpKernelResult& r, double latency_ns, std::uint64_t co
 }
 
 // Golden pins on the DAC'24 device: cold d512/dff2048 bf16 experts on a
-// fresh simulator. test_fastpath_diff compares two modes of one controller;
-// these pin the answers themselves, so a change to the controller or the
-// pipeline that moves any cycle fails here.
+// fresh simulator, one row per token count the cycle-level path covers.
+// test_fastpath_diff compares two modes of one controller, and shortcuts in
+// code the modes share are invisible to it; these pin the answers
+// themselves, so a change to the controller or the pipeline that moves any
+// cycle fails here.
 TEST(NdpCoreSim, GoldenColdExpertsDac24) {
   const core::SystemConfig cfg = core::SystemConfig::dac24();
   struct Golden {
@@ -152,9 +154,20 @@ TEST(NdpCoreSim, GoldenColdExpertsDac24) {
   };
   const Golden goldens[] = {
       {1, 9305.3556779561695, 8352, 32808, 40, 0.98347305389221562, 461766036243.82208},
+      {2, 9307.2307512012194, 8352, 32848, 80, 0.98327759197324416, 462795345274.86096},
+      {3, 9309.1058244462674, 8352, 32888, 120, 0.98331744518589137, 463824230547.55042},
       {4, 9309.1058244462674, 8352, 32928, 160, 0.98335710889205896, 464948380403.45819},
       {5, 17563.178249150358, 16704, 65736, 200, 0.98318024573541696, 486075065226.7818},
+      {6, 17563.178249150358, 16704, 65776, 240, 0.98320028595257958, 486664819006.47937},
+      {7, 17565.053322395404, 16704, 65816, 280, 0.98322027847197424, 487201959183.67346},
+      {8, 17565.053322395404, 16704, 65856, 320, 0.98324022346368711, 487791649281.935},
+      {9, 26085.386147896403, 25056, 98664, 360, 0.98308315463426255, 489661306483.15826},
+      {10, 26085.386147896403, 25056, 98704, 400, 0.98301856848119351, 490056896486.78009},
+      {11, 26087.261221141453, 25056, 98744, 440, 0.98303203298445929, 490416961900.62286},
+      {12, 26087.261221141453, 25056, 98784, 480, 0.98304547615274918, 490812523250.7605},
       {13, 34620.719559357785, 33408, 131592, 520, 0.98291768347122199, 491283628479.59906},
+      {14, 34601.968826907301, 33408, 131632, 560, 0.98281092012133464, 491849059137.7337},
+      {15, 34603.843900152351, 33408, 131672, 600, 0.9828795624777078, 492119893612.38281},
       {16, 34603.843900152351, 33408, 131712, 640, 0.98312336581887327, 492417534772.18225},
   };
   for (const Golden& g : goldens) {
@@ -311,6 +324,31 @@ TEST(NdpCoreSim, GemmAndExpertConsistent) {
   EXPECT_GE(expert.latency.ns(), std::max(g1.latency.ns(), g2.latency.ns()));
   EXPECT_LE(expert.latency.ns(),
             (g1.latency + g2.latency + 4.0 * sim.ndp_spec().kernel_decode).ns() * 1.1);
+}
+
+TEST(NdpCoreSim, RejectsInvalidSpecs) {
+  // A negative skew fill would silently shrink every pass's compute cycles.
+  NdpSpec ndp = NdpSpec::monde_dac24();
+  ndp.pipeline_fill = -20;
+  EXPECT_THROW((NdpCoreSim{ndp, test_mem()}), Error);
+  ndp = NdpSpec::monde_dac24();
+  ndp.kernel_decode = Duration::nanos(-1.0);
+  EXPECT_THROW((NdpCoreSim{ndp, test_mem()}), Error);
+  ndp = NdpSpec::monde_dac24();
+  ndp.pipeline_fill = 0;
+  ndp.kernel_decode = Duration::zero();
+  EXPECT_NO_THROW((NdpCoreSim{ndp, test_mem()}));
+  // Device timings that would hang or saturate the DRAM model are rejected
+  // up front, before any expert is simulated.
+  dram::Spec mem = test_mem();
+  mem.timing.nREFI = 0;
+  EXPECT_THROW((NdpCoreSim{NdpSpec::monde_dac24(), mem}), Error);
+  mem = test_mem();
+  mem.timing.nRFC = mem.timing.nREFI + 1;
+  EXPECT_THROW((NdpCoreSim{NdpSpec::monde_dac24(), mem}), Error);
+  mem = test_mem();
+  mem.timing.nWL = -3;
+  EXPECT_THROW((NdpCoreSim{NdpSpec::monde_dac24(), mem}), Error);
 }
 
 TEST(NdpCoreSim, RejectsInvalidShapes) {
