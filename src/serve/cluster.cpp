@@ -1,6 +1,7 @@
 #include "serve/cluster.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <functional>
@@ -9,7 +10,6 @@
 #include <numeric>
 #include <optional>
 #include <queue>
-#include <tuple>
 #include <utility>
 
 #include "common/taskpool.hpp"
@@ -78,7 +78,6 @@ ClusterSim::ClusterSim(const core::SystemConfig& sys, const moe::MoeModelConfig&
     }
   }
   replicas_.reserve(specs.size());
-  next_seed_ = 0;
   for (std::size_t i = 0; i < specs.size(); ++i) {
     add_replica(specs[i], Duration::zero(), Duration::zero(),
                 cfg_.disagg.enabled && i < cfg_.disagg.prefill_replicas);
@@ -108,17 +107,6 @@ void ClusterSim::add_replica(const ReplicaSpec& spec, Duration spawned_at,
   replicas_.push_back(std::move(r));
 }
 
-void ClusterSim::update_ewma(Replica& r) {
-  constexpr double kNewestStepWeight = 0.25;
-  const std::vector<StepRecord>& steps = r.server->steps();
-  for (; r.steps_seen < steps.size(); ++r.steps_seen) {
-    const double ms = (steps[r.steps_seen].end - steps[r.steps_seen].start).ms();
-    r.ewma_ms = r.steps_seen == 0
-                    ? ms
-                    : kNewestStepWeight * ms + (1.0 - kNewestStepWeight) * r.ewma_ms;
-  }
-}
-
 ReplicaSnapshot ClusterSim::snapshot(std::size_t i) const {
   const Replica& r = replicas_[i];
   return ReplicaSnapshot{i,
@@ -130,35 +118,33 @@ ReplicaSnapshot ClusterSim::snapshot(std::size_t i) const {
                          r.prefill};
 }
 
-ClusterSim::AcceptingCounts ClusterSim::accepting_counts() const {
-  AcceptingCounts n;
-  for (const Replica& r : replicas_) {
-    if (!r.detected && !r.retired) ++(r.prefill ? n.prefill : n.decode);
-  }
-  return n;
-}
-
-// --- FleetView: how the run loop finds work and who is accepting ------------
+// --- FleetView: how the run finds work and who is accepting ------------------
 // The one decision the reference loop and the calendar loop make
-// differently. ScanView is the oracle: it advances every replica, min-scans
-// for the next detection, scans for live work, and rebuilds the accepting
-// snapshots per dispatch. CalendarView answers the same questions from
-// indexes. Every snapshot field is a function of server state that is
-// written through at each mutation, so both views hand the dispatcher the
-// same vectors (pinned by tests/test_calendar_diff.cpp).
+// differently. ScanView is the oracle: it hands every replica to each
+// advance, min-scans for the next detection, scans for live work, and
+// rebuilds the accepting snapshots per dispatch. CalendarView answers the
+// same questions from indexes. Every snapshot field is a function of server
+// state that is written through at each mutation, so both views hand the
+// dispatcher the same vectors (pinned by tests/test_calendar_diff.cpp).
 class ClusterSim::FleetView {
  public:
-  FleetView(ClusterSim& sim, std::size_t threads) : replicas_{sim.replicas_}, sim_{sim} {
-    // threads == 1 builds no pool at all: advancement stays sequential.
-    if (threads > 1) pool_ = std::make_unique<common::TaskPool>(threads);
+  /// Accepting (undetected, unretired) replicas per role, indexed by
+  /// Replica::prefill: [0] decode (every replica of a unified fleet), [1]
+  /// prefill.
+  using Counts = std::array<std::size_t, 2>;
+
+  // threads == 1 spawns no worker: advancement stays sequential.
+  FleetView(ClusterSim& sim, std::size_t threads)
+      : replicas_{sim.replicas_}, sim_{sim}, pool_{threads} {
+    for (const Replica& r : replicas_) ++counts_[r.prefill];
   }
   virtual ~FleetView() = default;
   FleetView(const FleetView&) = delete;
   FleetView& operator=(const FleetView&) = delete;
 
-  /// Advances every replica that has work before `t` to `t` and returns
-  /// them in ascending order; the caller commits each one afterwards.
-  virtual const std::vector<std::size_t>& advance_to(Duration t) = 0;
+  /// The replicas with work before `t`, in ascending order: the batch an
+  /// advance to `t` runs and then commits.
+  virtual const std::vector<std::size_t>& due_before(Duration t) = 0;
   /// Earliest undetected fail-stop detection as (instant, replica); the
   /// instant is infinite when none is left.
   virtual std::pair<Duration, std::size_t> next_detection() = 0;
@@ -168,38 +154,44 @@ class ClusterSim::FleetView {
   virtual const std::vector<ReplicaSnapshot>& accepting() = 0;
   /// Replica i's server or step EWMA changed.
   virtual void touched(std::size_t /*i*/) {}
-  /// Replica i started accepting (a spawn).
-  virtual void joined(std::size_t /*i*/) {}
-  /// Replica i stopped accepting (detection or retirement).
-  virtual void left(std::size_t /*i*/) {}
 
-  /// Runs every replica to completion. The drains are mutually
-  /// independent, so they fan out to the pool when there is one.
-  void drain_all() {
-    if (pool_ != nullptr && replicas_.size() > 1) {
-      pool_->run(replicas_.size(), [&](std::size_t i) { replicas_[i].server->drain(); });
-    } else {
-      for (Replica& r : replicas_) r.server->drain();
+  [[nodiscard]] const Counts& counts() const { return counts_; }
+  [[nodiscard]] std::size_t capacity() const { return counts_[0] + counts_[1]; }
+  /// Replica i starts accepting (a spawn).
+  void join(std::size_t i) {
+    ++counts_[replicas_[i].prefill];
+    joined(i);
+  }
+  /// Replica i stops accepting; call before setting its detected or
+  /// retired flag. A retiree detected dead later is no longer counted.
+  void leave(std::size_t i) {
+    if (replicas_[i].accepting()) {
+      --counts_[replicas_[i].prefill];
+      left(i);
     }
+  }
+
+  /// Advances each replica of `batch` to `t`, fanned out to the pool:
+  /// servers are mutually independent, and the shared NdpCoreSim memo is
+  /// concurrency-safe with canonical values.
+  void advance_batch(const std::vector<std::size_t>& batch, Duration t) {
+    pool_.run(batch.size(), [&](std::size_t k) { replicas_[batch[k]].server->advance_to(t); });
+  }
+  /// Runs every replica to completion; the drains are independent too.
+  void drain_all() {
+    pool_.run(replicas_.size(), [&](std::size_t i) { replicas_[i].server->drain(); });
   }
 
  protected:
-  /// Advances each replica of `batch` to `t`: in parallel on the pool when
-  /// one exists (servers are mutually independent; the shared NdpCoreSim
-  /// memo is concurrency-safe with canonical values), else in order.
-  void advance_batch(const std::vector<std::size_t>& batch, Duration t) {
-    if (pool_ != nullptr && batch.size() > 1) {
-      pool_->run(batch.size(), [&](std::size_t k) { replicas_[batch[k]].server->advance_to(t); });
-    } else {
-      for (const std::size_t i : batch) replicas_[i].server->advance_to(t);
-    }
-  }
+  virtual void joined(std::size_t /*i*/) {}
+  virtual void left(std::size_t /*i*/) {}
 
   std::vector<Replica>& replicas_;
   const ClusterSim& sim_;
 
  private:
-  std::unique_ptr<common::TaskPool> pool_;
+  common::TaskPool pool_;
+  Counts counts_{};
 };
 
 /// The reference loop's view: O(replicas) per question, no index to trust,
@@ -208,10 +200,9 @@ class ClusterSim::ScanView final : public FleetView {
  public:
   explicit ScanView(ClusterSim& sim) : FleetView{sim, 1} {}
 
-  const std::vector<std::size_t>& advance_to(Duration t) override {
+  const std::vector<std::size_t>& due_before(Duration /*t*/) override {
     all_.resize(replicas_.size());
     std::iota(all_.begin(), all_.end(), std::size_t{0});
-    advance_batch(all_, t);
     return all_;
   }
 
@@ -239,7 +230,7 @@ class ClusterSim::ScanView final : public FleetView {
   const std::vector<ReplicaSnapshot>& accepting() override {
     snaps_.clear();
     for (std::size_t i = 0; i < replicas_.size(); ++i) {
-      if (!replicas_[i].detected && !replicas_[i].retired) snaps_.push_back(sim_.snapshot(i));
+      if (replicas_[i].accepting()) snaps_.push_back(sim_.snapshot(i));
     }
     return snaps_;
   }
@@ -276,7 +267,7 @@ class ClusterSim::CalendarView final : public FleetView {
   // to do there (advance_to(t) with next_event_time() >= t is a no-op for a
   // live server), and an advanced replica's next event lands at or after t,
   // so one batch is exhaustive.
-  const std::vector<std::size_t>& advance_to(Duration t) override {
+  const std::vector<std::size_t>& due_before(Duration t) override {
     batch_.clear();
     for (; fail_cursor_ < fail_order_.size() && fail_order_[fail_cursor_].first <= t;
          ++fail_cursor_) {
@@ -287,14 +278,13 @@ class ClusterSim::CalendarView final : public FleetView {
       if (calendar_.empty() || calendar_.top().first >= t) break;
       const std::size_t i = calendar_.top().second;
       calendar_.pop();
-      due_[i] = Duration::infinite();  // commit() re-arms it
+      due_[i] = Duration::infinite();  // the commit re-arms it
       batch_.push_back(i);
     }
     // A failing replica may also hold a live calendar entry before t; never
     // hand the same replica to two workers.
     std::sort(batch_.begin(), batch_.end());
     batch_.erase(std::unique(batch_.begin(), batch_.end()), batch_.end());
-    advance_batch(batch_, t);
     return batch_;
   }
 
@@ -329,6 +319,10 @@ class ClusterSim::CalendarView final : public FleetView {
     if (t != Duration::infinite()) calendar_.push({t, i});
   }
 
+ private:
+  using CalEntry = std::pair<Duration, std::size_t>;  // (time, replica), min-heap
+  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+
   void joined(std::size_t i) override {
     epos_.resize(replicas_.size(), kNoSlot);
     due_.resize(replicas_.size(), Duration::infinite());
@@ -338,15 +332,10 @@ class ClusterSim::CalendarView final : public FleetView {
 
   void left(std::size_t i) override {
     const std::size_t at = epos_[i];
-    if (at == kNoSlot) return;
     eligible_.erase(eligible_.begin() + static_cast<std::ptrdiff_t>(at));
     epos_[i] = kNoSlot;
     for (std::size_t p = at; p < eligible_.size(); ++p) epos_[eligible_[p].replica] = p;
   }
-
- private:
-  using CalEntry = std::pair<Duration, std::size_t>;  // (time, replica), min-heap
-  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
 
   /// Drops stale entries (time no longer the replica's due time) off the
   /// calendar's top.
@@ -367,6 +356,151 @@ class ClusterSim::CalendarView final : public FleetView {
   // index to its slot in eligible_.
   std::vector<ReplicaSnapshot> eligible_;
   std::vector<std::size_t> epos_;
+};
+
+// --- Intake: arrivals and re-dispatches in one (time, id) order --------------
+// One heap holds the arrival stream's head and every retry, migration and
+// handoff; popping the head pulls its successor. Keys never tie (a request
+// is re-queued only after its entry popped), and per-replica enqueues stay
+// (arrival, id)-ordered. Duplicate ids are caught in the report.
+class ClusterSim::Intake {
+ public:
+  enum class Source { kArrival, kRetry, kMigration, kHandoff };
+  /// A request due for dispatch at `time`.
+  struct Item {
+    Duration time;
+    Request rq;
+    Source source;
+  };
+
+  explicit Intake(ArrivalStream& arrivals) : arrivals_{arrivals} {
+    std::optional<Request> first = arrivals_.next();
+    MONDE_REQUIRE(first.has_value(), "cannot serve an empty trace");
+    items_.push({first->arrival, std::move(*first), Source::kArrival});
+  }
+
+  [[nodiscard]] bool empty() const { return items_.empty(); }
+  /// The next item's instant; infinite when empty.
+  [[nodiscard]] Duration next() const { return empty() ? Duration::infinite() : items_.top().time; }
+  [[nodiscard]] Duration last_pop() const { return last_pop_; }
+  /// Requests taken from the arrival stream so far.
+  [[nodiscard]] std::size_t taken() const { return taken_; }
+
+  void push(Item it) { items_.push(std::move(it)); }
+  Item pop() {
+    MONDE_ASSERT(!empty(), "pop from an empty intake");
+    Item it = items_.top();
+    items_.pop();
+    last_pop_ = it.time;
+    if (it.source == Source::kArrival) {
+      ++taken_;
+      if (std::optional<Request> nxt = arrivals_.next()) {
+        MONDE_REQUIRE(!arrival_order(*nxt, it.rq),
+                      "arrival stream is out of (arrival, id) order at request " << nxt->id);
+        items_.push({nxt->arrival, std::move(*nxt), Source::kArrival});
+      }
+    }
+    return it;
+  }
+
+ private:
+  struct Later {
+    bool operator()(const Item& a, const Item& b) const {
+      return a.time != b.time ? a.time > b.time : a.rq.id > b.rq.id;
+    }
+  };
+
+  ArrivalStream& arrivals_;
+  std::priority_queue<Item, std::vector<Item>, Later> items_;
+  Duration last_pop_ = Duration::zero();
+  std::size_t taken_ = 0;
+};
+
+// --- ClusterRun: what the concerns of one run() share -------------------------
+// The fleet view, the intake, the report's counters and event log, and the
+// one advance-and-commit path every concern advances replicas through.
+struct ClusterSim::ClusterRun {
+  ClusterRun(ClusterSim& s, ArrivalStream& arrivals)
+      : sim{s},
+        replicas{s.replicas_},
+        cfg{s.cfg_},
+        view{cfg.reference_loop ? std::unique_ptr<FleetView>{std::make_unique<ScanView>(s)}
+                                : std::make_unique<CalendarView>(s, cfg.threads)},
+        intake{arrivals} {
+    rep.peak_replicas = view->capacity();
+  }
+
+  /// Advances every replica with work before `t` to `t`.
+  void advance(Duration t) { advance(view->due_before(t), t, t); }
+
+  // Advance, then commit: the write-backs touch only their own replica's
+  // state, so committing the batch sequentially in ascending replica order
+  // after a (possibly parallel) advance keeps every counter, percentile and
+  // RNG draw independent of thread scheduling.
+  void advance(const std::vector<std::size_t>& batch, Duration t, Duration floor) {
+    phase_begin();
+    view->advance_batch(batch, t);
+    phase_end(rep.phase_advance_s);
+    phase_begin();
+    for (const std::size_t i : batch) commit(i, t, floor);
+    phase_end(rep.phase_commit_s);
+  }
+
+  /// Write-backs after replica i advanced to `t`: fold its new steps into
+  /// the EWMA, turn its buffered prefill releases into items, then let the
+  /// view re-index it (the drain may apply a pending completion, which moves
+  /// the server's next event). Each release becomes a decode-pool item at
+  /// `release + transfer`, clamped to `floor`, which never precedes a popped
+  /// item (the advance target, or the last pop when only the prefill pool
+  /// ran ahead): the global (time, id) pop order survives releases
+  /// discovered mid-event.
+  void commit(std::size_t i, Duration t, Duration floor) {
+    Replica& r = replicas[i];
+    constexpr double kNewestStepWeight = 0.25;
+    const std::vector<StepRecord>& steps = r.server->steps();
+    for (; r.steps_seen < steps.size(); ++r.steps_seen) {
+      const double ms = (steps[r.steps_seen].end - steps[r.steps_seen].start).ms();
+      r.ewma_ms = r.steps_seen == 0
+                      ? ms
+                      : kNewestStepWeight * ms + (1.0 - kNewestStepWeight) * r.ewma_ms;
+    }
+    if (r.prefill) {
+      for (HandoffRecord& h : r.server->take_handoffs(t)) {
+        ++h.request.attempt;
+        intake.push({monde::max(h.release + h.transfer, floor), std::move(h.request),
+                     Intake::Source::kHandoff});
+      }
+    }
+    view->touched(i);
+  }
+
+  /// Appends a timeline event; `detail` builds its string, and runs only
+  /// when the log is on.
+  template <class Detail>
+  void log(ClusterEvent::Kind kind, Duration t, std::size_t i, const Detail& detail) {
+    if (cfg.event_log_enabled) rep.events.push_back({kind, t, i, detail()});
+  }
+
+  // Per-phase wall-clock (ClusterConfig::measure_phases), three buckets for
+  // the perf-trend dashboard: advancement (fans out to the pool), the
+  // sequential commit write-backs, and the sequential dispatch decisions.
+  // Zero-cost when off; simulated results never depend on them.
+  void phase_begin() {
+    if (cfg.measure_phases) phase_t0 = std::chrono::steady_clock::now();
+  }
+  void phase_end(double& bucket) const {
+    if (cfg.measure_phases) {
+      bucket += std::chrono::duration<double>(std::chrono::steady_clock::now() - phase_t0).count();
+    }
+  }
+
+  ClusterSim& sim;
+  std::vector<Replica>& replicas;
+  const ClusterConfig& cfg;
+  std::unique_ptr<FleetView> view;
+  Intake intake;
+  ClusterReport rep;  ///< counters, events and phase times accumulate here
+  std::chrono::steady_clock::time_point phase_t0{};
 };
 
 namespace {
@@ -394,347 +528,105 @@ bool prune_profile(moe::ExpertProfile& p) {
 
 }  // namespace
 
-// --- ClusterRun: one run() call's state and its per-event handlers -----------
-class ClusterSim::ClusterRun {
+// --- The concerns ---------------------------------------------------------------
+/// One cluster concern: its next instant (infinite: none) and what it does
+/// at that instant. The run loop fires the earliest.
+class ClusterSim::Concern {
  public:
-  ClusterRun(ClusterSim& sim, ArrivalStream& arrivals, Dispatcher& dispatcher,
-             Autoscaler* autoscaler)
-      : sim_{sim},
-        replicas_{sim.replicas_},
-        cfg_{sim.cfg_},
-        arrivals_{arrivals},
-        dispatcher_{dispatcher},
-        autoscaler_{autoscaler},
-        view_{cfg_.reference_loop ? std::unique_ptr<FleetView>{std::make_unique<ScanView>(sim)}
-                                  : std::make_unique<CalendarView>(sim, cfg_.threads)},
-        next_tick_{cfg_.autoscale_period},
-        next_rebalance_{cfg_.expert.rebalance_period},
-        // run() is called once, so replicas_ is the boot fleet here.
-        boot_prefill_{cfg_.disagg.enabled ? cfg_.disagg.prefill_replicas : 0},
-        boot_decode_{cfg_.disagg.enabled ? replicas_.size() - boot_prefill_ : 0} {
-    head_ = arrivals_.next();
-    MONDE_REQUIRE(head_.has_value(), "cannot serve an empty trace");
-    rep_.policy = dispatcher_.name();
-    rep_.autoscaler = autoscaler_ != nullptr ? autoscaler_->name() : "";
-    rep_.peak_replicas = sim_.accepting_counts().total();
-  }
+  explicit Concern(ClusterRun& run) : run_{run} {}
+  virtual Duration next() = 0;
+  virtual void fire(Duration t) = 0;
 
-  /// The next instant each kind of cluster event is due (infinite: none).
-  struct Anchors {
-    Duration item;                   ///< next arrival or re-dispatch
-    Duration detect;                 ///< next fail-stop detection...
-    std::size_t detect_replica = 0;  ///< ...and the replica it concerns
-    Duration tick;                   ///< next autoscale evaluation
-    Duration rebalance;              ///< next expert rebalance
-    Duration prefill;                ///< earliest prefill-pool event (disaggregation)
-    [[nodiscard]] Duration external() const {
-      return monde::min(monde::min(detect, item), monde::min(tick, rebalance));
-    }
-  };
+ protected:
+  ClusterRun& run_;
+};
 
-  Anchors anchors() {
-    Anchors a;
-    a.item = item_time();
-    // A detection is a cluster event even beyond the last arrival: stranded
-    // work must recover.
-    std::tie(a.detect, a.detect_replica) = view_->next_detection();
-    // The autoscaler ticks while arrivals/retries remain AND through the
-    // drain phase while any replica still holds work, so late scale-downs
-    // release idle capacity (drain-phase ticks may only scale down).
-    a.tick = (autoscaler_ != nullptr && (has_item() || view_->has_live_work()))
-                 ? next_tick_
-                 : Duration::infinite();
-    // Rebalance ticks only matter while requests remain to route.
-    a.rebalance = rebalance_ && has_item() ? next_rebalance_ : Duration::infinite();
-    // Earliest prefill-internal event (admission start, step boundary, or an
-    // already-buffered release awaiting drain); infinite without
-    // disaggregation, and an infinite anchor never wins a strict comparison.
-    a.prefill = Duration::infinite();
-    if (cfg_.disagg.enabled) {
-      for (const Replica& r : replicas_) {
-        if (!r.prefill || r.detected) continue;
-        a.prefill = monde::min(a.prefill, r.server->next_event_time());
-        if (r.server->has_handoffs()) a.prefill = monde::min(a.prefill, last_pop_);
-      }
-    }
-    return a;
-  }
+/// Fail-stop detection, harvest and retry.
+class ClusterSim::Recovery final : public Concern {
+ public:
+  using Concern::Concern;
 
-  // With disaggregation, prefill completions are cluster events in their own
-  // right: each release spawns a decode-pool re-dispatch, and waiting for the
-  // next external anchor to surface it would delay the handoff by the whole
-  // inter-anchor gap. So when the prefill pool's earliest event precedes
-  // every external anchor, run ONLY the prefill pool forward to `horizon`
-  // (that anchor) and convert its releases at their true release times.
-  // Decode replicas stay put, so a surfaced item earlier than the horizon is
-  // dispatched into a decode replica whose clock has not yet passed it --
-  // causality holds. Progress is guaranteed: afterwards every live prefill
-  // replica's next event is at or beyond the horizon, so this cannot re-fire
-  // until new prefill work (an item) is dispatched.
-  void on_prefill_anchor(Duration horizon) {
-    for (std::size_t i = 0; i < replicas_.size(); ++i) {
-      Replica& r = replicas_[i];
-      if (!r.prefill || r.detected) continue;
-      phase_begin();
-      r.server->advance_to(horizon);
-      phase_end(rep_.phase_advance_s);
-      phase_begin();
-      commit(i, horizon, last_pop_);
-      phase_end(rep_.phase_commit_s);
-    }
-  }
+  // A detection is a cluster event even beyond the last arrival: stranded
+  // work must recover.
+  Duration next() override { return run_.view->next_detection().first; }
 
-  void on_detection(Duration t, std::size_t i) {
-    Replica& r = replicas_[i];
-    advance(t);  // the dying replica freezes at its fail-stop instant
+  void fire(Duration t) override {
+    const std::size_t i = run_.view->next_detection().second;
+    Replica& r = run_.replicas[i];
+    run_.advance(t);  // the dying replica freezes at its fail-stop instant
+    run_.view->leave(i);
     r.detected = true;
-    view_->left(i);
-    if (log_) {
-      rep_.events.push_back({ClusterEvent::Kind::kFailStop, r.server->fault().fail_at, i,
-                             "replica" + std::to_string(i) + " died"});
-    }
+    run_.log(ClusterEvent::Kind::kFailStop, r.server->fault().fail_at, i,
+             [&] { return "replica" + std::to_string(i) + " died"; });
     // A replica evacuated by a scale-down migration died empty: its work
     // already moved on, so there is nothing (and no way) to harvest.
     std::vector<Request> stranded;
     if (!r.evacuated) stranded = r.server->harvest_stranded();
-    if (log_) {
-      rep_.events.push_back({ClusterEvent::Kind::kFailureDetected, t, i,
-                             "heartbeat stale; " + std::to_string(stranded.size()) +
-                                 " stranded request(s) queued for retry"});
-    }
-    const bool resume = cfg_.cache.enabled && cfg_.cache.survive_failstop;
+    run_.log(ClusterEvent::Kind::kFailureDetected, t, i, [&] {
+      return "heartbeat stale; " + std::to_string(stranded.size()) +
+             " stranded request(s) queued for retry";
+    });
+    const PrefixCacheConfig& cache = run_.cfg.cache;
     for (Request rq : stranded) {
       ++rq.attempt;
       Duration at = t + kRetryTimeout;
-      if (resume) {
+      if (cache.enabled && cache.survive_failstop) {
         // Surviving-cache mode: the state checkpointed at the last step is
         // restored onto the retry replica at the modelled transfer cost (a
         // decode-pool victim's requests keep their full prompt, so they
         // re-home within the decode pool).
-        at += cfg_.cache.transfer_time_for(rq.resume.resident_tokens());
+        at += cache.transfer_time_for(rq.resume.resident_tokens());
       } else {
         // Lost-cache mode: the KV state died with the node.
         rq.resume = ResumeState{};
       }
-      pending_.push(Item{at, rq, false});
+      run_.intake.push({at, rq, Intake::Source::kRetry});
     }
   }
+};
 
-  void on_autoscale_tick(Duration t) {
-    advance(t);
+/// Autoscaling: the tick cadence, the queue-pressure signals, spawns, and
+/// retirement with optional evacuation.
+class ClusterSim::Elasticity final : public Concern {
+ public:
+  Elasticity(ClusterRun& run, Autoscaler* autoscaler) : Concern{run}, autoscaler_{autoscaler} {
+    run.rep.autoscaler = autoscaler != nullptr ? autoscaler->name() : "";
+  }
+
+  // The autoscaler ticks while arrivals/retries remain AND through the
+  // drain phase while any replica still holds work, so late scale-downs
+  // release idle capacity (drain-phase ticks may only scale down).
+  Duration next() override {
+    return autoscaler_ != nullptr && (!run_.intake.empty() || run_.view->has_live_work())
+               ? next_tick_
+               : Duration::infinite();
+  }
+
+  void fire(Duration t) override {
+    run_.advance(t);
     std::size_t target = std::max<std::size_t>(autoscaler_->target_size(signals(t)), 1);
-    std::size_t capacity = sim_.accepting_counts().total();
+    std::size_t capacity = run_.view->capacity();
     // Drain phase (no arrivals or retries left): scaling up is pure waste
     // -- no dispatch will ever reach the new replica -- so only honor the
     // downward direction of the policy's answer.
-    if (!has_item()) target = std::min(target, capacity);
+    if (run_.intake.empty()) target = std::min(target, capacity);
     for (; capacity < target; ++capacity) spawn(t);
     for (; capacity > target && capacity > 1; --capacity) {
       const std::size_t victim = retiree();
-      if (victim == replicas_.size()) break;  // every candidate is its pool's last
+      if (victim == run_.replicas.size()) break;  // every candidate is its pool's last
       retire(victim, t);
     }
-    rep_.peak_replicas = std::max(rep_.peak_replicas, sim_.accepting_counts().total());
-    next_tick_ += cfg_.autoscale_period;
+    run_.rep.peak_replicas = std::max(run_.rep.peak_replicas, capacity);
+    next_tick_ += run_.cfg.autoscale_period;
   }
-
-  // Cross-replica expert rebalancing: push the fleet's currently hottest
-  // experts (by dispatched-profile demand) into every accepting replica's
-  // residency. Each preload is priced as a fetch over the configured link,
-  // charged to the receiving replica's next step -- migrating hot experts
-  // toward the shards that will serve them instead of letting each replica
-  // fault them in one miss at a time.
-  void on_rebalance(Duration t) {
-    advance(t);
-    std::vector<std::pair<std::uint64_t, core::ExpertId>> by_demand;
-    by_demand.reserve(fleet_expert_load_.size());
-    for (const auto& [id, count] : fleet_expert_load_) by_demand.push_back({count, id});
-    // Hottest first; the map walk above yields ascending ExpertId, and the
-    // stable sort keeps that order within a demand tie -- deterministic.
-    std::stable_sort(by_demand.begin(), by_demand.end(),
-                     [](const auto& a, const auto& b) { return a.first > b.first; });
-    if (by_demand.size() > kRebalanceHotExperts) by_demand.resize(kRebalanceHotExperts);
-    std::vector<core::ExpertId> hot;
-    hot.reserve(by_demand.size());
-    for (const auto& [count, id] : by_demand) hot.push_back(id);
-    for (std::size_t i = 0; i < replicas_.size() && !hot.empty(); ++i) {
-      Replica& r = replicas_[i];
-      if (r.detected || r.retired) continue;
-      // preload_experts() no-ops on a silently fail-stopped server.
-      const std::size_t fetched = r.server->preload_experts(hot);
-      if (fetched == 0) continue;
-      rep_.expert_migrations += fetched;
-      view_->touched(i);
-      if (log_) {
-        rep_.events.push_back({ClusterEvent::Kind::kExpertRebalance, t, i,
-                               "preloaded " + std::to_string(fetched) +
-                                   " hot expert(s) onto replica" + std::to_string(i)});
-      }
-    }
-    next_rebalance_ += cfg_.expert.rebalance_period;
-  }
-
-  void on_dispatch(Duration t) {
-    // The detection anchor wins every all-infinite tie, so an item is
-    // guaranteed here: item < detect/tick/rebalance implies has_item().
-    MONDE_ASSERT(has_item(), "item branch reached with no item");
-    // Advance before popping: the advance may surface prefill-complete
-    // handoffs clamped to this very instant, and such an item (possibly
-    // carrying a smaller id than the current head) must be eligible for
-    // this pop to keep the global (time, id) dispatch order.
-    advance(t);
-    const Item it = pop_item();
-    last_pop_ = it.time;
-    phase_begin();
-    Request rq = it.rq;
-    if (cfg_.expert.enabled) {
-      // First dispatch derives the profile; a retry/migration keeps the one
-      // it already carries (possibly pruned by an earlier overload).
-      if (rq.expert_profile.empty()) {
-        rq.expert_profile = sim_.profiler_->expert_profile_for(
-            rq.id, ExpertServingConfig::profile_width, ExpertServingConfig::profile_tokens);
-      }
-      // Fleet demand feeds the rebalance ticks, so it is counted only when
-      // they run; count the full profile (the demand exists whether or not
-      // pruning later drops part of it).
-      if (rebalance_) {
-        for (const auto& e : rq.expert_profile.experts) {
-          ++fleet_expert_load_[core::ExpertId{e.layer, e.expert}];
-        }
-      }
-    }
-    const std::size_t idx = pick_replica(rq);
-    // Pruned-expert degraded mode: a request landing on an overloaded
-    // replica is served with a truncated profile -- fewer experts to keep
-    // hot, fewer fetches to price -- instead of queueing at full fidelity.
-    if (cfg_.expert.enabled && cfg_.expert.prune_outstanding_tokens > 0 &&
-        replicas_[idx].server->outstanding_tokens() > cfg_.expert.prune_outstanding_tokens &&
-        prune_profile(rq.expert_profile)) {
-      ++rep_.pruned_requests;
-    }
-    // The request joins the queue now: at its trace arrival, or at a
-    // re-dispatch's later instant.
-    replicas_[idx].server->enqueue(rq, it.time);
-    ++replicas_[idx].dispatched;
-    view_->touched(idx);
-    note_redispatch(it, rq, idx);
-    phase_end(rep_.phase_dispatch_s);
-  }
-
-  /// Drains the fleet and assembles the report.
-  ClusterReport report();
 
  private:
-  /// A request due for dispatch: an arrival, a failure retry, a scale-down
-  /// migration, or a prefill->decode handoff.
-  struct Item {
-    Duration time;
-    Request rq;
-    bool migrated = false;  ///< re-dispatch came from a retirement, not a failure
-    bool handoff = false;   ///< prefill-complete handoff bound for the decode pool
-  };
-  struct Later {
-    bool operator()(const Item& a, const Item& b) const {
-      return a.time != b.time ? a.time > b.time : a.rq.id > b.rq.id;
-    }
-  };
-  using WallClock = std::chrono::steady_clock;
-
-  // --- Arrival intake: lazy stream head + order policing --------------------
-  // Duplicate ids are caught in report(), once every request has a record:
-  // remembering each id at intake would cost memory per trace request.
-  void pull_head() {
-    std::optional<Request> nxt = arrivals_.next();
-    if (nxt.has_value()) {
-      MONDE_REQUIRE(!arrival_order(*nxt, *head_),
-                    "arrival stream is out of (arrival, id) order at request " << nxt->id);
-    }
-    head_ = std::move(nxt);
-  }
-  [[nodiscard]] bool has_item() const { return head_.has_value() || !pending_.empty(); }
-  [[nodiscard]] Duration item_time() const {
-    Duration t = head_.has_value() ? head_->arrival : Duration::infinite();
-    if (!pending_.empty()) t = monde::min(t, pending_.top().time);
-    return t;
-  }
-  Item pop_item() {
-    // Lexicographic (time, id) merge; a stream request and a re-dispatch
-    // never collide exactly (ids are unique per attempt epoch).
-    const bool from_stream =
-        head_.has_value() &&
-        (pending_.empty() || head_->arrival < pending_.top().time ||
-         (head_->arrival == pending_.top().time && head_->id < pending_.top().rq.id));
-    if (from_stream) {
-      Item it{head_->arrival, *head_, false};
-      ++intake_;
-      pull_head();
-      return it;
-    }
-    Item it = pending_.top();
-    pending_.pop();
-    return it;
-  }
-
-  // --- Per-phase wall-clock (ClusterConfig::measure_phases) ----------------
-  // Three buckets for the perf-trend dashboard: advancement (fans out to the
-  // pool), the sequential commit write-backs, and the sequential dispatch
-  // decisions. Zero-cost when off; simulated results never depend on them.
-  void phase_begin() {
-    if (cfg_.measure_phases) phase_t0_ = WallClock::now();
-  }
-  void phase_end(double& bucket) const {
-    if (cfg_.measure_phases) {
-      bucket += std::chrono::duration<double>(WallClock::now() - phase_t0_).count();
-    }
-  }
-
-  // --- Advancement and the per-replica commit -------------------------------
-  // Advance, then commit: the write-backs touch only their own replica's
-  // state, so committing the batch sequentially in ascending replica order
-  // after a (possibly parallel) advance keeps every counter, percentile and
-  // RNG draw independent of thread scheduling.
-  void advance(Duration t) {
-    phase_begin();
-    const std::vector<std::size_t>& batch = view_->advance_to(t);
-    phase_end(rep_.phase_advance_s);
-    phase_begin();
-    for (const std::size_t i : batch) commit(i, t, t);
-    phase_end(rep_.phase_commit_s);
-  }
-  /// Write-backs after replica i advanced to `t`: fold its new steps into
-  /// the EWMA, turn its buffered prefill releases into items, then let the
-  /// view re-index it -- the drain may apply a pending completion, which
-  /// moves the server's next event, so the view's re-read must come last.
-  void commit(std::size_t i, Duration t, Duration floor) {
-    sim_.update_ewma(replicas_[i]);
-    drain_handoffs(i, t, floor);
-    view_->touched(i);
-  }
-  // A prefill replica buffers a HandoffRecord the moment a request's
-  // admission step completes (inside advance_to, possibly on a worker
-  // thread); each commit turns the records into decode-pool items at
-  // `release + transfer`, clamped to a floor that never precedes an
-  // already-popped item (the advance target at fleet-wide commits; the
-  // last-popped time when only the prefill pool advanced), so the global
-  // (time, id) pop order -- and with it the per-replica (arrival, id)
-  // enqueue contract -- survives releases discovered mid-event.
-  void drain_handoffs(std::size_t i, Duration apply_until, Duration floor) {
-    if (!cfg_.disagg.enabled || !replicas_[i].prefill) return;
-    for (HandoffRecord& h : replicas_[i].server->take_handoffs(apply_until)) {
-      Request rq = std::move(h.request);
-      ++rq.attempt;
-      pending_.push(Item{monde::max(h.release + h.transfer, floor), std::move(rq),
-                         /*migrated=*/false, /*handoff=*/true});
-    }
-  }
-
-  // --- Autoscaling ------------------------------------------------------------
   AutoscaleSignals signals(Duration t) const {
     AutoscaleSignals sig;
     sig.now = t;
     std::vector<double> waits_ms;
-    for (const Replica& r : replicas_) {
-      if (r.detected || r.retired) continue;
+    for (const Replica& r : run_.replicas) {
+      if (!r.accepting()) continue;
       if (r.server->start_at() > t) {
         ++sig.warming_replicas;
       } else {
@@ -750,60 +642,60 @@ class ClusterSim::ClusterRun {
     if (!waits_ms.empty()) sig.p95_queue_delay_ms = percentile(std::move(waits_ms), 95.0);
     return sig;
   }
+
   void spawn(Duration t) {
-    ReplicaSpec spec = sim_.growth_;
-    spec.seed = sim_.next_seed_++;
-    const std::size_t idx = replicas_.size();
-    bool spawn_prefill = false;
-    if (cfg_.disagg.enabled) {
-      // Grow the pool furthest below its boot share (accepting members
-      // vs. boot prefill:decode ratio); ties grow the decode pool.
-      const AcceptingCounts n = sim_.accepting_counts();
-      spawn_prefill = n.prefill * boot_decode_ < n.decode * boot_prefill_;
-    }
-    sim_.add_replica(spec, t, t + cfg_.warmup, spawn_prefill);
-    view_->joined(idx);
-    if (log_) {
-      rep_.events.push_back({ClusterEvent::Kind::kScaleUp, t, idx,
-                             "spawned " + replicas_.back().name + ", ready at " +
-                                 (t + cfg_.warmup).str()});
-    }
+    ClusterSim& sim = run_.sim;
+    ReplicaSpec spec = sim.growth_;
+    spec.seed = sim.next_seed_++;
+    const std::size_t idx = run_.replicas.size();
+    // Grow the pool furthest below its boot share (accepting members vs.
+    // the boot prefill:decode ratio); ties, and unified fleets (no boot
+    // prefill share), grow the decode pool.
+    const FleetView::Counts& n = run_.view->counts();
+    const Duration ready = t + run_.cfg.warmup;
+    sim.add_replica(spec, t, ready, n[1] * boot_[0] < n[0] * boot_[1]);
+    run_.view->join(idx);
+    run_.log(ClusterEvent::Kind::kScaleUp, t, idx, [&] {
+      return "spawned " + run_.replicas.back().name + ", ready at " + ready.str();
+    });
   }
+
   /// The accepting replica owing the fewest tokens, newest on ties;
   /// disaggregated fleets never retire a pool's last accepting member
-  /// (requests of its phase would have nowhere to go). replicas_.size()
+  /// (requests of its phase would have nowhere to go). replicas.size()
   /// when there is no candidate.
   std::size_t retiree() const {
-    const AcceptingCounts n = sim_.accepting_counts();
-    std::size_t victim = replicas_.size();
-    for (std::size_t i = 0; i < replicas_.size(); ++i) {
-      const Replica& r = replicas_[i];
-      if (r.detected || r.retired) continue;
-      if (cfg_.disagg.enabled && (r.prefill ? n.prefill : n.decode) <= 1) continue;
-      if (victim == replicas_.size() ||
-          r.server->outstanding_tokens() <= replicas_[victim].server->outstanding_tokens()) {
+    const std::vector<Replica>& replicas = run_.replicas;
+    const FleetView::Counts& n = run_.view->counts();
+    std::size_t victim = replicas.size();
+    for (std::size_t i = 0; i < replicas.size(); ++i) {
+      const Replica& r = replicas[i];
+      if (!r.accepting()) continue;
+      if (run_.cfg.disagg.enabled && n[r.prefill] <= 1) continue;
+      if (victim == replicas.size() ||
+          r.server->outstanding_tokens() <= replicas[victim].server->outstanding_tokens()) {
         victim = i;
       }
     }
     return victim;
   }
+
   /// Retires `victim`: it drains its queue, then idles, never dispatched to
   /// again -- or, with migrate_on_retire, hands its work to the fleet.
   void retire(std::size_t victim, Duration t) {
-    Replica& r = replicas_[victim];
+    Replica& r = run_.replicas[victim];
+    run_.view->leave(victim);
     r.retired = true;
     r.retired_at = t;
-    view_->left(victim);
     // A victim that silently fail-stopped inside the detection lag cannot
     // be evacuated -- its state died with it. Retire it plainly; the
     // heartbeat monitor will harvest its stranded work.
-    if (!cfg_.cache.enabled || !cfg_.cache.migrate_on_retire || r.server->failed()) {
-      if (log_) {
-        rep_.events.push_back({ClusterEvent::Kind::kScaleDown, t, victim,
-                               "retired " + r.name + " (" +
-                                   std::to_string(r.server->in_flight()) +
-                                   " request(s) left to drain)"});
-      }
+    const PrefixCacheConfig& cache = run_.cfg.cache;
+    if (!cache.enabled || !cache.migrate_on_retire || r.server->failed()) {
+      run_.log(ClusterEvent::Kind::kScaleDown, t, victim, [&] {
+        return "retired " + r.name + " (" + std::to_string(r.server->in_flight()) +
+               " request(s) left to drain)";
+      });
       return;
     }
     // Live migration: the retiree stops at its step boundary and its
@@ -815,45 +707,197 @@ class ClusterSim::ClusterRun {
     // A prefill victim's forced step-boundary completion may have released
     // prefill-complete requests: convert them now (their release lies at
     // or after this tick), or they die with the buffer.
-    commit(victim, t, t);
+    run_.commit(victim, t, t);
     const Duration boundary = monde::max(t, r.server->now());
     for (Request rq : moved) {
       ++rq.attempt;
       const std::int64_t resident = rq.resume.resident_tokens();
-      const Duration at =
-          resident > 0 ? boundary + cfg_.cache.transfer_time_for(resident) : t;
-      pending_.push(Item{at, rq, true});
+      const Duration at = resident > 0 ? boundary + cache.transfer_time_for(resident) : t;
+      run_.intake.push({at, rq, Intake::Source::kMigration});
     }
-    if (log_) {
+    run_.log(ClusterEvent::Kind::kScaleDown, t, victim, [&] {
       std::string detail = "retired " + r.name + " (migrated ";
       detail += std::to_string(moved.size());
       detail += " request(s))";
-      rep_.events.push_back({ClusterEvent::Kind::kScaleDown, t, victim, detail});
-    }
+      return detail;
+    });
   }
 
-  // --- Dispatch -----------------------------------------------------------------
+  Autoscaler* autoscaler_;
+  Duration next_tick_ = run_.cfg.autoscale_period;
+  /// Boot pool shares for disaggregated growth (run() is called once, so
+  /// the tally is the boot fleet's here).
+  const FleetView::Counts boot_ = run_.view->counts();
+};
+
+/// The disaggregated prefill pool. Each prefill completion spawns a
+/// decode-pool re-dispatch, so when the pool's earliest event precedes
+/// every concern's instant, the run advances ONLY the pool to that instant
+/// (its horizon) and surfaces releases at their true times instead of a
+/// whole gap late. Decode replicas stay put, so an item earlier than the
+/// horizon still lands on a decode replica whose clock has not passed it.
+/// Afterwards every live member's next event is at or beyond the horizon,
+/// so the pool runs ahead again only once new prefill work is dispatched.
+/// Not a Concern: the run loop lets it run ahead only when it is strictly
+/// earlier than every concern, then asks again.
+class ClusterSim::PrefillPool {
+ public:
+  explicit PrefillPool(ClusterRun& run) : run_{run} {}
+
+  /// Earliest event (admission start or step boundary) of an undetected
+  /// member; infinite without disaggregation.
+  Duration next() {
+    const std::vector<Replica>& replicas = run_.replicas;
+    for (; seen_ < replicas.size(); ++seen_) {
+      if (replicas[seen_].prefill) members_.push_back(seen_);
+    }
+    std::erase_if(members_, [&](std::size_t i) { return replicas[i].detected; });
+    Duration t = Duration::infinite();
+    for (const std::size_t i : members_) t = monde::min(t, replicas[i].server->next_event_time());
+    return t;
+  }
+
+  /// Runs the members ahead to `horizon` through the common advance path;
+  /// the last pop floors their handoffs.
+  void fire(Duration horizon) { run_.advance(members_, horizon, run_.intake.last_pop()); }
+
+ private:
+  ClusterRun& run_;
+  std::vector<std::size_t> members_;  ///< undetected prefill-role replicas, ascending
+  std::size_t seen_ = 0;              ///< replicas already checked for the role
+};
+
+/// Cross-replica expert rebalancing: each tick pushes the fleet's currently
+/// hottest experts (by dispatched-profile demand) into every accepting
+/// replica's residency. Each preload is priced as a fetch over the
+/// configured link, charged to the receiving replica's next step --
+/// migrating hot experts toward the shards that will serve them instead of
+/// letting each replica fault them in one miss at a time.
+class ClusterSim::Rebalance final : public Concern {
+ public:
+  using Concern::Concern;
+
+  /// Counts a dispatched request's full profile into the fleet demand (the
+  /// demand exists whether or not pruning later drops part of it), only
+  /// while ticks run.
+  void count(const moe::ExpertProfile& profile) {
+    if (!enabled_) return;
+    for (const auto& e : profile.experts) ++fleet_load_[core::ExpertId{e.layer, e.expert}];
+  }
+
+  // Rebalance ticks only matter while requests remain to route.
+  Duration next() override {
+    return enabled_ && !run_.intake.empty() ? next_tick_ : Duration::infinite();
+  }
+
+  void fire(Duration t) override {
+    run_.advance(t);
+    std::vector<std::pair<std::uint64_t, core::ExpertId>> by_demand;
+    by_demand.reserve(fleet_load_.size());
+    for (const auto& [id, count] : fleet_load_) by_demand.push_back({count, id});
+    // Hottest first; the map walk above yields ascending ExpertId, and the
+    // stable sort keeps that order within a demand tie -- deterministic.
+    std::stable_sort(by_demand.begin(), by_demand.end(),
+                     [](const auto& a, const auto& b) { return a.first > b.first; });
+    if (by_demand.size() > kRebalanceHotExperts) by_demand.resize(kRebalanceHotExperts);
+    std::vector<core::ExpertId> hot;
+    hot.reserve(by_demand.size());
+    for (const auto& [count, id] : by_demand) hot.push_back(id);
+    for (std::size_t i = 0; i < run_.replicas.size() && !hot.empty(); ++i) {
+      Replica& r = run_.replicas[i];
+      if (!r.accepting()) continue;
+      // preload_experts() no-ops on a silently fail-stopped server.
+      const std::size_t fetched = r.server->preload_experts(hot);
+      if (fetched == 0) continue;
+      run_.rep.expert_migrations += fetched;
+      run_.view->touched(i);
+      run_.log(ClusterEvent::Kind::kExpertRebalance, t, i, [&] {
+        return "preloaded " + std::to_string(fetched) + " hot expert(s) onto replica" +
+               std::to_string(i);
+      });
+    }
+    next_tick_ += cfg_.rebalance_period;
+  }
+
+ private:
+  const ExpertServingConfig& cfg_ = run_.cfg.expert;
+  const bool enabled_ = cfg_.enabled && cfg_.rebalance_period > Duration::zero();
+  Duration next_tick_ = cfg_.rebalance_period;
+  // Fleet-wide demand per expert; the ordered map gives the ticks a
+  // deterministic hottest-first walk.
+  std::map<core::ExpertId, std::uint64_t> fleet_load_;
+};
+
+/// Dispatch: each item's expert profile, the view pipeline and the pick,
+/// degraded-mode pruning, the enqueue, and the re-dispatch counters.
+class ClusterSim::Dispatch final : public Concern {
+ public:
+  Dispatch(ClusterRun& run, Dispatcher& dispatcher, Rebalance& rebalance)
+      : Concern{run}, dispatcher_{dispatcher}, rebalance_{rebalance} {
+    run.rep.policy = dispatcher.name();
+  }
+
+  Duration next() override { return run_.intake.next(); }
+
+  void fire(Duration t) override {
+    // Advance before popping: the advance may surface prefill-complete
+    // handoffs clamped to this very instant, and such an item (possibly
+    // carrying a smaller id than the current head) must be eligible for
+    // this pop to keep the global (time, id) dispatch order.
+    run_.advance(t);
+    Intake::Item it = run_.intake.pop();
+    run_.phase_begin();
+    Request& rq = it.rq;
+    const ExpertServingConfig& expert = run_.cfg.expert;
+    if (expert.enabled) {
+      // First dispatch derives the profile; a retry/migration keeps the one
+      // it already carries (possibly pruned by an earlier overload).
+      if (rq.expert_profile.empty()) {
+        rq.expert_profile = run_.sim.profiler_->expert_profile_for(
+            rq.id, ExpertServingConfig::profile_width, ExpertServingConfig::profile_tokens);
+      }
+      rebalance_.count(rq.expert_profile);
+    }
+    const std::size_t idx = pick_replica(rq);
+    Replica& r = run_.replicas[idx];
+    // Pruned-expert degraded mode: a request landing on an overloaded
+    // replica is served with a truncated profile -- fewer experts to keep
+    // hot, fewer fetches to price -- instead of queueing at full fidelity.
+    if (expert.enabled && expert.prune_outstanding_tokens > 0 &&
+        r.server->outstanding_tokens() > expert.prune_outstanding_tokens &&
+        prune_profile(rq.expert_profile)) {
+      ++run_.rep.pruned_requests;
+    }
+    // The request joins the queue now: at its trace arrival, or at a
+    // re-dispatch's later instant.
+    r.server->enqueue(rq, it.time);
+    ++r.dispatched;
+    run_.view->touched(idx);
+    note_redispatch(it, idx);
+    run_.phase_end(run_.rep.phase_dispatch_s);
+  }
+
+ private:
   /// The view pipeline: the accepting set, then the soft slow-EWMA filter
   /// (finite factor only), then the disaggregated role filter -- whose
   /// pool, if the soft filter emptied it, falls back to the accepting set
   /// before the pool is declared gone. Returns the picked replica's index.
   std::size_t pick_replica(const Request& rq) {
-    const std::vector<ReplicaSnapshot>& accepting = view_->accepting();
+    const ClusterConfig& cfg = run_.cfg;
+    const std::vector<ReplicaSnapshot>& accepting = run_.view->accepting();
     MONDE_REQUIRE(!accepting.empty(),
                   "no replica is accepting requests (every replica failed or retired)");
     const std::vector<ReplicaSnapshot>* view = &accepting;
     std::vector<ReplicaSnapshot> healthy;
-    if (std::isfinite(cfg_.health.slow_ewma_factor)) {
-      healthy = eligible_snapshots(accepting, cfg_.health.slow_ewma_factor);
+    if (std::isfinite(cfg.health.slow_ewma_factor)) {
+      healthy = eligible_snapshots(accepting, cfg.health.slow_ewma_factor);
       view = &healthy;
     }
     std::vector<ReplicaSnapshot> role_pool;
-    if (cfg_.disagg.enabled) {
+    if (cfg.disagg.enabled) {
       const bool want_prefill = !rq.decode_phase();
       role_pool = pool_snapshots(*view, want_prefill);
-      if (role_pool.empty()) {
-        role_pool = pool_snapshots(accepting, want_prefill);
-      }
+      if (role_pool.empty()) role_pool = pool_snapshots(accepting, want_prefill);
       MONDE_REQUIRE(!role_pool.empty(), "no " << (want_prefill ? "prefill" : "decode")
                                               << " replica is accepting requests");
       view = &role_pool;
@@ -863,79 +907,44 @@ class ClusterSim::ClusterRun {
                   "dispatcher picked entry " << pick << " of " << view->size());
     return (*view)[pick].replica;
   }
-  /// Counters and event log for a dispatched re-dispatch (no-op for a first
-  /// dispatch).
-  void note_redispatch(const Item& it, const Request& rq, std::size_t idx) {
-    if (it.handoff) {
+
+  /// Counters and event log for a re-dispatch (no-op for a first dispatch).
+  void note_redispatch(const Intake::Item& it, std::size_t idx) {
+    const Request& rq = it.rq;
+    if (it.source == Intake::Source::kHandoff) {
       // Handoffs are their own lifecycle event, not failure retries --
       // attempt was bumped (it IS a re-dispatch) but the retry/migration
       // counters stay clean.
-      ++rep_.handoffs;
-      if (log_) {
-        rep_.events.push_back({ClusterEvent::Kind::kHandoff, it.time, idx,
-                               "request " + std::to_string(rq.id) +
-                                   " prefill complete -> replica" + std::to_string(idx) +
-                                   " (" + std::to_string(rq.resume.resident_tokens()) +
-                                   " KV tokens)"});
-      }
+      ++run_.rep.handoffs;
+      run_.log(ClusterEvent::Kind::kHandoff, it.time, idx, [&] {
+        return "request " + std::to_string(rq.id) + " prefill complete -> replica" +
+               std::to_string(idx) + " (" + std::to_string(rq.resume.resident_tokens()) +
+               " KV tokens)";
+      });
       return;
     }
     if (rq.attempt == 0) return;
-    ++(it.migrated ? rep_.migrations : rep_.retries);
-    if (!log_) return;
-    std::string detail = "request " + std::to_string(rq.id) + " attempt " +
-                         std::to_string(rq.attempt) + " -> replica" + std::to_string(idx);
-    if (rq.resume.any()) {
-      detail += " (resumed ";
-      detail += std::to_string(rq.resume.resident_tokens());
-      detail += " tokens)";
-    }
-    rep_.events.push_back(
-        {it.migrated ? ClusterEvent::Kind::kMigrate : ClusterEvent::Kind::kRetry, it.time,
-         idx, detail});
+    const bool migrated = it.source == Intake::Source::kMigration;
+    ++(migrated ? run_.rep.migrations : run_.rep.retries);
+    run_.log(migrated ? ClusterEvent::Kind::kMigrate : ClusterEvent::Kind::kRetry, it.time,
+             idx, [&] {
+               std::string detail = "request " + std::to_string(rq.id) + " attempt " +
+                                    std::to_string(rq.attempt) + " -> replica" +
+                                    std::to_string(idx);
+               if (rq.resume.any()) {
+                 detail += " (resumed ";
+                 detail += std::to_string(rq.resume.resident_tokens());
+                 detail += " tokens)";
+               }
+               return detail;
+             });
   }
 
-  ClusterSim& sim_;
-  std::vector<Replica>& replicas_;
-  const ClusterConfig& cfg_;
-  ArrivalStream& arrivals_;
   Dispatcher& dispatcher_;
-  Autoscaler* autoscaler_;
-  std::unique_ptr<FleetView> view_;
-  const bool log_ = cfg_.event_log_enabled;
-  /// Expert rebalance ticks run (and fleet demand is counted for them).
-  const bool rebalance_ =
-      cfg_.expert.enabled && cfg_.expert.rebalance_period > Duration::zero();
-
-  std::size_t intake_ = 0;       ///< requests taken from the arrival stream
-  std::optional<Request> head_;  ///< next request of the arrival stream
-  // The re-dispatch queue: failure retries, scale-down migrations and
-  // handoffs, merged with the arrival stream in (time, id) order so
-  // per-replica enqueues stay (arrival, id)-ordered.
-  std::priority_queue<Item, std::vector<Item>, Later> pending_;
-  Duration last_pop_ = Duration::zero();  ///< latest item the loop dispatched
-
-  Duration next_tick_;
-  Duration next_rebalance_;
-  const std::size_t boot_prefill_;  ///< boot pool shares (disaggregated autoscaling)
-  const std::size_t boot_decode_;
-  // Fleet-wide demand per expert, accumulated from dispatched profiles while
-  // rebalancing is on; the ordered map gives rebalance ticks a
-  // deterministic hottest-first walk.
-  std::map<core::ExpertId, std::uint64_t> fleet_expert_load_;
-  WallClock::time_point phase_t0_{};
-  ClusterReport rep_;  ///< counters, events and phase times accumulate here
+  Rebalance& rebalance_;
 };
 
-ClusterReport ClusterSim::ClusterRun::report() {
-  // No further arrivals: replicas finish independently, so each can drain
-  // to completion on its own (failed replicas were harvested above). The
-  // report below reads the servers only after every drain returned.
-  phase_begin();
-  view_->drain_all();
-  phase_end(rep_.phase_advance_s);
-
-  ClusterReport rep = std::move(rep_);
+ClusterReport ClusterSim::assemble_report(ClusterReport rep, std::size_t taken) {
   std::stable_sort(rep.events.begin(), rep.events.end(),
                    [](const ClusterEvent& a, const ClusterEvent& b) { return a.time < b.time; });
 
@@ -944,14 +953,11 @@ ClusterReport ClusterSim::ClusterRun::report() {
   serves.reserve(replicas_.size());
   std::size_t served = 0;
   for (Replica& r : replicas_) {
-    serves.push_back(r.server->report());
-    served += serves.back().requests.size();
-  }
-  // Fleet makespan: a spawned replica that never ran a step contributes its
-  // spawn instant, not its (possibly later) warm-up boundary.
-  for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    rep.makespan = monde::max(rep.makespan, serves[i].steps.empty() ? replicas_[i].spawned_at
-                                                                     : serves[i].makespan);
+    const ServeReport& s = serves.emplace_back(r.server->report());
+    served += s.requests.size();
+    // Fleet makespan: a spawned replica that never ran a step contributes
+    // its spawn instant, not its (possibly later) warm-up boundary.
+    rep.makespan = monde::max(rep.makespan, s.steps.empty() ? r.spawned_at : s.makespan);
   }
 
   // Fleet-level copies measure from the trace arrival, so re-dispatches
@@ -1038,8 +1044,8 @@ ClusterReport ClusterSim::ClusterRun::report() {
     }
     rep.replicas.push_back(std::move(rr));
   }
-  MONDE_ASSERT(rep.requests.size() == intake_,
-               "cluster lost requests: served " << rep.requests.size() << " of " << intake_);
+  MONDE_ASSERT(rep.requests.size() == taken,
+               "cluster lost requests: served " << rep.requests.size() << " of " << taken);
   // Every request completes exactly once, so a repeated id is a repeated
   // trace entry. With ids unique, (arrival, id) keys are too, and the
   // unstable in-place sort gives the one order a stable sort would.
@@ -1081,28 +1087,41 @@ ClusterReport ClusterSim::run(ArrivalStream& arrivals, Dispatcher& dispatcher,
                               Autoscaler* autoscaler) {
   MONDE_REQUIRE(!used_, "ClusterSim::run() may be called only once");
   used_ = true;
-  ClusterRun run{*this, arrivals, dispatcher, autoscaler};
+  ClusterRun run{*this, arrivals};
+  Recovery recovery{run};
+  Elasticity elasticity{run, autoscaler};
+  Rebalance rebalance{run};
+  Dispatch dispatch{run, dispatcher, rebalance};
+  PrefillPool prefill{run};
+  // The earliest concern fires; on a tie the first listed wins.
+  const std::array<Concern*, 4> concerns{&recovery, &elasticity, &rebalance, &dispatch};
   for (;;) {
-    const ClusterRun::Anchors a = run.anchors();
-    if (a.prefill < a.external()) {
-      // The prefill pool owns every fleet event until the next external
-      // anchor. With no external anchor left (all infinite) this drains the
-      // prefill tail outright; new handoff items re-arm the item anchor.
-      run.on_prefill_anchor(a.external());
-    } else if (a.detect <= a.item && a.detect <= a.tick && a.detect <= a.rebalance) {
-      // Ties go to detection, then the autoscale tick, then the rebalance
-      // tick, then the item.
-      if (a.detect == Duration::infinite()) break;  // every anchor infinite: idle
-      run.on_detection(a.detect, a.detect_replica);
-    } else if (a.tick <= a.item && a.tick <= a.rebalance) {
-      run.on_autoscale_tick(a.tick);
-    } else if (a.rebalance <= a.item) {
-      run.on_rebalance(a.rebalance);
-    } else {
-      run.on_dispatch(a.item);
+    Concern* due = nullptr;
+    Duration at = Duration::infinite();
+    for (Concern* c : concerns) {
+      const Duration t = c->next();
+      if (t < at) {
+        at = t;
+        due = c;
+      }
     }
+    if (prefill.next() < at) {
+      // The prefill pool owns every fleet event until `at`. With no concern
+      // due (at infinite) this drains the prefill tail outright; new handoff
+      // items re-arm dispatch.
+      prefill.fire(at);
+      continue;
+    }
+    if (due == nullptr) break;  // nothing left anywhere
+    due->fire(at);
   }
-  return run.report();
+  // No further arrivals: replicas finish independently, so each can drain
+  // to completion on its own (failed replicas were harvested above). The
+  // report reads the servers only after every drain returned.
+  run.phase_begin();
+  run.view->drain_all();
+  run.phase_end(run.rep.phase_advance_s);
+  return assemble_report(std::move(run.rep), run.intake.taken());
 }
 
 }  // namespace monde::serve

@@ -9,11 +9,11 @@
 // MD+LB and some GPU+PM), and a pluggable Dispatcher (dispatch.hpp) routes
 // every request at its arrival instant against the replicas' live queue
 // state. Replicas are interleaved in simulated time through ServerSim's
-// incremental event API: before each dispatch decision every replica is
-// advanced to the arrival instant, so completions up to that point are
-// reflected in the snapshots the policy sees.
+// incremental event API: before each dispatch decision every replica with
+// work before the arrival instant is advanced to it, so the snapshots the
+// policy sees reflect every completion up to that point.
 //
-// On top of that base (PR 3), the cluster is elastic and failure-aware:
+// The fleet is elastic and failure-aware:
 //
 //   * Autoscaling -- pass an Autoscaler (autoscale.hpp) to run() and the
 //     fleet is resized against queue pressure at a fixed evaluation cadence.
@@ -24,60 +24,39 @@
 //     drains its queue and then idles, excluded from dispatch.
 //   * Failure injection -- each ReplicaSpec may carry a FaultSpec
 //     (fault.hpp): fail-stop at an instant, or a slow-down window priced
-//     through ServerSim's steps. Fail-stop detection is heartbeat-based
-//     (fault.hpp): the dispatcher keeps feeding a dead replica until its
-//     heartbeat goes stale, then the replica is excluded permanently, its
-//     stranded requests are harvested and re-dispatched to healthy replicas
-//     after kRetryTimeout (retries restart from scratch; fleet metrics
-//     stay keyed to the original arrival so the loss lands in the tail).
+//     through ServerSim's steps. Fail-stop detection is heartbeat-based:
+//     the dispatcher keeps feeding a dead replica until its heartbeat goes
+//     stale, then the replica is excluded permanently and its stranded
+//     requests are re-dispatched after kRetryTimeout (fleet metrics stay
+//     keyed to the original arrival, so the loss lands in the tail).
+//   * Prefix caching -- with ClusterConfig::cache enabled, shared prompt
+//     prefixes skip their prefill, fail-stop retries may resume from the
+//     last checkpointed step, and retirement may live-migrate a retiree's
+//     unfinished requests, both priced per resident KV token.
 //
-//   * Prefix caching + partial-progress recovery -- with
-//     ClusterConfig::cache enabled, every replica carries a prefix/KV cache
-//     (kvcache.hpp): shared prompt prefixes skip their prefill, fail-stop
-//     retries can resume from the last checkpointed step
-//     (`survive_failstop`, surviving-cache mode) instead of restarting, and
-//     scale-down retirement can live-migrate a retiree's unfinished
-//     requests to the surviving fleet (`migrate_on_retire`) -- both priced
-//     at a modelled per-token KV transfer cost, and both surfacing in the
-//     event log and the retry/migration counters.
+// With no autoscaler, no faults, and the cache disabled, run() is the
+// classic dispatch loop -- pinned bit-identical by tests/test_cluster.cpp.
 //
-// With no autoscaler, no faults, and the cache disabled, run() degenerates
-// to exactly the classic dispatch loop -- pinned bit-identical by
-// tests/test_cluster.cpp.
+// Structure: run() is a short loop over one object per cluster concern --
+// failure recovery, elasticity, the expert rebalance tick and dispatch --
+// each owning its state and its next instant; the loop fires the earliest
+// (ties in that order), unless the disaggregated prefill pool's next event
+// is earlier, in which case the pool alone runs ahead. All of them advance
+// replicas through one batch-advance-and-commit path over a FleetView: the
+// indexed event calendar (a lazy-deletion min-heap keyed (time, replica),
+// fail-stop and detection cursors, an accepting-snapshot index written
+// through at each mutation) or the scan-everything reference loop
+// (ClusterConfig::reference_loop), the oracle the diff tests pin the
+// calendar against. Arrivals may stream lazily from an ArrivalStream, so a
+// million-request trace is never materialized. See ARCHITECTURE.md's "Run
+// structure".
 //
-// Scale (PR 6): run() is driven by an indexed event calendar -- a
-// lazy-deletion min-heap over per-replica server events (keyed (time,
-// replica); the calendar keeps one due time per replica and discards an
-// entry whose time is no longer that due time) merged with the arrival
-// stream, the retry/migration queue, sorted fail-stop/detection cursors,
-// and the autoscale tick -- so each cluster event advances only the
-// replicas that actually have work before it, instead of scanning the
-// whole fleet. Dispatch likewise reads an
-// index of accepting-replica snapshots written through whenever a replica's
-// server mutates, rather than rebuilding every snapshot per request; every
-// snapshot field is a function of server state, so the index is exact. The
-// slow-EWMA soft filter runs per dispatch on that index: free with the
-// default infinite slow_ewma_factor, O(eligible * log eligible) with a
-// finite one. Arrivals may be consumed lazily from an ArrivalStream
-// (arrivals.hpp), so a million-request trace is never materialized. The
-// calendar loop is proven bit-identical -- reports and every snapshot
-// vector a dispatcher sees -- to the classic scan-everything loop
-// (ClusterConfig::reference_loop, the diff tests' oracle). Both loops are
-// one run object with a handler per event kind over a FleetView seam; see
-// ARCHITECTURE.md's "Run structure".
-//
-// Parallelism (PR 7): with ClusterConfig::threads > 1 the calendar loop
-// fans each event's advancement batch (the replicas with server events
-// before the event's instant) out to a common::TaskPool. Replica servers
-// are mutually independent -- the only state they share is the NdpCoreSim,
-// whose shape memo is a concurrent table with canonical (deterministic)
-// values -- so the batch advances in parallel and the per-replica
-// write-backs (EWMA fold, snapshot-index write-through, calendar re-push)
-// then commit sequentially in ascending replica order. That fixed commit
-// order makes every counter, percentile, and RNG draw independent of thread
-// scheduling: runs are bit-identical across thread counts, pinned by
-// tests/test_calendar_diff.cpp at 1-8 threads. See ARCHITECTURE.md's
-// "Parallel execution model".
+// Parallelism: with ClusterConfig::threads > 1 each advancement batch fans
+// out to a common::TaskPool. Replica servers share only the NdpCoreSim,
+// whose shape memo is one mutex-guarded map with canonical values; the
+// per-replica write-backs then commit sequentially in ascending replica
+// order, so runs are bit-identical across thread counts (pinned by
+// tests/test_calendar_diff.cpp at 1-8 threads).
 //
 // The report carries per-replica ServeReports and fleet-wide aggregates:
 // latency percentiles over the union of all requests (re-based to original
@@ -192,7 +171,7 @@ struct ClusterConfig {
   /// diff tests check the calendar against.
   bool reference_loop = false;
   /// Worker threads for the parallel advancement phase (the calling thread
-  /// counts, so 1 = fully sequential, no pool, no behavior risk). Results
+  /// counts, so 1 = fully sequential, no worker thread, no behavior risk). Results
   /// are bit-identical across thread counts (see the file comment); only
   /// wall-clock changes. Ignored by the reference loop, which stays
   /// single-threaded by design.
@@ -339,29 +318,30 @@ class ClusterSim {
     bool prefill = false;   ///< disaggregated-serving role (false = decode/unified)
     std::size_t steps_seen = 0;  ///< steps folded into the EWMA so far
     double ewma_ms = 0.0;        ///< step-duration EWMA (health signal)
+    [[nodiscard]] bool accepting() const { return !detected && !retired; }
   };
 
-  /// Accepting (undetected, unretired) replicas per disaggregated role;
-  /// unified fleets count every replica as decode.
-  struct AcceptingCounts {
-    std::size_t prefill = 0;
-    std::size_t decode = 0;
-    [[nodiscard]] std::size_t total() const { return prefill + decode; }
-  };
-
-  // The run loop (cluster.cpp): one ClusterRun per run() call, with a
-  // handler per event kind, over a FleetView -- ScanView (the reference
-  // loop's scan-everything oracle) or CalendarView (the indexed calendar).
+  // The run (cluster.cpp): the concern objects share one ClusterRun, which
+  // holds the intake and a FleetView -- ScanView (the reference oracle) or
+  // CalendarView (the indexed calendar).
   class FleetView;
   class ScanView;
   class CalendarView;
-  class ClusterRun;
+  class Intake;
+  struct ClusterRun;
+  class Concern;
+  class Recovery;
+  class Elasticity;
+  class PrefillPool;
+  class Rebalance;
+  class Dispatch;
 
   void add_replica(const ReplicaSpec& spec, Duration spawned_at, Duration start_at,
                    bool prefill = false);
-  void update_ewma(Replica& r);
   [[nodiscard]] ReplicaSnapshot snapshot(std::size_t i) const;
-  [[nodiscard]] AcceptingCounts accepting_counts() const;
+  /// The report of a drained run: the replicas' records plus the run's
+  /// counters and events (`rep`); `taken` requests came from the stream.
+  [[nodiscard]] ClusterReport assemble_report(ClusterReport rep, std::size_t taken);
 
   core::SystemConfig sys_;
   moe::MoeModelConfig model_;
@@ -374,7 +354,7 @@ class ClusterSim {
   std::unique_ptr<moe::WorkloadGenerator> profiler_;
   std::vector<Replica> replicas_;
   ReplicaSpec growth_;        ///< template for autoscaled replicas (no faults)
-  std::uint64_t next_seed_;   ///< routing seed for the next spawned replica
+  std::uint64_t next_seed_ = 0;  ///< routing seed for the next spawned replica
   bool used_ = false;
 };
 

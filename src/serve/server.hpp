@@ -262,9 +262,6 @@ class ServerSim {
   /// a no-op on a failed/evacuated server or with expert serving disabled.
   std::size_t preload_experts(const std::vector<core::ExpertId>& ids);
 
-  /// Prefill-complete releases buffered since the last take_handoffs().
-  [[nodiscard]] bool has_handoffs() const { return !handoffs_out_.empty(); }
-
   /// Drain the buffered prefill-complete releases, in release order. First
   /// applies a pending step completion that ends strictly before `now` (the
   /// cluster's tail drain passes infinite to flush the final step; a commit

@@ -410,6 +410,67 @@ TEST(ClusterSim, WholeFleetFailStopThrowsWhileRequestsRemain) {
   }
 }
 
+/// Picks the highest-index replica offered and records, per request id,
+/// the replica indices each pick was offered.
+class LastReplicaDispatcher final : public Dispatcher {
+ public:
+  [[nodiscard]] std::string name() const override { return "last-replica"; }
+  std::size_t pick(const std::vector<ReplicaSnapshot>& snapshots, const Request& rq) override {
+    std::vector<std::size_t>& seen = offered[rq.id];
+    seen.clear();
+    for (const ReplicaSnapshot& s : snapshots) seen.push_back(s.replica);
+    return snapshots.size() - 1;
+  }
+  std::map<std::uint64_t, std::vector<std::size_t>> offered;
+};
+
+TEST(ClusterSim, DetectionTickAndArrivalTieFireInConcernOrder) {
+  // Replica 1 dies at 9 ms; its heartbeat goes stale at 14 ms, the instant
+  // of the second autoscale tick and of request 7's arrival. Detection
+  // fires first, so the tick counts one accepting replica and spawns the
+  // min_replicas replacement at 14 ms; the tick fires before the dispatch,
+  // so request 7 is offered the spawn and not the dead replica.
+  const Duration fail_at = Duration::millis(9);
+  const Duration tie = Duration::millis(14);
+  ASSERT_EQ(failure_detection_time(fail_at), tie);
+  std::vector<Request> trace;
+  for (std::uint64_t id = 0; id < 11; ++id) {
+    trace.push_back(Request{id, Duration::millis(2.0 * static_cast<double>(id)), 24, 4});
+  }
+  ASSERT_EQ(trace[7].arrival, tie);
+  auto specs = uniform_fleet(2, core::StrategyKind::kMondeLoadBalanced, SchedulerConfig{});
+  specs[1].fault.fail_at = fail_at;
+  AutoscaleConfig scale;
+  scale.min_replicas = 2;
+  scale.max_replicas = 4;
+  // No load ever leaves the watermark band, so min_replicas alone decides.
+  scale.low_tokens_per_replica = 0;
+  scale.high_tokens_per_replica = 1'000'000'000;
+  for (const bool reference_loop : {false, true}) {
+    SCOPED_TRACE(reference_loop ? "reference loop" : "calendar loop");
+    ClusterConfig cfg;
+    cfg.reference_loop = reference_loop;
+    cfg.autoscale_period = Duration::millis(7);  // ticks at 7 and 14 ms
+    ClusterSim cluster{core::SystemConfig::dac24(), tiny_model(),
+                       moe::SkewProfile::switch_like(), specs, cfg};
+    Autoscaler autoscaler{scale};
+    LastReplicaDispatcher dispatcher;
+    const ClusterReport rep = cluster.run(trace, dispatcher, &autoscaler);
+
+    std::vector<ClusterEvent::Kind> at_tie;
+    for (const ClusterEvent& e : rep.events) {
+      if (e.time == tie) at_tie.push_back(e.kind);
+    }
+    ASSERT_GE(at_tie.size(), 2u);
+    EXPECT_EQ(at_tie[0], ClusterEvent::Kind::kFailureDetected);
+    EXPECT_EQ(at_tie[1], ClusterEvent::Kind::kScaleUp);
+    ASSERT_EQ(rep.replicas.size(), 3u);
+    EXPECT_EQ(rep.replicas[2].spawned_at, tie);
+    EXPECT_EQ(dispatcher.offered.at(7), (std::vector<std::size_t>{0, 2}));
+    EXPECT_EQ(rep.requests.size(), trace.size());
+  }
+}
+
 TEST(ClusterSim, SlowdownStretchesStepsAndEwmaFilterRoutesAround) {
   // Server-level: a 3x slow-down covering the whole run must dilate every
   // step span by exactly the factor relative to an identical fault-free

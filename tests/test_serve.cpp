@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <random>
 #include <set>
+#include <string>
 
 #include "common/error.hpp"
+#include "moe/workload.hpp"
+#include "ndp/ndp_core.hpp"
 #include "serve/arrivals.hpp"
 #include "serve/server.hpp"
 
@@ -321,6 +326,100 @@ TEST(ServerSim, IncrementalEventApiMatchesOneShotRun) {
   ASSERT_EQ(rep.steps.size(), once.steps.size());
   EXPECT_DOUBLE_EQ(rep.makespan.ns(), once.makespan.ns());
   EXPECT_DOUBLE_EQ(rep.busy.ns(), once.busy.ns());
+
+  // Path independence: also advancing through random instants -- inside
+  // steps and across idle gaps -- between the same enqueues reproduces the
+  // one-shot run bit for bit, with the prefix cache, expert residency, a
+  // slow-down window and fixed batching each on and off.
+  RequestShape shape = small_shape();
+  shape.prefix_groups = 3;
+  shape.shared_fraction = 0.8;
+  shape.shared_prefix_len = 12;
+  const moe::WorkloadGenerator profiler{tiny_model(), moe::SkewProfile::switch_like(), 11};
+  // One NDP simulator for every engine below: sharing it is timing-neutral
+  // and simulates each cold expert shape once.
+  const core::SystemConfig sys = core::SystemConfig::dac24();
+  const auto ndp = std::make_shared<ndp::NdpCoreSim>(sys.ndp, sys.monde_mem);
+  const auto shared_engine = [&] {
+    return core::InferenceEngine{sys, tiny_model(), moe::SkewProfile::switch_like(),
+                                 core::StrategyKind::kMondeLoadBalanced, 7, ndp};
+  };
+  for (const std::uint64_t seed : {3u, 4u}) {
+    std::vector<Request> wtrace = poisson_trace(24, /*rate_per_s=*/80.0, shape, seed);
+    std::sort(wtrace.begin(), wtrace.end(), arrival_order<Request>);
+    for (Request& rq : wtrace) rq.expert_profile = profiler.expert_profile_for(rq.id, 2);
+    for (unsigned features = 0; features < 16; ++features) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " features " + std::to_string(features));
+      SchedulerConfig sched;
+      if ((features & 1u) != 0) sched.mode = BatchingMode::kFixed;
+      PrefixCacheConfig cache;
+      cache.enabled = (features & 2u) != 0;
+      ExpertServingConfig expert;
+      expert.enabled = (features & 4u) != 0;
+      expert.cache_capacity = 6;
+      FaultSpec fault;
+      if ((features & 8u) != 0) {
+        fault.slow_from = Duration::millis(40);
+        fault.slow_until = Duration::millis(180);
+        fault.slow_factor = 2.5;
+      }
+      auto once_engine = shared_engine();
+      const ServeReport ref =
+          ServerSim{once_engine, sched, Duration::zero(), fault, cache, expert}.run(wtrace);
+
+      // Every feature switched on shows in the run.
+      EXPECT_EQ(ref.cache.saved_tokens > 0, cache.enabled);
+      EXPECT_EQ(ref.expert_misses > 0, expert.enabled);
+      EXPECT_EQ(std::any_of(ref.steps.begin(), ref.steps.end(),
+                            [&](const StepRecord& st) { return fault.factor_at(st.start) != 1.0; }),
+                fault.slow_factor != 1.0);
+
+      auto engine = shared_engine();
+      ServerSim sim{engine, sched, Duration::zero(), fault, cache, expert};
+      std::mt19937_64 rng{seed * 16 + features};
+      std::uniform_real_distribution<double> unit{0.0, 1.0};
+      // Sorted random instants in [from, from + span), then `to`.
+      const auto wander = [&](Duration from, Duration span, Duration to) {
+        std::vector<double> u(4);
+        for (double& x : u) x = unit(rng);
+        std::sort(u.begin(), u.end());
+        for (const double x : u) sim.advance_to(from + span * x);
+        sim.advance_to(to);
+      };
+      Duration prev = Duration::zero();
+      for (const Request& rq : wtrace) {
+        wander(prev, rq.arrival - prev, rq.arrival);
+        sim.enqueue(rq);
+        prev = rq.arrival;
+      }
+      wander(prev, ref.makespan - prev, ref.makespan);
+      sim.drain();
+      const ServeReport got = sim.report();
+
+      ASSERT_EQ(got.requests.size(), ref.requests.size());
+      for (std::size_t i = 0; i < got.requests.size(); ++i) {
+        const RequestMetrics& a = got.requests[i];
+        const RequestMetrics& b = ref.requests[i];
+        EXPECT_EQ(a.id, b.id);
+        EXPECT_EQ(a.attempt, b.attempt);
+        EXPECT_EQ(a.prompt_len, b.prompt_len);
+        EXPECT_EQ(a.generated, b.generated);
+        EXPECT_EQ(a.saved_tokens, b.saved_tokens);
+        EXPECT_EQ(a.resumed_tokens, b.resumed_tokens);
+        EXPECT_EQ(a.arrival, b.arrival);
+        EXPECT_EQ(a.trace_arrival, b.trace_arrival);
+        EXPECT_EQ(a.admitted, b.admitted);
+        EXPECT_EQ(a.first_token, b.first_token);
+        EXPECT_EQ(a.completion, b.completion);
+      }
+      EXPECT_EQ(got.steps.size(), ref.steps.size());
+      EXPECT_EQ(got.makespan, ref.makespan);
+      EXPECT_EQ(got.busy, ref.busy);
+      EXPECT_EQ(got.cache.saved_tokens, ref.cache.saved_tokens);
+      EXPECT_EQ(got.expert_hits, ref.expert_hits);
+      EXPECT_EQ(got.expert_misses, ref.expert_misses);
+    }
+  }
 }
 
 TEST(ServerSim, LiveStateFollowsInFlightNotTraceLength) {
