@@ -5,8 +5,6 @@
 // same rows/series the paper reports (plus our measured values).
 #pragma once
 
-#include <sys/resource.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <exception>
@@ -14,6 +12,8 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -79,6 +79,21 @@ inline BenchArgs parse_bench_args(int argc, char** argv) {
   return args;
 }
 
+/// This process's peak resident set in MiB: `VmHWM` from /proc/self/status
+/// (kB), which covers this program image only. getrusage's ru_maxrss is not
+/// used because on Linux it carries the launching process's peak across
+/// exec. nullopt where the file or the line cannot be read.
+inline std::optional<double> peak_rss_mb() {
+  std::ifstream status{"/proc/self/status"};
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("VmHWM:", 0) != 0) continue;
+    std::istringstream fields{line.substr(6)};
+    double kb = 0.0;
+    return fields >> kb ? std::optional{kb / 1024.0} : std::nullopt;
+  }
+  return std::nullopt;
+}
+
 /// One wall-clock measurement for the perf-trend gate. Unlike BenchMetrics
 /// this is MEASURED time and varies run to run, so it lives in its own file
 /// that the budget gate never reads; scripts/check_perf_trend.py appends it
@@ -88,8 +103,7 @@ inline BenchArgs parse_bench_args(int argc, char** argv) {
 /// values mean "not measured" and the keys are omitted from the record, so
 /// pre-existing perf histories and non-cluster benches are unaffected.
 /// Every record also carries `peak_rss_mb`, the process's peak resident set
-/// so far (getrusage; Linux reports ru_maxrss in KiB), omitted when the
-/// call fails.
+/// so far (peak_rss_mb() below), omitted when it cannot be read.
 inline void write_perf_record(const std::string& path, const std::string& bench,
                               std::size_t threads, double wall_s,
                               double advance_s = -1.0, double dispatch_s = -1.0,
@@ -108,10 +122,7 @@ inline void write_perf_record(const std::string& path, const std::string& bench,
   phase("advance_s", advance_s);
   phase("dispatch_s", dispatch_s);
   phase("commit_s", commit_s);
-  rusage usage{};
-  if (getrusage(RUSAGE_SELF, &usage) == 0) {
-    phase("peak_rss_mb", static_cast<double>(usage.ru_maxrss) / 1024.0);
-  }
+  if (const std::optional<double> rss = peak_rss_mb()) phase("peak_rss_mb", *rss);
   out << "}\n";
   MONDE_REQUIRE(out.good(), "failed writing --perf output to '" << path << "'");
   std::printf("wrote perf record to %s\n", path.c_str());

@@ -1,5 +1,9 @@
 #include "interconnect/link.hpp"
 
+#include <cmath>
+
+#include "common/error.hpp"
+
 namespace monde::interconnect {
 
 LinkSpec LinkSpec::pcie_gen4_x16() {
@@ -41,6 +45,14 @@ LinkSpec LinkSpec::scaled(double factor) const {
   s.name = name + "@" + std::to_string(factor) + "x";
   s.raw_bandwidth = raw_bandwidth * factor;
   return s;
+}
+
+void LinkSpec::validate() const {
+  const double bw = effective_bandwidth().as_bytes_per_sec();
+  MONDE_REQUIRE(std::isfinite(bw) && bw > 0.0,
+                "link " << name << ": bandwidth must be finite and > 0");
+  MONDE_REQUIRE(propagation >= Duration::zero() && dma_setup >= Duration::zero(),
+                "link " << name << ": latencies must be non-negative");
 }
 
 }  // namespace monde::interconnect

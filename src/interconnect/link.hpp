@@ -56,6 +56,12 @@ struct LinkSpec {
 
   /// Uniform bandwidth scaling (keeps latencies), for sensitivity studies.
   [[nodiscard]] LinkSpec scaled(double factor) const;
+
+  /// Throws monde::Error unless every transfer is priced finite: the
+  /// effective bandwidth must be finite and positive (a zero rate prices a
+  /// payload at +inf, a non-finite one at NaN) and both latencies
+  /// non-negative.
+  void validate() const;
 };
 
 }  // namespace monde::interconnect

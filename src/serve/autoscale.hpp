@@ -16,23 +16,19 @@
 // because one policy exists; docs/ARCHITECTURE.md says how to add a second.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
-
-#include "common/units.hpp"
 
 namespace monde::serve {
 
 /// Fleet queue-pressure signals at one evaluation tick. Token quantities
 /// count tokens; delays are simulated milliseconds.
 struct AutoscaleSignals {
-  Duration now = Duration::zero();
   std::size_t ready_replicas = 0;    ///< accepting and past warm-up
   std::size_t warming_replicas = 0;  ///< spun up, still cold-starting
-  std::size_t in_flight = 0;         ///< accepted-but-unfinished requests, fleet-wide
   std::int64_t outstanding_tokens = 0;  ///< tokens still owed, fleet-wide
-  std::size_t waiting_requests = 0;  ///< accepted, not yet admitted to a batch
   /// p95 of (now - arrival) over the waiting requests: how long the queue's
   /// tail has already been sitting. 0 when nothing waits.
   double p95_queue_delay_ms = 0.0;

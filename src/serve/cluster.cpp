@@ -94,8 +94,9 @@ void ClusterSim::add_replica(const ReplicaSpec& spec, Duration spawned_at,
   Replica r;
   r.engine = std::make_unique<core::InferenceEngine>(sys_, model_, profile_, spec.strategy,
                                                      spec.seed, shared_sim_);
-  r.server = std::make_unique<ServerSim>(*r.engine, spec.sched, start_at, spec.fault,
-                                         cfg_.cache, cfg_.expert, cfg_.disagg, prefill);
+  r.server = std::make_unique<ServerSim>(
+      *r.engine, spec.sched, start_at, spec.fault, cfg_.cache, cfg_.expert,
+      prefill ? std::optional{cfg_.disagg.handoff_link} : std::nullopt);
   r.prefill = prefill;
   r.name = "replica" + std::to_string(replicas_.size()) + " (" +
            r.engine->strategy().name() + ")";
@@ -442,19 +443,18 @@ struct ClusterSim::ClusterRun {
     view->advance_batch(batch, t);
     phase_end(rep.phase_advance_s);
     phase_begin();
-    for (const std::size_t i : batch) commit(i, t, floor);
+    for (const std::size_t i : batch) commit(i, floor);
     phase_end(rep.phase_commit_s);
   }
 
-  /// Write-backs after replica i advanced to `t`: fold its new steps into
-  /// the EWMA, turn its buffered prefill releases into items, then let the
-  /// view re-index it (the drain may apply a pending completion, which moves
-  /// the server's next event). Each release becomes a decode-pool item at
+  /// Write-backs after replica i advanced or evacuated: fold its new steps
+  /// into the EWMA, turn its buffered prefill releases into items, then let
+  /// the view re-index it. Each release becomes a decode-pool item at
   /// `release + transfer`, clamped to `floor`, which never precedes a popped
   /// item (the advance target, or the last pop when only the prefill pool
   /// ran ahead): the global (time, id) pop order survives releases
   /// discovered mid-event.
-  void commit(std::size_t i, Duration t, Duration floor) {
+  void commit(std::size_t i, Duration floor) {
     Replica& r = replicas[i];
     constexpr double kNewestStepWeight = 0.25;
     const std::vector<StepRecord>& steps = r.server->steps();
@@ -465,7 +465,7 @@ struct ClusterSim::ClusterRun {
                       : kNewestStepWeight * ms + (1.0 - kNewestStepWeight) * r.ewma_ms;
     }
     if (r.prefill) {
-      for (HandoffRecord& h : r.server->take_handoffs(t)) {
+      for (HandoffRecord& h : r.server->take_handoffs()) {
         ++h.request.attempt;
         intake.push({monde::max(h.release + h.transfer, floor), std::move(h.request),
                      Intake::Source::kHandoff});
@@ -541,7 +541,7 @@ class ClusterSim::Concern {
   ClusterRun& run_;
 };
 
-/// Fail-stop detection, harvest and retry.
+/// Fail-stop detection, evacuation and retry.
 class ClusterSim::Recovery final : public Concern {
  public:
   using Concern::Concern;
@@ -559,9 +559,9 @@ class ClusterSim::Recovery final : public Concern {
     run_.log(ClusterEvent::Kind::kFailStop, r.server->fault().fail_at, i,
              [&] { return "replica" + std::to_string(i) + " died"; });
     // A replica evacuated by a scale-down migration died empty: its work
-    // already moved on, so there is nothing (and no way) to harvest.
+    // already moved on, so there is nothing left to hand back.
     std::vector<Request> stranded;
-    if (!r.evacuated) stranded = r.server->harvest_stranded();
+    if (!r.server->evacuated()) stranded = r.server->evacuate();
     run_.log(ClusterEvent::Kind::kFailureDetected, t, i, [&] {
       return "heartbeat stale; " + std::to_string(stranded.size()) +
              " stranded request(s) queued for retry";
@@ -623,7 +623,6 @@ class ClusterSim::Elasticity final : public Concern {
  private:
   AutoscaleSignals signals(Duration t) const {
     AutoscaleSignals sig;
-    sig.now = t;
     std::vector<double> waits_ms;
     for (const Replica& r : run_.replicas) {
       if (!r.accepting()) continue;
@@ -632,13 +631,11 @@ class ClusterSim::Elasticity final : public Concern {
       } else {
         ++sig.ready_replicas;
       }
-      sig.in_flight += r.server->in_flight();
       sig.outstanding_tokens += r.server->outstanding_tokens();
       for (const Duration arrival : r.server->waiting_arrivals()) {
         waits_ms.push_back((t - arrival).ms());
       }
     }
-    sig.waiting_requests = waits_ms.size();
     if (!waits_ms.empty()) sig.p95_queue_delay_ms = percentile(std::move(waits_ms), 95.0);
     return sig;
   }
@@ -688,8 +685,8 @@ class ClusterSim::Elasticity final : public Concern {
     r.retired = true;
     r.retired_at = t;
     // A victim that silently fail-stopped inside the detection lag cannot
-    // be evacuated -- its state died with it. Retire it plainly; the
-    // heartbeat monitor will harvest its stranded work.
+    // migrate -- nobody knows it died. Retire it plainly; the heartbeat
+    // monitor evacuates its stranded work at detection.
     const PrefixCacheConfig& cache = run_.cfg.cache;
     if (!cache.enabled || !cache.migrate_on_retire || r.server->failed()) {
       run_.log(ClusterEvent::Kind::kScaleDown, t, victim, [&] {
@@ -703,11 +700,10 @@ class ClusterSim::Elasticity final : public Concern {
     // modelled transfer cost) to the surviving fleet. Requests with no
     // resident state re-dispatch at the tick itself.
     std::vector<Request> moved = r.server->evacuate();
-    r.evacuated = true;
     // A prefill victim's forced step-boundary completion may have released
     // prefill-complete requests: convert them now (their release lies at
     // or after this tick), or they die with the buffer.
-    run_.commit(victim, t, t);
+    run_.commit(victim, t);
     const Duration boundary = monde::max(t, r.server->now());
     for (Request rq : moved) {
       ++rq.attempt;
@@ -1116,7 +1112,7 @@ ClusterReport ClusterSim::run(ArrivalStream& arrivals, Dispatcher& dispatcher,
     due->fire(at);
   }
   // No further arrivals: replicas finish independently, so each can drain
-  // to completion on its own (failed replicas were harvested above). The
+  // to completion on its own (failed replicas were evacuated above). The
   // report reads the servers only after every drain returned.
   run.phase_begin();
   run.view->drain_all();

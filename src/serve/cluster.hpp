@@ -142,15 +142,15 @@ struct ClusterConfig {
   /// Disaggregated prefill/decode serving (serve/disagg.hpp). Disabled by
   /// default, which pins the unified-fleet behavior bit-identically. When
   /// enabled, boot replicas [0, disagg.prefill_replicas) take the prefill
-  /// role: new arrivals are dispatched to the prefill pool only; the moment
-  /// a request's prefill completes it is handed off -- its KV frontier ships
-  /// over `disagg.handoff_link`, priced per resident token -- and re-enters
-  /// dispatch as a checkpointed resume routed to the decode pool
-  /// (Request::decode_phase()). Autoscaling grows the pool furthest below
-  /// its boot share and never retires a pool's last member; a decode
-  /// replica's fail-stop re-homes its in-flight handoffs within the decode
-  /// pool when the checkpoint survives (ClusterConfig::cache). Requires
-  /// continuous batching on every replica.
+  /// role, their servers built with `disagg.handoff_link`: new arrivals are
+  /// dispatched to the prefill pool only; the moment a request's prefill
+  /// completes it is handed off -- its KV frontier ships over that link,
+  /// priced per resident token -- and re-enters dispatch as a checkpointed
+  /// resume routed to the decode pool (Request::decode_phase()). Autoscaling
+  /// grows the pool furthest below its boot share and never retires a
+  /// pool's last member; a decode replica's fail-stop re-homes its in-flight
+  /// handoffs within the decode pool when the checkpoint survives
+  /// (ClusterConfig::cache). Requires continuous batching on every replica.
   DisaggConfig disagg;
   /// Measure per-phase wall-clock (advance / dispatch / commit) into the
   /// report's phase_*_s fields, for the perf-trend dashboard: the
@@ -186,7 +186,7 @@ struct ClusterEvent {
     kScaleUp,          ///< autoscaler spawned a replica (warm-up begins)
     kScaleDown,        ///< autoscaler retired a replica (drains, then idles)
     kFailStop,         ///< a replica died (recorded at the instant of death)
-    kFailureDetected,  ///< heartbeat monitor declared it dead; harvest + retry
+    kFailureDetected,  ///< heartbeat monitor declared it dead; evacuate + retry
     kRetry,            ///< a stranded request was re-dispatched
     kMigrate,          ///< an evacuated request landed on its new replica
     kExpertRebalance,  ///< hot experts preloaded across the fleet
@@ -312,9 +312,8 @@ class ClusterSim {
     Duration spawned_at = Duration::zero();
     Duration detect_at = Duration::infinite();  ///< fail-stop detection instant
     Duration retired_at = Duration::zero();     ///< scale-down decision instant
-    bool detected = false;  ///< failure detected (excluded, harvested)
+    bool detected = false;  ///< failure detected (excluded, evacuated)
     bool retired = false;   ///< scaled down (excluded from dispatch)
-    bool evacuated = false; ///< retirement migrated its work away (nothing to harvest)
     bool prefill = false;   ///< disaggregated-serving role (false = decode/unified)
     std::size_t steps_seen = 0;  ///< steps folded into the EWMA so far
     double ewma_ms = 0.0;        ///< step-duration EWMA (health signal)

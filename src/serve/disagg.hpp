@@ -19,7 +19,6 @@
 // ExpertServingConfig pattern.
 #pragma once
 
-#include <cmath>
 #include <cstddef>
 
 #include "common/error.hpp"
@@ -46,13 +45,8 @@ struct DisaggConfig {
     if (!enabled) return;
     MONDE_REQUIRE(prefill_replicas > 0,
                   "disaggregated serving needs prefill_replicas > 0");
-    // A zero or non-finite rate prices every handoff at +inf or NaN, and no
-    // decode replica could ever admit the handed-off request.
-    const double bw = handoff_link.effective_bandwidth().as_bytes_per_sec();
-    MONDE_REQUIRE(std::isfinite(bw) && bw > 0.0, "handoff_link bandwidth must be finite and > 0");
-    MONDE_REQUIRE(handoff_link.propagation >= Duration::zero() &&
-                      handoff_link.dma_setup >= Duration::zero(),
-                  "handoff_link latencies must be non-negative");
+    // A handoff priced at +inf or NaN could never land on a decode replica.
+    handoff_link.validate();
   }
 };
 

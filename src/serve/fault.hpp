@@ -7,7 +7,7 @@
 //   * fail-stop  -- the replica dies at `fail_at`: steps whose effects would
 //     land after the instant of death are lost with the node, and every
 //     accepted-but-unfinished request strands until the cluster detects the
-//     failure and re-dispatches it elsewhere (ServerSim::harvest_stranded).
+//     failure and re-dispatches it elsewhere (ServerSim::evacuate).
 //   * slow-down  -- steps *starting* inside [slow_from, slow_until) run
 //     `slow_factor` times slower, modelling thermal throttling, a noisy
 //     neighbour, or a degraded link. Work is never lost; latency stretches.
@@ -63,7 +63,7 @@ struct FaultSpec {
 inline constexpr Duration kHeartbeatInterval = Duration::millis(2);
 
 /// A replica whose last successful poll is older than this is declared
-/// dead: its stranded requests are harvested for retry and it is excluded
+/// dead: its stranded requests are evacuated for retry and it is excluded
 /// from dispatch permanently. At least one interval, since a healthy
 /// replica's heartbeat age never exceeds one.
 inline constexpr Duration kHeartbeatTimeout = Duration::millis(6);

@@ -149,7 +149,7 @@ class KvCache {
   /// stays retained for future arrivals, freshest in LRU order.
   void complete(std::uint64_t id);
 
-  /// Unpin everything at once (a harvest/evacuation took every unfinished
+  /// Unpin everything at once (an evacuation took every unfinished
   /// request away with it). Retained shared prefixes stay.
   void drop_pinned();
 

@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <utility>
 
-#include "interconnect/link.hpp"
-
 namespace monde::serve {
 
 ServerSim::ServerSim(core::InferenceEngine& engine, SchedulerConfig cfg, Duration start_at,
                      FaultSpec fault, PrefixCacheConfig cache, ExpertServingConfig expert,
-                     DisaggConfig disagg, bool prefill_role)
+                     std::optional<interconnect::LinkSpec> handoff_link)
     : engine_{engine},
       cfg_{cfg},
       sched_{cfg},
@@ -19,17 +17,16 @@ ServerSim::ServerSim(core::InferenceEngine& engine, SchedulerConfig cfg, Duratio
       cache_{cache},
       expert_{expert},
       expert_cache_{expert.enabled ? expert.cache_capacity : 0},
-      disagg_{disagg},
-      prefill_role_{prefill_role} {
+      handoff_link_{std::move(handoff_link)} {
   cfg_.validate();
   fault_.validate();
   expert_.validate();
-  disagg_.validate();
-  MONDE_REQUIRE(!prefill_role_ || disagg_.enabled,
-                "the prefill role requires disaggregated serving to be enabled");
-  MONDE_REQUIRE(!prefill_role_ || cfg_.mode == BatchingMode::kContinuous,
-                "a prefill-role replica needs continuous batching (a fixed batch "
-                "cannot release requests mid-batch)");
+  if (handoff_link_) {
+    handoff_link_->validate();
+    MONDE_REQUIRE(cfg_.mode == BatchingMode::kContinuous,
+                  "a prefill-role replica needs continuous batching (a fixed batch "
+                  "cannot release requests mid-batch)");
+  }
   if (expert_.enabled) {
     expert_fetch_time_ = interconnect::LinkSpec::cxl_mem_gen4_x16().transfer_time(
         engine_.workload().model().expert_bytes());
@@ -49,7 +46,7 @@ ServerSim::ServerSim(core::InferenceEngine& engine, SchedulerConfig cfg, Duratio
 }
 
 void ServerSim::enqueue(const Request& rq, Duration at) {
-  MONDE_REQUIRE(!harvested_, "enqueue() on a harvested or evacuated server");
+  MONDE_REQUIRE(!evacuated_, "enqueue() on an evacuated server");
   sched_.push(rq, at);
 }
 
@@ -95,7 +92,7 @@ void ServerSim::drain() {
   advance_to(Duration::infinite());
   apply_pending_completion();
   MONDE_ASSERT(sched_.drained(),
-               (failed_ ? "drain() on a failed server with unharvested stranded requests"
+               (failed_ ? "drain() on a failed server with unevacuated stranded requests"
                         : "drain() left requests unserved"));
 }
 
@@ -115,26 +112,15 @@ void ServerSim::fail_now() {
   st_.now = monde::min(st_.now, fault_.fail_at);
 }
 
-std::vector<Request> ServerSim::harvest_stranded() {
-  MONDE_REQUIRE(failed_, "harvest_stranded() is only valid after a fail-stop");
-  MONDE_REQUIRE(!harvested_, "stranded requests were already harvested");
-  harvested_ = true;
-  evict_in_flight_experts();
-  std::vector<Request> stranded = sched_.abort_unfinished();
-  cache_.drop_pinned();
-  return stranded;
-}
-
 std::vector<Request> ServerSim::evacuate() {
-  MONDE_REQUIRE(!failed_, "evacuate() needs a live server (harvest_stranded() a dead one)");
-  MONDE_REQUIRE(!harvested_, "server was already harvested or evacuated");
-  harvested_ = true;
-  // Migration happens at the step boundary: the step in flight completes
+  MONDE_REQUIRE(!evacuated_, "server was already evacuated");
+  evacuated_ = true;
+  // A live server leaves at the step boundary: the step in flight completes
   // (deterministically, at its already-priced end) and its effects are part
   // of the checkpoint the requests carry away -- unless a scheduled
   // fail-stop lands inside that step, in which case the node never finishes
-  // it and migration cannot rescue its effects (the same rule fail_now()
-  // applies).
+  // it and evacuation cannot rescue its effects (the same rule fail_now()
+  // applies). On a dead server fail_now() already settled the pending step.
   if (completion_pending_ && fault_.fail_stop() && pending_end_ > fault_.fail_at) {
     completion_pending_ = false;
     pending_admits_.clear();
@@ -158,7 +144,7 @@ void ServerSim::apply_pending_completion() {
     for (const std::uint64_t id : out.advanced) cache_.decode_token(id);
     for (const std::uint64_t id : out.finished) cache_.complete(id);
   }
-  if (prefill_role_) {
+  if (handoff_link_) {
     // Prefill complete: every request whose admission step just landed
     // (prompt resident, first decode token surfaced) leaves for the decode
     // pool as a checkpointed resume. Its KV frontier ships over the handoff
@@ -167,7 +153,7 @@ void ServerSim::apply_pending_completion() {
     // each record into a decode-pool dispatch at release + transfer.
     for (Request& rq : sched_.release_prefilled()) {
       cache_.complete(rq.id);  // no-op when the cache is disabled
-      const Duration transfer = disagg_.handoff_link.transfer_time(
+      const Duration transfer = handoff_link_->transfer_time(
           cache_.config().kv_bytes_per_token *
           static_cast<std::uint64_t>(rq.resume.resident_tokens()));
       ++handoff_count_;
@@ -179,9 +165,8 @@ void ServerSim::apply_pending_completion() {
   }
 }
 
-std::vector<HandoffRecord> ServerSim::take_handoffs(Duration now) {
-  MONDE_REQUIRE(prefill_role_, "take_handoffs() on a non-prefill replica");
-  if (!failed_ && completion_pending_ && pending_end_ < now) apply_pending_completion();
+std::vector<HandoffRecord> ServerSim::take_handoffs() {
+  MONDE_REQUIRE(handoff_link_.has_value(), "take_handoffs() on a non-prefill replica");
   std::vector<HandoffRecord> out;
   out.swap(handoffs_out_);
   return out;
@@ -269,7 +254,7 @@ void ServerSim::evict_in_flight_experts() {
 }
 
 std::size_t ServerSim::preload_experts(const std::vector<core::ExpertId>& ids) {
-  if (!expert_.enabled || failed_ || harvested_) return 0;
+  if (!expert_.enabled || failed_ || evacuated_) return 0;
   std::size_t fetched = 0;
   for (const core::ExpertId& id : ids) {
     if (expert_cache_.contains(id)) continue;

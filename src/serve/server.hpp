@@ -14,6 +14,8 @@
 //                     gap; a step that starts before t runs to completion
 //                     even if it ends after t (steps are atomic).
 //   next_event_time() earliest time at which advance_to() would do work;
+//   evacuate()        leave service: hand every unfinished request back,
+//                     with its checkpoint, for re-dispatch elsewhere;
 //   drain()           declare the trace complete and run everything left;
 //   report()          per-request metrics + aggregates, after drain(); the
 //                     step history and records move out with it.
@@ -46,12 +48,12 @@
 // an autoscaled replica's cold-start: it accepts enqueues immediately but
 // runs no step before `start_at`) and may carry a FaultSpec (fault.hpp). A
 // slow-down fault stretches affected steps' spans about their start; a
-// fail-stop freezes the server at `fail_at` -- the step in flight at the
-// instant of death loses its effects, and harvest_stranded() hands the
-// accepted-but-unfinished requests back to the cluster for re-dispatch,
-// annotated with their last-checkpointed progress. A retiring replica can
-// instead evacuate(): stop at the current step boundary and hand its
-// unfinished requests (with resident state) to the cluster for migration.
+// fail-stop freezes the server at `fail_at`, and the step in flight at the
+// instant of death loses its effects. A replica leaves service one way:
+// evacuate() hands its accepted-but-unfinished requests back to the cluster,
+// annotated with their last-checkpointed progress -- a live (retiring)
+// server first completes the step in flight, a dead one has nothing left
+// to complete.
 //
 // Prefix/KV cache (kvcache.hpp): when enabled, an admitted request's
 // prompt tokens already resident (its resumed prefix, or the shared prefix
@@ -69,12 +71,13 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/stats.hpp"
 #include "core/engine.hpp"
 #include "core/expert_cache.hpp"
-#include "serve/disagg.hpp"
+#include "interconnect/link.hpp"
 #include "serve/expert.hpp"
 #include "serve/fault.hpp"
 #include "serve/kvcache.hpp"
@@ -151,22 +154,24 @@ class ServerSim {
   /// configures the replica's prefix/KV cache (disabled by default, which
   /// keeps the server bit-identical to the cache-less behavior); `expert`
   /// configures the replica's expert residency (serve/expert.hpp) -- also
-  /// disabled by default with the same bit-identity guarantee. `disagg` and
-  /// `prefill_role` opt the replica into disaggregated serving
-  /// (serve/disagg.hpp): a prefill-role replica releases every request at
-  /// its admission-step boundary instead of decoding it to completion, and
-  /// requires continuous batching (a fixed batch cannot release mid-batch).
+  /// disabled by default with the same bit-identity guarantee. A
+  /// `handoff_link` makes the replica a prefill specialist of disaggregated
+  /// serving (serve/disagg.hpp): it releases every request at its
+  /// admission-step boundary, shipping the KV frontier over that link,
+  /// instead of decoding it to completion. The link must validate, and the
+  /// role requires continuous batching (a fixed batch cannot release
+  /// mid-batch).
   ServerSim(core::InferenceEngine& engine, SchedulerConfig cfg,
             Duration start_at = Duration::zero(), FaultSpec fault = {},
             PrefixCacheConfig cache = {}, ExpertServingConfig expert = {},
-            DisaggConfig disagg = {}, bool prefill_role = false);
+            std::optional<interconnect::LinkSpec> handoff_link = std::nullopt);
 
   // --- Incremental event API (what a cluster dispatcher drives) -----------
 
   /// Hand the server one request; it joins the queue at `at` (dispatch is
   /// zero-latency): its trace arrival, or a re-dispatch's later instant.
   /// Requests must arrive in (at, id) order, before drain(), and never
-  /// after harvest_stranded().
+  /// after evacuate().
   void enqueue(const Request& rq, Duration at);
   /// enqueue() at the request's trace arrival.
   void enqueue(const Request& rq) { enqueue(rq, rq.arrival); }
@@ -190,7 +195,7 @@ class ServerSim {
   /// No further enqueue(): finish every request still in the system. On an
   /// empty queue this is a harmless no-op (the server reports zero
   /// requests). On a failed server every stranded request must have been
-  /// harvested first.
+  /// evacuated first.
   void drain();
 
   /// End of the last completed step (the server's simulated clock); equals
@@ -204,23 +209,19 @@ class ServerSim {
   /// The server reached its fail-stop instant and is permanently frozen.
   [[nodiscard]] bool failed() const { return failed_; }
 
-  /// After a fail-stop: remove and return every accepted-but-unfinished
-  /// request (in enqueue order) so the cluster can re-dispatch them.
-  /// Each is annotated with its checkpointed progress as of the last
-  /// completed step (Request::resume); whether the retry honors it is the
-  /// cluster's cache-survival policy -- with no prefix cache the
-  /// annotations are dropped and retries restart from scratch. Requires
-  /// failed(); call at most once; enqueue() is invalid afterwards and
-  /// drain()/report() then cover only completed requests.
-  [[nodiscard]] std::vector<Request> harvest_stranded();
-
-  /// Live-migration support (scale-down): stop at the current step boundary
-  /// -- the step in flight completes and its effects are part of the
-  /// migrated checkpoint -- and remove and return every unfinished request
-  /// with its progress annotations, exactly as harvest_stranded() does for
-  /// a dead server. Requires a live server; call at most once; enqueue() is
-  /// invalid afterwards and drain()/report() cover only completed requests.
+  /// The replica leaves service: remove and return every accepted-but-
+  /// unfinished request (in enqueue order) so the cluster can re-dispatch
+  /// them, each annotated with its checkpointed progress (Request::resume).
+  /// A live server stops at the current step boundary -- the step in flight
+  /// completes and its effects are part of the checkpoint, unless a
+  /// scheduled fail-stop lands inside it. On a dead server the checkpoint is
+  /// the last step completed before the death. Whether a re-dispatch honors
+  /// the checkpoint is the cluster's policy (migration, or the cache-survival
+  /// mode of a fail-stop retry). Call at most once; enqueue() is invalid
+  /// afterwards and drain()/report() then cover only completed requests.
   [[nodiscard]] std::vector<Request> evacuate();
+  /// evacuate() already handed the unfinished work away.
+  [[nodiscard]] bool evacuated() const { return evacuated_; }
 
   /// Live load, for dispatch decisions (see ContinuousBatchScheduler).
   /// Requests retired by a step still in flight at the last advance_to()
@@ -262,12 +263,10 @@ class ServerSim {
   /// a no-op on a failed/evacuated server or with expert serving disabled.
   std::size_t preload_experts(const std::vector<core::ExpertId>& ids);
 
-  /// Drain the buffered prefill-complete releases, in release order. First
-  /// applies a pending step completion that ends strictly before `now` (the
-  /// cluster's tail drain passes infinite to flush the final step; a commit
-  /// at the current event time never applies anything early, preserving the
-  /// lazy-completion contract). Prefill-role only.
-  [[nodiscard]] std::vector<HandoffRecord> take_handoffs(Duration now);
+  /// Drain the buffered prefill-complete releases, in release order: those
+  /// of every step completion applied so far (by advance_to(), evacuate() or
+  /// drain()). Prefill specialists only.
+  [[nodiscard]] std::vector<HandoffRecord> take_handoffs();
 
   /// Metrics for everything served so far. Requires drained(). The step
   /// history and the per-request records move into the report, so call it
@@ -293,7 +292,7 @@ class ServerSim {
   /// landed in time, discard one that did not, clamp the clock.
   void fail_now();
 
-  /// Departure eviction at harvest/evacuation: the in-flight requests (the
+  /// Departure eviction at evacuation: the in-flight requests (the
   /// active, not-done slots) take their expert demand with them, so every
   /// expert of their profiles leaves the cache and re-homes on whichever
   /// replica the cluster re-dispatches them to. Completing and handed-off
@@ -313,9 +312,8 @@ class ServerSim {
   core::ExpertCache expert_cache_;  ///< capacity 0 (inert) when disabled
   Duration expert_fetch_time_ = Duration::zero();  ///< per-expert miss cost
   Duration pending_preload_ = Duration::zero();    ///< rebalance fetches awaiting a step
-  // Disaggregated serving (inert unless prefill_role_):
-  DisaggConfig disagg_;
-  bool prefill_role_ = false;
+  // Disaggregated serving (inert unless a prefill specialist):
+  std::optional<interconnect::LinkSpec> handoff_link_;
   std::vector<HandoffRecord> handoffs_out_;  ///< releases awaiting take_handoffs()
   Duration pending_handoff_ship_ = Duration::zero();  ///< DMA time awaiting a step
   std::uint64_t handoff_count_ = 0;
@@ -330,7 +328,7 @@ class ServerSim {
   bool completion_pending_ = false;     ///< the last step's effects not yet applied
   Duration pending_end_ = Duration::zero();
   bool failed_ = false;     ///< fail-stop instant reached; frozen forever
-  bool harvested_ = false;  ///< stranded requests already handed back
+  bool evacuated_ = false;  ///< unfinished requests already handed back
   bool reported_ = false;   ///< report() moved the history out
 };
 

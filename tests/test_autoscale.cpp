@@ -45,7 +45,6 @@ AutoscaleConfig test_policy() {
 AutoscaleSignals signals(std::size_t ready, std::size_t warming, std::int64_t tokens,
                          double p95_delay_ms = 0.0) {
   AutoscaleSignals s;
-  s.now = Duration::millis(10);
   s.ready_replicas = ready;
   s.warming_replicas = warming;
   s.outstanding_tokens = tokens;

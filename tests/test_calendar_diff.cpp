@@ -593,8 +593,8 @@ TEST(ServerNextEvent, FailStopPinsInfiniteNextEvent) {
   server.advance_to(Duration::millis(10));  // crosses fail_at: the server dies
   EXPECT_TRUE(server.failed());
   EXPECT_EQ(server.next_event_time(), Duration::infinite());
-  EXPECT_EQ(server.harvest_stranded().size(), 1u);
-  EXPECT_EQ(server.next_event_time(), Duration::infinite());  // harvest keeps it dead
+  EXPECT_EQ(server.evacuate().size(), 1u);
+  EXPECT_EQ(server.next_event_time(), Duration::infinite());  // evacuation keeps it dead
 }
 
 }  // namespace

@@ -771,6 +771,76 @@ TEST(ClusterSim, EvacuatedReplicaLaterFailStopIsHarmless) {
   EXPECT_EQ(post_death_retries, 0u);
 }
 
+TEST(ClusterSim, ScaleDownOfUndetectedDeadReplicaRetiresPlainly) {
+  // Replica 0 dies at 3 ms; its heartbeat goes stale only at 8 ms. The
+  // 5 ms autoscale tick wants one replica fewer and picks replica 0 (it owes
+  // the fewest tokens). Migration is on, but nobody knows the victim died:
+  // the tick must retire it plainly -- no migration -- and its stranded
+  // requests must come back as retries only once the failure is detected.
+  const Duration fail_at = Duration::millis(3);
+  const Duration detect = failure_detection_time(fail_at);
+  const Duration tick = Duration::millis(5);
+  ASSERT_LT(fail_at, tick);
+  ASSERT_LT(tick, detect);
+  // Round robin: replica 0 takes the short requests (still decoding at its
+  // death), replica 1 the long ones.
+  std::vector<Request> trace;
+  for (std::uint64_t id = 0; id < 4; ++id) {
+    trace.push_back(Request{id, Duration::zero(), 16, id % 2 == 0 ? 512 : 4096});
+  }
+  auto specs = uniform_fleet(2, core::StrategyKind::kMondeLoadBalanced, SchedulerConfig{});
+  specs[0].fault.fail_at = fail_at;
+  AutoscaleConfig as;
+  as.min_replicas = 1;
+  as.max_replicas = 2;
+  as.high_tokens_per_replica = 1 << 20;  // never scale up...
+  as.low_tokens_per_replica = 1 << 19;   // ...always want to scale down
+  for (const bool reference_loop : {false, true}) {
+    SCOPED_TRACE(reference_loop ? "reference loop" : "calendar loop");
+    ClusterConfig cfg;
+    cfg.reference_loop = reference_loop;
+    cfg.autoscale_period = tick;
+    cfg.cache = enabled_cache();
+    cfg.cache.migrate_on_retire = true;
+    ClusterSim cluster{core::SystemConfig::dac24(), tiny_model(),
+                       moe::SkewProfile::switch_like(), specs, cfg};
+    const auto dispatcher = make_dispatcher(DispatchPolicy::kRoundRobin);
+    Autoscaler autoscaler{as};
+    const ClusterReport rep = cluster.run(trace, *dispatcher, &autoscaler);
+
+    fixtures::expect_audit_clean(rep, trace);
+    ASSERT_EQ(rep.replicas.size(), 2u);
+    EXPECT_TRUE(rep.replicas[0].retired);
+    EXPECT_TRUE(rep.replicas[0].failed);
+    EXPECT_EQ(rep.migrations, 0u);
+    std::size_t scale_downs = 0, retries = 0;
+    for (const ClusterEvent& ev : rep.events) {
+      EXPECT_NE(ev.kind, ClusterEvent::Kind::kMigrate);
+      if (ev.kind == ClusterEvent::Kind::kScaleDown) {
+        ++scale_downs;
+        EXPECT_EQ(ev.time, tick);
+        EXPECT_EQ(ev.replica, 0u);
+        EXPECT_EQ(ev.detail.find("migrated"), std::string::npos) << ev.detail;
+      }
+      if (ev.kind == ClusterEvent::Kind::kRetry) {
+        ++retries;
+        EXPECT_EQ(ev.time, detect + kRetryTimeout);
+        EXPECT_EQ(ev.replica, 1u);
+      }
+    }
+    EXPECT_EQ(scale_downs, 1u);
+    // Both of the victim's requests were stranded, and each came back once.
+    EXPECT_EQ(retries, 2u);
+    EXPECT_EQ(rep.retries, 2u);
+    for (const RequestMetrics& m : rep.requests) {
+      if (m.id % 2 == 0) {
+        EXPECT_EQ(m.attempt, 1u) << "request " << m.id;
+        EXPECT_GE(m.admitted, detect + kRetryTimeout) << "request " << m.id;
+      }
+    }
+  }
+}
+
 TEST(ClusterSim, DoubleFailureRebasesMetricsAcrossAttempts) {
   // The retry replica itself dies: stranded requests go around twice
   // (attempt 2 lands on an autoscaled replacement), and fleet metrics stay

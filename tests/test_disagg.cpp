@@ -104,14 +104,24 @@ TEST(Disagg, ClusterNeedsBothPoolsAndContinuousBatching) {
       Error);
 }
 
-TEST(Disagg, ServerRejectsPrefillRoleWithoutDisagg) {
+TEST(Disagg, ServerRejectsInvalidHandoffLink) {
+  // A prefill specialist built straight from a link, bypassing
+  // DisaggConfig::validate(), still refuses one that prices a handoff at
+  // +inf or before it was sent.
   auto engine = core::InferenceEngine{core::SystemConfig::dac24(), tiny_model(),
                                       moe::SkewProfile::switch_like(),
                                       core::StrategyKind::kMondeLoadBalanced, 42};
-  EXPECT_THROW((ServerSim{engine, SchedulerConfig{}, Duration::zero(), FaultSpec{},
-                          PrefixCacheConfig{}, ExpertServingConfig{}, DisaggConfig{},
-                          /*prefill_role=*/true}),
-               Error);
+  const auto prefill_server = [&](interconnect::LinkSpec link) {
+    return ServerSim{engine, SchedulerConfig{}, Duration::zero(), FaultSpec{},
+                     PrefixCacheConfig{}, ExpertServingConfig{}, link};
+  };
+  EXPECT_NO_THROW((void)prefill_server(interconnect::LinkSpec::pcie_gen4_x16()));
+  interconnect::LinkSpec dead = interconnect::LinkSpec::pcie_gen4_x16();
+  dead.raw_bandwidth = Bandwidth::gbps(0.0);
+  EXPECT_THROW((void)prefill_server(dead), Error);
+  interconnect::LinkSpec acausal = interconnect::LinkSpec::pcie_gen4_x16();
+  acausal.propagation = Duration::micros(-1.0);
+  EXPECT_THROW((void)prefill_server(acausal), Error);
 }
 
 // --- The off switch (acceptance pin) ----------------------------------------

@@ -318,7 +318,7 @@ TEST(ExpertServing, HarvestAfterFailStopReleasesResidency) {
   server.advance_to(Duration::millis(10));
   ASSERT_TRUE(server.failed());
   ASSERT_TRUE(server.expert_cache().contains({2, 1}));  // fetched pre-death
-  const std::vector<Request> stranded = server.harvest_stranded();
+  const std::vector<Request> stranded = server.evacuate();
   ASSERT_EQ(stranded.size(), 1u);
   EXPECT_FALSE(server.expert_cache().contains({2, 1}));
   EXPECT_FALSE(server.expert_cache().contains({3, 2}));

@@ -1,6 +1,8 @@
 // Unit tests for link timing models and the 64-B NDP instruction codec.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "interconnect/instruction.hpp"
@@ -50,6 +52,20 @@ TEST(LinkSpec, ScaledBandwidthOnly) {
   EXPECT_NEAR(twice.raw_bandwidth.as_gbps(), 2.0 * base.raw_bandwidth.as_gbps(), 1e-9);
   EXPECT_EQ(twice.propagation, base.propagation);
   EXPECT_EQ(twice.dma_setup, base.dma_setup);
+}
+
+TEST(LinkSpec, ValidateRejectsLinksThatCannotPriceATransfer) {
+  for (const LinkSpec& preset : {LinkSpec::pcie_gen3_x16(), LinkSpec::pcie_gen4_x16(),
+                                 LinkSpec::pcie_gen5_x16(), LinkSpec::cxl_mem_gen4_x16()}) {
+    EXPECT_NO_THROW(preset.validate()) << preset.name;
+  }
+  EXPECT_THROW(LinkSpec::pcie_gen4_x16().scaled(0.0).validate(), Error);
+  LinkSpec nan_efficiency = LinkSpec::pcie_gen4_x16();
+  nan_efficiency.protocol_efficiency = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(nan_efficiency.validate(), Error);
+  LinkSpec negative_setup = LinkSpec::pcie_gen4_x16();
+  negative_setup.dma_setup = Duration::micros(-1.0);
+  EXPECT_THROW(negative_setup.validate(), Error);
 }
 
 // --- Instruction codec -------------------------------------------------------
