@@ -13,16 +13,26 @@
 // layers under candidate values and keeping the local optimum, mirroring
 // the paper's profiling-based tuner.
 //
-// The tuner's sweep is one pass per window layer: the layer's experts are
-// sorted by load once, when it enters the window; each distinct clamped H
-// is priced once; every what-if replays on one reused, non-recording
-// scratch schedule rewound to time zero. What-ifs and live layers price
-// experts from the same cost tables (see strategy.hpp), so once a layer's
-// token counts are warm a what-if makes no model call and no NDP memo
-// lookup, and it still places exactly what a pinned-H layer would.
+// Every MD+LB placement -- a live layer, a dry run, a tuner sweep -- is
+// one composition: gating, the PMove prefix `by_load[0, H)` on the GPU,
+// the MoNDE suffix, combine. The tuner's sweep is one pass per window
+// layer. A layer's experts are sorted by load once, when it enters the
+// window, and the window keeps only what a placement reads (layer id,
+// token count, the sorted experts, the Equation-6 base). The sweep rewinds
+// one reused, non-recording scratch schedule and places gating once. The
+// distinct clamped H values ascend, so the PMove prefix grows only by the
+// experts between consecutive H; for each H the scratch schedule is
+// checkpointed after the prefix, the suffix and combine are placed, and
+// the checkpoint is restored. Each H's latency is therefore the same chain
+// of placements a pinned-H layer makes on a fresh schedule, to the bit.
+// What-ifs and live layers price experts from the same cost tables (see
+// strategy.hpp), so once a layer's token counts are warm a what-if makes
+// no model call and no NDP memo lookup.
 #pragma once
 
+#include <cstdint>
 #include <deque>
+#include <span>
 #include <vector>
 
 #include "core/strategy.hpp"
@@ -57,19 +67,21 @@ class MondeLoadBalanced final : public Strategy {
   /// is rewound before every use. H above E_activ prices as H = E_activ.
   [[nodiscard]] Duration evaluate_layer_with_h(const moe::MoeLayerWork& work, int h);
 
-  /// Pin H (disables Equation 6 and tuning; the window keeps filling);
-  /// pass -1 to restore auto mode.
-  void set_fixed_h(int h) { fixed_h_ = h; }
-  /// Pin alpha and disable the auto-tuner.
+  /// Pin H >= 0 (disables Equation 6 and tuning; the window keeps
+  /// filling); pass -1 to restore auto mode. Anything below -1 throws.
+  void set_fixed_h(int h);
+  /// Pin a positive, finite alpha and disable the auto-tuner.
   void set_alpha(double alpha);
 
   [[nodiscard]] double alpha() const { return alpha_; }
   [[nodiscard]] int last_h() const { return last_h_; }
 
  private:
-  /// A routed layer prepared once for scheduling and tuning.
+  /// A routed layer as a placement reads it, prepared once for the live
+  /// layer and the tuner's window.
   struct PreparedLayer {
-    moe::MoeLayerWork work;
+    int layer_id = 0;
+    std::int64_t total_tokens = 0;
     std::vector<ExpertLoad> by_load;  ///< activated_by_load(work)
     double h_raw = 0.0;               ///< h_raw_equation6(work)
 
@@ -77,15 +89,21 @@ class MondeLoadBalanced final : public Strategy {
     [[nodiscard]] int h_at(double alpha) const;
   };
 
-  /// Hot prefix `by_load[0, h)` on the GPU, the rest on MoNDE. `what_if`
-  /// leaves the expert cache untouched (see place_pmove_pipeline).
-  MoeLayerResult schedule_layer(const moe::MoeLayerWork& work,
-                                std::span<const ExpertLoad> by_load, int h,
-                                sim::StreamSchedule& sched, const HwStreams& hw,
-                                Duration ready, bool what_if);
-  /// Latency under H on the rewound scratch schedule.
-  Duration what_if_latency(const moe::MoeLayerWork& work, std::span<const ExpertLoad> by_load,
-                           int h);
+  [[nodiscard]] PreparedLayer prepare(const moe::MoeLayerWork& work) const;
+  /// Equation 6 at alpha = 1 for `activated` activated experts.
+  [[nodiscard]] double h_raw_for(std::int64_t activated) const;
+
+  /// Place `layer` from `ready` under each H of `hs` (ascending, each >= 0;
+  /// an H above E_activ places as E_activ) and write H i's accounting to
+  /// `out[i]`: the hot prefix `by_load[0, H)` on the GPU, the rest on
+  /// MoNDE. Gating is placed once and the prefix grows between consecutive
+  /// H; before each H but the last, `sched` is checkpointed after the
+  /// prefix and restored after combine, so it must not record when `hs`
+  /// holds more than one H. `what_if` leaves the expert cache untouched
+  /// (see place_pmove_pipeline).
+  void place_layer(const PreparedLayer& layer, std::span<const int> hs,
+                   sim::StreamSchedule& sched, const HwStreams& hw, Duration ready,
+                   bool what_if, std::span<MoeLayerResult> out);
   void maybe_retune();
 
   double alpha_ = 1.0;

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <iterator>
 
 #include "common/error.hpp"
@@ -92,20 +93,20 @@ std::string to_string(StrategyKind kind) {
   return "?";
 }
 
-Duration Strategy::place_gating(const moe::MoeLayerWork& work, sim::StreamSchedule& sched,
+Duration Strategy::place_gating(std::int64_t total_tokens, sim::StreamSchedule& sched,
                                 const HwStreams& hw, Duration ready,
                                 MoeLayerResult& result) const {
-  const Duration t = ctx_.xformer->gating_time(work.total_tokens, ctx_.model->num_experts,
-                                               ctx_.model->dmodel);
+  const Duration t =
+      ctx_.xformer->gating_time(total_tokens, ctx_.model->num_experts, ctx_.model->dmodel);
   const auto iv = sched.place(hw.gpu, ready, t, [] { return std::string{"gating"}; }, "gating");
   result.gating += t;
   return iv.end;
 }
 
-Duration Strategy::place_combine(const moe::MoeLayerWork& work, sim::StreamSchedule& sched,
+Duration Strategy::place_combine(std::int64_t total_tokens, sim::StreamSchedule& sched,
                                  const HwStreams& hw, Duration ready,
                                  MoeLayerResult& result) const {
-  const Duration t = ctx_.xformer->combine_time(work.total_tokens, ctx_.model->dmodel);
+  const Duration t = ctx_.xformer->combine_time(total_tokens, ctx_.model->dmodel);
   const auto iv =
       sched.place(hw.gpu, ready, t, [] { return std::string{"combine"}; }, "combine");
   result.combine += t;
@@ -247,10 +248,10 @@ class IdealGpu final : public Strategy {
                            const HwStreams& hw, Duration ready) override {
     MoeLayerResult r;
     r.start = ready;
-    const Duration gate_end = place_gating(work, sched, hw, ready, r);
+    const Duration gate_end = place_gating(work.total_tokens, sched, hw, ready, r);
     const Duration experts_end =
         place_resident_experts(activated_by_load(work), sched, hw, gate_end, gate_end, hw.gpu, r);
-    r.end = place_combine(work, sched, hw, experts_end, r);
+    r.end = place_combine(work.total_tokens, sched, hw, experts_end, r);
     return r;
   }
 };
@@ -266,11 +267,11 @@ class GpuPmove final : public Strategy {
                            const HwStreams& hw, Duration ready) override {
     MoeLayerResult r;
     r.start = ready;
-    const Duration gate_end = place_gating(work, sched, hw, ready, r);
+    const Duration gate_end = place_gating(work.total_tokens, sched, hw, ready, r);
     const Duration experts_end =
         place_pmove_pipeline(activated_by_load(work), work.layer_id, sched, hw,
                              gate_end, hw.gpu, r);
-    r.end = place_combine(work, sched, hw, experts_end, r);
+    r.end = place_combine(work.total_tokens, sched, hw, experts_end, r);
     return r;
   }
 };
@@ -286,10 +287,10 @@ class MondeAmove final : public Strategy {
                            const HwStreams& hw, Duration ready) override {
     MoeLayerResult r;
     r.start = ready;
-    const Duration gate_end = place_gating(work, sched, hw, ready, r);
+    const Duration gate_end = place_gating(work.total_tokens, sched, hw, ready, r);
     const Duration experts_end =
         place_ndp_batch(activated_by_load(work), sched, hw, gate_end, r);
-    r.end = place_combine(work, sched, hw, experts_end, r);
+    r.end = place_combine(work.total_tokens, sched, hw, experts_end, r);
     return r;
   }
 };
@@ -305,7 +306,7 @@ class CpuAmove final : public Strategy {
                            const HwStreams& hw, Duration ready) override {
     MoeLayerResult r;
     r.start = ready;
-    const Duration gate_end = place_gating(work, sched, hw, ready, r);
+    const Duration gate_end = place_gating(work.total_tokens, sched, hw, ready, r);
 
     const ExpertList experts = activated_by_load(work);
     std::uint64_t routed = 0;
@@ -331,7 +332,7 @@ class CpuAmove final : public Strategy {
       last_out = max(last_out, out.end);
       ++r.experts_cpu;
     }
-    r.end = place_combine(work, sched, hw, last_out, r);
+    r.end = place_combine(work.total_tokens, sched, hw, last_out, r);
     return r;
   }
 };
@@ -349,7 +350,7 @@ class MultiGpu final : public Strategy {
                            const HwStreams& hw, Duration ready) override {
     MoeLayerResult r;
     r.start = ready;
-    const Duration gate_end = place_gating(work, sched, hw, ready, r);
+    const Duration gate_end = place_gating(work.total_tokens, sched, hw, ready, r);
 
     // Static expert parallelism: even experts on GPU-0, odd on GPU-1; all
     // weights are resident (the multi-GPU baseline assumes capacity).
@@ -384,7 +385,7 @@ class MultiGpu final : public Strategy {
       remote_end = back.end;
       r.amove_bytes += dispatch;
     }
-    r.end = place_combine(work, sched, hw, max(local_end, remote_end), r);
+    r.end = place_combine(work.total_tokens, sched, hw, max(local_end, remote_end), r);
     return r;
   }
 };
@@ -398,20 +399,24 @@ MondeLoadBalanced::MondeLoadBalanced(StrategyContext ctx)
   MONDE_REQUIRE(ctx_.sys->num_monde_devices > 0, "MD+LB needs at least one MoNDE device");
 }
 
-double MondeLoadBalanced::h_raw_equation6(const moe::MoeLayerWork& work) const {
-  const double activ = static_cast<double>(work.activated_experts());
+double MondeLoadBalanced::h_raw_for(std::int64_t activated) const {
   const double bw_pcie = kPcie.effective_bandwidth().as_bytes_per_sec();
   const double bw_md = ctx_.sys->monde_aggregate_bandwidth().as_bytes_per_sec();
-  return bw_pcie / (bw_md + bw_pcie) * activ;
+  return bw_pcie / (bw_md + bw_pcie) * static_cast<double>(activated);
+}
+
+double MondeLoadBalanced::h_raw_equation6(const moe::MoeLayerWork& work) const {
+  return h_raw_for(work.activated_experts());
 }
 
 namespace {
 
 /// Equation 6 at `alpha` from its unrounded alpha = 1 value, clamped to
-/// [0, E_activ].
+/// [0, E_activ]. Clamped before rounding, so a product that overflows to
+/// infinity still rounds a finite value; on [0, E_activ] it is the same H.
 int h_from_raw(double alpha, double h_raw, std::int64_t activated) {
-  const double h = alpha * h_raw;
-  return static_cast<int>(std::clamp(std::llround(h), 0LL, static_cast<long long>(activated)));
+  const double h = std::clamp(alpha * h_raw, 0.0, static_cast<double>(activated));
+  return static_cast<int>(std::llround(h));
 }
 
 }  // namespace
@@ -424,44 +429,65 @@ int MondeLoadBalanced::PreparedLayer::h_at(double alpha) const {
   return h_from_raw(alpha, h_raw, static_cast<std::int64_t>(by_load.size()));
 }
 
-MoeLayerResult MondeLoadBalanced::schedule_layer(const moe::MoeLayerWork& work,
-                                                 std::span<const ExpertLoad> by_load, int h,
-                                                 sim::StreamSchedule& sched,
-                                                 const HwStreams& hw, Duration ready,
-                                                 bool what_if) {
-  MoeLayerResult r;
-  r.start = ready;
-  r.h_value = h;
-  const Duration gate_end = place_gating(work, sched, hw, ready, r);
+MondeLoadBalanced::PreparedLayer MondeLoadBalanced::prepare(
+    const moe::MoeLayerWork& work) const {
+  PreparedLayer layer{work.layer_id, work.total_tokens, activated_by_load(work), 0.0};
+  layer.h_raw = h_raw_for(static_cast<std::int64_t>(layer.by_load.size()));
+  return layer;
+}
 
-  const std::size_t h_sz = std::min(static_cast<std::size_t>(h), by_load.size());
+void MondeLoadBalanced::place_layer(const PreparedLayer& layer, std::span<const int> hs,
+                                    sim::StreamSchedule& sched, const HwStreams& hw,
+                                    Duration ready, bool what_if,
+                                    std::span<MoeLayerResult> out) {
+  MONDE_REQUIRE(!hs.empty() && out.size() == hs.size(), "one result per H");
+  const std::span<const ExpertLoad> by_load{layer.by_load};
+  // Gating and the PMove prefix placed so far, shared by every H.
+  MoeLayerResult prefix;
+  prefix.start = ready;
+  const Duration gate_end = place_gating(layer.total_tokens, sched, hw, ready, prefix);
 
   // The GPU workflow (PMove + GPU GEMMs) and the MoNDE workflow (AMove +
   // NDP) run concurrently (Equation 3); both begin once gating resolves.
-  const Duration gpu_end = place_pmove_pipeline(by_load.first(h_sz), work.layer_id, sched, hw,
-                                                gate_end, hw.gpu, r, what_if);
-  const Duration ndp_end = place_ndp_batch(by_load.subspan(h_sz), sched, hw, gate_end, r);
-  r.end = place_combine(work, sched, hw, max(gpu_end, ndp_end), r);
-  return r;
-}
-
-Duration MondeLoadBalanced::what_if_latency(const moe::MoeLayerWork& work,
-                                            std::span<const ExpertLoad> by_load, int h) {
-  // A what-if replays the same placements a fresh schedule would see, so
-  // rewinding the one scratch schedule gives the same latency.
-  scratch_.rewind();
-  return schedule_layer(work, by_load, h, scratch_, scratch_hw_, Duration::zero(),
-                        /*what_if=*/true)
-      .latency();
+  Duration gpu_end = gate_end;
+  std::size_t hot = 0;  // by_load[0, hot) is placed on the GPU
+  for (std::size_t i = 0; i < hs.size(); ++i) {
+    const std::size_t h_sz = std::min(static_cast<std::size_t>(hs[i]), by_load.size());
+    MONDE_REQUIRE(hs[i] >= 0 && h_sz >= hot, "H values must ascend from 0");
+    gpu_end = max(gpu_end, place_pmove_pipeline(by_load.subspan(hot, h_sz - hot),
+                                                layer.layer_id, sched, hw, gate_end, hw.gpu,
+                                                prefix, what_if));
+    hot = h_sz;
+    const bool last = i + 1 == hs.size();
+    if (!last) sched.checkpoint();
+    MoeLayerResult& r = out[i];
+    r = prefix;
+    r.h_value = hs[i];
+    const Duration ndp_end = place_ndp_batch(by_load.subspan(hot), sched, hw, gate_end, r);
+    r.end = place_combine(layer.total_tokens, sched, hw, max(gpu_end, ndp_end), r);
+    if (!last) sched.restore();
+  }
 }
 
 Duration MondeLoadBalanced::evaluate_layer_with_h(const moe::MoeLayerWork& work, int h) {
   MONDE_REQUIRE(h >= 0, "H must be non-negative, got " << h);
-  return what_if_latency(work, activated_by_load(work), h);
+  // A what-if replays the same placements a fresh schedule would see, so
+  // rewinding the one scratch schedule gives the same latency.
+  scratch_.rewind();
+  MoeLayerResult r;
+  place_layer(prepare(work), std::span{&h, 1}, scratch_, scratch_hw_, Duration::zero(),
+              /*what_if=*/true, std::span{&r, 1});
+  return r.latency();
+}
+
+void MondeLoadBalanced::set_fixed_h(int h) {
+  MONDE_REQUIRE(h >= -1, "fixed H must be >= 0, or -1 for auto mode, got " << h);
+  fixed_h_ = h;
 }
 
 void MondeLoadBalanced::set_alpha(double alpha) {
-  MONDE_REQUIRE(alpha > 0.0, "alpha must be positive");
+  MONDE_REQUIRE(std::isfinite(alpha) && alpha > 0.0,
+                "alpha must be positive and finite, got " << alpha);
   alpha_ = alpha;
   autotune_ = false;
 }
@@ -476,22 +502,30 @@ void MondeLoadBalanced::maybe_retune() {
   // Per-offset sums, each accumulated in window order.
   std::array<Duration, kCandidates> total{};
   std::array<double, kCandidates> alpha_sum{};
+  std::array<int, kCandidates> hs{};  // a layer's distinct clamped H, ascending
+  std::array<MoeLayerResult, kCandidates> priced{};
   for (const PreparedLayer& w : window_) {
     const int base = w.h_at(alpha_);
     const int activated = static_cast<int>(w.by_load.size());
+    const auto clamped = [&](std::size_t k) {
+      return std::min(std::max(0, base + kOffsets[k]), activated);
+    };
     // Offsets ascend, so the clamped H never decreases and repeats are
-    // adjacent: price each distinct H once.
-    int priced_h = -1;
-    Duration latency = Duration::zero();
+    // adjacent: price each distinct H once, all in one pass.
+    std::size_t distinct = 0;
     for (std::size_t k = 0; k < kCandidates; ++k) {
-      const int h = std::max(0, base + kOffsets[k]);
-      if (const int h_eff = std::min(h, activated); h_eff != priced_h) {
-        latency = what_if_latency(w.work, w.by_load, h_eff);
-        priced_h = h_eff;
-      }
-      total[k] += latency;
+      if (distinct == 0 || hs[distinct - 1] != clamped(k)) hs[distinct++] = clamped(k);
+    }
+    scratch_.rewind();
+    place_layer(w, std::span{hs}.first(distinct), scratch_, scratch_hw_, Duration::zero(),
+                /*what_if=*/true, std::span{priced}.first(distinct));
+    std::size_t i = 0;
+    for (std::size_t k = 0; k < kCandidates; ++k) {
+      if (clamped(k) != hs[i]) ++i;
+      total[k] += priced[i].latency();
       // Invert through the *unrounded* Equation-6 value so the adopted
       // alpha reproduces exactly this H after rounding.
+      const int h = std::max(0, base + kOffsets[k]);
       alpha_sum[k] += w.h_raw > 0.0 ? static_cast<double>(h) / w.h_raw : alpha_;
     }
   }
@@ -509,8 +543,8 @@ void MondeLoadBalanced::maybe_retune() {
 MoeLayerResult MondeLoadBalanced::run_layer(const moe::MoeLayerWork& work,
                                             sim::StreamSchedule& sched, const HwStreams& hw,
                                             Duration ready) {
-  // Sort once: the tuner window and this layer's schedule share the list.
-  PreparedLayer layer{work, activated_by_load(work), h_raw_equation6(work)};
+  // Sort once: the tuner window and this layer's placement share the list.
+  PreparedLayer layer = prepare(work);
   // The paper tunes alpha by "periodically running profiled inference on a
   // small set of past input batches". Mirror that: on a cold start, profile
   // the current layer before committing (alpha = 1 can be pathologically
@@ -526,8 +560,8 @@ MoeLayerResult MondeLoadBalanced::run_layer(const moe::MoeLayerWork& work,
 
   const int h = fixed_h_ >= 0 ? fixed_h_ : layer.h_at(alpha_);
   last_h_ = h;
-  const MoeLayerResult r =
-      schedule_layer(work, layer.by_load, h, sched, hw, ready, /*what_if=*/false);
+  MoeLayerResult r;
+  place_layer(layer, std::span{&h, 1}, sched, hw, ready, /*what_if=*/false, std::span{&r, 1});
   window_.push_back(std::move(layer));
   while (window_.size() > kTuneWindow) window_.pop_front();
   return r;

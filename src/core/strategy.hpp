@@ -156,11 +156,12 @@ class Strategy {
                                    const HwStreams& hw, Duration ready) = 0;
 
  protected:
-  /// Gating network + dispatch on the GPU stream; returns its end time.
-  Duration place_gating(const moe::MoeLayerWork& work, sim::StreamSchedule& sched,
+  /// Gating network + dispatch of a layer of `total_tokens` tokens on the
+  /// GPU stream; returns its end time.
+  Duration place_gating(std::int64_t total_tokens, sim::StreamSchedule& sched,
                         const HwStreams& hw, Duration ready, MoeLayerResult& result) const;
   /// Combine (weighted gather) on the GPU stream.
-  Duration place_combine(const moe::MoeLayerWork& work, sim::StreamSchedule& sched,
+  Duration place_combine(std::int64_t total_tokens, sim::StreamSchedule& sched,
                          const HwStreams& hw, Duration ready, MoeLayerResult& result) const;
 
   /// PMove pipeline: fetch each expert over PCIe (M->G) and run it on the

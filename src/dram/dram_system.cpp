@@ -28,7 +28,11 @@ DramSystem::DramSystem(Spec spec)
 int DramSystem::channel_of(std::uint64_t addr) const { return mapper_.channel_of(addr); }
 
 bool DramSystem::can_accept(std::uint64_t addr) const {
-  return channels_[static_cast<std::size_t>(channel_of(addr))]->can_accept();
+  return channel_can_accept(channel_of(addr));
+}
+
+bool DramSystem::channel_can_accept(int channel) const {
+  return channels_[static_cast<std::size_t>(channel)]->can_accept();
 }
 
 bool DramSystem::try_enqueue(const Request& req) {

@@ -29,6 +29,9 @@ class DramSystem {
 
   /// True if the owning channel can take another request.
   [[nodiscard]] bool can_accept(std::uint64_t addr) const;
+  /// True if channel `channel` can take another request: can_accept()
+  /// for an address already known to map there, without decoding it.
+  [[nodiscard]] bool channel_can_accept(int channel) const;
 
   /// Enqueue a request if its channel can take it; returns false, changing
   /// nothing, otherwise. One address decode and one admission check: the

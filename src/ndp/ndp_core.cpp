@@ -204,16 +204,26 @@ NdpKernelResult NdpCoreSim::run_pipeline(const std::vector<std::vector<Chunk>>& 
     auto all_loads_done = [&](std::size_t idx) { return loads.remaining[idx] == 0; };
 
     // Inject queued loads, oldest first, until channel admission blocks.
+    // A refused load stays at the front (new runs join at the back), and
+    // its channel refuses again until that channel can accept, so until
+    // then the pump only asks the channel instead of re-decoding the
+    // address: the same loads enter at the same cycles.
     dram::Request load;
     load.type = dram::Request::Type::kRead;
     load.on_complete = &LoadState::on_load;
     load.context = &loads;
+    int blocked_channel = -1;  // the front load's channel, while it refuses
     auto pump_loads = [&] {
+      if (blocked_channel >= 0 && !dramsys.channel_can_accept(blocked_channel)) return;
+      blocked_channel = -1;
       while (!inject.empty()) {
         BlockRun& run = inject.front();
         load.addr = run.addr();
         load.id = run.chunk;
-        if (!dramsys.try_enqueue(load)) break;
+        if (!dramsys.try_enqueue(load)) {
+          blocked_channel = dramsys.channel_of(load.addr);
+          break;
+        }
         if (run.pop()) inject.pop_front();
       }
     };

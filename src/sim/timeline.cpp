@@ -123,6 +123,7 @@ void Timeline::merge(const Timeline& other) {
 StreamId StreamSchedule::add_stream(std::string name) {
   names_.push_back(std::move(name));
   free_.push_back(Duration::zero());
+  saved_free_.clear();
   return StreamId{names_.size() - 1};
 }
 
@@ -158,6 +159,20 @@ void StreamSchedule::rewind() {
   std::fill(free_.begin(), free_.end(), Duration::zero());
   makespan_ = Duration::zero();
   timeline_ = Timeline{};
+}
+
+void StreamSchedule::checkpoint() {
+  MONDE_REQUIRE(!recording(), "only a non-recording schedule can be checkpointed");
+  saved_free_.assign(free_.begin(), free_.end());
+  saved_makespan_ = makespan_;
+}
+
+void StreamSchedule::restore() {
+  MONDE_REQUIRE(!recording(), "only a non-recording schedule can be restored");
+  MONDE_REQUIRE(saved_free_.size() == free_.size(),
+                "restore() needs a checkpoint() taken since the last add_stream()");
+  std::copy(saved_free_.begin(), saved_free_.end(), free_.begin());
+  makespan_ = saved_makespan_;
 }
 
 }  // namespace monde::sim

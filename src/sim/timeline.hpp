@@ -14,7 +14,9 @@
 // the serving layer's long-lived replicas and the MD+LB tuner's reused
 // what-if schedule use it, since nobody reads their intervals. Labels may be
 // passed lazily (any callable returning std::string), so a non-recording
-// schedule never formats them.
+// schedule never formats them. A non-recording schedule can also be
+// checkpointed and restored, which lets a sweep of what-ifs that share a
+// common first part place that part once.
 #pragma once
 
 #include <cstdint>
@@ -126,6 +128,18 @@ class StreamSchedule {
   /// what-if reuse one schedule instead of registering its streams anew.
   void rewind();
 
+  /// Save every stream's free time and the makespan for restore(). Keeps
+  /// one checkpoint, overwriting the last one in its storage, so repeated
+  /// checkpoints allocate nothing. Non-recording schedules only: a
+  /// recording one could not take its intervals back.
+  void checkpoint();
+
+  /// Back to the free times and makespan of the last checkpoint(). What
+  /// is placed after a restore lands exactly where it would have landed
+  /// right after that checkpoint. Requires a checkpoint taken since the
+  /// last add_stream(), on a non-recording schedule.
+  void restore();
+
   [[nodiscard]] const Timeline& timeline() const { return timeline_; }
   [[nodiscard]] Timeline& timeline() { return timeline_; }
 
@@ -141,6 +155,8 @@ class StreamSchedule {
   std::vector<std::string> names_;
   std::vector<Duration> free_;
   Duration makespan_ = Duration::zero();
+  std::vector<Duration> saved_free_;  ///< checkpoint(); empty until the first
+  Duration saved_makespan_ = Duration::zero();
   Timeline timeline_;
 };
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <set>
 #include <span>
@@ -301,6 +302,26 @@ TEST_F(StrategyTest, FixedHOverrideRespected) {
   const MoeLayerResult r = lb.run_layer(routed_work(128), sched, hw, Duration::zero());
   EXPECT_EQ(r.h_value, 3);
   EXPECT_EQ(r.experts_gpu, 3);
+}
+
+TEST_F(StrategyTest, LoadBalancerRejectsInvalidPins) {
+  MondeLoadBalanced lb{ctx()};
+  EXPECT_THROW(lb.set_alpha(std::numeric_limits<double>::infinity()), Error);
+  EXPECT_THROW(lb.set_alpha(std::numeric_limits<double>::quiet_NaN()), Error);
+  EXPECT_THROW(lb.set_alpha(0.0), Error);
+  EXPECT_THROW(lb.set_fixed_h(-2), Error);
+  EXPECT_THROW(lb.set_fixed_h(std::numeric_limits<int>::min()), Error);
+  // The rejected pins changed nothing: alpha stays 1 and the tuner stays on.
+  EXPECT_EQ(lb.alpha(), 1.0);
+  EXPECT_NO_THROW(lb.set_fixed_h(-1));
+  // The largest finite alpha overflows alpha * H_raw to infinity; Equation
+  // 6 still clamps it to every activated expert.
+  lb.set_alpha(std::numeric_limits<double>::max());
+  sim::StreamSchedule sched;
+  const HwStreams hw = HwStreams::create(sched, sys_);
+  const moe::MoeLayerWork work = routed_work(128);
+  EXPECT_EQ(lb.run_layer(work, sched, hw, Duration::zero()).h_value,
+            work.activated_experts());
 }
 
 TEST_F(StrategyTest, EvaluateLayerWithHSweepHasInteriorOptimum) {
@@ -640,11 +661,27 @@ std::vector<moe::MoeLayerWork> layer_stream(const moe::MoeModelConfig& model) {
   return works;
 }
 
-class TunerDiff : public ::testing::TestWithParam<std::tuple<std::int64_t, int, bool>> {};
+/// The serving benches' model (bench/serve_scale): 16 experts, top-1.
+moe::MoeModelConfig serving_model() {
+  moe::MoeModelConfig m = moe::MoeModelConfig::switch_variant(512, 16);
+  m.encoder_blocks = 4;
+  m.decoder_blocks = 4;
+  m.moe_every = 2;
+  return m;
+}
+
+/// TunerDiff's models by name: the top-2 tuner model at 16 and 128
+/// experts, and the top-1 serving model.
+moe::MoeModelConfig tuner_diff_model(const std::string& name) {
+  if (name == "serving-top1") return serving_model();
+  return tuner_model(name == "top2-E128" ? 128 : 16);
+}
+
+class TunerDiff : public ::testing::TestWithParam<std::tuple<std::string, int, bool>> {};
 
 TEST_P(TunerDiff, OnePassSweepMatchesPerOffsetLoop) {
-  const auto [experts, devices, cache] = GetParam();
-  const moe::MoeModelConfig model = tuner_model(experts);
+  const auto [model_name, devices, cache] = GetParam();
+  const moe::MoeModelConfig model = tuner_diff_model(model_name);
   const SystemConfig sys = SystemConfig::dac24();
   // One simulator for every instantiation, so expert shapes memoize.
   static const auto ndp_sim = std::make_shared<ndp::NdpCoreSim>(sys.ndp, sys.monde_mem);
@@ -657,8 +694,9 @@ TEST_P(TunerDiff, OnePassSweepMatchesPerOffsetLoop) {
   const HwStreams hw_tuned = HwStreams::create(sched_tuned, platform.sys);
   const HwStreams hw_reference = HwStreams::create(sched_reference, platform.sys);
 
+  // 88 MoE layers on the tuner model, 44 on the serving model's 2 + 2.
   const std::vector<moe::MoeLayerWork> works = layer_stream(model);
-  ASSERT_GE(works.size(), 64u);
+  ASSERT_GE(works.size(), 44u);
   Duration ready = Duration::zero();
   bool alpha_moved = false;
   for (std::size_t i = 0; i < works.size(); ++i) {
@@ -682,8 +720,8 @@ TEST_P(TunerDiff, OnePassSweepMatchesPerOffsetLoop) {
 }
 
 INSTANTIATE_TEST_SUITE_P(DevicesAndCache, TunerDiff,
-                         ::testing::Combine(::testing::Values(std::int64_t{16},
-                                                              std::int64_t{128}),
+                         ::testing::Combine(::testing::Values("top2-E16", "top2-E128",
+                                                              "serving-top1"),
                                             ::testing::Values(1, 2, 4), ::testing::Bool()));
 
 // --- Cost-table differential -------------------------------------------------------

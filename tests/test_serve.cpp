@@ -29,9 +29,17 @@ moe::MoeModelConfig tiny_model() {
   return m;
 }
 
+/// The NDP simulator every engine of this suite shares: sharing is
+/// timing-neutral, and each cold expert shape is simulated once per run.
+const std::shared_ptr<ndp::NdpCoreSim>& suite_ndp() {
+  static const core::SystemConfig sys = core::SystemConfig::dac24();
+  static const auto ndp = std::make_shared<ndp::NdpCoreSim>(sys.ndp, sys.monde_mem);
+  return ndp;
+}
+
 core::InferenceEngine make_engine(core::StrategyKind kind, std::uint64_t seed = 42) {
   return core::InferenceEngine{core::SystemConfig::dac24(), tiny_model(),
-                               moe::SkewProfile::switch_like(), kind, seed};
+                               moe::SkewProfile::switch_like(), kind, seed, suite_ndp()};
 }
 
 RequestShape small_shape() {
@@ -336,14 +344,6 @@ TEST(ServerSim, IncrementalEventApiMatchesOneShotRun) {
   shape.shared_fraction = 0.8;
   shape.shared_prefix_len = 12;
   const moe::WorkloadGenerator profiler{tiny_model(), moe::SkewProfile::switch_like(), 11};
-  // One NDP simulator for every engine below: sharing it is timing-neutral
-  // and simulates each cold expert shape once.
-  const core::SystemConfig sys = core::SystemConfig::dac24();
-  const auto ndp = std::make_shared<ndp::NdpCoreSim>(sys.ndp, sys.monde_mem);
-  const auto shared_engine = [&] {
-    return core::InferenceEngine{sys, tiny_model(), moe::SkewProfile::switch_like(),
-                                 core::StrategyKind::kMondeLoadBalanced, 7, ndp};
-  };
   for (const std::uint64_t seed : {3u, 4u}) {
     std::vector<Request> wtrace = poisson_trace(24, /*rate_per_s=*/80.0, shape, seed);
     std::sort(wtrace.begin(), wtrace.end(), arrival_order<Request>);
@@ -363,7 +363,7 @@ TEST(ServerSim, IncrementalEventApiMatchesOneShotRun) {
         fault.slow_until = Duration::millis(180);
         fault.slow_factor = 2.5;
       }
-      auto once_engine = shared_engine();
+      auto once_engine = make_engine(core::StrategyKind::kMondeLoadBalanced, 7);
       const ServeReport ref =
           ServerSim{once_engine, sched, Duration::zero(), fault, cache, expert}.run(wtrace);
 
@@ -374,7 +374,7 @@ TEST(ServerSim, IncrementalEventApiMatchesOneShotRun) {
                             [&](const StepRecord& st) { return fault.factor_at(st.start) != 1.0; }),
                 fault.slow_factor != 1.0);
 
-      auto engine = shared_engine();
+      auto engine = make_engine(core::StrategyKind::kMondeLoadBalanced, 7);
       ServerSim sim{engine, sched, Duration::zero(), fault, cache, expert};
       std::mt19937_64 rng{seed * 16 + features};
       std::uniform_real_distribution<double> unit{0.0, 1.0};

@@ -247,5 +247,61 @@ TEST(StreamSchedule, RewindMatchesAFreshSchedule) {
   EXPECT_EQ(used.timeline().intervals().size(), 2u);
 }
 
+TEST(StreamSchedule, RestoreThenReplayMatchesAFreshReplay) {
+  // Place a common first part, checkpoint, then branch: each branch placed
+  // after restore() lands exactly where it lands on a schedule that placed
+  // only the common part and that branch.
+  const auto common = [](StreamSchedule& s) {
+    s.place(StreamId{0}, Duration::nanos(3), Duration::nanos(10.25), "a", "x");
+    s.place(StreamId{1}, Duration::nanos(1), Duration::nanos(7.5), "b", "x");
+  };
+  const auto branch = [](StreamSchedule& s, double len) {
+    const Duration mid =
+        s.place(StreamId{1}, Duration::nanos(2), Duration::nanos(len), "c", "x").end;
+    s.place(StreamId{0}, mid, Duration::nanos(len / 3.0), "d", "x");
+    s.block_until(StreamId{2}, Duration::nanos(len * 2.0));
+  };
+  StreamSchedule swept{Recording::kOff};
+  for (int i = 0; i < 3; ++i) swept.add_stream("S");
+  common(swept);
+  swept.checkpoint();
+  for (const double len : {0.1, 40.0, 5.0 / 3.0}) {
+    SCOPED_TRACE(len);
+    branch(swept, len);
+    StreamSchedule fresh{Recording::kOff};
+    for (int i = 0; i < 3; ++i) fresh.add_stream("S");
+    common(fresh);
+    branch(fresh, len);
+    for (std::size_t s = 0; s < 3; ++s) {
+      EXPECT_EQ(swept.free_at(StreamId{s}).ns(), fresh.free_at(StreamId{s}).ns());
+    }
+    EXPECT_EQ(swept.makespan().ns(), fresh.makespan().ns());
+    swept.restore();
+  }
+  // After the last restore only the common part remains.
+  StreamSchedule base{Recording::kOff};
+  for (int i = 0; i < 3; ++i) base.add_stream("S");
+  common(base);
+  for (std::size_t s = 0; s < 3; ++s) {
+    EXPECT_EQ(swept.free_at(StreamId{s}).ns(), base.free_at(StreamId{s}).ns());
+  }
+  EXPECT_EQ(swept.makespan().ns(), base.makespan().ns());
+}
+
+TEST(StreamSchedule, CheckpointNeedsANonRecordingScheduleAndAFreshCheckpoint) {
+  StreamSchedule rec;
+  rec.add_stream("S");
+  EXPECT_THROW(rec.checkpoint(), Error);
+  EXPECT_THROW(rec.restore(), Error);
+
+  StreamSchedule off{Recording::kOff};
+  off.add_stream("S");
+  EXPECT_THROW(off.restore(), Error);  // nothing checkpointed yet
+  off.checkpoint();
+  EXPECT_NO_THROW(off.restore());
+  off.add_stream("T");
+  EXPECT_THROW(off.restore(), Error);  // the checkpoint predates stream T
+}
+
 }  // namespace
 }  // namespace monde::sim
