@@ -164,7 +164,7 @@ class BenchMetrics {
 /// Banner with the figure/table id and a one-line description.
 inline void banner(const std::string& id, const std::string& what) {
   std::cout << "\n=== " << id << ": " << what << " ===\n"
-            << "(simulated reproduction; see EXPERIMENTS.md for paper-vs-measured notes)\n\n";
+            << "(simulated reproduction; docs/BENCHMARKS.md lists what each bench reproduces)\n\n";
 }
 
 /// Engine factory that shares one NDP simulator per (system, model dims)

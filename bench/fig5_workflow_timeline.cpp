@@ -4,7 +4,8 @@
 // and renders the per-stream timeline as an ASCII Gantt chart -- the same
 // picture as the paper's Figure 5 (gating, PMove 'p', AMove 'a', expert 'e'
 // boxes on GPU / PCIe / MoNDE / CPU streams). Also writes Chrome-trace JSON
-// next to the binary for interactive inspection.
+// next to the binary for interactive inspection. Exits 1 if any recorded
+// timeline has two overlapping intervals on one stream.
 #include <fstream>
 
 #include "bench_util.hpp"
@@ -25,6 +26,7 @@ int main() {
               static_cast<long long>(work.activated_experts()),
               static_cast<unsigned long long>(work.routed_tokens()));
 
+  bool overlap = false;
   for (const StrategyKind kind : {StrategyKind::kIdealGpu, StrategyKind::kMondeAmove,
                                   StrategyKind::kMondeLoadBalanced,
                                   StrategyKind::kGpuPmove}) {
@@ -43,9 +45,16 @@ int main() {
     const std::string path = "fig5_trace_" + eng.strategy().name() + ".json";
     std::ofstream{path} << sched.timeline().to_chrome_trace(sched.stream_names());
     std::printf("chrome trace written to %s\n\n", path.c_str());
+
+    const std::string invalid = sched.timeline().validate();
+    if (!invalid.empty()) {
+      std::fprintf(stderr, "FAIL: %s timeline: %s\n", eng.strategy().name().c_str(),
+                   invalid.c_str());
+      overlap = true;
+    }
   }
   std::printf("paper: GPU+PM serializes PMove 'p' boxes on PCIe; MD+AM replaces them with\n"
               "small 'a' boxes and NDP 'e' boxes; MD+LB overlaps the GPU and MoNDE\n"
               "workflows; Ideal runs experts back-to-back on the GPU.\n");
-  return 0;
+  return overlap ? 1 : 0;
 }

@@ -1,7 +1,6 @@
 #include "common/rng.hpp"
 
 #include <cmath>
-#include <numeric>
 
 #include "common/error.hpp"
 
@@ -55,54 +54,6 @@ std::uint64_t Rng::next_below(std::uint64_t n) {
 
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * next_double(); }
 
-double Rng::normal(double mean, double stddev) {
-  // Box-Muller; one variate per call keeps the generator stateless w.r.t. pairs.
-  double u1 = next_double();
-  if (u1 <= 0.0) u1 = 1e-300;
-  const double u2 = next_double();
-  const double mag = std::sqrt(-2.0 * std::log(u1));
-  return mean + stddev * mag * std::cos(2.0 * M_PI * u2);
-}
-
-double Rng::gamma(double shape) {
-  MONDE_REQUIRE(shape > 0.0, "gamma shape must be positive");
-  if (shape < 1.0) {
-    // Boost to shape+1 and scale back (Marsaglia-Tsang section 6).
-    const double g = gamma(shape + 1.0);
-    const double u = next_double();
-    return g * std::pow(u <= 0.0 ? 1e-300 : u, 1.0 / shape);
-  }
-  const double d = shape - 1.0 / 3.0;
-  const double c = 1.0 / std::sqrt(9.0 * d);
-  for (;;) {
-    double x = normal();
-    double v = 1.0 + c * x;
-    if (v <= 0.0) continue;
-    v = v * v * v;
-    const double u = next_double();
-    if (u < 1.0 - 0.0331 * x * x * x * x) return d * v;
-    if (u > 0.0 && std::log(u) < 0.5 * x * x + d * (1.0 - v + std::log(v))) return d * v;
-  }
-}
-
-std::size_t Rng::categorical(const std::vector<double>& weights) {
-  MONDE_REQUIRE(!weights.empty(), "categorical requires non-empty weights");
-  double total = 0.0;
-  for (double w : weights) {
-    MONDE_REQUIRE(w >= 0.0, "categorical weights must be non-negative");
-    total += w;
-  }
-  MONDE_REQUIRE(total > 0.0, "categorical weights must not all be zero");
-  double r = next_double() * total;
-  for (std::size_t i = 0; i + 1 < weights.size(); ++i) {
-    r -= weights[i];
-    if (r < 0.0) return i;
-  }
-  return weights.size() - 1;
-}
-
-Rng Rng::fork() { return Rng{next_u64()}; }
-
 std::vector<double> zipf_weights(std::size_t n, double s) {
   MONDE_REQUIRE(n > 0, "zipf_weights requires n > 0");
   std::vector<double> w(n);
@@ -113,43 +64,6 @@ std::vector<double> zipf_weights(std::size_t n, double s) {
   }
   for (auto& v : w) v /= total;
   return w;
-}
-
-std::vector<double> dirichlet(Rng& rng, std::size_t n, double alpha) {
-  MONDE_REQUIRE(n > 0, "dirichlet requires n > 0");
-  MONDE_REQUIRE(alpha > 0.0, "dirichlet requires alpha > 0");
-  std::vector<double> w(n);
-  double total = 0.0;
-  for (auto& v : w) {
-    v = rng.gamma(alpha);
-    total += v;
-  }
-  if (total <= 0.0) total = 1.0;
-  for (auto& v : w) v /= total;
-  return w;
-}
-
-std::vector<std::uint64_t> multinomial(Rng& rng, std::uint64_t trials,
-                                       const std::vector<double>& probs) {
-  MONDE_REQUIRE(!probs.empty(), "multinomial requires non-empty probs");
-  std::vector<std::uint64_t> counts(probs.size(), 0);
-  // Inverse-CDF per trial; trial counts here are small (thousands), so the
-  // O(trials * log n) binary-search approach is unnecessary complexity.
-  std::vector<double> cdf(probs.size());
-  double acc = 0.0;
-  for (std::size_t i = 0; i < probs.size(); ++i) {
-    MONDE_REQUIRE(probs[i] >= 0.0, "multinomial probs must be non-negative");
-    acc += probs[i];
-    cdf[i] = acc;
-  }
-  MONDE_REQUIRE(acc > 0.0, "multinomial probs must not all be zero");
-  for (std::uint64_t t = 0; t < trials; ++t) {
-    const double r = rng.next_double() * acc;
-    const auto it = std::lower_bound(cdf.begin(), cdf.end(), r);
-    const auto idx = static_cast<std::size_t>(it - cdf.begin());
-    counts[idx < counts.size() ? idx : counts.size() - 1]++;
-  }
-  return counts;
 }
 
 }  // namespace monde

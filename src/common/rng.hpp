@@ -29,18 +29,6 @@ class Rng {
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
 
-  /// Standard normal variate (Box-Muller).
-  double normal(double mean = 0.0, double stddev = 1.0);
-
-  /// Gamma(shape, 1) variate via Marsaglia-Tsang; used for Dirichlet sampling.
-  double gamma(double shape);
-
-  /// Sample an index from an (unnormalized) non-negative weight vector.
-  std::size_t categorical(const std::vector<double>& weights);
-
-  /// Derive an independent child stream (for per-layer / per-batch RNGs).
-  Rng fork();
-
  private:
   std::uint64_t s_[4];
 };
@@ -48,12 +36,5 @@ class Rng {
 /// Zipf-like popularity vector: weight[i] proportional to 1 / (i+1)^s,
 /// normalized to sum to 1. Rank 0 is the most popular item.
 [[nodiscard]] std::vector<double> zipf_weights(std::size_t n, double s);
-
-/// Dirichlet sample with concentration `alpha` (symmetric), normalized.
-[[nodiscard]] std::vector<double> dirichlet(Rng& rng, std::size_t n, double alpha);
-
-/// Multinomial draw: distribute `trials` items over `probs` (must sum to ~1).
-[[nodiscard]] std::vector<std::uint64_t> multinomial(Rng& rng, std::uint64_t trials,
-                                                     const std::vector<double>& probs);
 
 }  // namespace monde

@@ -8,23 +8,6 @@
 
 namespace monde {
 
-void RunningStat::add(double x) {
-  ++n_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
-double RunningStat::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStat::stddev() const { return std::sqrt(variance()); }
-
 Histogram::Histogram(std::vector<double> upper_bounds) : bounds_{std::move(upper_bounds)} {
   MONDE_REQUIRE(!bounds_.empty(), "histogram needs at least one bound");
   for (std::size_t i = 1; i < bounds_.size(); ++i) {

@@ -1,35 +1,12 @@
-// Streaming statistics and histograms used by the simulator's bookkeeping
+// Histograms and sample statistics used by the simulator's bookkeeping
 // (DRAM row-hit rates, per-expert token distributions, latency summaries).
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
 namespace monde {
-
-/// Welford streaming mean/variance with min/max tracking.
-class RunningStat {
- public:
-  void add(double x);
-
-  [[nodiscard]] std::uint64_t count() const { return n_; }
-  [[nodiscard]] double mean() const { return n_ > 0 ? mean_ : 0.0; }
-  [[nodiscard]] double variance() const;
-  [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const { return n_ > 0 ? min_ : 0.0; }
-  [[nodiscard]] double max() const { return n_ > 0 ? max_ : 0.0; }
-  [[nodiscard]] double sum() const { return sum_; }
-
- private:
-  std::uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double sum_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
 
 /// Histogram over explicit, strictly-increasing bucket upper bounds, with
 /// half-open buckets: bucket `i` covers [bounds[i-1], bounds[i]) (the first

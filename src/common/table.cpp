@@ -56,18 +56,4 @@ std::string Table::str() const {
 
 void Table::print(std::ostream& os) const { os << str(); }
 
-std::string Table::csv() const {
-  std::ostringstream os;
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      os << row[c];
-      if (c + 1 < row.size()) os << ',';
-    }
-    os << '\n';
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-  return os.str();
-}
-
 }  // namespace monde

@@ -1,8 +1,7 @@
-// Plain-text result tables and CSV emission.
+// Plain-text result tables.
 //
 // Every bench binary prints its figure/table as an aligned ASCII table (the
-// "rows/series the paper reports") and can optionally mirror it to CSV for
-// plotting.
+// "rows/series the paper reports").
 #pragma once
 
 #include <iosfwd>
@@ -28,9 +27,6 @@ class Table {
   /// Render with a header rule and 2-space column gaps.
   [[nodiscard]] std::string str() const;
   void print(std::ostream& os) const;
-
-  /// Comma-separated rendering (headers first).
-  [[nodiscard]] std::string csv() const;
 
  private:
   std::vector<std::string> headers_;

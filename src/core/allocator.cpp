@@ -36,8 +36,6 @@ DeviceBuffer DeviceAllocator::allocate(ndp::Partition part, Bytes bytes,
   return buf;
 }
 
-void DeviceAllocator::reset_activations() { acts_cursor_ = 0; }
-
 Bytes DeviceAllocator::weights_used() const {
   return Bytes{weights_cursor_ * static_cast<std::uint64_t>(weights_layout_.access_bytes())};
 }

@@ -6,10 +6,10 @@
 // avoidance), and both are laid out in the bandwidth-friendly
 // ro-ba-bg-ra-co-ch block order via ndp::PartitionLayout.
 //
-// Allocation is bump-pointer per partition: the expert working set is
-// immutable for the lifetime of a deployment (no frees), and the activation
-// arena is reset per layer. This matches the paper's "fixed-sized memory
-// space ... during MoE layer initialization".
+// Allocation is bump-pointer per partition with no frees: the expert
+// working set is immutable for the lifetime of a deployment. This matches
+// the paper's "fixed-sized memory space ... during MoE layer
+// initialization".
 #pragma once
 
 #include <cstdint>
@@ -44,10 +44,6 @@ class DeviceAllocator {
   /// Allocate `bytes` in the given partition. Throws monde::Error with a
   /// capacity diagnosis when the partition is exhausted.
   DeviceBuffer allocate(ndp::Partition part, Bytes bytes, const std::string& tag);
-
-  /// Reset the activation partition's bump pointer (per-layer reuse). The
-  /// weights partition is never reset.
-  void reset_activations();
 
   [[nodiscard]] Bytes weights_used() const;
 

@@ -6,9 +6,35 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "core/monde_device.hpp"
+#include "dram/address.hpp"
+#include "ndp/layout.hpp"
 
 namespace monde::core {
+namespace {
+
+/// Throws monde::Error ("device memory exhausted ...") unless the experts
+/// of every MoE layer, sharded round-robin over `num_devices` devices
+/// (expert e on device e % num_devices), fit in each device's weight
+/// partition. Device 0's shard is the largest -- ceil(E / num_devices)
+/// experts per MoE layer -- so the check is that shard's block count
+/// against the partition's.
+void check_model_fits(const dram::Spec& mem, const moe::MoeModelConfig& model,
+                      int num_devices) {
+  MONDE_REQUIRE(num_devices >= 1, "need at least one device");
+  const dram::AddressMapper mapper{mem};
+  const ndp::PartitionLayout weights{mem, mapper, ndp::Partition::kWeights};
+  const auto shard_experts =
+      static_cast<std::uint64_t>((model.num_experts + num_devices - 1) / num_devices) *
+      static_cast<std::uint64_t>(model.total_moe_layers());
+  const std::uint64_t blocks = shard_experts * weights.blocks_for(model.expert_bytes());
+  MONDE_REQUIRE(blocks <= weights.block_count(),
+                "device memory exhausted placing " << model.name << ": device 0 holds "
+                    << shard_experts << " experts ("
+                    << Bytes{blocks * static_cast<std::uint64_t>(weights.access_bytes())}.str()
+                    << ") in a " << weights.capacity().str() << " weight partition");
+}
+
+}  // namespace
 
 InferenceEngine::InferenceEngine(SystemConfig sys, moe::MoeModelConfig model,
                                  moe::SkewProfile profile, StrategyKind kind,
@@ -162,16 +188,6 @@ StepResult InferenceEngine::decode_step(EngineState& st, const std::vector<Decod
   ++st.decode_steps;
   res.end = head.end;
   return res;
-}
-
-StepResult InferenceEngine::decode_step(EngineState& st, const std::vector<DecodeSlot>& slots) {
-  MONDE_REQUIRE(!slots.empty(), "decode step needs at least one active request");
-  std::vector<std::vector<moe::MoeLayerWork>> draws;
-  draws.reserve(slots.size());
-  for (const DecodeSlot& slot : slots) {
-    draws.push_back(workload_.decoder_step_for(slot.request_id, slot.step));
-  }
-  return decode_step(st, slots, moe::WorkloadGenerator::merge_layer_works(draws));
 }
 
 RunReport InferenceEngine::finish(EngineState&& st, std::string phase) const {

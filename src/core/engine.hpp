@@ -109,10 +109,6 @@ class InferenceEngine {
   StepResult decode_step(EngineState& st, const std::vector<DecodeSlot>& slots,
                          const std::vector<moe::MoeLayerWork>& works);
 
-  /// Convenience overload: draws each slot's routing from the per-request
-  /// workload stream and merges across the batch.
-  StepResult decode_step(EngineState& st, const std::vector<DecodeSlot>& slots);
-
   /// Package an exhausted state into a RunReport.
   [[nodiscard]] RunReport finish(EngineState&& st, std::string phase) const;
 

@@ -49,15 +49,4 @@ void ExpertCache::erase(ExpertId id) {
   index_.erase(it);
 }
 
-void ExpertCache::stats_reset() {
-  hits_ = 0;
-  misses_ = 0;
-}
-
-void ExpertCache::clear() {
-  lru_.clear();
-  index_.clear();
-  signature_.clear();
-}
-
 }  // namespace monde::core

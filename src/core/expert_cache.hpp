@@ -18,10 +18,11 @@
 #include <vector>
 
 #include "common/counting_signature.hpp"
-#include "core/monde_device.hpp"
 #include "moe/expert_profile.hpp"
 
 namespace monde::core {
+
+using moe::ExpertId;
 
 /// Hash for the unordered LRU index: mixes the packed (layer, expert) pair
 /// with the same finalizer family as moe::expert_signature_bit.
@@ -75,12 +76,6 @@ class ExpertCache {
   /// to evict every expert its in-flight requests reference, so the demand
   /// re-homes with the requests. No-op when absent.
   void erase(ExpertId id);
-
-  /// Zero the hit/miss counters without touching the resident set, so a
-  /// steady-state window can be measured after warmup.
-  void stats_reset();
-
-  void clear();
 
  private:
   std::size_t capacity_;

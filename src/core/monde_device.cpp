@@ -18,34 +18,6 @@ void MondeDevice::place_expert(ExpertId eid, Bytes bytes) {
   experts_.emplace(eid, allocator_.allocate(ndp::Partition::kWeights, bytes, tag));
 }
 
-void MondeDevice::place_model(const moe::MoeModelConfig& model, int num_devices) {
-  MONDE_REQUIRE(num_devices >= 1, "need at least one device");
-  const Bytes per_expert = model.expert_bytes();
-  for (int layer = 0; layer < model.total_moe_layers(); ++layer) {
-    for (int e = 0; e < model.num_experts; ++e) {
-      if (e % num_devices == id_ % num_devices) {
-        place_expert({layer, e}, per_expert);
-      }
-    }
-  }
-}
-
-void check_model_fits(const dram::Spec& mem, const moe::MoeModelConfig& model,
-                      int num_devices) {
-  MONDE_REQUIRE(num_devices >= 1, "need at least one device");
-  const dram::AddressMapper mapper{mem};
-  const ndp::PartitionLayout weights{mem, mapper, ndp::Partition::kWeights};
-  const auto shard_experts =
-      static_cast<std::uint64_t>((model.num_experts + num_devices - 1) / num_devices) *
-      static_cast<std::uint64_t>(model.total_moe_layers());
-  const std::uint64_t blocks = shard_experts * weights.blocks_for(model.expert_bytes());
-  MONDE_REQUIRE(blocks <= weights.block_count(),
-                "device memory exhausted placing " << model.name << ": device 0 holds "
-                    << shard_experts << " experts ("
-                    << Bytes{blocks * static_cast<std::uint64_t>(weights.access_bytes())}.str()
-                    << ") in a " << weights.capacity().str() << " weight partition");
-}
-
 const DeviceBuffer& MondeDevice::expert_buffer(ExpertId eid) const {
   const auto it = experts_.find(eid);
   MONDE_REQUIRE(it != experts_.end(), "expert (layer " << eid.layer << ", expert "

@@ -81,18 +81,6 @@ Strategy::Strategy(StrategyContext ctx) : ctx_{std::move(ctx)} {
   }
 }
 
-std::string to_string(StrategyKind kind) {
-  switch (kind) {
-    case StrategyKind::kIdealGpu: return "Ideal";
-    case StrategyKind::kGpuPmove: return "GPU+PM";
-    case StrategyKind::kMondeAmove: return "MD+AM";
-    case StrategyKind::kMondeLoadBalanced: return "MD+LB";
-    case StrategyKind::kCpuAmove: return "CPU+AM";
-    case StrategyKind::kMultiGpu: return "2GPU";
-  }
-  return "?";
-}
-
 Duration Strategy::place_gating(std::int64_t total_tokens, sim::StreamSchedule& sched,
                                 const HwStreams& hw, Duration ready,
                                 MoeLayerResult& result) const {

@@ -116,8 +116,6 @@ enum class StrategyKind {
   kMultiGpu,           ///< 2-GPU expert parallelism (Figure 10)
 };
 
-[[nodiscard]] std::string to_string(StrategyKind kind);
-
 /// A cost indexed by a token count, computed on first use and kept: entry n
 /// holds `compute(n)` from its first lookup on, so a lookup returns the very
 /// double the direct call returns, and a count nobody looks up is never

@@ -23,13 +23,6 @@ LinkSpec LinkSpec::pcie_gen3_x16() {
   return s;
 }
 
-LinkSpec LinkSpec::pcie_gen5_x16() {
-  LinkSpec s = pcie_gen4_x16();
-  s.name = "PCIe-Gen5-x16";
-  s.raw_bandwidth = Bandwidth::gbps(63.0);
-  return s;
-}
-
 LinkSpec LinkSpec::cxl_mem_gen4_x16() {
   LinkSpec s;
   s.name = "CXL.mem-Gen4-x16";
@@ -37,13 +30,6 @@ LinkSpec LinkSpec::cxl_mem_gen4_x16() {
   s.protocol_efficiency = 64.0 / 68.0;  // 68-B flit, 64-B payload
   s.propagation = Duration::nanos(150.0);  // load-to-use class latency
   s.dma_setup = Duration::micros(1.0);     // lighter-weight than PCIe DMA
-  return s;
-}
-
-LinkSpec LinkSpec::scaled(double factor) const {
-  LinkSpec s = *this;
-  s.name = name + "@" + std::to_string(factor) + "x";
-  s.raw_bandwidth = raw_bandwidth * factor;
   return s;
 }
 

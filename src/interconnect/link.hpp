@@ -46,16 +46,10 @@ struct LinkSpec {
   /// PCIe Gen3 x16: 8 GT/s x 16 lanes -> 15.75 GB/s raw.
   [[nodiscard]] static LinkSpec pcie_gen3_x16();
 
-  /// PCIe Gen5 x16: 32 GT/s x 16 lanes -> 63 GB/s raw.
-  [[nodiscard]] static LinkSpec pcie_gen5_x16();
-
   /// CXL.mem over a Gen4 x16 PHY (as in the paper's MoNDE device): 68-B
   /// flits carrying 64-B payloads, sub-microsecond access latency, no DMA
   /// setup for flit-granularity requests.
   [[nodiscard]] static LinkSpec cxl_mem_gen4_x16();
-
-  /// Uniform bandwidth scaling (keeps latencies), for sensitivity studies.
-  [[nodiscard]] LinkSpec scaled(double factor) const;
 
   /// Throws monde::Error unless every transfer is priced finite: the
   /// effective bandwidth must be finite and positive (a zero rate prices a

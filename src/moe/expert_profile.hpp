@@ -9,15 +9,23 @@
 // whose resident hot set overlaps it best (serve/dispatch.hpp).
 //
 // This header deliberately depends on nothing but the standard library:
-// moe/ sits below core/ in the layering (core/monde_device.hpp includes
-// moe/model_config.hpp), so the profile type the serving stack threads
-// through Request, ReplicaSnapshot, and ExpertCache must live here.
+// moe/ sits below core/ and serve/ in the layering, so the expert identity
+// and profile types that core::ExpertCache, the strategies and the serving
+// stack (Request, ReplicaSnapshot) all share must live here.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 namespace monde::moe {
+
+/// Identifies an expert within the model: (MoE layer index, expert index).
+/// Ordered layer-major, so ordered containers walk experts layer by layer.
+struct ExpertId {
+  int layer = 0;
+  int expert = 0;
+  auto operator<=>(const ExpertId&) const = default;
+};
 
 /// Maps an (layer, expert) pair onto one of 64 signature bits. The scramble
 /// (a multiply-xorshift of the packed pair) spreads consecutive expert ids
@@ -43,20 +51,15 @@ namespace monde::moe {
 /// summary a dispatcher can intersect with a replica's residency signature
 /// in one AND + popcount.
 struct ExpertProfile {
-  struct Entry {
-    int layer = 0;
-    int expert = 0;
-  };
-
-  std::vector<Entry> experts;   ///< layer-major, descending activation within a layer
-  std::uint64_t signature = 0;  ///< OR of expert_signature_bit over `experts`
+  std::vector<ExpertId> experts;  ///< layer-major, descending activation within a layer
+  std::uint64_t signature = 0;    ///< OR of expert_signature_bit over `experts`
 
   [[nodiscard]] bool empty() const { return experts.empty(); }
 
   /// Recompute `signature` from `experts` (after truncation/pruning).
   void rebuild_signature() {
     signature = 0;
-    for (const Entry& e : experts) {
+    for (const ExpertId& e : experts) {
       signature |= std::uint64_t{1} << expert_signature_bit(e.layer, e.expert);
     }
   }

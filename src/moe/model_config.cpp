@@ -72,14 +72,6 @@ MoeModelConfig MoeModelConfig::t5_large_dense() {
   return c;
 }
 
-MoeModelConfig MoeModelConfig::nllb_dense_3_3b() {
-  MoeModelConfig c = nllb_moe_128();
-  c.name = "NLLB-3.3B";
-  c.moe_every = 0;
-  c.num_experts = 0;
-  return c;
-}
-
 MoeModelConfig MoeModelConfig::switch_variant(std::int64_t dmodel_, std::int64_t experts) {
   MoeModelConfig c = switch_large_128();
   // Built with append rather than operator+ to sidestep a GCC 12 -Wrestrict

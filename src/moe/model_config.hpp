@@ -67,8 +67,6 @@ struct MoeModelConfig {
   [[nodiscard]] static MoeModelConfig nllb_moe_128();
   /// T5-Large dense baseline (Figure 2(a)).
   [[nodiscard]] static MoeModelConfig t5_large_dense();
-  /// NLLB-3.3B dense baseline (Figure 2(a)).
-  [[nodiscard]] static MoeModelConfig nllb_dense_3_3b();
   /// Switch-Base-style variants for the Figure 7(a) sensitivity study:
   /// d768-E64, d768-E128, d1024-E128.
   [[nodiscard]] static MoeModelConfig switch_variant(std::int64_t dmodel_, std::int64_t experts);

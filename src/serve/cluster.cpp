@@ -509,7 +509,7 @@ namespace {
 /// (entries are layer-major, descending activation). Returns true if it
 /// shrank.
 bool prune_profile(moe::ExpertProfile& p) {
-  std::vector<moe::ExpertProfile::Entry> kept;
+  std::vector<moe::ExpertId> kept;
   kept.reserve(p.experts.size());
   int run = 0;
   int cur_layer = std::numeric_limits<int>::min();
@@ -778,7 +778,7 @@ class ClusterSim::Rebalance final : public Concern {
   /// while ticks run.
   void count(const moe::ExpertProfile& profile) {
     if (!enabled_) return;
-    for (const auto& e : profile.experts) ++fleet_load_[core::ExpertId{e.layer, e.expert}];
+    for (const core::ExpertId& id : profile.experts) ++fleet_load_[id];
   }
 
   // Rebalance ticks only matter while requests remain to route.

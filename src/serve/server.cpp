@@ -214,8 +214,7 @@ void ServerSim::step(const std::vector<RequestState*>& newly) {
   if (expert_.enabled) {
     const auto& states = sched_.states();
     for (const std::size_t idx : sched_.active()) {
-      for (const auto& e : states[idx].request.expert_profile.experts) {
-        const core::ExpertId id{e.layer, e.expert};
+      for (const core::ExpertId& id : states[idx].request.expert_profile.experts) {
         if (!expert_cache_.access(id)) {
           expert_cache_.insert(id);
           ++rec.expert_misses;

@@ -116,10 +116,6 @@ std::string Timeline::to_ascii_gantt(const std::vector<std::string>& stream_name
   return os.str();
 }
 
-void Timeline::merge(const Timeline& other) {
-  intervals_.insert(intervals_.end(), other.intervals_.begin(), other.intervals_.end());
-}
-
 StreamId StreamSchedule::add_stream(std::string name) {
   names_.push_back(std::move(name));
   free_.push_back(Duration::zero());
@@ -148,11 +144,6 @@ Interval StreamSchedule::place(StreamId stream, Duration earliest, Duration leng
   Interval iv{stream, p.start, p.end, std::move(label), std::move(category)};
   if (recording()) timeline_.record(iv);
   return iv;
-}
-
-void StreamSchedule::block_until(StreamId stream, Duration when) {
-  MONDE_REQUIRE(stream.index < free_.size(), "unknown stream");
-  free_[stream.index] = max(free_[stream.index], when);
 }
 
 void StreamSchedule::rewind() {

@@ -68,9 +68,6 @@ class Timeline {
   [[nodiscard]] std::string to_ascii_gantt(const std::vector<std::string>& stream_names,
                                            std::size_t width = 100) const;
 
-  /// Merge another timeline's intervals into this one.
-  void merge(const Timeline& other);
-
  private:
   std::vector<Interval> intervals_;
 };
@@ -119,9 +116,6 @@ class StreamSchedule {
     if (recording()) timeline_.record({p.stream, p.start, p.end, label(), category});
     return p;
   }
-
-  /// Advance a stream's free time without recording (e.g. blocking waits).
-  void block_until(StreamId stream, Duration when);
 
   /// Back to the state of a fresh schedule with the same streams: every
   /// stream free at zero, makespan zero, no recorded intervals. Lets a

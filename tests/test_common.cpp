@@ -116,51 +116,6 @@ TEST(Rng, NextBelowBounds) {
   EXPECT_THROW(r.next_below(0), Error);
 }
 
-TEST(Rng, NormalMoments) {
-  Rng r{11};
-  RunningStat s;
-  for (int i = 0; i < 50000; ++i) s.add(r.normal(5.0, 2.0));
-  EXPECT_NEAR(s.mean(), 5.0, 0.05);
-  EXPECT_NEAR(s.stddev(), 2.0, 0.05);
-}
-
-TEST(Rng, GammaPositiveAndMeanMatchesShape) {
-  Rng r{13};
-  RunningStat s;
-  for (int i = 0; i < 50000; ++i) {
-    const double g = r.gamma(3.0);
-    EXPECT_GT(g, 0.0);
-    s.add(g);
-  }
-  EXPECT_NEAR(s.mean(), 3.0, 0.1);  // Gamma(k, 1) has mean k
-  EXPECT_THROW(r.gamma(0.0), Error);
-}
-
-TEST(Rng, GammaSubUnityShape) {
-  Rng r{17};
-  RunningStat s;
-  for (int i = 0; i < 50000; ++i) s.add(r.gamma(0.5));
-  EXPECT_NEAR(s.mean(), 0.5, 0.05);
-}
-
-TEST(Rng, CategoricalRespectsWeights) {
-  Rng r{19};
-  std::vector<double> w{1.0, 0.0, 3.0};
-  std::vector<int> counts(3, 0);
-  for (int i = 0; i < 40000; ++i) counts[r.categorical(w)]++;
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_NEAR(static_cast<double>(counts[2]) / counts[0], 3.0, 0.2);
-  EXPECT_THROW(r.categorical({}), Error);
-  EXPECT_THROW(r.categorical({0.0, 0.0}), Error);
-  EXPECT_THROW(r.categorical({-1.0, 2.0}), Error);
-}
-
-TEST(Rng, ForkDiverges) {
-  Rng parent{21};
-  Rng child = parent.fork();
-  EXPECT_NE(parent.next_u64(), child.next_u64());
-}
-
 TEST(Rng, ZipfWeightsNormalizedAndMonotone) {
   const auto w = zipf_weights(100, 1.2);
   double total = 0.0;
@@ -174,45 +129,7 @@ TEST(Rng, ZipfWeightsNormalizedAndMonotone) {
   EXPECT_THROW(zipf_weights(0, 1.0), Error);
 }
 
-TEST(Rng, DirichletSumsToOne) {
-  Rng r{23};
-  const auto w = dirichlet(r, 16, 0.5);
-  double total = 0.0;
-  for (const double v : w) {
-    EXPECT_GE(v, 0.0);
-    total += v;
-  }
-  EXPECT_NEAR(total, 1.0, 1e-9);
-}
-
-TEST(Rng, MultinomialConservesTrials) {
-  Rng r{25};
-  const auto counts = multinomial(r, 5000, {0.2, 0.3, 0.5});
-  std::uint64_t total = 0;
-  for (const auto c : counts) total += c;
-  EXPECT_EQ(total, 5000u);
-  EXPECT_NEAR(static_cast<double>(counts[2]), 2500.0, 150.0);
-}
-
 // --- Stats ---------------------------------------------------------------------
-
-TEST(RunningStat, KnownSequence) {
-  RunningStat s;
-  for (const double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);  // sample variance
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStat, EmptyIsSafe) {
-  RunningStat s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
 
 TEST(Histogram, BucketingIsHalfOpen) {
   Histogram h{{1.0, 4.0, 8.0}};
@@ -341,12 +258,6 @@ TEST(Table, RendersAlignedColumns) {
   EXPECT_NE(s.find("alpha"), std::string::npos);
   EXPECT_NE(s.find("-----"), std::string::npos);
   EXPECT_EQ(t.row_count(), 2u);
-}
-
-TEST(Table, CsvFormat) {
-  Table t{{"a", "b"}};
-  t.add_row({"1", "2"});
-  EXPECT_EQ(t.csv(), "a,b\n1,2\n");
 }
 
 TEST(Table, RejectsArityMismatch) {

@@ -12,6 +12,7 @@
 #include <tuple>
 #include <vector>
 
+#include "analysis/footprint.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/engine.hpp"
@@ -36,8 +37,31 @@ moe::MoeModelConfig tiny_model() {
   return m;
 }
 
-/// Platform fixture shared by strategy tests: one MoNDE device, models, and
-/// a routed layer of work.
+/// Places device `id`'s round-robin shard of `model` -- every MoE layer's
+/// experts e with e % num_devices == id -- one expert at a time.
+void place_shard(MondeDevice& dev, const moe::MoeModelConfig& model, int id, int num_devices) {
+  for (int layer = 0; layer < model.total_moe_layers(); ++layer) {
+    for (int e = id; e < model.num_experts; e += num_devices) {
+      dev.place_expert({layer, e}, model.expert_bytes());
+    }
+  }
+}
+
+/// One decode step's routing for `slots`, drawn from the engine's
+/// per-request workload streams and merged across the batch (the serving
+/// scheduler's draw).
+std::vector<moe::MoeLayerWork> step_works(InferenceEngine& eng,
+                                          const std::vector<DecodeSlot>& slots) {
+  std::vector<std::vector<moe::MoeLayerWork>> draws;
+  for (const DecodeSlot& slot : slots) {
+    draws.push_back(eng.workload().decoder_step_for(slot.request_id, slot.step));
+  }
+  return moe::WorkloadGenerator::merge_layer_works(draws);
+}
+
+/// Platform fixture shared by strategy tests: platform models, the shared
+/// NDP simulator the strategies price kernels from, and a routed layer of
+/// work.
 class StrategyTest : public ::testing::Test {
  protected:
   StrategyTest()
@@ -46,10 +70,7 @@ class StrategyTest : public ::testing::Test {
         gpu_{kGpu},
         cpu_{kCpu},
         xformer_{gpu_, model_.dtype},
-        sim_{std::make_shared<ndp::NdpCoreSim>(sys_.ndp, sys_.monde_mem)},
-        device_{0, sim_} {
-    device_.place_model(model_, 1);
-  }
+        sim_{std::make_shared<ndp::NdpCoreSim>(sys_.ndp, sys_.monde_mem)} {}
 
   StrategyContext ctx() {
     StrategyContext c;
@@ -74,7 +95,7 @@ class StrategyTest : public ::testing::Test {
     auto strat = make_strategy(kind, ctx());
     const MoeLayerResult r = strat->run_layer(work, sched, hw, Duration::zero());
     EXPECT_TRUE(sched.timeline().validate().empty())
-        << to_string(kind) << ": " << sched.timeline().validate();
+        << strat->name() << ": " << sched.timeline().validate();
     return r;
   }
 
@@ -84,7 +105,6 @@ class StrategyTest : public ::testing::Test {
   compute::CpuModel cpu_;
   compute::TransformerCostModel xformer_;
   std::shared_ptr<ndp::NdpCoreSim> sim_;
-  MondeDevice device_;
 };
 
 // --- SystemConfig -------------------------------------------------------------
@@ -127,10 +147,6 @@ TEST(Allocator, PartitionsIndependent) {
   alloc.allocate(ndp::Partition::kWeights, Bytes::mib(10), "w");
   const DeviceBuffer act = alloc.allocate(ndp::Partition::kActivations, Bytes::mib(1), "a");
   EXPECT_EQ(act.first_block, 0u);
-  alloc.reset_activations();
-  const DeviceBuffer act2 = alloc.allocate(ndp::Partition::kActivations, Bytes::mib(1), "a2");
-  EXPECT_EQ(act2.first_block, 0u);  // bump pointer reset
-  EXPECT_GT(alloc.weights_used().count(), 0u);  // weights untouched by reset
 }
 
 TEST(Allocator, ExhaustionThrowsWithDiagnosis) {
@@ -163,7 +179,8 @@ TEST(Allocator, AddressOfStaysInBuffer) {
 // --- MondeDevice -------------------------------------------------------------------
 
 TEST_F(StrategyTest, DevicePlacementAndLookup) {
-  MondeDevice& dev = device_;
+  MondeDevice dev{0, sim_};
+  place_shard(dev, model_, 0, 1);
   EXPECT_TRUE(dev.has_expert({0, 0}));
   EXPECT_TRUE(dev.has_expert({3, 15}));  // 4 layers x 16 experts
   EXPECT_FALSE(dev.has_expert({4, 0}));
@@ -175,7 +192,7 @@ TEST_F(StrategyTest, DevicePlacementAndLookup) {
 
 TEST_F(StrategyTest, ModelShardingAcrossDevices) {
   auto dev1 = std::make_unique<MondeDevice>(1, sim_);
-  dev1->place_model(model_, 2);
+  place_shard(*dev1, model_, 1, 2);
   // Device 1 of 2 holds only odd experts.
   EXPECT_FALSE(dev1->has_expert({0, 0}));
   EXPECT_TRUE(dev1->has_expert({0, 1}));
@@ -183,7 +200,8 @@ TEST_F(StrategyTest, ModelShardingAcrossDevices) {
 }
 
 TEST_F(StrategyTest, CompiledInstructionsAreValid) {
-  MondeDevice& dev = device_;
+  MondeDevice dev{0, sim_};
+  place_shard(dev, model_, 0, 1);
   const auto instrs = dev.compile_expert_op({1, 3}, 12, model_);
   ASSERT_EQ(instrs.size(), 2u);
   EXPECT_EQ(instrs[0].opcode, interconnect::Opcode::kGemmRelu);
@@ -204,7 +222,8 @@ TEST_F(StrategyTest, CompiledInstructionsAreValid) {
 }
 
 TEST_F(StrategyTest, CompiledAddressesRespectBankPartitions) {
-  MondeDevice& dev = device_;
+  MondeDevice dev{0, sim_};
+  place_shard(dev, model_, 0, 1);
   const auto instrs = dev.compile_expert_op({0, 5}, 4, model_);
   const dram::AddressMapper mapper{sys_.monde_mem};
   for (const auto& inst : instrs) {
@@ -224,32 +243,41 @@ TEST_F(StrategyTest, AllStrategiesConserveExperts) {
   for (const StrategyKind kind :
        {StrategyKind::kIdealGpu, StrategyKind::kGpuPmove, StrategyKind::kMondeAmove,
         StrategyKind::kMondeLoadBalanced, StrategyKind::kCpuAmove}) {
+    SCOPED_TRACE(make_strategy(kind, ctx())->name());
     const MoeLayerResult r = run(kind, work);
-    EXPECT_EQ(r.experts_gpu + r.experts_ndp + r.experts_cpu, activated)
-        << to_string(kind);
-    EXPECT_GT(r.end, r.start) << to_string(kind);
-    EXPECT_GT(r.gating, Duration::zero()) << to_string(kind);
-    EXPECT_GT(r.combine, Duration::zero()) << to_string(kind);
+    EXPECT_EQ(r.experts_gpu + r.experts_ndp + r.experts_cpu, activated);
+    EXPECT_GT(r.end, r.start);
+    EXPECT_GT(r.gating, Duration::zero());
+    EXPECT_GT(r.combine, Duration::zero());
   }
 }
 
 TEST_F(StrategyTest, PmoveMovesExactlyActivatedWeights) {
-  const moe::MoeLayerWork work = routed_work(128);
-  const MoeLayerResult r = run(StrategyKind::kGpuPmove, work);
-  EXPECT_EQ(r.pmove_bytes.count(),
-            model_.expert_bytes().count() *
-                static_cast<std::uint64_t>(work.activated_experts()));
-  EXPECT_EQ(r.amove_bytes.count(), 0u);
+  // With the GPU expert cache off, GPU+PM moves paper Equation 1's
+  // on-demand volume: the weights of every activated expert, nothing else.
+  ASSERT_EQ(sys_.gpu_expert_cache_bytes.count(), 0u);
+  for (const std::int64_t tokens : {1, 16, 128, 512}) {
+    SCOPED_TRACE(tokens);
+    const moe::MoeLayerWork work = routed_work(tokens);
+    const MoeLayerResult r = run(StrategyKind::kGpuPmove, work);
+    EXPECT_EQ(r.experts_gpu, work.activated_experts());
+    EXPECT_EQ(r.pmove_bytes, analysis::pmove_volume(model_, r.experts_gpu));
+    EXPECT_EQ(r.amove_bytes.count(), 0u);
+  }
 }
 
 TEST_F(StrategyTest, AmoveMovesOnlyActivations) {
-  const moe::MoeLayerWork work = routed_work(128);
-  const MoeLayerResult r = run(StrategyKind::kMondeAmove, work);
-  EXPECT_EQ(r.pmove_bytes.count(), 0u);
-  // In + out: 2 * routed * dmodel * elem.
-  EXPECT_EQ(r.amove_bytes.count(), 2u * work.routed_tokens() *
-                                       static_cast<std::uint64_t>(model_.dmodel) * 2u);
-  EXPECT_EQ(r.experts_gpu, 0);
+  // MD+AM moves paper Equation 2's volume: the input and output
+  // activations of every routed token-slot, and no weights.
+  for (const std::int64_t tokens : {1, 16, 128, 512}) {
+    SCOPED_TRACE(tokens);
+    const moe::MoeLayerWork work = routed_work(tokens);
+    const MoeLayerResult r = run(StrategyKind::kMondeAmove, work);
+    EXPECT_EQ(r.pmove_bytes.count(), 0u);
+    EXPECT_EQ(r.amove_bytes, analysis::amove_volume(
+                                 model_, 1, static_cast<std::int64_t>(work.routed_tokens())));
+    EXPECT_EQ(r.experts_gpu, 0);
+  }
 }
 
 TEST_F(StrategyTest, AmoveVolumeFarBelowPmoveVolume) {
@@ -267,7 +295,8 @@ TEST_F(StrategyTest, IdealIsFastest) {
   for (const StrategyKind kind : {StrategyKind::kGpuPmove, StrategyKind::kMondeAmove,
                                   StrategyKind::kMondeLoadBalanced,
                                   StrategyKind::kCpuAmove}) {
-    EXPECT_GE(run(kind, work).latency().ns(), ideal.ns() * 0.98) << to_string(kind);
+    EXPECT_GE(run(kind, work).latency().ns(), ideal.ns() * 0.98)
+        << make_strategy(kind, ctx())->name();
   }
 }
 
@@ -506,13 +535,13 @@ TEST_F(StrategyTest, RecordingOffIsAnswerNeutral) {
   for (const StrategyKind kind :
        {StrategyKind::kIdealGpu, StrategyKind::kGpuPmove, StrategyKind::kMondeAmove,
         StrategyKind::kMondeLoadBalanced, StrategyKind::kCpuAmove, StrategyKind::kMultiGpu}) {
-    SCOPED_TRACE(to_string(kind));
     sim::StreamSchedule on{sim::Recording::kOn};
     sim::StreamSchedule off{sim::Recording::kOff};
     const HwStreams hw_on = HwStreams::create(on, sys_);
     const HwStreams hw_off = HwStreams::create(off, sys_);
     const auto strat_on = make_strategy(kind, ctx());
     const auto strat_off = make_strategy(kind, ctx());
+    SCOPED_TRACE(strat_on->name());
     Duration t_on = Duration::zero();
     Duration t_off = Duration::zero();
     for (const moe::MoeLayerWork& w : works) {
@@ -1076,7 +1105,7 @@ TEST(Engine, DecodeStepHandlesMixedDepths) {
   // A continuous batch: three requests at decode depths 0, 5, and 11 with
   // different prompt lengths.
   const std::vector<DecodeSlot> slots = {{10, 0, 64}, {11, 5, 128}, {12, 11, 96}};
-  const StepResult r = eng.decode_step(st, slots);
+  const StepResult r = eng.decode_step(st, slots, step_works(eng, slots));
   EXPECT_EQ(r.tokens, 3u);
   EXPECT_GT(r.end, r.start);
   EXPECT_TRUE(st.sched.timeline().validate().empty());
@@ -1089,7 +1118,7 @@ TEST(Engine, DecodeStepHandlesMixedDepths) {
   // greater depths must not be cheaper.
   EngineState st2 = eng.make_state();
   const std::vector<DecodeSlot> deep = {{10, 100, 64}, {11, 105, 128}, {12, 111, 96}};
-  const StepResult r2 = eng.decode_step(st2, deep);
+  const StepResult r2 = eng.decode_step(st2, deep, step_works(eng, deep));
   EXPECT_GE(r2.latency().ns(), r.latency().ns() * 0.5);
 }
 
@@ -1097,9 +1126,9 @@ TEST(Engine, NonRecordingStateMatchesRecordingState) {
   // A non-recording state (the serving layer's) keeps the same times and
   // accumulators but neither the trace nor the per-layer results.
   for (const StrategyKind kind : {StrategyKind::kMondeLoadBalanced, StrategyKind::kGpuPmove}) {
-    SCOPED_TRACE(to_string(kind));
     InferenceEngine a{SystemConfig::dac24(), tiny_model(), moe::SkewProfile::switch_like(),
                       kind, 42};
+    SCOPED_TRACE(a.strategy().name());
     InferenceEngine b{SystemConfig::dac24(), tiny_model(), moe::SkewProfile::switch_like(),
                       kind, 42};
     EngineState on = a.make_state();
@@ -1108,8 +1137,8 @@ TEST(Engine, NonRecordingStateMatchesRecordingState) {
     for (int step = 0; step < 3; ++step) {
       a.prefill(on, 1, 64);
       b.prefill(off, 1, 64);
-      a.decode_step(on, slots);
-      b.decode_step(off, slots);
+      a.decode_step(on, slots, step_works(a, slots));
+      b.decode_step(off, slots, step_works(b, slots));
     }
     EXPECT_EQ(on.now.ns(), off.now.ns());
     EXPECT_EQ(on.non_moe.ns(), off.non_moe.ns());
@@ -1221,13 +1250,14 @@ TEST(Engine, DecodeStepRejectsBadInput) {
   InferenceEngine eng{SystemConfig::dac24(), tiny_model(), moe::SkewProfile::switch_like(),
                       StrategyKind::kMondeAmove, 42};
   EngineState st = eng.make_state();
-  EXPECT_THROW((void)eng.decode_step(st, {}), Error);
-  // Wrong per-layer work count for this model.
   const std::vector<DecodeSlot> slots = {{0, 0, 64}};
+  const auto works = step_works(eng, slots);
+  EXPECT_THROW((void)eng.decode_step(st, {}, works), Error);
+  // Wrong per-layer work count for this model.
   EXPECT_THROW((void)eng.decode_step(st, slots, {}), Error);
   // Negative decode depth.
   EngineState st2 = eng.make_state();
-  EXPECT_THROW((void)eng.decode_step(st2, {{0, -1, 64}}), Error);
+  EXPECT_THROW((void)eng.decode_step(st2, {{0, -1, 64}}, works), Error);
 }
 
 TEST(Engine, RejectsDenseModel) {
@@ -1237,11 +1267,11 @@ TEST(Engine, RejectsDenseModel) {
 }
 
 TEST(Engine, FitCheckAgreesWithDevicePlacement) {
-  // The engine rejects a model that does not fit without placing it; the
-  // allocator, which places every expert of device 0's shard, is the
-  // oracle. The sweep straddles the 256-GiB weight partition: an NLLB
-  // expert is 8 KiB x dff and device 0 holds ceil(E / n) experts in each
-  // of the 12 MoE layers.
+  // The engine rejects a model that does not fit without placing it; a
+  // device that places every expert of device 0's round-robin shard, one
+  // place_expert at a time, is the oracle. The sweep straddles the 256-GiB
+  // weight partition: an NLLB expert is 8 KiB x dff and device 0 holds
+  // ceil(E / n) experts in each of the 12 MoE layers.
   const auto error_of = [](const auto& fn) -> std::string {
     try {
       fn();
@@ -1263,8 +1293,10 @@ TEST(Engine, FitCheckAgreesWithDevicePlacement) {
         model.dff = dff;
         SCOPED_TRACE(std::to_string(devices) + " devices, E=" + std::to_string(experts) +
                      ", dff=" + std::to_string(dff));
-        const std::string placed =
-            error_of([&] { MondeDevice{0, sim}.place_model(model, devices); });
+        const std::string placed = error_of([&] {
+          MondeDevice dev{0, sim};
+          place_shard(dev, model, 0, devices);
+        });
         const std::string built = error_of([&] {
           InferenceEngine{sys, model, moe::SkewProfile::uniform(), StrategyKind::kMondeAmove, 1,
                           sim};

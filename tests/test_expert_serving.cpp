@@ -160,7 +160,7 @@ ReplicaSnapshot snap(std::size_t replica, std::int64_t outstanding, std::uint64_
   return s;
 }
 
-Request profiled_request(std::vector<moe::ExpertProfile::Entry> entries) {
+Request profiled_request(std::vector<moe::ExpertId> entries) {
   Request rq;
   rq.expert_profile.experts = std::move(entries);
   rq.expert_profile.rebuild_signature();

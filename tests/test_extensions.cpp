@@ -62,14 +62,6 @@ TEST(ExpertCache, ReinsertRefreshesWithoutGrowth) {
   EXPECT_TRUE(cache.contains({0, 2}));
 }
 
-TEST(ExpertCache, ClearEmpties) {
-  ExpertCache cache{4};
-  cache.insert({0, 1});
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.contains({0, 1}));
-}
-
 // --- Cache wired into PMove strategies -------------------------------------------
 
 moe::MoeModelConfig cache_model() {

@@ -45,8 +45,6 @@ TEST(ModelConfig, DenseBaselines) {
   // T5-Large is ~3 GB in the paper's Figure 2(a) narrative (bf16 ~1.5 GB
   // params; the paper counts fp32 master copies -- we check the bf16 size).
   EXPECT_NEAR(t5.non_expert_bytes().as_gb(), 1.5, 0.4);
-  const MoeModelConfig nllb = MoeModelConfig::nllb_dense_3_3b();
-  EXPECT_NEAR(nllb.non_expert_bytes().as_gb(), 6.6, 1.2);
 }
 
 TEST(ModelConfig, MoeBlockPlacement) {

@@ -6,6 +6,7 @@
 #include "common/error.hpp"
 #include "core/system_config.hpp"
 #include "dram/dram_system.hpp"
+#include "moe/model_config.hpp"
 #include "ndp/layout.hpp"
 #include "ndp/ndp_core.hpp"
 
@@ -209,12 +210,20 @@ TEST(NdpCoreSim, ComputeCyclesExactFormula) {
 }
 
 TEST(NdpCoreSim, LatencyAboveAnalyticLowerBound) {
-  NdpCoreSim sim{NdpSpec::monde_dac24(), test_mem()};
-  for (const std::int64_t tokens : {1, 2, 4, 8, 16}) {
-    const compute::ExpertShape e{tokens, 1024, 4096};
-    const auto r = sim.simulate_expert(e, compute::DataType::kBf16);
-    const Duration lb = sim.analytic_expert_lower_bound(e, compute::DataType::kBf16);
-    EXPECT_GE(r.latency.ns(), lb.ns()) << "tokens=" << tokens;
+  // Every cold expert shape of the fig6 sweep -- 1 to 16 routed tokens at
+  // each fig6 model's dmodel/dff, on the DAC'24 device -- takes at least the
+  // closed-form bound: the weights streamed at peak bandwidth, or the MAC
+  // arrays' cycles, whichever is longer.
+  const core::SystemConfig cfg = core::SystemConfig::dac24();
+  NdpCoreSim sim{cfg.ndp, cfg.monde_mem};
+  for (const auto& model :
+       {moe::MoeModelConfig::switch_large_128(), moe::MoeModelConfig::nllb_moe_128()}) {
+    for (std::int64_t tokens = 1; tokens <= 16; ++tokens) {
+      const compute::ExpertShape e{tokens, model.dmodel, model.dff};
+      const auto r = sim.simulate_expert(e, model.dtype);
+      const Duration lb = sim.analytic_expert_lower_bound(e, model.dtype);
+      EXPECT_GE(r.latency.ns(), lb.ns()) << model.name << " tokens=" << tokens;
+    }
   }
 }
 

@@ -142,14 +142,6 @@ TEST(Timeline, AsciiGanttRendersRows) {
   EXPECT_NE(g.find("legend:"), std::string::npos);
 }
 
-TEST(Timeline, MergeCombinesIntervals) {
-  Timeline a, b;
-  a.record({StreamId{0}, Duration::nanos(0), Duration::nanos(5), "a", "x"});
-  b.record({StreamId{1}, Duration::nanos(0), Duration::nanos(9), "b", "y"});
-  a.merge(b);
-  EXPECT_DOUBLE_EQ(a.end_time().ns(), 9.0);
-}
-
 TEST(StreamSchedule, PlacementRespectsEarliestAndBusy) {
   StreamSchedule sched;
   const StreamId s = sched.add_stream("S");
@@ -173,14 +165,6 @@ TEST(StreamSchedule, IndependentStreamsOverlap) {
   const auto b = sched.place(s1, Duration::zero(), Duration::nanos(100), "b", "x");
   EXPECT_DOUBLE_EQ(b.start.ns(), 0.0);
   EXPECT_DOUBLE_EQ(sched.makespan().ns(), 100.0);
-}
-
-TEST(StreamSchedule, BlockUntilAdvancesWithoutRecording) {
-  StreamSchedule sched;
-  const StreamId s = sched.add_stream("S");
-  sched.block_until(s, Duration::nanos(42));
-  EXPECT_DOUBLE_EQ(sched.free_at(s).ns(), 42.0);
-  EXPECT_TRUE(sched.timeline().intervals().empty());
 }
 
 TEST(StreamSchedule, RejectsUnknownStream) {
@@ -230,7 +214,7 @@ TEST(StreamSchedule, RewindMatchesAFreshSchedule) {
     sched->add_stream("B");
   }
   used.place(StreamId{0}, Duration::nanos(7), Duration::nanos(30), "a", "x");
-  used.block_until(StreamId{1}, Duration::nanos(99));
+  used.place(StreamId{1}, Duration::nanos(99), Duration::nanos(1), "w", "x");
   used.rewind();
   EXPECT_EQ(used.stream_count(), 2u);
   EXPECT_EQ(used.stream_names(), fresh.stream_names());
@@ -259,7 +243,7 @@ TEST(StreamSchedule, RestoreThenReplayMatchesAFreshReplay) {
     const Duration mid =
         s.place(StreamId{1}, Duration::nanos(2), Duration::nanos(len), "c", "x").end;
     s.place(StreamId{0}, mid, Duration::nanos(len / 3.0), "d", "x");
-    s.block_until(StreamId{2}, Duration::nanos(len * 2.0));
+    s.place(StreamId{2}, Duration::nanos(len * 2.0), Duration::nanos(1), "e", "x");
   };
   StreamSchedule swept{Recording::kOff};
   for (int i = 0; i < 3; ++i) swept.add_stream("S");
