@@ -79,7 +79,8 @@ EngineState InferenceEngine::make_state(sim::Recording recording) const {
 StepResult InferenceEngine::prefill(EngineState& st, std::int64_t batch,
                                     std::int64_t seq_len) {
   MONDE_REQUIRE(batch > 0 && seq_len > 0, "prefill needs tokens");
-  moe::EncoderPass pass = workload_.encoder_pass(batch, seq_len);
+  workload_.encoder_pass(batch, seq_len, encoder_pass_);
+  const moe::EncoderPass& pass = encoder_pass_;
 
   StepResult res;
   res.start = st.now;
@@ -126,8 +127,8 @@ StepResult InferenceEngine::decode_step(EngineState& st, const std::vector<Decod
   // group slots by (past_len, cross_len) so a uniform batch prices as one
   // batched block while a mixed continuous batch sums its depth groups, in
   // ascending (past_len, cross_len) order.
-  std::vector<std::pair<std::int64_t, std::int64_t>> depths;
-  depths.reserve(slots.size());
+  std::vector<std::pair<std::int64_t, std::int64_t>>& depths = depths_;
+  depths.clear();
   for (const DecodeSlot& slot : slots) {
     MONDE_REQUIRE(slot.step >= 0, "decode slot depth must be >= 0, got " << slot.step);
     depths.emplace_back(slot.step + 1, slot.cross_len);

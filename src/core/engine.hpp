@@ -135,6 +135,8 @@ class InferenceEngine {
   std::shared_ptr<ndp::NdpCoreSim> ndp_sim_;
   std::unique_ptr<Strategy> strategy_;
   moe::WorkloadGenerator workload_;
+  moe::EncoderPass encoder_pass_;  ///< prefill()'s reused routing storage
+  std::vector<std::pair<std::int64_t, std::int64_t>> depths_;  ///< decode_step()'s, reused
 };
 
 }  // namespace monde::core

@@ -13,25 +13,26 @@
 // layers under candidate values and keeping the local optimum, mirroring
 // the paper's profiling-based tuner.
 //
-// Every MD+LB placement -- a live layer, a dry run, a tuner sweep -- is
-// one composition: gating, the PMove prefix `by_load[0, H)` on the GPU,
-// the MoNDE suffix, combine. The tuner's sweep is one pass per window
-// layer. A layer's experts are sorted by load once, when it enters the
-// window, and the window keeps only what a placement reads (layer id,
-// token count, the sorted experts, the Equation-6 base). The sweep rewinds
-// one reused, non-recording scratch schedule and places gating once. The
-// distinct clamped H values ascend, so the PMove prefix grows only by the
-// experts between consecutive H; for each H the scratch schedule is
-// checkpointed after the prefix, the suffix and combine are placed, and
-// the checkpoint is restored. Each H's latency is therefore the same chain
-// of placements a pinned-H layer makes on a fresh schedule, to the bit.
-// What-ifs and live layers price experts from the same cost tables (see
-// strategy.hpp), so once a layer's token counts are warm a what-if makes
-// no model call and no NDP memo lookup.
+// Every MD+LB placement -- a live layer, a dry run, a tuner sweep -- is one
+// composition: gating, the PMove prefix `by_load[0, H)` on the GPU, the
+// MoNDE suffix, combine. The tuner's sweep is one pass per window layer. A
+// layer's experts are sorted by load once, when it enters the window, into
+// the storage of the layer that last left it; the live placement, the window
+// and the sweep read that one list, so a warm layer allocates nothing. The
+// window keeps only what a placement reads (layer id, token count, the
+// sorted experts, the Equation-6 base). The sweep rewinds one reused,
+// non-recording scratch schedule and places gating once. The distinct
+// clamped H values ascend, so the PMove prefix grows only by the experts
+// between consecutive H; for each H the scratch schedule is checkpointed
+// after the prefix, the suffix and combine are placed, and the checkpoint is
+// restored. Each H's latency is therefore the same chain of placements a
+// pinned-H layer makes on a fresh schedule, to the bit. What-ifs and live
+// layers price experts from the same cost tables (see strategy.hpp), so once
+// a layer's token counts are warm a what-if makes no model call and no NDP
+// memo lookup.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <vector>
 
@@ -82,14 +83,16 @@ class MondeLoadBalanced final : public Strategy {
   struct PreparedLayer {
     int layer_id = 0;
     std::int64_t total_tokens = 0;
-    std::vector<ExpertLoad> by_load;  ///< activated_by_load(work)
+    std::vector<ExpertLoad> by_load;  ///< activated_by_load() of the work
     double h_raw = 0.0;               ///< h_raw_equation6(work)
 
     /// h_from_equation6(work, alpha) without re-counting the experts.
     [[nodiscard]] int h_at(double alpha) const;
   };
 
-  [[nodiscard]] PreparedLayer prepare(const moe::MoeLayerWork& work) const;
+  /// `work` prepared in `storage`'s reused capacity.
+  [[nodiscard]] PreparedLayer prepare(const moe::MoeLayerWork& work,
+                                      std::vector<ExpertLoad> storage) const;
   /// Equation 6 at alpha = 1 for `activated` activated experts.
   [[nodiscard]] double h_raw_for(std::int64_t activated) const;
 
@@ -111,7 +114,8 @@ class MondeLoadBalanced final : public Strategy {
   int fixed_h_ = -1;
   int last_h_ = -1;
   int layers_seen_ = 0;
-  std::deque<PreparedLayer> window_;
+  std::vector<PreparedLayer> window_;  ///< oldest first; at most kTuneWindow
+  std::vector<ExpertLoad> spare_;  ///< by_load storage of the last layer to leave window_
   sim::StreamSchedule scratch_{sim::Recording::kOff};  ///< every what-if's streams
   HwStreams scratch_hw_;
 };

@@ -11,16 +11,17 @@ namespace monde::core {
 
 using ExpertList = std::vector<ExpertLoad>;
 
-ExpertList activated_by_load(const moe::MoeLayerWork& work) {
-  // Collect in index order, then stable-sort: ties keep ascending index,
-  // exactly as experts_by_load() orders them, without sorting the zeros.
-  ExpertList out;
+void activated_by_load(const moe::MoeLayerWork& work, ExpertList& out) {
+  // Collect in index order, then sort by (descending load, ascending index):
+  // a total order, so the result is the stable_sort by load that
+  // experts_by_load() makes, without sorting the zeros or a merge buffer.
+  out.clear();
   for (std::size_t e = 0; e < work.tokens_per_expert.size(); ++e) {
     if (const std::uint64_t tok = work.tokens_per_expert[e]; tok > 0) out.emplace_back(e, tok);
   }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const ExpertLoad& a, const ExpertLoad& b) { return a.second > b.second; });
-  return out;
+  std::sort(out.begin(), out.end(), [](const ExpertLoad& a, const ExpertLoad& b) {
+    return a.second != b.second ? a.second > b.second : a.first < b.first;
+  });
 }
 
 namespace {
@@ -238,7 +239,7 @@ class IdealGpu final : public Strategy {
     r.start = ready;
     const Duration gate_end = place_gating(work.total_tokens, sched, hw, ready, r);
     const Duration experts_end =
-        place_resident_experts(activated_by_load(work), sched, hw, gate_end, gate_end, hw.gpu, r);
+        place_resident_experts(by_load(work), sched, hw, gate_end, gate_end, hw.gpu, r);
     r.end = place_combine(work.total_tokens, sched, hw, experts_end, r);
     return r;
   }
@@ -257,7 +258,7 @@ class GpuPmove final : public Strategy {
     r.start = ready;
     const Duration gate_end = place_gating(work.total_tokens, sched, hw, ready, r);
     const Duration experts_end =
-        place_pmove_pipeline(activated_by_load(work), work.layer_id, sched, hw,
+        place_pmove_pipeline(by_load(work), work.layer_id, sched, hw,
                              gate_end, hw.gpu, r);
     r.end = place_combine(work.total_tokens, sched, hw, experts_end, r);
     return r;
@@ -277,7 +278,7 @@ class MondeAmove final : public Strategy {
     r.start = ready;
     const Duration gate_end = place_gating(work.total_tokens, sched, hw, ready, r);
     const Duration experts_end =
-        place_ndp_batch(activated_by_load(work), sched, hw, gate_end, r);
+        place_ndp_batch(by_load(work), sched, hw, gate_end, r);
     r.end = place_combine(work.total_tokens, sched, hw, experts_end, r);
     return r;
   }
@@ -296,7 +297,7 @@ class CpuAmove final : public Strategy {
     r.start = ready;
     const Duration gate_end = place_gating(work.total_tokens, sched, hw, ready, r);
 
-    const ExpertList experts = activated_by_load(work);
+    const ExpertList& experts = by_load(work);
     std::uint64_t routed = 0;
     for (const auto& [e, tok] : experts) routed += tok;
     const auto am = sched.place(hw.pcie_g2m, gate_end, activation_transfer_time(routed),
@@ -344,7 +345,7 @@ class MultiGpu final : public Strategy {
     // weights are resident (the multi-GPU baseline assumes capacity).
     ExpertList local, remote;
     std::uint64_t remote_tokens = 0;
-    for (const auto& [e, tok] : activated_by_load(work)) {
+    for (const auto& [e, tok] : by_load(work)) {
       if (e % 2 == 0) {
         local.emplace_back(e, tok);
       } else {
@@ -418,10 +419,10 @@ int MondeLoadBalanced::PreparedLayer::h_at(double alpha) const {
 }
 
 MondeLoadBalanced::PreparedLayer MondeLoadBalanced::prepare(
-    const moe::MoeLayerWork& work) const {
-  PreparedLayer layer{work.layer_id, work.total_tokens, activated_by_load(work), 0.0};
-  layer.h_raw = h_raw_for(static_cast<std::int64_t>(layer.by_load.size()));
-  return layer;
+    const moe::MoeLayerWork& work, std::vector<ExpertLoad> storage) const {
+  activated_by_load(work, storage);
+  const double h_raw = h_raw_for(static_cast<std::int64_t>(storage.size()));
+  return {work.layer_id, work.total_tokens, std::move(storage), h_raw};
 }
 
 void MondeLoadBalanced::place_layer(const PreparedLayer& layer, std::span<const int> hs,
@@ -463,7 +464,7 @@ Duration MondeLoadBalanced::evaluate_layer_with_h(const moe::MoeLayerWork& work,
   // rewinding the one scratch schedule gives the same latency.
   scratch_.rewind();
   MoeLayerResult r;
-  place_layer(prepare(work), std::span{&h, 1}, scratch_, scratch_hw_, Duration::zero(),
+  place_layer(prepare(work, {}), std::span{&h, 1}, scratch_, scratch_hw_, Duration::zero(),
               /*what_if=*/true, std::span{&r, 1});
   return r.latency();
 }
@@ -531,8 +532,9 @@ void MondeLoadBalanced::maybe_retune() {
 MoeLayerResult MondeLoadBalanced::run_layer(const moe::MoeLayerWork& work,
                                             sim::StreamSchedule& sched, const HwStreams& hw,
                                             Duration ready) {
-  // Sort once: the tuner window and this layer's placement share the list.
-  PreparedLayer layer = prepare(work);
+  // Sort once, into the storage of the layer that last left the window:
+  // the tuner window and this layer's placement share the list.
+  PreparedLayer layer = prepare(work, std::move(spare_));
   // The paper tunes alpha by "periodically running profiled inference on a
   // small set of past input batches". Mirror that: on a cold start, profile
   // the current layer before committing (alpha = 1 can be pathologically
@@ -551,7 +553,10 @@ MoeLayerResult MondeLoadBalanced::run_layer(const moe::MoeLayerWork& work,
   MoeLayerResult r;
   place_layer(layer, std::span{&h, 1}, sched, hw, ready, /*what_if=*/false, std::span{&r, 1});
   window_.push_back(std::move(layer));
-  while (window_.size() > kTuneWindow) window_.pop_front();
+  if (window_.size() > kTuneWindow) {
+    spare_ = std::move(window_.front().by_load);
+    window_.erase(window_.begin());
+  }
   return r;
 }
 

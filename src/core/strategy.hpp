@@ -23,7 +23,8 @@
 // identical (Section 3.3), so one NDP table serves all of them; its entries
 // come from the platform's shared NdpCoreSim memo, which stays the one
 // source of NDP latencies. A token count never placed on a device is never
-// simulated.
+// simulated. Each strategy sorts a layer's activated experts into its own
+// reused buffer, so a warm layer's placement allocates nothing.
 #pragma once
 
 #include <memory>
@@ -47,10 +48,11 @@ namespace monde::core {
 /// (expert index, routed tokens) for one activated expert of a layer.
 using ExpertLoad = std::pair<std::size_t, std::uint64_t>;
 
-/// The experts of `work` with at least one routed token, in descending-load
-/// order (ties keep ascending expert index): experts_by_load() without its
-/// zero-token tail.
-[[nodiscard]] std::vector<ExpertLoad> activated_by_load(const moe::MoeLayerWork& work);
+/// Replace `out` with the experts of `work` that have at least one routed
+/// token, in descending-load order (ties keep ascending expert index):
+/// experts_by_load() without its zero-token tail. Reuses `out`'s storage,
+/// so a warm caller allocates nothing.
+void activated_by_load(const moe::MoeLayerWork& work, std::vector<ExpertLoad>& out);
 
 /// Stream handles shared by the engine and strategies.
 struct HwStreams {
@@ -154,6 +156,12 @@ class Strategy {
                                    const HwStreams& hw, Duration ready) = 0;
 
  protected:
+  /// activated_by_load(work) in reused storage, valid until the next call.
+  const std::vector<ExpertLoad>& by_load(const moe::MoeLayerWork& work) {
+    activated_by_load(work, by_load_);
+    return by_load_;
+  }
+
   /// Gating network + dispatch of a layer of `total_tokens` tokens on the
   /// GPU stream; returns its end time.
   Duration place_gating(std::int64_t total_tokens, sim::StreamSchedule& sched,
@@ -209,6 +217,7 @@ class Strategy {
   TokenCostTable gpu_time_;
   TokenCostTable ndp_time_;
   TokenCostTable activation_time_;
+  std::vector<ExpertLoad> by_load_;  ///< by_load()'s storage
   Duration pmove_time_;         ///< PCIe transfer of one expert's weights
   Duration offload_dispatch_;   ///< host work to offload one expert to NDP
 };

@@ -36,8 +36,11 @@ bool DramSystem::channel_can_accept(int channel) const {
 }
 
 bool DramSystem::try_enqueue(const Request& req) {
-  const Address a = mapper_.decompose(req.addr);
-  return channels_[static_cast<std::size_t>(a.channel)]->try_enqueue(req, a, cycle_);
+  // Admission first: a refusal reads the channel field alone (after the
+  // capacity check), and only an accepted request is fully decoded.
+  ChannelController& ch = *channels_[static_cast<std::size_t>(channel_of(req.addr))];
+  if (!ch.can_accept()) return false;
+  return ch.try_enqueue(req, mapper_.decompose(req.addr), cycle_);
 }
 
 void DramSystem::enqueue(const Request& req) {

@@ -34,8 +34,10 @@ class DramSystem {
   [[nodiscard]] bool channel_can_accept(int channel) const;
 
   /// Enqueue a request if its channel can take it; returns false, changing
-  /// nothing, otherwise. One address decode and one admission check: the
-  /// streaming form of can_accept() + enqueue().
+  /// nothing, otherwise. The admission check reads only the channel field,
+  /// so a refusal costs no full address decode: the streaming form of
+  /// can_accept() + enqueue(). An address beyond the device capacity
+  /// throws, whether or not its channel is full.
   bool try_enqueue(const Request& req);
 
   /// Enqueue a request. Requires can_accept(req.addr).

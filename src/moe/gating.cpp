@@ -123,9 +123,16 @@ GatingModel::GatingModel(std::int64_t num_experts, int top_k, const SkewProfile&
 }
 
 std::vector<std::uint64_t> GatingModel::route(std::int64_t tokens, Rng& rng) const {
+  std::vector<std::uint64_t> counts(popularity_.size(), 0);
+  route_into(tokens, rng, counts);
+  return counts;
+}
+
+void GatingModel::route_into(std::int64_t tokens, Rng& rng,
+                             std::span<std::uint64_t> counts) const {
   MONDE_REQUIRE(tokens >= 0, "token count must be >= 0");
   const std::size_t e = popularity_.size();
-  std::vector<std::uint64_t> counts(e, 0);
+  MONDE_REQUIRE(counts.size() == e, "route_into needs one count per expert");
   const double total = cdf_.back();
 
   auto draw = [&]() { return expert_at(rng.next_double() * total); };
@@ -146,7 +153,6 @@ std::vector<std::uint64_t> GatingModel::route(std::int64_t tokens, Rng& rng) con
       prev = next;
     }
   }
-  return counts;
 }
 
 std::int64_t MoeLayerWork::activated_experts() const {

@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -61,6 +62,10 @@ class GatingModel {
   /// Route `tokens` tokens; returns tokens-routed-per-expert (size E, sums
   /// to tokens * top_k). Each token selects top_k distinct experts.
   [[nodiscard]] std::vector<std::uint64_t> route(std::int64_t tokens, Rng& rng) const;
+
+  /// route() without the vector: adds the same draws into `counts` (size E),
+  /// so routing several batches into one histogram sums their routes.
+  void route_into(std::int64_t tokens, Rng& rng, std::span<std::uint64_t> counts) const;
 
   /// The expert a draw `r` in [0, total popularity) picks: the first whose
   /// cumulative popularity reaches `r` (std::lower_bound over the CDF,

@@ -22,20 +22,26 @@ WorkloadGenerator::WorkloadGenerator(const MoeModelConfig& model, const SkewProf
 }
 
 EncoderPass WorkloadGenerator::encoder_pass(std::int64_t batch, std::int64_t seq_len) {
-  MONDE_REQUIRE(batch > 0 && seq_len > 0, "encoder pass needs tokens");
   EncoderPass pass;
+  encoder_pass(batch, seq_len, pass);
+  return pass;
+}
+
+void WorkloadGenerator::encoder_pass(std::int64_t batch, std::int64_t seq_len,
+                                     EncoderPass& pass) {
+  MONDE_REQUIRE(batch > 0 && seq_len > 0, "encoder pass needs tokens");
   pass.batch = batch;
   pass.seq_len = seq_len;
   const std::int64_t tokens = batch * seq_len;
+  pass.moe_layers.resize(encoder_gatings_.size());
   for (std::size_t i = 0; i < encoder_gatings_.size(); ++i) {
-    MoeLayerWork work;
+    MoeLayerWork& work = pass.moe_layers[i];
     work.layer_id = static_cast<int>(i);
     work.total_tokens = tokens;
     work.top_k = model_.top_k;
-    work.tokens_per_expert = encoder_gatings_[i].route(tokens, rng_);
-    pass.moe_layers.push_back(std::move(work));
+    work.tokens_per_expert.assign(static_cast<std::size_t>(model_.num_experts), 0);
+    encoder_gatings_[i].route_into(tokens, rng_, work.tokens_per_expert);
   }
-  return pass;
 }
 
 std::vector<DecoderStep> WorkloadGenerator::decoder_steps(std::int64_t batch,
@@ -81,22 +87,37 @@ std::uint64_t mix64(std::uint64_t x) {
 std::vector<MoeLayerWork> WorkloadGenerator::decoder_step_for(std::uint64_t request_id,
                                                               std::int64_t step,
                                                               std::int64_t tokens) const {
+  std::vector<MoeLayerWork> out;
+  reset_decoder_works(out);
+  add_decoder_step(request_id, step, tokens, out);
+  return out;
+}
+
+void WorkloadGenerator::reset_decoder_works(std::vector<MoeLayerWork>& works) const {
+  works.resize(decoder_gatings_.size());
+  for (std::size_t i = 0; i < works.size(); ++i) {
+    MoeLayerWork& work = works[i];
+    work.layer_id = model_.encoder_moe_layers() + static_cast<int>(i);
+    work.total_tokens = 0;
+    work.top_k = model_.top_k;
+    work.tokens_per_expert.assign(static_cast<std::size_t>(model_.num_experts), 0);
+  }
+}
+
+void WorkloadGenerator::add_decoder_step(std::uint64_t request_id, std::int64_t step,
+                                         std::int64_t tokens,
+                                         std::span<MoeLayerWork> works) const {
   MONDE_REQUIRE(step >= 0, "decoder step index must be >= 0, got " << step);
   MONDE_REQUIRE(tokens > 0, "decoder step needs tokens > 0, got " << tokens);
-  std::vector<MoeLayerWork> out;
-  out.reserve(decoder_gatings_.size());
+  MONDE_REQUIRE(works.size() == decoder_gatings_.size(),
+                "decoder step needs one work per decoder MoE layer");
   for (std::size_t i = 0; i < decoder_gatings_.size(); ++i) {
     Rng rng{mix64(mix64(mix64(seed_ ^ 0x5e17ed5e17ed5e17ULL) + request_id) +
                   static_cast<std::uint64_t>(step)) +
             static_cast<std::uint64_t>(i)};
-    MoeLayerWork work;
-    work.layer_id = model_.encoder_moe_layers() + static_cast<int>(i);
-    work.total_tokens = tokens;
-    work.top_k = model_.top_k;
-    work.tokens_per_expert = decoder_gatings_[i].route(tokens, rng);
-    out.push_back(std::move(work));
+    works[i].total_tokens += tokens;
+    decoder_gatings_[i].route_into(tokens, rng, works[i].tokens_per_expert);
   }
-  return out;
 }
 
 ExpertProfile WorkloadGenerator::expert_profile_for(std::uint64_t request_id, int width,

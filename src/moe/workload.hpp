@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "moe/expert_profile.hpp"
@@ -41,6 +42,8 @@ class WorkloadGenerator {
   /// Route a full encoder batch (batch x seq_len tokens through every
   /// encoder MoE layer).
   [[nodiscard]] EncoderPass encoder_pass(std::int64_t batch, std::int64_t seq_len);
+  /// The same draws routed into `pass`, reusing its storage.
+  void encoder_pass(std::int64_t batch, std::int64_t seq_len, EncoderPass& pass);
 
   /// Route `steps` autoregressive decoder steps of `batch` tokens each.
   [[nodiscard]] std::vector<DecoderStep> decoder_steps(std::int64_t batch, std::int64_t steps);
@@ -54,6 +57,18 @@ class WorkloadGenerator {
   [[nodiscard]] std::vector<MoeLayerWork> decoder_step_for(std::uint64_t request_id,
                                                            std::int64_t step,
                                                            std::int64_t tokens = 1) const;
+
+  /// Shape `works` as one empty MoeLayerWork per decoder MoE layer (layer id
+  /// and top-k set, zero tokens), reusing its storage.
+  void reset_decoder_works(std::vector<MoeLayerWork>& works) const;
+
+  /// Add decoder_step_for(request_id, step, tokens) into `works`, shaped by
+  /// reset_decoder_works(): each layer's total_tokens grows by `tokens` and
+  /// its histogram by the request's draws. Routing a batch's requests into
+  /// one `works` equals merge_layer_works() of their decoder_step_for()
+  /// draws, in any order, with no per-request vectors.
+  void add_decoder_step(std::uint64_t request_id, std::int64_t step, std::int64_t tokens,
+                        std::span<MoeLayerWork> works) const;
 
   /// The request's expert profile: its `width` most-activated experts per
   /// decoder MoE layer, estimated by routing `tokens` probe tokens through

@@ -231,26 +231,24 @@ bool ContinuousBatchScheduler::step_ready() const {
          (!has_pending() && sealed_);
 }
 
-std::vector<core::DecodeSlot> ContinuousBatchScheduler::slots() const {
-  std::vector<core::DecodeSlot> out;
-  out.reserve(active_.size());
+const std::vector<core::DecodeSlot>& ContinuousBatchScheduler::slots() {
+  slots_.clear();
   for (const std::size_t idx : active_) {
     const RequestState& rs = states_[idx];
-    out.push_back({rs.request.id, rs.generated, rs.request.prompt_len});
+    slots_.push_back({rs.request.id, rs.generated, rs.request.prompt_len});
   }
-  return out;
+  return slots_;
 }
 
-std::vector<moe::MoeLayerWork> ContinuousBatchScheduler::step_works(
-    moe::WorkloadGenerator& gen) const {
+const std::vector<moe::MoeLayerWork>& ContinuousBatchScheduler::step_works(
+    moe::WorkloadGenerator& gen) {
   MONDE_REQUIRE(!active_.empty(), "no active requests to route");
-  std::vector<std::vector<moe::MoeLayerWork>> draws;
-  draws.reserve(active_.size());
+  gen.reset_decoder_works(works_);
   for (const std::size_t idx : active_) {
     const RequestState& rs = states_[idx];
-    draws.push_back(gen.decoder_step_for(rs.request.id, rs.generated));
+    gen.add_decoder_step(rs.request.id, rs.generated, 1, works_);
   }
-  return moe::WorkloadGenerator::merge_layer_works(draws);
+  return works_;
 }
 
 std::vector<Duration> ContinuousBatchScheduler::waiting_arrivals() const {
@@ -388,8 +386,10 @@ std::vector<RequestMetrics> ContinuousBatchScheduler::take_records() {
   return std::exchange(records_, {});
 }
 
-StepOutcome ContinuousBatchScheduler::complete_step(Duration end) {
-  StepOutcome out;
+const StepOutcome& ContinuousBatchScheduler::complete_step(Duration end) {
+  StepOutcome& out = outcome_;
+  out.advanced.clear();
+  out.finished.clear();
   bool all_done = true;
   for (const std::size_t idx : active_) {
     RequestState& rs = states_[idx];

@@ -207,19 +207,22 @@ class ContinuousBatchScheduler {
 
   /// One DecodeSlot per active request (its id, depth, and prompt context).
   /// In fixed mode a finished request keeps its padded slot at its final
-  /// depth until the whole batch drains (its KV cache stops growing).
-  [[nodiscard]] std::vector<core::DecodeSlot> slots() const;
+  /// depth until the whole batch drains (its KV cache stops growing). The
+  /// list lives in storage reused by the next call.
+  [[nodiscard]] const std::vector<core::DecodeSlot>& slots();
 
-  /// Per-request gating draws for the upcoming step, merged across the
-  /// active batch into one MoeLayerWork per decoder MoE layer.
-  [[nodiscard]] std::vector<moe::MoeLayerWork> step_works(moe::WorkloadGenerator& gen) const;
+  /// Per-request gating draws for the upcoming step, summed over the active
+  /// batch into one MoeLayerWork per decoder MoE layer: merge_layer_works()
+  /// of their decoder_step_for() draws, routed in place into storage reused
+  /// by the next call.
+  [[nodiscard]] const std::vector<moe::MoeLayerWork>& step_works(moe::WorkloadGenerator& gen);
 
   /// Account one finished decode step ending at `end`: advance depths,
   /// record first-token/completion times, and retire finished requests
   /// (immediately in continuous mode, batch-at-once in fixed mode). The
   /// outcome lists which requests advanced/finished, for the server's
-  /// cache residency bookkeeping.
-  StepOutcome complete_step(Duration end);
+  /// cache residency bookkeeping, in storage reused by the next call.
+  const StepOutcome& complete_step(Duration end);
 
   /// Fail-stop / evacuation support: remove every accepted-but-unfinished
   /// request (pending, queued, or active) and return the original Requests,
@@ -281,6 +284,9 @@ class ContinuousBatchScheduler {
   std::size_t pending_head_ = 0;
   std::deque<std::size_t> queued_;    ///< arrived, awaiting admission (FIFO)
   std::vector<std::size_t> active_;   ///< in the decode batch
+  std::vector<core::DecodeSlot> slots_;   ///< slots()'s reused storage
+  std::vector<moe::MoeLayerWork> works_;  ///< step_works()'s reused storage
+  StepOutcome outcome_;                   ///< complete_step()'s reused storage
   bool sealed_ = false;               ///< no further push() calls
   std::size_t live_ = 0;              ///< accepted, not yet done
   std::int64_t owed_tokens_ = 0;      ///< un-prefilled prompt + remaining decode

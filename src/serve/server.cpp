@@ -139,7 +139,7 @@ void ServerSim::apply_pending_completion() {
   // before its decode tokens land on them.
   for (const auto& [rq, saved] : pending_admits_) cache_.admit(rq, saved);
   pending_admits_.clear();
-  const StepOutcome out = sched_.complete_step(pending_end_);
+  const StepOutcome& out = sched_.complete_step(pending_end_);
   if (cache_.enabled()) {
     for (const std::uint64_t id : out.advanced) cache_.decode_token(id);
     for (const std::uint64_t id : out.finished) cache_.complete(id);
@@ -190,8 +190,8 @@ void ServerSim::step(const std::vector<RequestState*>& newly) {
   }
   // Newly admitted requests join this step's decode immediately, so a
   // step's cost is its prefills plus one shared decode over all slots.
-  const std::vector<core::DecodeSlot> slots = sched_.slots();
-  const std::vector<moe::MoeLayerWork> works = sched_.step_works(engine_.workload());
+  const std::vector<core::DecodeSlot>& slots = sched_.slots();
+  const std::vector<moe::MoeLayerWork>& works = sched_.step_works(engine_.workload());
   const core::StepResult sr = engine_.decode_step(st_, slots, works);
   // The step is priced now, but its scheduler effects land at sr.end: defer
   // them so load queries between now and then see the mid-step state.

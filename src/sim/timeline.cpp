@@ -128,14 +128,11 @@ Duration StreamSchedule::free_at(StreamId stream) const {
   return free_[stream.index];
 }
 
-Placement StreamSchedule::advance(StreamId stream, Duration earliest, Duration length) {
-  MONDE_REQUIRE(stream.index < free_.size(), "unknown stream");
-  MONDE_REQUIRE(length >= Duration::zero(), "task length must be non-negative");
-  const Duration start = max(earliest, free_[stream.index]);
-  const Duration end = start + length;
-  free_[stream.index] = end;
-  makespan_ = max(makespan_, end);
-  return {stream, start, end};
+void StreamSchedule::reject(StreamId stream, Duration length) const {
+  MONDE_REQUIRE(stream.index < free_.size(), "unknown stream " << stream.index);
+  std::ostringstream os;
+  os << "task length must be non-negative, got " << length.ns() << " ns";
+  throw Error(os.str());
 }
 
 Interval StreamSchedule::place(StreamId stream, Duration earliest, Duration length,

@@ -142,8 +142,20 @@ class StreamSchedule {
   [[nodiscard]] Duration makespan() const { return makespan_; }
 
  private:
-  /// Occupy `stream` for `length` from max(earliest, free time).
-  Placement advance(StreamId stream, Duration earliest, Duration length);
+  /// Occupy `stream` for `length` from max(earliest, free time); inline, so
+  /// a placement costs no call. An unknown stream or a negative or NaN length
+  /// throws monde::Error from reject(), changing nothing.
+  Placement advance(StreamId stream, Duration earliest, Duration length) {
+    if (stream.index >= free_.size() || !(length >= Duration::zero())) [[unlikely]] {
+      reject(stream, length);
+    }
+    const Duration start = max(earliest, free_[stream.index]);
+    const Duration end = start + length;
+    free_[stream.index] = end;
+    makespan_ = max(makespan_, end);
+    return {stream, start, end};
+  }
+  [[noreturn, gnu::cold]] void reject(StreamId stream, Duration length) const;
 
   Recording recording_;
   std::vector<std::string> names_;

@@ -47,6 +47,13 @@ void place_shard(MondeDevice& dev, const moe::MoeModelConfig& model, int id, int
   }
 }
 
+/// activated_by_load() into fresh storage.
+std::vector<ExpertLoad> fresh_by_load(const moe::MoeLayerWork& work) {
+  std::vector<ExpertLoad> out;
+  activated_by_load(work, out);
+  return out;
+}
+
 /// One decode step's routing for `slots`, drawn from the engine's
 /// per-request workload streams and merged across the batch (the serving
 /// scheduler's draw).
@@ -439,21 +446,29 @@ TEST_F(StrategyTest, EvaluateLayerWithHIsPure) {
 
 TEST(ActivatedByLoad, MatchesExpertsByLoadWithoutZeros) {
   // Ties keep ascending expert index, as experts_by_load()'s stable sort
-  // orders them; zero-token experts are dropped.
-  const auto expect_matches = [](const moe::MoeLayerWork& work) {
+  // orders them; zero-token experts are dropped. One buffer is reused
+  // across every work, so each list also lands over the previous one's
+  // stale entries, longer or shorter.
+  std::vector<ExpertLoad> reused{{99, 7}, {98, 7}};
+  const auto expect_matches = [&](const moe::MoeLayerWork& work) {
     std::vector<ExpertLoad> want;
     for (const std::size_t e : work.experts_by_load()) {
       if (work.tokens_per_expert[e] == 0) break;
       want.emplace_back(e, work.tokens_per_expert[e]);
     }
-    EXPECT_EQ(activated_by_load(work), want);
+    EXPECT_EQ(fresh_by_load(work), want);
+    activated_by_load(work, reused);
+    EXPECT_EQ(reused, want);
     EXPECT_EQ(static_cast<std::int64_t>(want.size()), work.activated_experts());
   };
   moe::MoeLayerWork ties;
   ties.tokens_per_expert = {3, 0, 5, 3, 0, 5, 1, 3};
   expect_matches(ties);
-  EXPECT_EQ(activated_by_load(ties),
+  EXPECT_EQ(fresh_by_load(ties),
             (std::vector<ExpertLoad>{{2, 5}, {5, 5}, {0, 3}, {3, 3}, {7, 3}, {6, 1}}));
+  moe::MoeLayerWork idle;
+  idle.tokens_per_expert = {0, 0, 0};
+  expect_matches(idle);  // empties the reused buffer
 
   for (const std::int64_t experts : {16, 128}) {
     SCOPED_TRACE(experts);
@@ -462,7 +477,7 @@ TEST(ActivatedByLoad, MatchesExpertsByLoadWithoutZeros) {
     int with_ties = 0;
     const auto check = [&](const moe::MoeLayerWork& w) {
       expect_matches(w);
-      const std::vector<ExpertLoad> got = activated_by_load(w);
+      const std::vector<ExpertLoad> got = fresh_by_load(w);
       for (std::size_t i = 1; i < got.size(); ++i) {
         with_ties += got[i].second == got[i - 1].second ? 1 : 0;
       }
@@ -780,7 +795,7 @@ Duration reference_md_lb_layer(Platform& p, const moe::MoeLayerWork& work, int h
     return Bytes{n * static_cast<std::uint64_t>(m.dmodel) *
                  static_cast<std::uint64_t>(compute::bytes_per_element(m.dtype))};
   };
-  const std::vector<ExpertLoad> by_load = activated_by_load(work);
+  const std::vector<ExpertLoad> by_load = fresh_by_load(work);
   const std::size_t hot = std::min(static_cast<std::size_t>(h), by_load.size());
 
   const Duration gate_end =
@@ -941,7 +956,7 @@ TEST(CostTables, SimulateEachPlacedNdpShapeOnce) {
   std::set<std::uint64_t> ndp_counts;
   std::set<std::uint64_t> gpu_only_counts;
   for (const moe::MoeLayerWork& w : works) {
-    const std::vector<ExpertLoad> by_load = activated_by_load(w);
+    const std::vector<ExpertLoad> by_load = fresh_by_load(w);
     for (std::size_t i = 0; i < by_load.size(); ++i) {
       (i < kHot ? gpu_only_counts : ndp_counts).insert(by_load[i].second);
     }

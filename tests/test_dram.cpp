@@ -290,6 +290,30 @@ TEST(DramSystem, EnqueueWithoutAdmissionCheckThrows) {
   EXPECT_THROW(sys.enqueue(r), Error);
 }
 
+TEST(DramSystem, TryEnqueueRejectsOutOfCapacityAddressOnFullChannel) {
+  // try_enqueue() checks admission before decoding the address; the
+  // capacity check must still come first, so a full channel cannot turn an
+  // invalid address into a quiet refusal.
+  const Spec s = small_spec();
+  DramSystem sys{s};
+  const AddressMapper mapper{s};
+  const auto chan_stride =
+      static_cast<std::uint64_t>(s.org.access_bytes) * static_cast<std::uint64_t>(s.org.channels);
+  Request r;
+  r.type = Request::Type::kRead;
+  for (std::uint64_t i = 0;; ++i) {
+    r.addr = i * chan_stride;  // always channel 0
+    if (!sys.try_enqueue(r)) break;
+  }
+  EXPECT_FALSE(sys.channel_can_accept(0));
+  // One past the device; the capacity is a power of two, so the address's
+  // channel field reads 0, the full channel.
+  r.addr = mapper.capacity();
+  EXPECT_THROW((void)sys.try_enqueue(r), Error);
+  r.addr = chan_stride;  // a valid channel-0 address is refused, not thrown
+  EXPECT_FALSE(sys.try_enqueue(r));
+}
+
 // Completion cycle of a request finishing at `t`.
 std::uint64_t cycle_of(const Spec& s, Duration t) {
   return static_cast<std::uint64_t>(std::llround(t.ns() / s.clock_period().ns()));

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "moe/gating.hpp"
 #include "moe/model_config.hpp"
@@ -392,6 +393,65 @@ TEST(Workload, MergeLayerWorksSumsDraws) {
   }
   EXPECT_THROW((void)WorkloadGenerator::merge_layer_works({}), Error);
   EXPECT_THROW((void)WorkloadGenerator::merge_layer_works({d1, {}}), Error);
+}
+
+/// Field-for-field equality of two per-layer works.
+void expect_same_works(const std::vector<MoeLayerWork>& got,
+                       const std::vector<MoeLayerWork>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].layer_id, want[i].layer_id);
+    EXPECT_EQ(got[i].total_tokens, want[i].total_tokens);
+    EXPECT_EQ(got[i].top_k, want[i].top_k);
+    EXPECT_EQ(got[i].tokens_per_expert, want[i].tokens_per_expert);
+  }
+}
+
+TEST(Workload, InPlaceStepRoutingEqualsMergedDraws) {
+  // Property: routing a random active set -- repeated ids, varied steps,
+  // several tokens per request -- into one reused `works` that still holds
+  // the previous set's sums equals merge_layer_works() of the requests'
+  // decoder_step_for() draws.
+  MoeModelConfig small = MoeModelConfig::switch_variant(512, 16);
+  small.top_k = 2;
+  for (const MoeModelConfig& model : {MoeModelConfig::nllb_moe_128(), small}) {
+    SCOPED_TRACE(model.name);
+    const WorkloadGenerator gen{model, SkewProfile::nllb_like(), 42};
+    Rng rng{7};
+    std::vector<MoeLayerWork> works;
+    for (int trial = 0; trial < 40; ++trial) {
+      const std::uint64_t active = 1 + rng.next_below(12);
+      std::vector<std::vector<MoeLayerWork>> draws;
+      gen.reset_decoder_works(works);
+      for (std::uint64_t r = 0; r < active; ++r) {
+        const std::uint64_t id = rng.next_below(6);  // few ids: repeats are common
+        const auto step = static_cast<std::int64_t>(rng.next_below(40));
+        const auto tokens = static_cast<std::int64_t>(1 + rng.next_below(4));
+        draws.push_back(gen.decoder_step_for(id, step, tokens));
+        gen.add_decoder_step(id, step, tokens, works);
+      }
+      expect_same_works(works, WorkloadGenerator::merge_layer_works(draws));
+    }
+  }
+}
+
+TEST(Workload, EncoderPassIntoReusedStorageEqualsFreshPass) {
+  // Identically seeded generators: one routes every pass into one reused,
+  // dirty EncoderPass, the other returns fresh passes.
+  const MoeModelConfig model = MoeModelConfig::nllb_moe_128();
+  WorkloadGenerator reused{model, SkewProfile::nllb_like(), 9};
+  WorkloadGenerator fresh{model, SkewProfile::nllb_like(), 9};
+  EncoderPass pass;
+  pass.batch = 3;
+  pass.moe_layers.resize(1);
+  pass.moe_layers[0].tokens_per_expert = {5, 5, 5};
+  for (const auto& [batch, seq] : {std::pair{4, 512}, {1, 7}, {2, 64}, {1, 1}}) {
+    reused.encoder_pass(batch, seq, pass);
+    const EncoderPass want = fresh.encoder_pass(batch, seq);
+    EXPECT_EQ(pass.batch, want.batch);
+    EXPECT_EQ(pass.seq_len, want.seq_len);
+    expect_same_works(pass.moe_layers, want.moe_layers);
+  }
 }
 
 TEST(Workload, RequiresMoeModel) {

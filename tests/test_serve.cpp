@@ -217,6 +217,44 @@ TEST(Scheduler, MergedStepWorksConserveRoutedTokens) {
   }
 }
 
+TEST(Scheduler, StepWorksEqualMergedDrawsEveryStep) {
+  // The scheduler routes each step in place into storage it reuses; every
+  // step's works must equal merge_layer_works() of the active requests'
+  // decoder_step_for() draws, as the batch grows, mixes depths and drains.
+  auto engine = make_engine(core::StrategyKind::kMondeLoadBalanced);
+  SchedulerConfig cfg;
+  ContinuousBatchScheduler sched{cfg};
+  push_all(sched, {{0, Duration::zero(), 8, 3},
+                   {1, Duration::zero(), 8, 6},
+                   {2, Duration::millis(2), 8, 2},
+                   {3, Duration::millis(3), 8, 5}});
+  sched.seal();
+  Duration t = Duration::zero();
+  int steps = 0;
+  while (!sched.drained()) {
+    sched.release_arrivals(t);
+    (void)sched.admit();
+    t += Duration::millis(1);
+    if (sched.active().empty()) continue;
+    std::vector<std::vector<moe::MoeLayerWork>> draws;
+    for (const core::DecodeSlot& slot : sched.slots()) {
+      draws.push_back(engine.workload().decoder_step_for(slot.request_id, slot.step));
+    }
+    const auto want = moe::WorkloadGenerator::merge_layer_works(draws);
+    const auto& got = sched.step_works(engine.workload());
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].layer_id, want[i].layer_id);
+      EXPECT_EQ(got[i].total_tokens, want[i].total_tokens);
+      EXPECT_EQ(got[i].top_k, want[i].top_k);
+      EXPECT_EQ(got[i].tokens_per_expert, want[i].tokens_per_expert);
+    }
+    sched.complete_step(t);
+    ++steps;
+  }
+  EXPECT_GE(steps, 6);
+}
+
 TEST(Scheduler, BurstAdmissionDrainsFifoWithinBudget) {
   // Regression for the O(n^2) vector-head erase in admit(): an arrival flood
   // must admit strictly in FIFO order and within the token budget every step.

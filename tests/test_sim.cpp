@@ -1,6 +1,8 @@
 // Unit tests for the stream timelines and stream schedules.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -171,6 +173,42 @@ TEST(StreamSchedule, RejectsUnknownStream) {
   StreamSchedule sched;
   EXPECT_THROW(sched.place(StreamId{5}, Duration::zero(), Duration::zero(), "x", "y"), Error);
   EXPECT_THROW((void)sched.free_at(StreamId{1}), Error);
+}
+
+TEST(StreamSchedule, PlaceRejectsUnknownStreamAndInvalidLength) {
+  // The placement checks hold on both kinds of schedule and through both
+  // place() overloads, and a rejected placement changes nothing.
+  int formatted = 0;
+  const auto label = [&formatted] {
+    ++formatted;
+    return std::string{"lazy"};
+  };
+  const Duration nan = Duration::nanos(std::numeric_limits<double>::quiet_NaN());
+  for (const Recording recording : {Recording::kOn, Recording::kOff}) {
+    SCOPED_TRACE(recording == Recording::kOn ? "recording" : "non-recording");
+    StreamSchedule sched{recording};
+    const StreamId a = sched.add_stream("A");
+    const StreamId b = sched.add_stream("B");
+    sched.place(a, Duration::nanos(10), Duration::nanos(5), "a", "x");
+    sched.place(b, Duration::zero(), Duration::nanos(3), "b", "x");
+    const std::size_t recorded = sched.timeline().intervals().size();
+    const struct {
+      StreamId stream;
+      Duration length;
+    } bad[] = {{StreamId{2}, Duration::nanos(1)},
+               {a, Duration::nanos(-1)},
+               {b, nan},
+               {StreamId{7}, nan}};
+    for (const auto& [stream, length] : bad) {
+      EXPECT_THROW(sched.place(stream, Duration::zero(), length, "eager", "x"), Error);
+      EXPECT_THROW(sched.place(stream, Duration::zero(), length, label, "x"), Error);
+      EXPECT_DOUBLE_EQ(sched.free_at(a).ns(), 15.0);
+      EXPECT_DOUBLE_EQ(sched.free_at(b).ns(), 3.0);
+      EXPECT_DOUBLE_EQ(sched.makespan().ns(), 15.0);
+      EXPECT_EQ(sched.timeline().intervals().size(), recorded);
+    }
+  }
+  EXPECT_EQ(formatted, 0);  // a rejected placement formats no label
 }
 
 TEST(StreamSchedule, ZeroLengthTaskRecordsMarker) {
